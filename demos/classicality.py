@@ -14,8 +14,6 @@ from descriptorsim import (
     Chained,
     Decohered,
     run_bell,
-    run_chain,
-    run_decoherence,
 )
 
 theta, phi = 0.0, math.pi / 4
@@ -25,14 +23,14 @@ print("plain measures:        ",
 
 print("\ndecoherence, one scrambled environment per seed:")
 for seed in (0, 1, 2026):
-    out = run_decoherence(BellConfig(theta, phi, Decohered(seed)))
+    out = run_bell(BellConfig(theta, phi, Decohered(seed)))
     drift = max(abs(out.branch_measures[k] - plain[k]) for k in plain)
     print(f"  seed {seed:>5}: max drift from plain {drift:.2e}  "
           f"(Q1 coherence after interaction: {out.diagnostics['q1_offdiagonal']:.1e})")
 
 print("\nchain reactions, outcomes relayed through fresh qubits:")
 for lengths in ((0, 0), (1, 1), (2, 2), (2, 0)):
-    out = run_chain(BellConfig(theta, phi, Chained(*lengths)))
+    out = run_bell(BellConfig(theta, phi, Chained(*lengths)))
     drift = max(abs(out.branch_measures[k] - plain[k]) for k in plain)
     print(f"  chain lengths {lengths}: max drift from plain {drift:.2e}")
 

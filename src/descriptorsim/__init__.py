@@ -19,7 +19,6 @@ from .operators import (
     haar_random_unitary,
     projector_pm,
     qudit_shift_clock,
-    reference_expectation,
 )
 from .gates import (
     Cnot,
@@ -45,7 +44,6 @@ from .engine import (
     initial_qudit_descriptor,
     is_sharp,
     locality_residual,
-    step_evolve,
 )
 from .foliation import Branch, Foliation, FoliationError, branch_measure, foliate
 from .oracle import (
@@ -69,8 +67,6 @@ from .bell import (
     closed_form_measures,
     nonisomorphism_witness,
     run_bell,
-    run_chain,
-    run_decoherence,
     run_wigner_undo,
 )
 from .chsh import (

@@ -151,101 +151,64 @@ def closed_form_measures(theta: float, phi: float) -> dict[str, float]:
     return {"00": c, "01": s, "10": s, "11": c}
 
 
-def _entangle_and_rotate(theta: float, phi: float) -> list[GateApplication]:
-    return [
-        GateApplication(Hadamard(), ("Q1",), 0),
-        GateApplication(Cnot(), ("Q1", "Q2"), 1),
-        GateApplication(RotationY(theta), ("Q1",), 2),
-        GateApplication(RotationY(phi), ("Q2",), 2),
-    ]
-
-
 def build_bell_network(cfg: BellConfig) -> BellNetwork:
     """Assemble the timed gate list of the requested variant: the plain
-    network plus environment, chain, or undo insertions."""
+    network's slices plus the variant's insertions (extra subsystems, a
+    time-0 scramble, an environment slice, chain links, undo slices).  A
+    gate's time is the position of its slice."""
     v = cfg.variant
-    if isinstance(v, Plain):
-        layout = SpaceLayout((("Q1", 2), ("Q2", 2), ("QA", 2), ("QB", 2), (RECORD, 4)))
-        gates = _entangle_and_rotate(cfg.theta, cfg.phi)
-        gates += [
-            GateApplication(Cnot(), ("Q1", "QA"), 3),
-            GateApplication(Cnot(), ("Q2", "QB"), 3),
-            GateApplication(ControlledPlus(2), ("QA", RECORD), 4),
-            GateApplication(ControlledPlus(1), ("QB", RECORD), 5),
-        ]
-        return BellNetwork(Network(layout, tuple(gates)), "QA", "QB", 4, 5)
+    if not isinstance(v, Variant):
+        raise TypeError(f"unknown variant {type(v).__name__}")
+    decohered = isinstance(v, Decohered)
+    links = (v.alice, v.bob) if isinstance(v, Chained) else (0, 0)
+    alice_ids = ["QA"] + [f"QA{i}" for i in range(1, links[0] + 1)]
+    bob_ids = ["QB"] + [f"QB{i}" for i in range(1, links[1] + 1)]
+    extra = ["QE", "QF"] if decohered else []
 
-    if isinstance(v, Decohered):
-        layout = SpaceLayout(
-            (("Q1", 2), ("Q2", 2), ("QE", 2), ("QF", 2), ("QA", 2), ("QB", 2), (RECORD, 4))
-        )
-        gates = []
-        if v.seed is not None:
-            scramble = haar_random_unitary(4, np.random.default_rng(v.seed))
-            gates.append(
-                GateApplication(CustomGate(scramble, "env-scramble"), ("QE", "QF"), 0)
-            )
-        gates += _entangle_and_rotate(cfg.theta, cfg.phi)
-        gates += [
-            GateApplication(Cnot(), ("Q1", "QE"), 3),
-            GateApplication(Cnot(), ("Q1", "QA"), 4),
-            GateApplication(Cnot(), ("Q2", "QB"), 4),
-            GateApplication(ControlledPlus(2), ("QA", RECORD), 5),
-            GateApplication(ControlledPlus(1), ("QB", RECORD), 6),
-        ]
-        return BellNetwork(
-            Network(layout, tuple(gates)), "QA", "QB", 5, 6,
-            environment="QE", environment_interaction_time=3,
-        )
-
-    if isinstance(v, Chained):
-        alice_ids = ["QA"] + [f"QA{i}" for i in range(1, v.alice + 1)]
-        bob_ids = ["QB"] + [f"QB{i}" for i in range(1, v.bob + 1)]
-        layout = SpaceLayout(
-            tuple(
-                [("Q1", 2), ("Q2", 2)]
-                + [(sid, 2) for sid in alice_ids + bob_ids]
-                + [(RECORD, 4)]
-            )
-        )
-        gates = _entangle_and_rotate(cfg.theta, cfg.phi)
-        gates += [
-            GateApplication(Cnot(), ("Q1", "QA"), 3),
-            GateApplication(Cnot(), ("Q2", "QB"), 3),
-        ]
-        for i in range(max(v.alice, v.bob)):
-            t = 4 + i
-            if i < v.alice:
-                gates.append(
-                    GateApplication(Cnot(), (alice_ids[i], alice_ids[i + 1]), t)
-                )
-            if i < v.bob:
-                gates.append(GateApplication(Cnot(), (bob_ids[i], bob_ids[i + 1]), t))
-        t_rec = 4 + max(v.alice, v.bob)
-        gates += [
-            GateApplication(ControlledPlus(2), (alice_ids[-1], RECORD), t_rec),
-            GateApplication(ControlledPlus(1), (bob_ids[-1], RECORD), t_rec + 1),
-        ]
-        return BellNetwork(
-            Network(layout, tuple(gates)), alice_ids[-1], bob_ids[-1], t_rec, t_rec + 1
-        )
-
+    first = [(Hadamard(), ("Q1",))]
+    if decohered and v.seed is not None:
+        scramble = haar_random_unitary(4, np.random.default_rng(v.seed))
+        first.insert(0, (CustomGate(scramble, "env-scramble"), ("QE", "QF")))
+    slices = [
+        first,
+        [(Cnot(), ("Q1", "Q2"))],
+        [(RotationY(cfg.theta), ("Q1",)), (RotationY(cfg.phi), ("Q2",))],
+    ]
+    environment_time = len(slices) if decohered else None
+    if decohered:
+        slices.append([(Cnot(), ("Q1", "QE"))])
+    slices.append([(Cnot(), ("Q1", "QA")), (Cnot(), ("Q2", "QB"))])
+    for i in range(max(links)):
+        slices.append([
+            (Cnot(), (ids[i], ids[i + 1]))
+            for ids in (alice_ids, bob_ids)
+            if i + 1 < len(ids)
+        ])
     if isinstance(v, WignerUndo):
         rerotation = math.pi - cfg.phi if v.rerotation is None else v.rerotation
-        layout = SpaceLayout((("Q1", 2), ("Q2", 2), ("QA", 2), ("QB", 2), (RECORD, 4)))
-        gates = _entangle_and_rotate(cfg.theta, cfg.phi)
-        gates += [
-            GateApplication(Cnot(), ("Q1", "QA"), 3),
-            GateApplication(Cnot(), ("Q2", "QB"), 3),
-            GateApplication(Cnot(), ("Q2", "QB"), 4),  # Cnot is self-inverse
-            GateApplication(RotationY(rerotation), ("Q2",), 5),
-            GateApplication(Cnot(), ("Q2", "QB"), 6),
-            GateApplication(ControlledPlus(2), ("QA", RECORD), 7),
-            GateApplication(ControlledPlus(1), ("QB", RECORD), 8),
+        slices += [
+            [(Cnot(), ("Q2", "QB"))],  # Cnot is self-inverse
+            [(RotationY(rerotation), ("Q2",))],
+            [(Cnot(), ("Q2", "QB"))],
         ]
-        return BellNetwork(Network(layout, tuple(gates)), "QA", "QB", 7, 8)
+    slices += [
+        [(ControlledPlus(2), (alice_ids[-1], RECORD))],
+        [(ControlledPlus(1), (bob_ids[-1], RECORD))],
+    ]
 
-    raise TypeError(f"unknown variant {type(v).__name__}")
+    qubits = ["Q1", "Q2"] + extra + alice_ids + bob_ids
+    layout = SpaceLayout(tuple((sid, 2) for sid in qubits) + ((RECORD, 4),))
+    gates = tuple(
+        GateApplication(gate, sids, t)
+        for t, sl in enumerate(slices)
+        for gate, sids in sl
+    )
+    t_rec = len(slices) - 2
+    return BellNetwork(
+        Network(layout, gates), alice_ids[-1], bob_ids[-1], t_rec, t_rec + 1,
+        environment="QE" if decohered else None,
+        environment_interaction_time=environment_time,
+    )
 
 
 def _record_foliation(
@@ -327,20 +290,6 @@ def run_bell(cfg: BellConfig) -> BellOutcome:
         alice_sharpness=sharpness,
         diagnostics=diagnostics,
     )
-
-
-def run_decoherence(cfg: BellConfig) -> BellOutcome:
-    """Run the decohered variant; measures must match the plain variant."""
-    if not isinstance(cfg.variant, Decohered):
-        raise TypeError("run_decoherence needs a Decohered variant")
-    return run_bell(cfg)
-
-
-def run_chain(cfg: BellConfig) -> BellOutcome:
-    """Run the chain-reaction variant; measures must match the plain variant."""
-    if not isinstance(cfg.variant, Chained):
-        raise TypeError("run_chain needs a Chained variant")
-    return run_bell(cfg)
 
 
 def run_wigner_undo(

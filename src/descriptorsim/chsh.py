@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Mapping
 
 import numpy as np
 
@@ -80,6 +81,19 @@ def quantum_distribution(
     return run_bell(cfg).branch_measures
 
 
+def win_rate(distributions: Mapping[tuple[int, int], Mapping[str, float]]) -> float:
+    """Expected win rate over uniform inputs, from the outcome distribution
+    of each input pair."""
+    total = 0.0
+    for x, y in INPUT_PAIRS:
+        total += sum(
+            p
+            for key, p in distributions[(x, y)].items()
+            if win_predicate(x, y, int(key[0]), int(key[1]))
+        )
+    return total / 4
+
+
 def chsh_win_rate(
     tolerance: float = DEFAULT_TOLERANCE,
     alice_angles: tuple[float, float] = ALICE_ANGLES,
@@ -87,14 +101,12 @@ def chsh_win_rate(
 ) -> float:
     """Expected win rate of the rotation strategy over uniform inputs;
     defaults to the optimal angle table."""
-    total = 0.0
-    for x, y in INPUT_PAIRS:
-        cfg = BellConfig(alice_angles[x], bob_angles[y], tolerance=tolerance)
-        dist = run_bell(cfg).branch_measures
-        total += sum(
-            p for key, p in dist.items() if win_predicate(x, y, int(key[0]), int(key[1]))
-        )
-    return total / 4
+    return win_rate({
+        (x, y): run_bell(
+            BellConfig(alice_angles[x], bob_angles[y], tolerance=tolerance)
+        ).branch_measures
+        for x, y in INPUT_PAIRS
+    })
 
 
 def referee_demo(seed: int, rounds: int = 1000) -> float:

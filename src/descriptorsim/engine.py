@@ -39,19 +39,13 @@ from .operators import (
     embed_local,
     embed_matrix,
     frobenius,
+    half_sum,
     qudit_shift_clock,
 )
 
 
 class EngineError(ValueError):
     """Evolution bookkeeping violated: time mismatch or unsupported path."""
-
-
-def _half_sum(q: Operator, sign: int) -> Operator:
-    # (1 + sign*q)/2 without the involution re-check; evolution preserves
-    # the algebra, which the property tests verify independently
-    n = q.layout.total_dim
-    return Operator._wrap(q.layout, (np.eye(n) + sign * q.matrix) / 2)
 
 
 @dataclass(frozen=True)
@@ -129,11 +123,14 @@ def functional_form(
         qx, qz = args[0].components
         half = gate.theta / 2
         return Operator.identity(layout) * np.cos(half) + (qx @ qz) * np.sin(half)
+    # half_sum skips the involution re-check of a control's z component:
+    # evolution preserves the algebra, which the property tests verify
+    # independently
     if isinstance(gate, Cnot):
         control, target = args
         q_cz = control.components[1]
         q_tx = target.components[0]
-        return _half_sum(q_cz, +1) + _half_sum(q_cz, -1) @ q_tx
+        return half_sum(q_cz, +1) + half_sum(q_cz, -1) @ q_tx
     if isinstance(gate, Plus):
         shift = args[0].components[0]
         return shift.matpow(gate.k % args[0].layout.dim_of(args[0].subsystem))
@@ -142,7 +139,7 @@ def functional_form(
         q_cz = control.components[1]
         shift = target.components[0]
         power = shift.matpow(gate.k % layout.dim_of(target.subsystem))
-        return _half_sum(q_cz, +1) + _half_sum(q_cz, -1) @ power
+        return half_sum(q_cz, +1) + half_sum(q_cz, -1) @ power
     if isinstance(gate, CustomGate):
         if frame is None:
             if times != {0}:
@@ -159,51 +156,26 @@ def functional_form(
     raise EngineError(f"unknown gate kind {type(gate).__name__}")
 
 
-def _conjugate_acted(
-    descriptors: Mapping[str, Descriptor],
-    app: GateApplication,
-    unitary: Operator,
-    new_time: int,
-) -> dict[str, Descriptor]:
-    """Conjugate the acted subsystems' components; pass the rest through.
-
-    Components of non-acted subsystems commute with the gate polynomial,
-    so conjugation leaves them unchanged; :func:`locality_residual` checks
-    that identity explicitly.
-    """
-    u_dag = unitary.H
-    out: dict[str, Descriptor] = {}
-    acted = set(app.subsystems)
-    for sid, desc in descriptors.items():
-        if sid in acted:
-            comps = tuple(u_dag @ c @ unitary for c in desc.components)
-        else:
-            comps = desc.components
-        out[sid] = Descriptor(sid, new_time, comps)
-    return out
-
-
-def step_evolve(
-    descriptors: Mapping[str, Descriptor],
-    app: GateApplication,
-    frame: Operator | None = None,
-) -> dict[str, Descriptor]:
-    """One application of the step-evolution law; advances time by 1."""
-    times = {d.time for d in descriptors.values()}
-    if len(times) != 1:
-        raise EngineError(f"descriptor times differ: {sorted(times)}")
-    (t,) = times
-    if app.time != t:
-        raise EngineError(f"gate time {app.time} does not match descriptor time {t}")
-    unitary = functional_form(app, descriptors, frame)
-    return _conjugate_acted(descriptors, app, unitary, t + 1)
+def _network_form(
+    network: Network, app: GateApplication, descriptors: Mapping[str, Descriptor]
+) -> Operator:
+    """The functional form of one of the network's gates; a custom gate
+    gets the cumulative unitary of the slices before it as its frame."""
+    frame = (
+        cumulative_unitary(network, app.time)
+        if isinstance(app.gate, CustomGate)
+        else None
+    )
+    return functional_form(app, descriptors, frame)
 
 
 class NetworkEvolution:
     """Iterates the step law slice by slice through a network.
 
-    Maintains the cumulative gate-matrix frame only when the network
-    contains custom gates (the one gate kind without a fixed polynomial).
+    The production evolution path; :func:`cumulative_evolve` is the
+    independent reference.  A custom gate (the one gate kind without a
+    fixed polynomial) takes its frame from :func:`cumulative_unitary` when
+    it is reached, so gates after the last custom gate pay nothing for it.
     """
 
     def __init__(self, network: Network):
@@ -211,27 +183,29 @@ class NetworkEvolution:
         self._slices = network.slices()
         self.descriptors = initial_descriptors(network.layout)
         self.time = 0
-        self._frame = (
-            Operator.identity(network.layout) if network.has_custom_gates() else None
-        )
 
     def advance(self) -> None:
-        """Apply every gate of the current slice (disjoint, so order-free)."""
+        """Apply every gate of the current slice (disjoint, so order-free).
+
+        Only the acted subsystems' components are conjugated: components
+        of non-acted subsystems commute with the gate polynomial, so
+        conjugation leaves them unchanged; :func:`locality_residual`
+        checks that identity explicitly.
+        """
         if self.time >= len(self._slices):
             raise EngineError(f"network exhausted at time {self.time}")
-        new_time = self.time + 1
+        descriptors = dict(self.descriptors)
         for app in self._slices[self.time]:
-            unitary = functional_form(app, self.descriptors, self._frame)
-            self.descriptors = _conjugate_acted(
-                self.descriptors, app, unitary, self.time
-            )
-            if self._frame is not None:
-                self._frame = self.network.embedded(app) @ self._frame
+            unitary = _network_form(self.network, app, descriptors)
+            u_dag = unitary.H
+            for sid in app.subsystems:
+                comps = tuple(u_dag @ c @ unitary for c in descriptors[sid].components)
+                descriptors[sid] = Descriptor(sid, self.time, comps)
+        self.time += 1
         self.descriptors = {
-            sid: Descriptor(sid, new_time, d.components)
-            for sid, d in self.descriptors.items()
+            sid: Descriptor(sid, self.time, d.components)
+            for sid, d in descriptors.items()
         }
-        self.time = new_time
 
     def run_to(self, t: int) -> "NetworkEvolution":
         if not 0 <= t <= len(self._slices):
@@ -266,7 +240,7 @@ def cumulative_unitary(network: Network, t: int | None = None) -> Operator:
 
 def cumulative_evolve(network: Network, t: int | None = None) -> dict[str, Descriptor]:
     """Descriptors at time t by direct conjugation with the cumulative
-    unitary; the cross-check engine for the step law."""
+    unitary; the reference engine that cross-checks the step law."""
     if t is None:
         t = network.n_steps
     u = cumulative_unitary(network, t)
@@ -302,9 +276,9 @@ def locality_residual(network: Network) -> float:
     """
     evo = NetworkEvolution(network)
     worst = 0.0
-    for t, sl in enumerate(evo._slices):
+    for sl in network.slices():
         for app in sl:
-            unitary = functional_form(app, evo.descriptors, evo._frame)
+            unitary = _network_form(network, app, evo.descriptors)
             u_dag = unitary.H
             for sid, desc in evo.descriptors.items():
                 if sid in app.subsystems:

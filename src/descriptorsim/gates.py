@@ -224,6 +224,3 @@ class Network:
         return Operator(
             self.layout, embed_matrix(app.gate.matrix(dims), app.subsystems, self.layout)
         )
-
-    def has_custom_gates(self) -> bool:
-        return any(isinstance(app.gate, CustomGate) for app in self.gates)

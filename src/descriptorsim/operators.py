@@ -223,9 +223,10 @@ def embed_local(op: np.ndarray, target: str, layout: SpaceLayout) -> Operator:
     return Operator._wrap(layout, embed_matrix(op, (target,), layout))
 
 
-def reference_expectation(o: Operator) -> complex:
-    """Expectation against the fixed reference vector |0...0>."""
-    return o.expectation()
+def half_sum(q: Operator, sign: int) -> Operator:
+    """(1 + sign*q)/2 without checks; callers guarantee q is an involution."""
+    n = q.layout.total_dim
+    return Operator._wrap(q.layout, (np.eye(n) + sign * q.matrix) / 2)
 
 
 def projector_pm(q: Operator, sign: int, tol: float = DEFAULT_TOLERANCE) -> Operator:
@@ -234,8 +235,7 @@ def projector_pm(q: Operator, sign: int, tol: float = DEFAULT_TOLERANCE) -> Oper
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if not q.is_involution(tol):
         raise AlgebraError("projector argument is not an involution")
-    n = q.layout.total_dim
-    return Operator._wrap(q.layout, (np.eye(n) + sign * q.matrix) / 2)
+    return half_sum(q, sign)
 
 
 def qudit_shift_clock(dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -33,8 +33,6 @@ from descriptorsim import (
     quantum_distribution,
     reduced_density_matrix,
     run_bell,
-    run_chain,
-    run_decoherence,
     run_wigner_undo,
     simulate_statevector,
 )
@@ -74,7 +72,7 @@ def angle_grid():
 @pytest.fixture(scope="module")
 def chain_two_two():
     cfg = BellConfig(0.0, math.pi / 4, Chained(2, 2))
-    return run_chain(cfg), oracle_record_distribution(cfg)
+    return run_bell(cfg), oracle_record_distribution(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +80,7 @@ def decohered_twenty():
     runs = []
     for seed in range(20):
         cfg = BellConfig(0.0, math.pi / 4, Decohered(seed))
-        runs.append((seed, run_decoherence(cfg), oracle_record_distribution(cfg)))
+        runs.append((seed, run_bell(cfg), oracle_record_distribution(cfg)))
     return runs
 
 

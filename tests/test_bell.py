@@ -20,8 +20,6 @@ from descriptorsim import (
     joint_outcome_distribution,
     nonisomorphism_witness,
     run_bell,
-    run_chain,
-    run_decoherence,
     run_wigner_undo,
     simulate_statevector,
 )
@@ -94,7 +92,7 @@ class TestPlainNetwork:
 class TestDecoherence:
     def test_measures_match_plain(self):
         plain = run_bell(BellConfig(0.0, math.pi / 4))
-        dec = run_decoherence(BellConfig(0.0, math.pi / 4, Decohered(seed=0)))
+        dec = run_bell(BellConfig(0.0, math.pi / 4, Decohered(seed=0)))
         assert_measures(dec, plain.branch_measures)
 
     def test_fresh_environment_wire_label(self):
@@ -114,14 +112,14 @@ class TestDecoherence:
     def test_seeds_leave_measures_invariant(self):
         plain = run_bell(BellConfig(0.9, 0.2)).branch_measures
         for seed in (1, 7, 42):
-            dec = run_decoherence(BellConfig(0.9, 0.2, Decohered(seed)))
+            dec = run_bell(BellConfig(0.9, 0.2, Decohered(seed)))
             for key in plain:
                 assert dec.branch_measures[key] == pytest.approx(
                     plain[key], abs=1e-9
                 )
 
     def test_decoherence_diagnostics(self):
-        dec = run_decoherence(BellConfig(0.4, 1.0, Decohered(3)))
+        dec = run_bell(BellConfig(0.4, 1.0, Decohered(3)))
         assert dec.diagnostics["q1_x_expectation"] < 1e-9
         assert dec.diagnostics["q1_offdiagonal"] < 1e-9
 
@@ -132,15 +130,11 @@ class TestDecoherence:
         assert isinstance(ga, CustomGate) and isinstance(gb, CustomGate)
         assert np.array_equal(ga.unitary, gb.unitary)
 
-    def test_wrong_variant_rejected(self):
-        with pytest.raises(TypeError):
-            run_decoherence(BellConfig(0.0, 0.0))
-
 
 class TestChain:
     def test_zero_length_chain_matches_plain(self):
         plain = run_bell(BellConfig(0.3, 0.8))
-        chained = run_chain(BellConfig(0.3, 0.8, Chained(0, 0)))
+        chained = run_bell(BellConfig(0.3, 0.8, Chained(0, 0)))
         assert_measures(chained, plain.branch_measures, tol=1e-12)
 
     def test_network_retargets_record_gates(self):
@@ -177,7 +171,7 @@ class TestChain:
     def test_small_chains_leave_measures_invariant(self):
         plain = run_bell(BellConfig(0.0, math.pi / 4)).branch_measures
         for lengths in ((1, 1), (2, 0)):
-            chained = run_chain(BellConfig(0.0, math.pi / 4, Chained(*lengths)))
+            chained = run_bell(BellConfig(0.0, math.pi / 4, Chained(*lengths)))
             for key in plain:
                 assert chained.branch_measures[key] == pytest.approx(
                     plain[key], abs=1e-9

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from descriptorsim import bell, chsh, cli
+from descriptorsim.bell import run_bell
 from descriptorsim.cli import (
     ConfigError,
     RunConfig,
@@ -201,6 +203,25 @@ class TestShellLevel:
         )
         assert proc.returncode == expected
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["run", "bell", "--tolerance", "nan"],
+            ["run", "chain", "--chain-alice", "8", "--chain-bob", "8"],
+            ["run", "decoherence", "--seed", "-1"],
+            ["run", "bell", "--theta", "inf"],
+        ],
+    )
+    def test_bad_inputs_exit_2_without_traceback(self, args):
+        proc = subprocess.run(
+            [sys.executable, "-m", "descriptorsim.cli"] + args,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
 
 class TestExecuteAndReport:
     def test_returns_code_and_text(self):
@@ -215,3 +236,25 @@ class TestExecuteAndReport:
             RunConfig(experiment="nope")
         with pytest.raises(ConfigError):
             RunConfig(experiment="bell", tolerance=-1)
+        for bad in (
+            {"tolerance": math.nan},
+            {"tolerance": math.inf},
+            {"theta": math.inf},
+            {"phi": math.nan},
+            {"seed": -1},
+        ):
+            with pytest.raises(ConfigError):
+                RunConfig(experiment="bell", **bad)
+
+    def test_chsh_runs_each_input_pair_once(self, monkeypatch):
+        calls = []
+
+        def counting_run_bell(cfg):
+            calls.append(cfg)
+            return run_bell(cfg)
+
+        for module in (bell, chsh, cli):
+            monkeypatch.setattr(module, "run_bell", counting_run_bell)
+        code, _ = execute_and_report(RunConfig("chsh"))
+        assert code == 0
+        assert len(calls) == 4

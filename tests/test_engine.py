@@ -27,14 +27,19 @@ from descriptorsim import (
     initial_qudit_descriptor,
     is_sharp,
     locality_residual,
-    step_evolve,
 )
 from descriptorsim.operators import PAULI_X, PAULI_Z, haar_random_unitary
 from conftest import random_network
 
 ONE_QUBIT = SpaceLayout((("Q1", 2),))
 TWO_QUBITS = SpaceLayout((("Q1", 2), ("Q2", 2)))
+THREE_QUBITS = SpaceLayout((("Q1", 2), ("Q2", 2), ("Q3", 2)))
 QUBIT_AND_RECORD = SpaceLayout((("Q1", 2), ("SC", 4)))
+
+
+def evolved(layout, *apps):
+    """Final descriptors of the network made of ``apps``."""
+    return NetworkEvolution(Network(layout, apps)).run().descriptors
 
 
 class TestInitialDescriptors:
@@ -143,15 +148,14 @@ class TestFunctionalForm:
 
     def test_custom_gate_later_needs_frame(self, rng):
         gate = CustomGate(haar_random_unitary(2, rng))
-        descs = self.fresh(TWO_QUBITS)
-        descs = step_evolve(descs, GateApplication(Hadamard(), ("Q1",), 0))
+        descs = evolved(TWO_QUBITS, GateApplication(Hadamard(), ("Q1",), 0))
         with pytest.raises(EngineError):
             functional_form(GateApplication(gate, ("Q1",), 1), descs)
 
     def test_mixed_times_rejected(self):
         descs = self.fresh(TWO_QUBITS)
-        evolved = step_evolve(descs, GateApplication(Hadamard(), ("Q1",), 0))
-        mixed = {"Q1": evolved["Q1"], "Q2": descs["Q2"]}
+        after = evolved(TWO_QUBITS, GateApplication(Hadamard(), ("Q1",), 0))
+        mixed = {"Q1": after["Q1"], "Q2": descs["Q2"]}
         with pytest.raises(EngineError):
             functional_form(GateApplication(Cnot(), ("Q1", "Q2"), 1), mixed)
 
@@ -159,15 +163,17 @@ class TestFunctionalForm:
 class TestStepEvolve:
     def test_hadamard_swaps_components(self):
         descs = initial_descriptors(TWO_QUBITS)
-        out = step_evolve(descs, GateApplication(Hadamard(), ("Q1",), 0))
+        out = evolved(TWO_QUBITS, GateApplication(Hadamard(), ("Q1",), 0))
         assert out["Q1"].components[0].isclose(descs["Q1"].components[1], 1e-14)
         assert out["Q1"].components[1].isclose(descs["Q1"].components[0], 1e-14)
         assert out["Q1"].time == 1
 
     def test_cnot_after_hadamard_matches_wire_labels(self):
-        descs = initial_descriptors(TWO_QUBITS)
-        descs = step_evolve(descs, GateApplication(Hadamard(), ("Q1",), 0))
-        descs = step_evolve(descs, GateApplication(Cnot(), ("Q1", "Q2"), 1))
+        descs = evolved(
+            TWO_QUBITS,
+            GateApplication(Hadamard(), ("Q1",), 0),
+            GateApplication(Cnot(), ("Q1", "Q2"), 1),
+        )
         q1x0 = embed_local(PAULI_X, "Q1", TWO_QUBITS)
         q1z0 = embed_local(PAULI_Z, "Q1", TWO_QUBITS)
         q2x0 = embed_local(PAULI_X, "Q2", TWO_QUBITS)
@@ -181,7 +187,7 @@ class TestStepEvolve:
     def test_rotation_mixes_components(self, seed):
         theta = float(np.random.default_rng(seed + 100).uniform(-np.pi, np.pi))
         descs = initial_descriptors(TWO_QUBITS)
-        out = step_evolve(descs, GateApplication(RotationY(theta), ("Q1",), 0))
+        out = evolved(TWO_QUBITS, GateApplication(RotationY(theta), ("Q1",), 0))
         qx, qz = descs["Q1"].components
         c, s = math.cos(theta), math.sin(theta)
         assert out["Q1"].components[0].isclose(c * qx + s * qz, 1e-12)
@@ -189,14 +195,9 @@ class TestStepEvolve:
 
     def test_non_acted_descriptor_passed_through_unchanged(self):
         descs = initial_descriptors(TWO_QUBITS)
-        out = step_evolve(descs, GateApplication(Hadamard(), ("Q1",), 0))
+        out = evolved(TWO_QUBITS, GateApplication(Hadamard(), ("Q1",), 0))
         for a, b in zip(out["Q2"].components, descs["Q2"].components):
             assert np.array_equal(a.matrix, b.matrix)
-
-    def test_time_mismatch_rejected(self):
-        descs = initial_descriptors(TWO_QUBITS)
-        with pytest.raises(EngineError):
-            step_evolve(descs, GateApplication(Hadamard(), ("Q1",), 3))
 
 
 class TestCumulativeEvolve:
@@ -242,20 +243,32 @@ class TestCumulativeEvolve:
         assert worst < 1e-9
 
     def test_step_engine_handles_custom_gates_via_frame(self, rng):
-        gate = CustomGate(haar_random_unitary(4, rng), "mix")
-        net = Network(
-            TWO_QUBITS,
-            (
-                GateApplication(Hadamard(), ("Q1",), 0),
-                GateApplication(gate, ("Q1", "Q2"), 1),
-                GateApplication(RotationY(0.7), ("Q2",), 2),
-            ),
-        )
-        evo = NetworkEvolution(net).run()
-        cum = cumulative_evolve(net)
-        for sid in TWO_QUBITS.ids:
-            for a, b in zip(evo.descriptor(sid).components, cum[sid].components):
-                assert a.isclose(b, 1e-11)
+        mix = CustomGate(haar_random_unitary(4, rng), "mix")
+        turn = CustomGate(haar_random_unitary(2, rng), "turn")
+        shapes = [
+            [(Hadamard(), ("Q1",)), (mix, ("Q1", "Q2")), (RotationY(0.7), ("Q2",))],
+            # the custom gate follows another gate of its own slice (time 2)
+            [
+                (Hadamard(), ("Q1",)), (Cnot(), ("Q1", "Q2")),
+                (RotationY(0.4), ("Q3",)), (mix, ("Q1", "Q2")), (Cnot(), ("Q2", "Q3")),
+            ],
+            # two custom gates at different times
+            [
+                (Hadamard(), ("Q1",)), (mix, ("Q1", "Q2")), (Cnot(), ("Q2", "Q3")),
+                (turn, ("Q3",)), (Hadamard(), ("Q2",)),
+            ],
+        ]
+        for gates, times in zip(shapes, [range(3), [0, 1, 2, 2, 3], range(5)]):
+            net = Network(
+                THREE_QUBITS,
+                tuple(GateApplication(g, sids, t) for (g, sids), t in zip(gates, times)),
+            )
+            evo = NetworkEvolution(net).run()
+            cum = cumulative_evolve(net)
+            for sid in THREE_QUBITS.ids:
+                for a, b in zip(evo.descriptor(sid).components, cum[sid].components):
+                    assert a.isclose(b, 1e-11)
+            assert locality_residual(net) < 1e-12
 
 
 class TestSharpness:

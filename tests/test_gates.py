@@ -114,4 +114,3 @@ def test_empty_network():
     net = Network(LAYOUT, ())
     assert net.n_steps == 0
     assert net.slices() == []
-    assert not net.has_custom_gates()

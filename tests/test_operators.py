@@ -9,7 +9,6 @@ from descriptorsim import (
     embed_local,
     projector_pm,
     qudit_shift_clock,
-    reference_expectation,
 )
 from descriptorsim.operators import PAULI_X, PAULI_Y, PAULI_Z, haar_random_unitary
 
@@ -71,20 +70,20 @@ class TestEmbedLocal:
 class TestReferenceExpectation:
     def test_embedded_sigma_z_is_plus_one(self):
         for sid in ("Q1", "Q2"):
-            assert reference_expectation(embed_local(PAULI_Z, sid, TWO_QUBITS)) == 1
+            assert embed_local(PAULI_Z, sid, TWO_QUBITS).expectation() == 1
 
     def test_embedded_sigma_x_is_zero(self):
         for sid in ("Q1", "Q2"):
-            assert reference_expectation(embed_local(PAULI_X, sid, TWO_QUBITS)) == 0
+            assert embed_local(PAULI_X, sid, TWO_QUBITS).expectation() == 0
 
     def test_identity_is_one(self):
-        assert reference_expectation(Operator.identity(TWO_QUBITS)) == 1
+        assert Operator.identity(TWO_QUBITS).expectation() == 1
 
     def test_linearity(self, rng):
         a = Operator(TWO_QUBITS, rng.standard_normal((4, 4)))
         b = Operator(TWO_QUBITS, rng.standard_normal((4, 4)))
-        lhs = reference_expectation(2.5 * a + b)
-        rhs = 2.5 * reference_expectation(a) + reference_expectation(b)
+        lhs = (2.5 * a + b).expectation()
+        rhs = 2.5 * a.expectation() + b.expectation()
         assert abs(lhs - rhs) < 1e-14
 
     def test_alice_z_after_bell_network_is_zero(self):
@@ -93,7 +92,7 @@ class TestReferenceExpectation:
 
         built = build_bell_network(BellConfig(0.3, 0.9))
         evo = NetworkEvolution(built.network).run_to(4)
-        value = reference_expectation(evo.descriptor("QA").components[1])
+        value = evo.descriptor("QA").components[1].expectation()
         assert abs(value) < 1e-12
 
 

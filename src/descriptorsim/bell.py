@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import NetworkEvolution, cumulative_unitary, is_sharp
-from .foliation import Foliation, foliate
+from .foliation import foliate
 from .gates import (
     Cnot,
     ControlledPlus,
@@ -85,6 +85,10 @@ class WignerUndo:
 
     rerotation: float | None = None
 
+    def angle(self, phi: float) -> float:
+        """The re-rotation applied to Bob's particle after rotation ``phi``."""
+        return math.pi - phi if self.rerotation is None else self.rerotation
+
 
 Variant = Plain | Decohered | Chained | WignerUndo
 
@@ -94,7 +98,6 @@ class BellConfig:
     theta: float = 0.0
     phi: float = math.pi / 4
     variant: Variant = field(default_factory=Plain)
-    tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
@@ -185,10 +188,9 @@ def build_bell_network(cfg: BellConfig) -> BellNetwork:
             if i + 1 < len(ids)
         ])
     if isinstance(v, WignerUndo):
-        rerotation = math.pi - cfg.phi if v.rerotation is None else v.rerotation
         slices += [
             [(Cnot(), ("Q2", "QB"))],  # Cnot is self-inverse
-            [(RotationY(rerotation), ("Q2",))],
+            [(RotationY(v.angle(cfg.phi)), ("Q2",))],
             [(Cnot(), ("Q2", "QB"))],
         ]
     slices += [
@@ -211,33 +213,6 @@ def build_bell_network(cfg: BellConfig) -> BellNetwork:
     )
 
 
-def _record_foliation(
-    built: BellNetwork, tol: float
-) -> tuple[Foliation, NetworkEvolution, Operator, Operator]:
-    """Evolve descriptors, foliate the record by Alice's then Bob's
-    controlling observable, and return the foliation plus the controls."""
-    evo = NetworkEvolution(built.network)
-    evo.run_to(built.alice_record_time)
-    control_a = evo.descriptor(built.alice_controller).components[1]
-    record = evo.descriptor(RECORD)
-    fol = foliate(
-        record,
-        control_a,
-        record.components[0].matpow(2),
-        f"{built.alice_controller}.z",
-        tol,
-    )
-    evo.run_to(built.bob_record_time)
-    control_b = evo.descriptor(built.bob_controller).components[1]
-    fol = fol.refine(
-        control_b,
-        record.components[0].matpow(1),
-        f"{built.bob_controller}.z",
-        tol,
-    )
-    return fol, evo, control_a, control_b
-
-
 def _marginal(control: Operator) -> tuple[float, float]:
     return (
         float(projector_pm(control, +1).expectation().real),
@@ -246,10 +221,39 @@ def _marginal(control: Operator) -> tuple[float, float]:
 
 
 def run_bell(cfg: BellConfig) -> BellOutcome:
-    """Run the configured experiment and report the record's branch measures."""
+    """Run the configured experiment and report the record's branch measures.
+
+    One evolution, in one pass: the environment diagnostics just after the
+    environment interaction, then the record foliated by Alice's and
+    refined by Bob's controlling observable at their record times, then
+    the final record for the reconstruction check and Alice's sharpness.
+    """
     built = build_bell_network(cfg)
-    tol = cfg.tolerance
-    fol, evo, control_a, control_b = _record_foliation(built, tol)
+    evo = NetworkEvolution(built.network)
+    env_diagnostics: dict[str, float] = {}
+    if built.environment is not None:
+        t_after = built.environment_interaction_time + 1
+        q1x_after = evo.run_to(t_after).descriptor("Q1").components[0]
+        env_diagnostics["q1_x_expectation"] = abs(q1x_after.expectation())
+        rho = reduced_density_matrix(
+            simulate_statevector(built.network, t_after), "Q1"
+        )
+        env_diagnostics["q1_offdiagonal"] = float(abs(rho[0, 1]))
+
+    evo.run_to(built.alice_record_time)
+    control_a = evo.descriptor(built.alice_controller).components[1]
+    record = evo.descriptor(RECORD)
+    fol = foliate(
+        record,
+        control_a,
+        record.components[0].matpow(2),
+        f"{built.alice_controller}.z",
+    )
+    evo.run_to(built.bob_record_time)
+    control_b = evo.descriptor(built.bob_controller).components[1]
+    fol = fol.refine(
+        control_b, record.components[0].matpow(1), f"{built.bob_controller}.z"
+    )
 
     evo.run()
     final_record = evo.descriptor(RECORD)
@@ -261,24 +265,7 @@ def run_bell(cfg: BellConfig) -> BellOutcome:
     alice = evo.descriptor(built.alice_controller)
     qx, qz = alice.components
     qy = 1j * (qx @ qz)
-    sharpness = {
-        "x": is_sharp(qx, tol)[0],
-        "z": is_sharp(qz, tol)[0],
-        "y": is_sharp(qy, tol)[0],
-    }
-
-    diagnostics: dict[str, float] = {
-        "measure_sum": float(sum(fol.measures().values()))
-    }
-    if built.environment is not None:
-        t_after = built.environment_interaction_time + 1
-        probe = NetworkEvolution(built.network).run_to(t_after)
-        q1x_after = probe.descriptor("Q1").components[0]
-        diagnostics["q1_x_expectation"] = abs(q1x_after.expectation())
-        rho = reduced_density_matrix(
-            simulate_statevector(built.network, t_after), "Q1"
-        )
-        diagnostics["q1_offdiagonal"] = float(abs(rho[0, 1]))
+    sharpness = {"x": is_sharp(qx)[0], "z": is_sharp(qz)[0], "y": is_sharp(qy)[0]}
 
     measures = fol.measures()
     return BellOutcome(
@@ -288,31 +275,31 @@ def run_bell(cfg: BellConfig) -> BellOutcome:
         bob_marginal=_marginal(control_b),
         reconstruction_residual=residual,
         alice_sharpness=sharpness,
-        diagnostics=diagnostics,
+        diagnostics={
+            "measure_sum": float(sum(measures.values())), **env_diagnostics
+        },
     )
 
 
 def run_wigner_undo(
-    theta: float,
-    phi: float,
-    rerotation: float | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
+    theta: float, phi: float, rerotation: float | None = None
 ) -> WignerReport:
     """Undo-and-redo continuation of Bob's measurement, with the joint
     measures and the conditional measures of Bob's record given Alice's."""
-    cfg = BellConfig(theta, phi, WignerUndo(rerotation), tolerance)
-    outcome = run_bell(cfg)
+    variant = WignerUndo(rerotation)
+    outcome = run_bell(BellConfig(theta, phi, variant))
     m = outcome.branch_measures
     conditionals: dict[tuple[int, int], float | None] = {}
     for a in (0, 1):
         total = m[f"{a}0"] + m[f"{a}1"]
         for b in (0, 1):
-            conditionals[(b, a)] = None if total < tolerance else m[f"{a}{b}"] / total
-    effective = phi + (math.pi - phi if rerotation is None else rerotation)
-    return WignerReport(outcome, effective, conditionals)
+            conditionals[(b, a)] = (
+                None if total < DEFAULT_TOLERANCE else m[f"{a}{b}"] / total
+            )
+    return WignerReport(outcome, phi + variant.angle(phi), conditionals)
 
 
-def nonisomorphism_witness(tolerance: float = DEFAULT_TOLERANCE) -> NonIsomorphismReport:
+def nonisomorphism_witness() -> NonIsomorphismReport:
     """Two networks with one final wave function but different descriptors.
 
     The empty two-qubit network and the single-Cnot network both leave the
@@ -339,14 +326,12 @@ def nonisomorphism_witness(tolerance: float = DEFAULT_TOLERANCE) -> NonIsomorphi
         )
     )
 
+    unitaries = [cumulative_unitary(net) for net in (empty, cnot)]
     gap = 0.0
     for sid in layout.ids:
         for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
             base = embed_local(pauli, sid, layout)
-            exp = []
-            for net in (empty, cnot):
-                u = cumulative_unitary(net)
-                exp.append((u.H @ base @ u).expectation())
+            exp = [(u.H @ base @ u).expectation() for u in unitaries]
             gap = max(gap, abs(exp[0] - exp[1]))
 
     return NonIsomorphismReport(

@@ -20,7 +20,6 @@ from typing import Mapping
 import numpy as np
 
 from .bell import BellConfig, run_bell
-from .operators import DEFAULT_TOLERANCE
 
 ALICE_ANGLES = (0.0, math.pi / 2)
 BOB_ANGLES = (math.pi / 4, -math.pi / 4)
@@ -70,15 +69,12 @@ def expected_win_rate(strategies: list[DeterministicStrategy]) -> Fraction:
     return Fraction(sum(s.wins() for s in strategies), 4 * len(strategies))
 
 
-def quantum_distribution(
-    x: int, y: int, tolerance: float = DEFAULT_TOLERANCE
-) -> dict[str, float]:
+def quantum_distribution(x: int, y: int) -> dict[str, float]:
     """Outcome distribution of the entangled strategy for one input pair,
     straight from the Bell experiment at the strategy's angles."""
     if x not in (0, 1) or y not in (0, 1):
         raise ValueError(f"inputs must be bits, got ({x}, {y})")
-    cfg = BellConfig(ALICE_ANGLES[x], BOB_ANGLES[y], tolerance=tolerance)
-    return run_bell(cfg).branch_measures
+    return run_bell(BellConfig(ALICE_ANGLES[x], BOB_ANGLES[y])).branch_measures
 
 
 def win_rate(distributions: Mapping[tuple[int, int], Mapping[str, float]]) -> float:
@@ -95,16 +91,13 @@ def win_rate(distributions: Mapping[tuple[int, int], Mapping[str, float]]) -> fl
 
 
 def chsh_win_rate(
-    tolerance: float = DEFAULT_TOLERANCE,
     alice_angles: tuple[float, float] = ALICE_ANGLES,
     bob_angles: tuple[float, float] = BOB_ANGLES,
 ) -> float:
     """Expected win rate of the rotation strategy over uniform inputs;
     defaults to the optimal angle table."""
     return win_rate({
-        (x, y): run_bell(
-            BellConfig(alice_angles[x], bob_angles[y], tolerance=tolerance)
-        ).branch_measures
+        (x, y): run_bell(BellConfig(alice_angles[x], bob_angles[y])).branch_measures
         for x, y in INPUT_PAIRS
     })
 

@@ -7,6 +7,10 @@ table, CSV, or JSON report.  Exit code 0 means every residual stayed
 below the tolerance, 1 flags a residual violation, and 2 a configuration
 error or a layout too large for the dense engine.  Identical
 configurations produce byte-identical reports.
+
+``--tolerance`` is a reporting tolerance: it bounds the reported
+residuals and nothing else.  The library's algebraic validation and
+sharpness tests use the fixed ``operators.DEFAULT_TOLERANCE`` (1e-9).
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_args, get_type_hints
 
 from .bell import (
     BRANCH_KEYS,
@@ -51,9 +56,6 @@ PRESETS = {
     "chsh-11": (1, 1),
 }
 ENV_TOLERANCE = "DESCRIPTOR_SIM_TOLERANCE"
-# engine-side algebraic validation cannot be meaningfully tighter than
-# double-precision accumulation; reporting uses the raw user tolerance
-MIN_ENGINE_TOLERANCE = 1e-12
 
 
 class ConfigError(ValueError):
@@ -87,18 +89,14 @@ class RunConfig:
             raise ConfigError("seed must be >= 0")
 
 
+# a config-file key is a RunConfig field, parsed as the field's type (an
+# optional field as the type it holds when set), or the extra key preset
+_FIELD_TYPES = get_type_hints(RunConfig)
 _CONFIG_KEYS = {
-    "experiment": str,
-    "theta": float,
-    "phi": float,
-    "seed": int,
-    "chain_alice": int,
-    "chain_bob": int,
-    "tolerance": float,
-    "format": str,
-    "output": str,
-    "preset": str,
+    f.name: (get_args(_FIELD_TYPES[f.name]) or (_FIELD_TYPES[f.name],))[0]
+    for f in fields(RunConfig)
 }
+_CONFIG_KEYS["preset"] = str
 
 
 def _load_config_file(path: str) -> dict:
@@ -150,8 +148,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--chain-bob", type=int, default=None, dest="chain_bob",
                      help="Bob-side chain length (default 2)")
     run.add_argument("--tolerance", type=float, default=None,
-                     help=f"residual tolerance (default {DEFAULT_TOLERANCE}; "
-                          f"env {ENV_TOLERANCE})")
+                     help=f"reporting tolerance for residuals (default {DEFAULT_TOLERANCE}; "
+                          f"env {ENV_TOLERANCE}); algebraic validation and sharpness "
+                          f"use the fixed {DEFAULT_TOLERANCE}")
     run.add_argument("--format", choices=FORMATS, default=None, help="report format (default table)")
     run.add_argument("--output", default=None, help="write the report to this path instead of stdout")
     run.add_argument("--preset", choices=sorted(PRESETS), default=None,
@@ -244,10 +243,6 @@ def _rows_pass(rows: list[dict], tolerance: float) -> bool:
     )
 
 
-def _engine_tolerance(tolerance: float) -> float:
-    return max(tolerance, MIN_ENGINE_TOLERANCE)
-
-
 def _variant(name: str, cfg: RunConfig) -> tuple[Variant, dict]:
     """The Bell variant experiment ``name`` runs, and its extra parameters."""
     if name == "decoherence":
@@ -262,7 +257,7 @@ def _section_variant(name: str, cfg: RunConfig) -> dict:
     """The bell, decoherence and chain sections: one Bell variant each,
     all held to the plain network's closed forms."""
     variant, extra = _variant(name, cfg)
-    bell_cfg = BellConfig(cfg.theta, cfg.phi, variant, _engine_tolerance(cfg.tolerance))
+    bell_cfg = BellConfig(cfg.theta, cfg.phi, variant)
     outcome = run_bell(bell_cfg)
     expected = closed_form_measures(cfg.theta, cfg.phi)
     rows = _rows(bell_cfg, outcome.branch_measures, expected)
@@ -287,7 +282,7 @@ def _section_variant(name: str, cfg: RunConfig) -> dict:
 
 
 def _section_wigner(name: str, cfg: RunConfig) -> dict:
-    report = run_wigner_undo(cfg.theta, cfg.phi, tolerance=_engine_tolerance(cfg.tolerance))
+    report = run_wigner_undo(cfg.theta, cfg.phi)
     outcome = report.outcome
     expected = closed_form_measures(cfg.theta, report.effective_bob_angle)
     rows = _rows(outcome.config, outcome.branch_measures, expected)
@@ -303,8 +298,7 @@ def _section_wigner(name: str, cfg: RunConfig) -> dict:
 
 
 def _section_chsh(name: str, cfg: RunConfig) -> dict:
-    tolerance = _engine_tolerance(cfg.tolerance)
-    distributions = {(x, y): quantum_distribution(x, y, tolerance) for x, y in INPUT_PAIRS}
+    distributions = {(x, y): quantum_distribution(x, y) for x, y in INPUT_PAIRS}
     rate = win_rate(distributions)
     expected_rate = math.cos(math.pi / 8) ** 2
     best, _ = enumerate_classical()
@@ -326,7 +320,7 @@ def _section_chsh(name: str, cfg: RunConfig) -> dict:
 
 
 def _section_nonisomorphism(name: str, cfg: RunConfig) -> dict:
-    report = nonisomorphism_witness(_engine_tolerance(cfg.tolerance))
+    report = nonisomorphism_witness()
     exact_gap = 2 * math.sqrt(2)  # Cnot turns q1x into a two-qubit product
     rows = [
         _row("state_distance", report.state_distance, 0.0),

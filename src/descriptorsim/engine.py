@@ -252,18 +252,16 @@ def cumulative_evolve(network: Network, t: int | None = None) -> dict[str, Descr
     return out
 
 
-def is_sharp(
-    o: Operator, tol: float = DEFAULT_TOLERANCE
-) -> tuple[bool, float | None]:
+def is_sharp(o: Operator) -> tuple[bool, float | None]:
     """Whether the observable has a definite value (null variance) with
     respect to the reference vector; returns the value when it does."""
-    if not o.is_hermitian(tol):
+    if not o.is_hermitian():
         raise AlgebraError("sharpness is defined for hermitian observables")
     mean = o.expectation()
-    if abs(mean.imag) > tol:
+    if abs(mean.imag) > DEFAULT_TOLERANCE:
         raise AlgebraError(f"hermitian expectation has imaginary part {mean.imag}")
     second = complex(o.matrix[0, :] @ o.matrix[:, 0])
-    sharp = abs(second - mean**2) < tol
+    sharp = abs(second - mean**2) < DEFAULT_TOLERANCE
     return (True, float(mean.real)) if sharp else (False, None)
 
 

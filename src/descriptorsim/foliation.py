@@ -69,11 +69,7 @@ class Foliation:
         return {b.key: b.measure for b in self.branches}
 
     def refine(
-        self,
-        control: Operator,
-        gate_poly: Operator,
-        control_id: str,
-        tol: float = DEFAULT_TOLERANCE,
+        self, control: Operator, gate_poly: Operator, control_id: str
     ) -> "Foliation":
         """Foliate every branch again with a further conditioned interaction.
 
@@ -81,8 +77,8 @@ class Foliation:
         components; within a branch it composes on the left of the
         accumulated conditional.
         """
-        _check_control(control, self.base, tol)
-        proj = {s: projector_pm(control, s, tol) for s in (+1, -1)}
+        _check_interaction(control, gate_poly, self.base)
+        proj = {s: projector_pm(control, s) for s in (+1, -1)}
         new_branches = []
         for branch in self.branches:
             for sign in (+1, -1):
@@ -95,7 +91,7 @@ class Foliation:
                         branch.labels + ((control_id, sign),),
                         projector,
                         conditional,
-                        _real_measure(projector, tol),
+                        _real_measure(projector),
                     )
                 )
         return Foliation(self.base, tuple(new_branches))
@@ -118,7 +114,6 @@ def foliate(
     control: Operator,
     gate_poly: Operator,
     control_id: str = "control",
-    tol: float = DEFAULT_TOLERANCE,
 ) -> Foliation:
     """Split ``target`` under a conditioned interaction into two labeled
     relative descriptors.
@@ -128,56 +123,59 @@ def foliate(
     target's current time).  A sharp control is permitted and yields a
     measure-0 branch.
     """
-    _check_control(control, target, tol)
-    if not gate_poly.is_unitary(tol):
-        raise FoliationError("conditioned gate polynomial is not unitary")
+    _check_interaction(control, gate_poly, target)
     branches = []
     for sign, conditional in (
         (+1, Operator.identity(target.layout)),
         (-1, gate_poly),
     ):
-        projector = projector_pm(control, sign, tol)
+        projector = projector_pm(control, sign)
         branches.append(
             Branch(
                 ((control_id, sign),),
                 projector,
                 conditional,
-                _real_measure(projector, tol),
+                _real_measure(projector),
             )
         )
     return Foliation(target, tuple(branches))
 
 
-def branch_measure(
-    projectors: Sequence[Operator], tol: float = DEFAULT_TOLERANCE
-) -> float:
+def branch_measure(projectors: Sequence[Operator]) -> float:
     """Reference expectation of a product of commuting projectors."""
     for i, p in enumerate(projectors):
-        if not p.is_projector(tol):
+        if not p.is_projector():
             raise AlgebraError(f"argument {i} is not a hermitian idempotent")
         for q in projectors[i + 1 :]:
-            if not p.commutes_with(q, tol):
+            if not p.commutes_with(q):
                 raise AlgebraError("branch projectors do not commute")
     if not projectors:
         return 1.0
     product = projectors[0]
     for p in projectors[1:]:
         product = product @ p
-    return _real_measure(product, tol)
+    return _real_measure(product)
 
 
-def _check_control(control: Operator, target: Descriptor, tol: float) -> None:
-    if not control.is_involution(tol):
+def _check_interaction(
+    control: Operator, gate_poly: Operator, target: Descriptor
+) -> None:
+    """The conditioned interaction that :func:`foliate` and
+    :meth:`Foliation.refine` split by: an involutive control commuting
+    with the target, and a unitary gate polynomial."""
+    if not control.is_involution():
         raise FoliationError("control observable is not an involution")
     for c in target.components:
-        if not control.commutes_with(c, tol):
+        if not control.commutes_with(c):
             raise FoliationError(
                 "control observable does not commute with the target descriptor"
             )
+    if not gate_poly.is_unitary():
+        raise FoliationError("conditioned gate polynomial is not unitary")
 
 
-def _real_measure(projector: Operator, tol: float) -> float:
+def _real_measure(projector: Operator) -> float:
     value = projector.expectation()
-    if abs(value.imag) > tol:
+    if abs(value.imag) > DEFAULT_TOLERANCE:
         raise AlgebraError(f"branch measure has imaginary part {value.imag}")
     return float(value.real)

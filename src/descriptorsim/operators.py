@@ -229,11 +229,11 @@ def half_sum(q: Operator, sign: int) -> Operator:
     return Operator._wrap(q.layout, (np.eye(n) + sign * q.matrix) / 2)
 
 
-def projector_pm(q: Operator, sign: int, tol: float = DEFAULT_TOLERANCE) -> Operator:
+def projector_pm(q: Operator, sign: int) -> Operator:
     """(1 + sign*q)/2 for an involutive q; projects onto the ±1 eigenspace."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if not q.is_involution(tol):
+    if not q.is_involution():
         raise AlgebraError("projector argument is not an involution")
     return half_sum(q, sign)
 

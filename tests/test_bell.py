@@ -123,6 +123,21 @@ class TestDecoherence:
         assert dec.diagnostics["q1_x_expectation"] < 1e-9
         assert dec.diagnostics["q1_offdiagonal"] < 1e-9
 
+    def test_one_evolution_pass(self, monkeypatch):
+        # the environment diagnostic, both foliations and the final record
+        # are all read from a single pass over the network
+        times = []
+        advance = NetworkEvolution.advance
+
+        def counting_advance(self):
+            times.append(self.time)
+            advance(self)
+
+        monkeypatch.setattr(NetworkEvolution, "advance", counting_advance)
+        cfg = BellConfig(0.4, 1.0, Decohered(3))
+        run_bell(cfg)
+        assert times == list(range(build_bell_network(cfg).network.n_steps))
+
     def test_scramble_is_seed_deterministic(self):
         a = build_bell_network(BellConfig(0.1, 0.2, Decohered(5)))
         b = build_bell_network(BellConfig(0.1, 0.2, Decohered(5)))

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -54,6 +56,17 @@ class TestParseConfig:
         path.write_text(json.dumps({"seed": 9, "tolerance": 1e-7}))
         cfg = parse_config(["run", "decoherence", "--config", str(path)])
         assert cfg.seed == 9 and cfg.tolerance == 1e-7
+
+    def test_every_runconfig_field_is_a_config_key(self, tmp_path):
+        values = {
+            "experiment": "chain", "theta": 0.5, "phi": 0.25, "seed": 3,
+            "chain_alice": 1, "chain_bob": 0, "tolerance": 1e-7, "format": "csv",
+            "output": str(tmp_path / "report.csv"),
+        }
+        assert set(values) == {f.name for f in dataclasses.fields(RunConfig)}
+        path = tmp_path / "cfg.txt"
+        path.write_text("".join(f"{key}={value}\n" for key, value in values.items()))
+        assert parse_config(["run", "chain", "--config", str(path)]) == RunConfig(**values)
 
     def test_cli_overrides_config_file(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -221,6 +234,31 @@ class TestShellLevel:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("experiment", ["bell", "decoherence"])
+    def test_huge_tolerance_bounds_residuals_only(self, experiment):
+        # the reporting tolerance never reaches the sharpness test
+        proc = subprocess.run(
+            [sys.executable, "-m", "descriptorsim.cli", "run", experiment,
+             "--tolerance", "1e300"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert "alice_unsharp = True" in proc.stdout
+        assert "result: PASS" in proc.stdout
+
+    def test_huge_tolerance_keeps_wigner_conditionals(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "descriptorsim.cli", "run", "wigner",
+             "--tolerance", "1e300"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        shown = re.findall(r"p_bob\d_given_alice\d = (\S+)", proc.stdout)
+        assert len(shown) == 4
+        assert sorted(float(value) for value in shown) == pytest.approx([0, 0, 1, 1], abs=1e-9)
 
 
 class TestExecuteAndReport:

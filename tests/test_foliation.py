@@ -88,6 +88,23 @@ class TestFoliate:
             assert got.isclose(want, 1e-12)
         assert sum(fol.measures().values()) == pytest.approx(1.0, abs=1e-12)
 
+    def test_refine_rejects_non_unitary_polynomial(self):
+        # refine checks its interaction exactly as foliate does
+        built, evo = bell_evolution(0.25, 0.8)
+        evo.run_to(4)
+        record = evo.descriptor("SC")
+        fol = foliate(
+            record,
+            evo.descriptor("QA").components[1],
+            record.components[0].matpow(2),
+            "QA.z",
+        )
+        evo.run_to(5)
+        with pytest.raises(FoliationError, match="not unitary"):
+            fol.refine(
+                evo.descriptor("QB").components[1], record.components[0] * 3, "QB.z"
+            )
+
     def test_follow_up_autonomy(self):
         # a later local unitary evolves each branch independently, and the
         # branchwise sum equals the directly evolved descriptor

@@ -39,7 +39,6 @@ from .operators import (
     SpaceLayout,
     embed_local,
     haar_random_unitary,
-    projector_pm,
 )
 from .oracle import reduced_density_matrix, simulate_statevector
 
@@ -125,6 +124,7 @@ class BellOutcome:
     bob_marginal: tuple[float, float]
     reconstruction_residual: float
     alice_sharpness: dict[str, bool]
+    network: Network = field(repr=False, compare=False)
     diagnostics: dict[str, float] = field(default_factory=dict)
 
 
@@ -214,10 +214,9 @@ def build_bell_network(cfg: BellConfig) -> BellNetwork:
 
 
 def _marginal(control: Operator) -> tuple[float, float]:
-    return (
-        float(projector_pm(control, +1).expectation().real),
-        float(projector_pm(control, -1).expectation().real),
-    )
+    """<(1 +- q)/2>, read off <q>: the (0, 0) entries of ``half_sum(q, +-1)``."""
+    q = control.expectation().real
+    return ((1 + q) / 2, (1 - q) / 2)
 
 
 def run_bell(cfg: BellConfig) -> BellOutcome:
@@ -262,8 +261,7 @@ def run_bell(cfg: BellConfig) -> BellOutcome:
         for got, want in zip(fol.branch_sum(), final_record.components)
     )
 
-    alice = evo.descriptor(built.alice_controller)
-    qx, qz = alice.components
+    qx, qz = evo.descriptor(built.alice_controller).components
     qy = 1j * (qx @ qz)
     sharpness = {"x": is_sharp(qx)[0], "z": is_sharp(qz)[0], "y": is_sharp(qy)[0]}
 
@@ -275,6 +273,7 @@ def run_bell(cfg: BellConfig) -> BellOutcome:
         bob_marginal=_marginal(control_b),
         reconstruction_residual=residual,
         alice_sharpness=sharpness,
+        network=built.network,
         diagnostics={
             "measure_sum": float(sum(measures.values())), **env_diagnostics
         },

@@ -39,11 +39,13 @@ from .bell import (
 from .chsh import (
     ALICE_ANGLES,
     BOB_ANGLES,
+    CLASSICAL_BOUND,
     INPUT_PAIRS,
     enumerate_classical,
     quantum_distribution,
     win_rate,
 )
+from .gates import Network
 from .operators import DEFAULT_TOLERANCE, LayoutError
 from .oracle import joint_outcome_distribution, simulate_statevector
 
@@ -101,8 +103,9 @@ _CONFIG_KEYS["preset"] = str
 
 def _load_config_file(path: str) -> dict:
     try:
-        text = open(path).read()
-    except OSError as exc:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     raw: dict = {}
     if text.lstrip().startswith("{"):
@@ -125,9 +128,17 @@ def _load_config_file(path: str) -> dict:
     for key, value in raw.items():
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
+        kind = _CONFIG_KEYS[key]
+        # JSON values keep their kind: true is no number, 1.7 no int, null no path
+        if (
+            isinstance(value, bool)
+            or kind is str and not isinstance(value, str)
+            or kind is int and isinstance(value, float) and not value.is_integer()
+        ):
+            raise ConfigError(f"bad value for {key!r}: {value!r}")
         try:
-            out[key] = _CONFIG_KEYS[key](value)
-        except (TypeError, ValueError) as exc:
+            out[key] = kind(value)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
     return out
 
@@ -206,26 +217,21 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _record_oracle(bell_cfg: BellConfig) -> dict[str, float]:
-    network = build_bell_network(bell_cfg).network
-    dist = joint_outcome_distribution(simulate_statevector(network), ("SC",))
-    return {format(value[0], "02b"): p for value, p in dist.items()}
-
-
 def _row(branch: str, measure: float, expected: float) -> dict:
     return {"branch": branch, "measure": measure, "expected": expected,
             "residual": abs(measure - expected)}
 
 
 def _rows(
-    bell_cfg: BellConfig,
+    network: Network,
     measures: dict[str, float],
     expected: dict[str, float],
     prefix: str = "",
 ) -> list[dict]:
     """One row per record branch: measure, closed form, and the oracle's
-    probability for the same network."""
-    oracle = _record_oracle(bell_cfg)
+    probability for the network the measures came from."""
+    dist = joint_outcome_distribution(simulate_statevector(network), ("SC",))
+    oracle = {format(value[0], "02b"): p for value, p in dist.items()}
     return [
         {
             **_row(prefix + key, measures[key], expected[key]),
@@ -257,10 +263,9 @@ def _section_variant(name: str, cfg: RunConfig) -> dict:
     """The bell, decoherence and chain sections: one Bell variant each,
     all held to the plain network's closed forms."""
     variant, extra = _variant(name, cfg)
-    bell_cfg = BellConfig(cfg.theta, cfg.phi, variant)
-    outcome = run_bell(bell_cfg)
+    outcome = run_bell(BellConfig(cfg.theta, cfg.phi, variant))
     expected = closed_form_measures(cfg.theta, cfg.phi)
-    rows = _rows(bell_cfg, outcome.branch_measures, expected)
+    rows = _rows(outcome.network, outcome.branch_measures, expected)
     checks = {
         "measure_sum_residual": abs(sum(outcome.branch_measures.values()) - 1.0),
         "alice_marginal_residual": max(abs(m - 0.5) for m in outcome.alice_marginal),
@@ -285,7 +290,7 @@ def _section_wigner(name: str, cfg: RunConfig) -> dict:
     report = run_wigner_undo(cfg.theta, cfg.phi)
     outcome = report.outcome
     expected = closed_form_measures(cfg.theta, report.effective_bob_angle)
-    rows = _rows(outcome.config, outcome.branch_measures, expected)
+    rows = _rows(outcome.network, outcome.branch_measures, expected)
     checks = {
         "effective_bob_angle": report.effective_bob_angle,
         "reconstruction_residual": outcome.reconstruction_residual,
@@ -302,10 +307,12 @@ def _section_chsh(name: str, cfg: RunConfig) -> dict:
     rate = win_rate(distributions)
     expected_rate = math.cos(math.pi / 8) ** 2
     best, _ = enumerate_classical()
-    rows = [_row("win_rate", rate, expected_rate), _row("classical_bound", best / 4, 0.75)]
+    bound = float(CLASSICAL_BOUND)
+    rows = [_row("win_rate", rate, expected_rate), _row("classical_bound", best / 4, bound)]
     for (x, y), dist in distributions.items():
         theta, phi = ALICE_ANGLES[x], BOB_ANGLES[y]
-        rows += _rows(BellConfig(theta, phi), dist, closed_form_measures(theta, phi), f"x{x}y{y}:")
+        network = build_bell_network(BellConfig(theta, phi)).network
+        rows += _rows(network, dist, closed_form_measures(theta, phi), f"x{x}y{y}:")
     return {
         "experiment": name,
         "parameters": {
@@ -314,7 +321,7 @@ def _section_chsh(name: str, cfg: RunConfig) -> dict:
         },
         "rows": rows,
         "checks": {"classical_best_wins": best, "win_rate": rate,
-                   "classical_bound": 0.75},
+                   "classical_bound": bound},
         "pass": _rows_pass(rows, cfg.tolerance) and best == 3,
     }
 
@@ -432,8 +439,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse reports and exits 2 on bad flags
         return int(exc.code or 0)
     if cfg.output:
-        with open(cfg.output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(cfg.output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

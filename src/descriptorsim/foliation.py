@@ -8,6 +8,11 @@ conditioned unitary (expressed in the base descriptor's components, which
 is where every later gate polynomial must be expressed as well).  The
 branch's relative descriptor is projector * W^dag(base components)W and
 the branch measure is the reference expectation of the projector.
+
+:func:`foliate` is the first split, a :meth:`Foliation.refine` of a root
+foliation whose one unlabelled branch has projector I, conditional I and
+measure 1.  Each split checks its control once, then builds its two
+projectors unchecked.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .operators import (
     DEFAULT_TOLERANCE,
     AlgebraError,
     Operator,
-    projector_pm,
+    half_sum,
 )
 
 
@@ -56,13 +61,11 @@ class Foliation:
     def branch_sum(self) -> tuple[Operator, ...]:
         """Componentwise sum of all relative descriptors; reconstructs the
         evolved descriptor."""
-        totals = None
-        for branch in self.branches:
+        branches = iter(self.branches)
+        totals = self.relative_components(next(branches))
+        for branch in branches:
             comps = self.relative_components(branch)
-            totals = comps if totals is None else tuple(
-                t + c for t, c in zip(totals, comps)
-            )
-        assert totals is not None
+            totals = tuple(t + c for t, c in zip(totals, comps))
         return totals
 
     def measures(self) -> dict[str, float]:
@@ -71,14 +74,14 @@ class Foliation:
     def refine(
         self, control: Operator, gate_poly: Operator, control_id: str
     ) -> "Foliation":
-        """Foliate every branch again with a further conditioned interaction.
+        """Split every branch again by a further conditioned interaction.
 
         ``gate_poly`` is the conditioned unitary expressed in the base
         components; within a branch it composes on the left of the
         accumulated conditional.
         """
         _check_interaction(control, gate_poly, self.base)
-        proj = {s: projector_pm(control, s) for s in (+1, -1)}
+        proj = {s: half_sum(control, s) for s in (+1, -1)}
         new_branches = []
         for branch in self.branches:
             for sign in (+1, -1):
@@ -123,22 +126,9 @@ def foliate(
     target's current time).  A sharp control is permitted and yields a
     measure-0 branch.
     """
-    _check_interaction(control, gate_poly, target)
-    branches = []
-    for sign, conditional in (
-        (+1, Operator.identity(target.layout)),
-        (-1, gate_poly),
-    ):
-        projector = projector_pm(control, sign)
-        branches.append(
-            Branch(
-                ((control_id, sign),),
-                projector,
-                conditional,
-                _real_measure(projector),
-            )
-        )
-    return Foliation(target, tuple(branches))
+    identity = Operator.identity(target.layout)
+    root = Foliation(target, (Branch((), identity, identity, 1.0),))
+    return root.refine(control, gate_poly, control_id)
 
 
 def branch_measure(projectors: Sequence[Operator]) -> float:
@@ -160,9 +150,8 @@ def branch_measure(projectors: Sequence[Operator]) -> float:
 def _check_interaction(
     control: Operator, gate_poly: Operator, target: Descriptor
 ) -> None:
-    """The conditioned interaction that :func:`foliate` and
-    :meth:`Foliation.refine` split by: an involutive control commuting
-    with the target, and a unitary gate polynomial."""
+    """The conditioned interaction a split is made by: an involutive
+    control commuting with the target, and a unitary gate polynomial."""
     if not control.is_involution():
         raise FoliationError("control observable is not an involution")
     for c in target.components:

@@ -23,7 +23,7 @@ from descriptorsim import (
     run_wigner_undo,
     simulate_statevector,
 )
-from descriptorsim.operators import PAULI_X
+from descriptorsim.operators import PAULI_X, Operator
 
 COS8 = math.cos(math.pi / 8) ** 2 / 2  # 0.4267766952966369
 SIN8 = math.sin(math.pi / 8) ** 2 / 2  # 0.0732233047033631
@@ -83,6 +83,31 @@ class TestPlainNetwork:
         assert out.reconstruction_residual < 1e-12
         assert out.alice_sharpness == {"x": False, "z": False, "y": False}
         assert sum(out.branch_measures.values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_each_control_checked_once(self, monkeypatch):
+        # Alice's and Bob's controls are checked by their splits alone; the
+        # projectors and the marginals reuse those checks
+        checked = []
+        is_involution = Operator.is_involution
+
+        def counting_is_involution(self, *args, **kwargs):
+            checked.append(self)
+            return is_involution(self, *args, **kwargs)
+
+        monkeypatch.setattr(Operator, "is_involution", counting_is_involution)
+        run_bell(BellConfig(0.3, 1.1))
+        assert len(checked) == 2
+
+    def test_outcome_carries_its_network(self):
+        out = run_bell(BellConfig(0.3, 1.1, Decohered(4)))
+        dist = joint_outcome_distribution(simulate_statevector(out.network), ("SC",))
+        for value, prob in dist.items():
+            key = format(value[0], "02b")
+            assert out.branch_measures[key] == pytest.approx(prob, abs=1e-9)
+        # the network is bookkeeping: out of the repr and of equality
+        assert "network" not in repr(out)
+        other = run_bell(BellConfig(0.3, 1.1, Decohered(4)))
+        assert other.network is not out.network and other == out
 
     def test_infinite_angle_rejected(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,10 @@ from descriptorsim.cli import (
 )
 
 
+# stands for the path of a config file that is not valid UTF-8
+NOT_UTF8 = "<latin-1 config>"
+
+
 def run_main(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -91,6 +95,38 @@ class TestParseConfig:
         monkeypatch.setenv("DESCRIPTOR_SIM_TOLERANCE", "soft")
         with pytest.raises(ConfigError):
             parse_config(["run", "bell"])
+
+    @pytest.mark.parametrize(
+        "values,expected",
+        [
+            ({"seed": 1.7}, None),
+            ({"seed": True}, None),
+            ({"seed": math.inf}, None),
+            ({"chain_alice": True}, None),
+            ({"tolerance": True}, None),
+            ({"theta": False}, None),
+            ({"output": None}, None),
+            ({"theta": 10**400}, None),
+            ({"seed": 2.0}, {"seed": 2}),
+            ({"theta": 1, "tolerance": 1}, {"theta": 1.0, "tolerance": 1.0}),
+        ],
+        ids=["seed-1.7", "seed-true", "seed-inf", "chain-true", "tolerance-true",
+             "theta-false", "output-null", "theta-10**400", "seed-2.0", "int-for-float"],
+    )
+    def test_json_values_keep_their_kind(self, tmp_path, values, expected):
+        # a JSON boolean is no number, a fractional number no int and null
+        # no path; a JSON integer still serves a float field
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(values))
+        argv = ["run", "chain", "--config", str(path)]
+        if expected is None:
+            with pytest.raises(ConfigError, match="bad value"):
+                parse_config(argv)
+        else:
+            cfg = parse_config(argv)
+            for key, want in expected.items():
+                got = getattr(cfg, key)
+                assert got == want and type(got) is type(want)
 
     def test_experiment_conflict_with_config_file(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -223,9 +259,14 @@ class TestShellLevel:
             ["run", "chain", "--chain-alice", "8", "--chain-bob", "8"],
             ["run", "decoherence", "--seed", "-1"],
             ["run", "bell", "--theta", "inf"],
+            ["run", "bell", "--output", "/nonexistent/dir/x"],
+            ["run", "bell", "--config", NOT_UTF8],
         ],
     )
-    def test_bad_inputs_exit_2_without_traceback(self, args):
+    def test_bad_inputs_exit_2_without_traceback(self, args, tmp_path):
+        config = tmp_path / "latin1.txt"
+        config.write_bytes("theta=0.5\n# café\n".encode("latin-1"))
+        args = [str(config) if arg == NOT_UTF8 else arg for arg in args]
         proc = subprocess.run(
             [sys.executable, "-m", "descriptorsim.cli"] + args,
             capture_output=True,
@@ -296,3 +337,28 @@ class TestExecuteAndReport:
         code, _ = execute_and_report(RunConfig("chsh"))
         assert code == 0
         assert len(calls) == 4
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            RunConfig("bell"),
+            RunConfig("decoherence"),
+            RunConfig("chain", chain_alice=1, chain_bob=1),
+            RunConfig("wigner"),
+        ],
+        ids=["bell", "decoherence", "chain", "wigner"],
+    )
+    def test_bell_like_section_builds_its_network_once(self, monkeypatch, cfg):
+        # the oracle column reads the network run_bell built
+        built = []
+        build = bell.build_bell_network
+
+        def counting_build(bell_cfg):
+            built.append(bell_cfg)
+            return build(bell_cfg)
+
+        for module in (bell, cli):
+            monkeypatch.setattr(module, "build_bell_network", counting_build)
+        code, _ = execute_and_report(cfg)
+        assert code == 0
+        assert len(built) == 1

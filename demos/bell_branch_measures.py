@@ -22,14 +22,14 @@ from descriptorsim import (
 
 theta, phi = 0.0, math.pi / 4
 
-built = build_bell_network(BellConfig(theta, phi))
-print(f"network: {built.network.n_steps} time steps over "
-      f"{[sid for sid, _ in built.network.layout.subsystems]}")
-for app in built.network.gates:
+network = build_bell_network(BellConfig(theta, phi))
+print(f"network: {network.n_steps} time steps over "
+      f"{[sid for sid, _ in network.layout.subsystems]}")
+for app in network.gates:
     print(f"  t={app.time}: {app.gate.label():<8} on {', '.join(app.subsystems)}")
 
 # Before measuring, each particle's z observable has lost any definite value.
-evo = NetworkEvolution(built.network).run_to(3)
+evo = NetworkEvolution(network).run_to(3)
 for sid in ("Q1", "Q2"):
     sharp, value = is_sharp(evo.descriptor(sid).components[1])
     print(f"z of {sid} at t=3: {'sharp, value ' + str(value) if sharp else 'not sharp'}")

@@ -55,7 +55,6 @@ from .oracle import (
 )
 from .bell import (
     BellConfig,
-    BellNetwork,
     BellOutcome,
     Chained,
     Decohered,

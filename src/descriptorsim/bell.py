@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import NetworkEvolution, cumulative_unitary, is_sharp
+from .engine import NetworkEvolution, is_sharp
 from .foliation import foliate
 from .gates import (
     Cnot,
@@ -32,12 +32,8 @@ from .gates import (
 )
 from .operators import (
     DEFAULT_TOLERANCE,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     Operator,
     SpaceLayout,
-    embed_local,
     haar_random_unitary,
 )
 from .oracle import reduced_density_matrix, simulate_statevector
@@ -104,19 +100,6 @@ class BellConfig:
 
 
 @dataclass(frozen=True)
-class BellNetwork:
-    """A built network plus the bookkeeping the measure pipeline needs."""
-
-    network: Network
-    alice_controller: str
-    bob_controller: str
-    alice_record_time: int
-    bob_record_time: int
-    environment: str | None = None
-    environment_interaction_time: int | None = None
-
-
-@dataclass(frozen=True)
 class BellOutcome:
     config: BellConfig
     branch_measures: dict[str, float]
@@ -154,7 +137,7 @@ def closed_form_measures(theta: float, phi: float) -> dict[str, float]:
     return {"00": c, "01": s, "10": s, "11": c}
 
 
-def build_bell_network(cfg: BellConfig) -> BellNetwork:
+def build_bell_network(cfg: BellConfig) -> Network:
     """Assemble the timed gate list of the requested variant: the plain
     network's slices plus the variant's insertions (extra subsystems, a
     time-0 scramble, an environment slice, chain links, undo slices).  A
@@ -177,7 +160,6 @@ def build_bell_network(cfg: BellConfig) -> BellNetwork:
         [(Cnot(), ("Q1", "Q2"))],
         [(RotationY(cfg.theta), ("Q1",)), (RotationY(cfg.phi), ("Q2",))],
     ]
-    environment_time = len(slices) if decohered else None
     if decohered:
         slices.append([(Cnot(), ("Q1", "QE"))])
     slices.append([(Cnot(), ("Q1", "QA")), (Cnot(), ("Q2", "QB"))])
@@ -205,12 +187,7 @@ def build_bell_network(cfg: BellConfig) -> BellNetwork:
         for t, sl in enumerate(slices)
         for gate, sids in sl
     )
-    t_rec = len(slices) - 2
-    return BellNetwork(
-        Network(layout, gates), alice_ids[-1], bob_ids[-1], t_rec, t_rec + 1,
-        environment="QE" if decohered else None,
-        environment_interaction_time=environment_time,
-    )
+    return Network(layout, gates)
 
 
 def _marginal(control: Operator) -> tuple[float, float]:
@@ -223,36 +200,35 @@ def run_bell(cfg: BellConfig) -> BellOutcome:
     """Run the configured experiment and report the record's branch measures.
 
     One evolution, in one pass: the environment diagnostics just after the
-    environment interaction, then the record foliated by Alice's and
-    refined by Bob's controlling observable at their record times, then
-    the final record for the reconstruction check and Alice's sharpness.
+    gate that copies Q1 onto the environment, then the record foliated by
+    Alice's and refined by Bob's record gate, then the final record for
+    the reconstruction check and Alice's sharpness.
     """
-    built = build_bell_network(cfg)
-    evo = NetworkEvolution(built.network)
+    network = build_bell_network(cfg)
+    evo = NetworkEvolution(network)
     env_diagnostics: dict[str, float] = {}
-    if built.environment is not None:
-        t_after = built.environment_interaction_time + 1
-        q1x_after = evo.run_to(t_after).descriptor("Q1").components[0]
-        env_diagnostics["q1_x_expectation"] = abs(q1x_after.expectation())
-        rho = reduced_density_matrix(
-            simulate_statevector(built.network, t_after), "Q1"
-        )
-        env_diagnostics["q1_offdiagonal"] = float(abs(rho[0, 1]))
+    for app in network.gates:
+        if app.subsystems == ("Q1", "QE"):
+            t_after = app.time + 1
+            q1x_after = evo.run_to(t_after).descriptor("Q1").components[0]
+            env_diagnostics["q1_x_expectation"] = abs(q1x_after.expectation())
+            rho = reduced_density_matrix(simulate_statevector(network, t_after), "Q1")
+            env_diagnostics["q1_offdiagonal"] = float(abs(rho[0, 1]))
 
-    evo.run_to(built.alice_record_time)
-    control_a = evo.descriptor(built.alice_controller).components[1]
+    alice, bob = (
+        app for app in network.gates
+        if isinstance(app.gate, ControlledPlus) and app.subsystems[1] == RECORD
+    )
+    evo.run_to(alice.time)
     record = evo.descriptor(RECORD)
+    shift = record.components[0]
+    control_a = evo.descriptor(alice.subsystems[0]).components[1]
     fol = foliate(
-        record,
-        control_a,
-        record.components[0].matpow(2),
-        f"{built.alice_controller}.z",
+        record, control_a, shift.matpow(alice.gate.k), f"{alice.subsystems[0]}.z"
     )
-    evo.run_to(built.bob_record_time)
-    control_b = evo.descriptor(built.bob_controller).components[1]
-    fol = fol.refine(
-        control_b, record.components[0].matpow(1), f"{built.bob_controller}.z"
-    )
+    evo.run_to(bob.time)
+    control_b = evo.descriptor(bob.subsystems[0]).components[1]
+    fol = fol.refine(control_b, shift.matpow(bob.gate.k), f"{bob.subsystems[0]}.z")
 
     evo.run()
     final_record = evo.descriptor(RECORD)
@@ -261,7 +237,7 @@ def run_bell(cfg: BellConfig) -> BellOutcome:
         for got, want in zip(fol.branch_sum(), final_record.components)
     )
 
-    qx, qz = evo.descriptor(built.alice_controller).components
+    qx, qz = evo.descriptor(alice.subsystems[0]).components
     qy = 1j * (qx @ qz)
     sharpness = {"x": is_sharp(qx)[0], "z": is_sharp(qz)[0], "y": is_sharp(qy)[0]}
 
@@ -273,10 +249,8 @@ def run_bell(cfg: BellConfig) -> BellOutcome:
         bob_marginal=_marginal(control_b),
         reconstruction_residual=residual,
         alice_sharpness=sharpness,
-        network=built.network,
-        diagnostics={
-            "measure_sum": float(sum(measures.values())), **env_diagnostics
-        },
+        network=network,
+        diagnostics=env_diagnostics,
     )
 
 
@@ -325,13 +299,16 @@ def nonisomorphism_witness() -> NonIsomorphismReport:
         )
     )
 
-    unitaries = [cumulative_unitary(net) for net in (empty, cnot)]
-    gap = 0.0
-    for sid in layout.ids:
-        for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
-            base = embed_local(pauli, sid, layout)
-            exp = [(u.H @ base @ u).expectation() for u in unitaries]
-            gap = max(gap, abs(exp[0] - exp[1]))
+    # <x>, <y> = <i x z> and <z> of every evolved qubit, in both networks
+    marginals = [
+        [
+            o.expectation()
+            for x, z in (evo.descriptor(sid).components for sid in layout.ids)
+            for o in (x, 1j * (x @ z), z)
+        ]
+        for evo in (evo_empty, evo_cnot)
+    ]
+    gap = max(abs(a - b) for a, b in zip(*marginals))
 
     return NonIsomorphismReport(
         state_distance=state_distance,

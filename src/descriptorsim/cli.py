@@ -25,6 +25,7 @@ from typing import get_args, get_type_hints
 
 from .bell import (
     BRANCH_KEYS,
+    RECORD,
     BellConfig,
     Chained,
     Decohered,
@@ -230,7 +231,7 @@ def _rows(
 ) -> list[dict]:
     """One row per record branch: measure, closed form, and the oracle's
     probability for the network the measures came from."""
-    dist = joint_outcome_distribution(simulate_statevector(network), ("SC",))
+    dist = joint_outcome_distribution(simulate_statevector(network), (RECORD,))
     oracle = {format(value[0], "02b"): p for value, p in dist.items()}
     return [
         {
@@ -272,10 +273,8 @@ def _section_variant(name: str, cfg: RunConfig) -> dict:
         "bob_marginal_residual": max(abs(m - 0.5) for m in outcome.bob_marginal),
         "reconstruction_residual": outcome.reconstruction_residual,
         "alice_unsharp": not any(outcome.alice_sharpness.values()),
+        **outcome.diagnostics,
     }
-    for key, value in outcome.diagnostics.items():
-        if key != "measure_sum":
-            checks[key] = value
     # every check but alice_unsharp is a residual held to the tolerance
     ok = (
         _rows_pass(rows, cfg.tolerance)
@@ -311,7 +310,7 @@ def _section_chsh(name: str, cfg: RunConfig) -> dict:
     rows = [_row("win_rate", rate, expected_rate), _row("classical_bound", best / 4, bound)]
     for (x, y), dist in distributions.items():
         theta, phi = ALICE_ANGLES[x], BOB_ANGLES[y]
-        network = build_bell_network(BellConfig(theta, phi)).network
+        network = build_bell_network(BellConfig(theta, phi))
         rows += _rows(network, dist, closed_form_measures(theta, phi), f"x{x}y{y}:")
     return {
         "experiment": name,

@@ -107,7 +107,7 @@ def functional_form(
     defining equation); fed time-t descriptors it is the conjugating
     unitary of the step-evolution law.  Custom gates have no fixed
     polynomial and need the cumulative ``frame`` U(t) instead, giving
-    U(t)^dag G U(t).
+    U(t)^dag G U(t); at time 0 they take no frame and give G itself.
     """
     gate = app.gate
     args = [descriptors[sid] for sid in app.subsystems]
@@ -141,18 +141,16 @@ def functional_form(
         power = shift.matpow(gate.k % layout.dim_of(target.subsystem))
         return half_sum(q_cz, +1) + half_sum(q_cz, -1) @ power
     if isinstance(gate, CustomGate):
-        if frame is None:
-            if times != {0}:
-                raise EngineError(
-                    "custom gates after time 0 need the cumulative frame; "
-                    "use NetworkEvolution or cumulative_evolve"
-                )
-            frame = Operator.identity(layout)
+        if frame is None and times != {0}:
+            raise EngineError(
+                "custom gates after time 0 need the cumulative frame; "
+                "use NetworkEvolution or cumulative_evolve"
+            )
         dims = tuple(layout.dim_of(sid) for sid in app.subsystems)
         embedded = Operator(
             layout, embed_matrix(gate.matrix(dims), app.subsystems, layout)
         )
-        return frame.H @ embedded @ frame
+        return embedded if frame is None else frame.H @ embedded @ frame
     raise EngineError(f"unknown gate kind {type(gate).__name__}")
 
 
@@ -160,10 +158,11 @@ def _network_form(
     network: Network, app: GateApplication, descriptors: Mapping[str, Descriptor]
 ) -> Operator:
     """The functional form of one of the network's gates; a custom gate
-    gets the cumulative unitary of the slices before it as its frame."""
+    after time 0 gets the cumulative unitary of the slices before it as
+    its frame."""
     frame = (
         cumulative_unitary(network, app.time)
-        if isinstance(app.gate, CustomGate)
+        if isinstance(app.gate, CustomGate) and app.time > 0
         else None
     )
     return functional_form(app, descriptors, frame)
@@ -174,8 +173,9 @@ class NetworkEvolution:
 
     The production evolution path; :func:`cumulative_evolve` is the
     independent reference.  A custom gate (the one gate kind without a
-    fixed polynomial) takes its frame from :func:`cumulative_unitary` when
-    it is reached, so gates after the last custom gate pay nothing for it.
+    fixed polynomial) after time 0 takes its frame from
+    :func:`cumulative_unitary` when it is reached, so gates after the last
+    custom gate pay nothing for it.
     """
 
     def __init__(self, network: Network):

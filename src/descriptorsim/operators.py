@@ -14,7 +14,9 @@ from math import prod
 import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
-DEFAULT_MAX_DIM = 2**14
+# the largest dense initial descriptors a layout may need; chain(2, 2), the
+# largest Bell network the tests and demos run, needs 0.28 GiB
+DESCRIPTOR_BUDGET_BYTES = 2**30
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -39,12 +41,13 @@ def frobenius(matrix: np.ndarray) -> float:
 class SpaceLayout:
     """Ordered list of (id, dim) subsystems spanning one composite space.
 
-    Tensor order equals declaration order.  ``max_dim`` caps the dense
-    total dimension so storage stays feasible.
+    Tensor order equals declaration order.  The initial descriptors, two
+    dense N x N complex components per subsystem, must fit in
+    ``DESCRIPTOR_BUDGET_BYTES``; the layout checks this before anything
+    of that size is allocated.
     """
 
     subsystems: tuple[tuple[str, int], ...]
-    max_dim: int = DEFAULT_MAX_DIM
 
     def __post_init__(self) -> None:
         subsystems = tuple((str(sid), int(dim)) for sid, dim in self.subsystems)
@@ -57,9 +60,13 @@ class SpaceLayout:
         for sid, dim in subsystems:
             if dim < 2:
                 raise LayoutError(f"subsystem {sid!r} has dim {dim} < 2")
-        if self.total_dim > self.max_dim:
+        n = self.total_dim
+        estimate = 2 * len(subsystems) * n * n * 16
+        if estimate > DESCRIPTOR_BUDGET_BYTES:
             raise LayoutError(
-                f"total dimension {self.total_dim} exceeds cap {self.max_dim}"
+                f"initial descriptors need {estimate / 2**30:.3g} GiB "
+                f"(2 x {len(subsystems)} subsystems x {n}^2 x 16 bytes), "
+                f"over the {DESCRIPTOR_BUDGET_BYTES / 2**30:g} GiB budget"
             )
 
     @property
@@ -130,17 +137,10 @@ class Operator:
         self._same_layout(other)
         return Operator._wrap(self.layout, self.matrix + other.matrix)
 
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._same_layout(other)
-        return Operator._wrap(self.layout, self.matrix - other.matrix)
-
     def __mul__(self, scalar: complex) -> "Operator":
         return Operator._wrap(self.layout, self.matrix * complex(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "Operator":
-        return Operator._wrap(self.layout, -self.matrix)
 
     @property
     def H(self) -> "Operator":

@@ -55,7 +55,7 @@ def report(criterion: int, description: str, ok: bool, detail: str = "") -> None
 
 
 def oracle_record_distribution(cfg: BellConfig) -> dict[str, float]:
-    network = build_bell_network(cfg).network
+    network = build_bell_network(cfg)
     dist = joint_outcome_distribution(simulate_statevector(network), ("SC",))
     return {format(value[0], "02b"): p for value, p in dist.items()}
 
@@ -137,10 +137,10 @@ def test_criterion_05_marginals_on_grid(angle_grid):
 
 def test_criterion_06_locality(rng):
     networks = [
-        build_bell_network(BellConfig(0.3, 0.8)).network,
-        build_bell_network(BellConfig(0.3, 0.8, Decohered(4))).network,
-        build_bell_network(BellConfig(0.3, 0.8, WignerUndo())).network,
-        build_bell_network(BellConfig(0.3, 0.8, Chained(1, 1))).network,
+        build_bell_network(BellConfig(0.3, 0.8)),
+        build_bell_network(BellConfig(0.3, 0.8, Decohered(4))),
+        build_bell_network(BellConfig(0.3, 0.8, WignerUndo())),
+        build_bell_network(BellConfig(0.3, 0.8, Chained(1, 1))),
     ] + [random_network(rng) for _ in range(20)]
     worst = max(locality_residual(net) for net in networks)
     report(6, "gates leave non-acted descriptors unchanged", worst < 1e-12,
@@ -164,15 +164,15 @@ def test_criterion_08_reconstruction_and_autonomy():
     outcome = run_bell(BellConfig(0.6, -0.9))
     reconstruction = outcome.reconstruction_residual
 
-    built = build_bell_network(BellConfig(0.6, -0.9))
-    evo = NetworkEvolution(built.network).run_to(3)
+    network = build_bell_network(BellConfig(0.6, -0.9))
+    evo = NetworkEvolution(network).run_to(3)
     alice = evo.descriptor("QA")
     control = evo.descriptor("Q1").components[1]
     fol = foliate(alice, control, alice.components[0], "Q1.z")
     angle = float(np.random.default_rng(8).uniform(-math.pi, math.pi))
     follow = GateApplication(RotationY(angle), ("QA",), 4)
     fol = fol.evolve_branches(functional_form(follow, {"QA": alice}))
-    extended = Network(built.network.layout, built.network.gates[:6] + (follow,))
+    extended = Network(network.layout, network.gates[:6] + (follow,))
     direct = NetworkEvolution(extended).run_to(5).descriptor("QA")
     autonomy = max(
         got.distance(want) for got, want in zip(fol.branch_sum(), direct.components)
@@ -248,10 +248,11 @@ def test_criterion_09b_decoherence_reduced_matrix(decohered_twenty):
     worst = 0.0
     for seed, _, _ in decohered_twenty[:5]:
         cfg = BellConfig(0.0, math.pi / 4, Decohered(seed))
-        built = build_bell_network(cfg)
-        t_after = built.environment_interaction_time + 1
+        network = build_bell_network(cfg)
+        (copy,) = [app for app in network.gates if app.subsystems == ("Q1", "QE")]
+        t_after = copy.time + 1
         rho = reduced_density_matrix(
-            simulate_statevector(built.network, t_after), "Q1"
+            simulate_statevector(network, t_after), "Q1"
         )
         worst = max(worst, abs(rho[0, 1]))
     report(9, "oracle reduced matrix of Q1 is z-diagonal", worst < 1e-9,

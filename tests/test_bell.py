@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,8 +37,7 @@ def assert_measures(outcome, expected, tol=1e-9):
 
 class TestPlainNetwork:
     def test_structure_and_timing(self):
-        built = build_bell_network(BellConfig(0.1, 0.2))
-        net = built.network
+        net = build_bell_network(BellConfig(0.1, 0.2))
         assert net.n_steps == 6
         kinds = [type(app.gate).__name__ for app in net.gates]
         assert kinds == [
@@ -70,7 +70,7 @@ class TestPlainNetwork:
         out = run_bell(cfg)
         assert_measures(out, closed_form_measures(theta, phi))
         dist = joint_outcome_distribution(
-            simulate_statevector(build_bell_network(cfg).network), ("SC",)
+            simulate_statevector(build_bell_network(cfg)), ("SC",)
         )
         for value, prob in dist.items():
             key = format(value[0], "02b")
@@ -123,14 +123,14 @@ class TestDecoherence:
     def test_fresh_environment_wire_label(self):
         # before scrambling, the environment copy gives q1x(3) * qEx
         cfg = BellConfig(0.6, -0.2, Decohered(seed=None))
-        built = build_bell_network(cfg)
-        evo = NetworkEvolution(built.network).run_to(3)
+        network = build_bell_network(cfg)
+        evo = NetworkEvolution(network).run_to(3)
         q1x_3 = evo.descriptor("Q1").components[0]
         evo.run_to(4)
-        qex = embed_local(PAULI_X, "QE", built.network.layout)
+        qex = embed_local(PAULI_X, "QE", network.layout)
         assert evo.descriptor("Q1").components[0].isclose(q1x_3 @ qex, 1e-12)
         assert evo.descriptor("Q1").components[1].isclose(
-            NetworkEvolution(built.network).run_to(3).descriptor("Q1").components[1],
+            NetworkEvolution(network).run_to(3).descriptor("Q1").components[1],
             1e-12,
         )
 
@@ -161,12 +161,12 @@ class TestDecoherence:
         monkeypatch.setattr(NetworkEvolution, "advance", counting_advance)
         cfg = BellConfig(0.4, 1.0, Decohered(3))
         run_bell(cfg)
-        assert times == list(range(build_bell_network(cfg).network.n_steps))
+        assert times == list(range(build_bell_network(cfg).n_steps))
 
     def test_scramble_is_seed_deterministic(self):
         a = build_bell_network(BellConfig(0.1, 0.2, Decohered(5)))
         b = build_bell_network(BellConfig(0.1, 0.2, Decohered(5)))
-        ga, gb = a.network.gates[0].gate, b.network.gates[0].gate
+        ga, gb = a.gates[0].gate, b.gates[0].gate
         assert isinstance(ga, CustomGate) and isinstance(gb, CustomGate)
         assert np.array_equal(ga.unitary, gb.unitary)
 
@@ -178,27 +178,29 @@ class TestChain:
         assert_measures(chained, plain.branch_measures, tol=1e-12)
 
     def test_network_retargets_record_gates(self):
-        built = build_bell_network(BellConfig(0.0, 0.0, Chained(2, 2)))
+        network = build_bell_network(BellConfig(0.0, 0.0, Chained(2, 2)))
         record_gates = [
-            app for app in built.network.gates
+            app for app in network.gates
             if isinstance(app.gate, ControlledPlus)
         ]
         assert record_gates[0].subsystems == ("QA2", "SC")
         assert record_gates[1].subsystems == ("QB2", "SC")
         chain_hops = [
             app.subsystems
-            for app in built.network.gates
+            for app in network.gates
             if isinstance(app.gate, Cnot) and app.time >= 4
         ]
         assert ("QA", "QA1") in chain_hops and ("QA1", "QA2") in chain_hops
 
     def test_chain_controller_carries_product_of_z_factors(self):
         cfg = BellConfig(0.5, -0.9, Chained(1, 0))
-        built = build_bell_network(cfg)
-        layout = built.network.layout
-        evo = NetworkEvolution(built.network).run_to(3)
+        network = build_bell_network(cfg)
+        layout = network.layout
+        evo = NetworkEvolution(network).run_to(3)
         q1z_3 = evo.descriptor("Q1").components[1]
-        evo.run_to(built.alice_record_time)
+        # Alice's record gate is controlled by the end of her chain
+        (record_gate,) = [app for app in network.gates if app.subsystems == ("QA1", "SC")]
+        evo.run_to(record_gate.time)
         control = evo.descriptor("QA1").components[1]
         from descriptorsim.operators import PAULI_Z
 
@@ -221,6 +223,19 @@ class TestChain:
         with pytest.raises(LayoutError):
             build_bell_network(BellConfig(0.0, 0.0, Chained(8, 8)))
 
+    def test_byte_budget_rejects_chain_3_3_without_allocating(self):
+        # chain(2, 2), N = 1024, needs 0.28 GiB and is admitted; chain(3, 3),
+        # N = 4096, would need 5.5 GiB and is refused by its layout
+        assert build_bell_network(BellConfig(0.0, 0.0, Chained(2, 2))).layout.total_dim == 1024
+        tracemalloc.start()
+        try:
+            with pytest.raises(LayoutError, match=r"5\.5 GiB \(2 x 11 subsystems x 4096\^2"):
+                build_bell_network(BellConfig(0.0, 0.0, Chained(3, 3)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             Chained(-1, 0)
@@ -242,22 +257,22 @@ class TestWignerUndo:
         assert_measures(report.outcome, closed_form_measures(0.4, 0.9), tol=1e-12)
 
     def test_network_contains_undo_sequence(self):
-        built = build_bell_network(BellConfig(0.0, 0.7, WignerUndo()))
+        network = build_bell_network(BellConfig(0.0, 0.7, WignerUndo()))
         kinds = [
-            (type(app.gate).__name__, app.subsystems) for app in built.network.gates
+            (type(app.gate).__name__, app.subsystems) for app in network.gates
         ]
         assert kinds[6] == ("Cnot", ("Q2", "QB"))  # undo
         assert kinds[7][0] == "RotationY"
         assert kinds[8] == ("Cnot", ("Q2", "QB"))  # re-measure
-        rerot = built.network.gates[7].gate
+        rerot = network.gates[7].gate
         assert isinstance(rerot, RotationY)
         assert rerot.theta == pytest.approx(math.pi - 0.7)
 
     def test_oracle_agrees(self):
         report = run_wigner_undo(0.3, 0.5)
-        built = build_bell_network(report.outcome.config)
+        network = build_bell_network(report.outcome.config)
         dist = joint_outcome_distribution(
-            simulate_statevector(built.network), ("SC",)
+            simulate_statevector(network), ("SC",)
         )
         for value, prob in dist.items():
             key = format(value[0], "02b")
@@ -277,8 +292,8 @@ class TestLocalityWitness:
     def test_bob_side_gates_leave_alice_unchanged(self):
         # between Alice's measurement and her record interaction, three
         # Bob-side gates fire in the undo network; Alice's descriptor stays put
-        built = build_bell_network(BellConfig(0.3, 0.7, WignerUndo()))
-        evo = NetworkEvolution(built.network).run_to(4)
+        network = build_bell_network(BellConfig(0.3, 0.7, WignerUndo()))
+        evo = NetworkEvolution(network).run_to(4)
         before = [c.matrix.copy() for c in evo.descriptor("QA").components]
         evo.run_to(7)
         after = evo.descriptor("QA").components

@@ -158,6 +158,20 @@ class TestExitCodes:
         assert code == 1
         assert "FAIL" in out
 
+    def test_over_budget_chain_exits_two_before_evolving(self, monkeypatch, capsys):
+        # chain 3/3 would need 5.5 GiB of initial descriptors; the layout
+        # refuses it, so no evolution starts and nothing of that size is made
+        def no_evolution(network):
+            raise AssertionError("an over-budget network reached evolution")
+
+        monkeypatch.setattr(bell, "NetworkEvolution", no_evolution)
+        code, out, err = run_main(
+            capsys, "run", "chain", "--chain-alice", "3", "--chain-bob", "3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: initial descriptors need 5.5 GiB")
+
 
 class TestReports:
     def test_bell_csv_has_four_rows(self, capsys):

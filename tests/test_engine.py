@@ -216,9 +216,9 @@ class TestCumulativeEvolve:
 
     def test_bell_alice_z_component_shape(self):
         theta, phi = 0.37, -1.1
-        built = build_bell_network(BellConfig(theta, phi))
-        layout = built.network.layout
-        out = cumulative_evolve(built.network, 4)
+        network = build_bell_network(BellConfig(theta, phi))
+        layout = network.layout
+        out = cumulative_evolve(network, 4)
         q1x = embed_local(PAULI_X, "Q1", layout)
         q1z = embed_local(PAULI_Z, "Q1", layout)
         q2x = embed_local(PAULI_X, "Q2", layout)
@@ -282,8 +282,8 @@ class TestSharpness:
         assert is_sharp(Operator.identity(TWO_QUBITS)) == (True, 1.0)
 
     def test_entangled_alice_not_sharp(self):
-        built = build_bell_network(BellConfig(0.2, 0.9))
-        evo = NetworkEvolution(built.network).run_to(4)
+        network = build_bell_network(BellConfig(0.2, 0.9))
+        evo = NetworkEvolution(network).run_to(4)
         qz = evo.descriptor("QA").components[1]
         sharp, value = is_sharp(qz)
         assert not sharp and value is None
@@ -298,9 +298,9 @@ class TestSharpness:
 
 class TestInvariants:
     def test_algebra_preserved_along_bell_network(self):
-        built = build_bell_network(BellConfig(0.5, -0.3))
-        evo = NetworkEvolution(built.network)
-        for _ in range(built.network.n_steps):
+        network = build_bell_network(BellConfig(0.5, -0.3))
+        evo = NetworkEvolution(network)
+        for _ in range(network.n_steps):
             evo.advance()
             assert algebra_residual(evo.descriptors) < 1e-11
 
@@ -309,8 +309,8 @@ class TestInvariants:
             assert locality_residual(random_network(rng)) < 1e-12
 
     def test_locality_residual_on_bell_network(self):
-        built = build_bell_network(BellConfig(0.4, 1.2))
-        assert locality_residual(built.network) < 1e-12
+        network = build_bell_network(BellConfig(0.4, 1.2))
+        assert locality_residual(network) < 1e-12
 
     def test_evolution_rewind_rejected(self):
         net = Network(TWO_QUBITS, (GateApplication(Hadamard(), ("Q1",), 0),))

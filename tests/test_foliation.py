@@ -23,13 +23,13 @@ from descriptorsim.operators import PAULI_X, PAULI_Z, Operator
 
 
 def bell_evolution(theta=0.0, phi=math.pi / 4):
-    built = build_bell_network(BellConfig(theta, phi))
-    return built, NetworkEvolution(built.network)
+    network = build_bell_network(BellConfig(theta, phi))
+    return network, NetworkEvolution(network)
 
 
 class TestFoliate:
     def test_alice_measurement_splits_half_half(self):
-        built, evo = bell_evolution(0.3, 1.1)
+        network, evo = bell_evolution(0.3, 1.1)
         evo.run_to(3)
         alice = evo.descriptor("QA")
         control = evo.descriptor("Q1").components[1]  # z of Particle 1
@@ -56,7 +56,7 @@ class TestFoliate:
         assert fol.measures() == pytest.approx({"0": 1.0, "1": 0.0}, abs=1e-14)
 
     def test_branch_sum_reconstructs_step_evolution(self):
-        built, evo = bell_evolution(0.9, -0.4)
+        network, evo = bell_evolution(0.9, -0.4)
         evo.run_to(4)
         record = evo.descriptor("SC")
         control = evo.descriptor("QA").components[1]
@@ -68,7 +68,7 @@ class TestFoliate:
             assert got.isclose(want, 1e-12)
 
     def test_nested_foliation_reconstructs_final_record(self):
-        built, evo = bell_evolution(0.25, 0.8)
+        network, evo = bell_evolution(0.25, 0.8)
         evo.run_to(4)
         record = evo.descriptor("SC")
         fol = foliate(
@@ -90,7 +90,7 @@ class TestFoliate:
 
     def test_refine_rejects_non_unitary_polynomial(self):
         # refine checks its interaction exactly as foliate does
-        built, evo = bell_evolution(0.25, 0.8)
+        network, evo = bell_evolution(0.25, 0.8)
         evo.run_to(4)
         record = evo.descriptor("SC")
         fol = foliate(
@@ -108,7 +108,7 @@ class TestFoliate:
     def test_follow_up_autonomy(self):
         # a later local unitary evolves each branch independently, and the
         # branchwise sum equals the directly evolved descriptor
-        built, evo = bell_evolution(0.3, 1.1)
+        network, evo = bell_evolution(0.3, 1.1)
         evo.run_to(3)
         alice = evo.descriptor("QA")
         control = evo.descriptor("Q1").components[1]
@@ -123,8 +123,8 @@ class TestFoliate:
         fol = fol.evolve_branches(gate_poly_base)
 
         extended = Network(
-            built.network.layout,
-            built.network.gates[:6] + (follow,),
+            network.layout,
+            network.gates[:6] + (follow,),
         )
         direct = NetworkEvolution(extended).run_to(5).descriptor("QA")
         for got, want in zip(fol.branch_sum(), direct.components):
@@ -151,14 +151,14 @@ class TestFoliate:
 
 class TestBranchMeasure:
     def test_single_projector_half(self):
-        built, evo = bell_evolution(0.7, 0.1)
+        network, evo = bell_evolution(0.7, 0.1)
         evo.run_to(4)
         p = projector_pm(evo.descriptor("QA").components[1], +1)
         assert branch_measure([p]) == pytest.approx(0.5, abs=1e-12)
 
     def test_joint_projectors_reproduce_closed_form(self):
         theta, phi = 0.0, math.pi / 4
-        built, evo = bell_evolution(theta, phi)
+        network, evo = bell_evolution(theta, phi)
         evo.run_to(5)
         pa = projector_pm(evo.descriptor("QA").components[1], +1)
         pb = projector_pm(evo.descriptor("QB").components[1], +1)
@@ -182,7 +182,7 @@ class TestBranchMeasure:
             branch_measure([px, pz])
 
     def test_measures_within_unit_interval(self):
-        built, evo = bell_evolution(1.2, -2.0)
+        network, evo = bell_evolution(1.2, -2.0)
         evo.run_to(5)
         for sign_a in (+1, -1):
             for sign_b in (+1, -1):

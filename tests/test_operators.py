@@ -26,9 +26,13 @@ class TestSpaceLayout:
             SpaceLayout((("a", 2), ("a", 2)))
 
     def test_dimension_cap(self):
+        # the initial descriptors' estimated bytes, 2 x subsystems x N^2 x 16,
+        # are capped: 10 qubits need 0.31 GiB, 11 qubits 1.38 GiB
         with pytest.raises(LayoutError):
             SpaceLayout(tuple((f"q{i}", 2) for i in range(15)))
-        SpaceLayout(tuple((f"q{i}", 2) for i in range(15)), max_dim=2**15)
+        with pytest.raises(LayoutError, match=r"1\.38 GiB \(2 x 11 subsystems x 2048\^2"):
+            SpaceLayout(tuple((f"q{i}", 2) for i in range(11)))
+        SpaceLayout(tuple((f"q{i}", 2) for i in range(10)))
 
     def test_small_dims_rejected(self):
         with pytest.raises(LayoutError):
@@ -90,8 +94,8 @@ class TestReferenceExpectation:
         # the entangled observer admits no mean z value
         from descriptorsim import BellConfig, NetworkEvolution, build_bell_network
 
-        built = build_bell_network(BellConfig(0.3, 0.9))
-        evo = NetworkEvolution(built.network).run_to(4)
+        network = build_bell_network(BellConfig(0.3, 0.9))
+        evo = NetworkEvolution(network).run_to(4)
         value = evo.descriptor("QA").components[1].expectation()
         assert abs(value) < 1e-12
 
@@ -110,8 +114,8 @@ class TestProjectorPm:
         # z component of Particle 1 after the rotations, inside the Bell net
         from descriptorsim import BellConfig, NetworkEvolution, build_bell_network
 
-        built = build_bell_network(BellConfig(0.3, 0.9))
-        evo = NetworkEvolution(built.network).run_to(3)
+        network = build_bell_network(BellConfig(0.3, 0.9))
+        evo = NetworkEvolution(network).run_to(3)
         p = projector_pm(evo.descriptor("Q1").components[1], +1)
         assert (p @ p).isclose(p, 1e-12)
         assert p.is_hermitian(1e-12)

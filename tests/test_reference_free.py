@@ -1,0 +1,61 @@
+"""Production code never calls the reference engine.
+
+``engine.cumulative_unitary`` and ``engine.cumulative_evolve`` are the
+independent reference path for cross-checks.  With every binding of them
+made to raise, each Bell variant, the non-isomorphism witness and every
+CLI experiment must still run: their results come from the step law alone.
+"""
+
+import sys
+
+import pytest
+
+from descriptorsim import (
+    BellConfig,
+    Chained,
+    Decohered,
+    Plain,
+    WignerUndo,
+    nonisomorphism_witness,
+    run_bell,
+)
+from descriptorsim.cli import EXPERIMENTS, RunConfig, execute_and_report
+
+REFERENCE = ("cumulative_unitary", "cumulative_evolve")
+
+
+@pytest.fixture
+def no_reference(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("production code called the reference engine")
+
+    for name, module in list(sys.modules.items()):
+        if name == "descriptorsim" or name.startswith("descriptorsim."):
+            for attr in REFERENCE:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [Plain(), Decohered(3), Decohered(None), Chained(1, 1), WignerUndo()],
+    ids=repr,
+)
+def test_run_bell_never_calls_the_reference(no_reference, variant):
+    out = run_bell(BellConfig(0.3, 0.9, variant))
+    assert sum(out.branch_measures.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_witness_never_calls_the_reference(no_reference):
+    report = nonisomorphism_witness()
+    assert report.states_match and report.descriptors_differ
+    assert report.marginal_expectation_gap < 1e-12
+
+
+# "all" runs the same six sections
+@pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "all"])
+def test_cli_experiment_never_calls_the_reference(no_reference, experiment):
+    code, _ = execute_and_report(
+        RunConfig(experiment, seed=3, chain_alice=1, chain_bob=1)
+    )
+    assert code == 0

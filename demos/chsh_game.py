@@ -35,7 +35,7 @@ print("\noutcome distribution per input pair:")
 print(f"{'pair':>6} {'00':>12} {'01':>12} {'10':>12} {'11':>12}")
 for x in (0, 1):
     for y in (0, 1):
-        row = quantum_distribution(x, y)
+        row = quantum_distribution(x, y).branch_measures
         print(f"  ({x},{y}) " + " ".join(f"{row[k]:12.8f}" for k in ("00", "01", "10", "11")))
 
 rate = chsh_win_rate()

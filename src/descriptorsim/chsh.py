@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bell import BellConfig, run_bell
+from .bell import BellConfig, BellOutcome, run_bell
 
 ALICE_ANGLES = (0.0, math.pi / 2)
 BOB_ANGLES = (math.pi / 4, -math.pi / 4)
@@ -69,12 +69,13 @@ def expected_win_rate(strategies: list[DeterministicStrategy]) -> Fraction:
     return Fraction(sum(s.wins() for s in strategies), 4 * len(strategies))
 
 
-def quantum_distribution(x: int, y: int) -> dict[str, float]:
-    """Outcome distribution of the entangled strategy for one input pair,
-    straight from the Bell experiment at the strategy's angles."""
+def quantum_distribution(x: int, y: int) -> BellOutcome:
+    """The entangled strategy's Bell run for one input pair, at the
+    strategy's angles: its ``branch_measures`` are the outcome
+    distribution, and its ``network`` the network they came from."""
     if x not in (0, 1) or y not in (0, 1):
         raise ValueError(f"inputs must be bits, got ({x}, {y})")
-    return run_bell(BellConfig(ALICE_ANGLES[x], BOB_ANGLES[y])).branch_measures
+    return run_bell(BellConfig(ALICE_ANGLES[x], BOB_ANGLES[y]))
 
 
 def win_rate(distributions: Mapping[tuple[int, int], Mapping[str, float]]) -> float:
@@ -106,7 +107,7 @@ def referee_demo(seed: int, rounds: int = 1000) -> float:
     """Monte-Carlo referee sampling inputs and outcomes; demonstration
     only, the analytic rate is :func:`chsh_win_rate`."""
     rng = np.random.default_rng(seed)
-    rows = {(x, y): quantum_distribution(x, y) for x, y in INPUT_PAIRS}
+    rows = {(x, y): quantum_distribution(x, y).branch_measures for x, y in INPUT_PAIRS}
     wins = 0
     for _ in range(rounds):
         x, y = INPUT_PAIRS[rng.integers(4)]

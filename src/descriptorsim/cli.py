@@ -31,7 +31,6 @@ from .bell import (
     Decohered,
     Plain,
     Variant,
-    build_bell_network,
     closed_form_measures,
     nonisomorphism_witness,
     run_bell,
@@ -302,16 +301,15 @@ def _section_wigner(name: str, cfg: RunConfig) -> dict:
 
 
 def _section_chsh(name: str, cfg: RunConfig) -> dict:
-    distributions = {(x, y): quantum_distribution(x, y) for x, y in INPUT_PAIRS}
-    rate = win_rate(distributions)
+    outcomes = {(x, y): quantum_distribution(x, y) for x, y in INPUT_PAIRS}
+    rate = win_rate({pair: o.branch_measures for pair, o in outcomes.items()})
     expected_rate = math.cos(math.pi / 8) ** 2
     best, _ = enumerate_classical()
     bound = float(CLASSICAL_BOUND)
     rows = [_row("win_rate", rate, expected_rate), _row("classical_bound", best / 4, bound)]
-    for (x, y), dist in distributions.items():
-        theta, phi = ALICE_ANGLES[x], BOB_ANGLES[y]
-        network = build_bell_network(BellConfig(theta, phi))
-        rows += _rows(network, dist, closed_form_measures(theta, phi), f"x{x}y{y}:")
+    for (x, y), outcome in outcomes.items():
+        expected = closed_form_measures(ALICE_ANGLES[x], BOB_ANGLES[y])
+        rows += _rows(outcome.network, outcome.branch_measures, expected, f"x{x}y{y}:")
     return {
         "experiment": name,
         "parameters": {

@@ -3,9 +3,10 @@
 Each subsystem carries a descriptor: an ordered pair of generator
 observables embedded in the full space ((x, z) for qubits, (shift, clock)
 for qudits).  A gate G applied to subsystems J evolves every descriptor by
-conjugation with the gate's functional form, the fixed polynomial in the
-current descriptors of J that reproduces G's matrix when fed time-0
-descriptors.  Descriptors of subsystems outside J commute with that
+conjugation with the gate's functional form: G's expansion
+sum c X^a Z^b over the time-0 generators of J, evaluated on the current
+descriptors of J, which is U(t)^dag G U(t) for the unitary U(t) of the
+gates before it.  Descriptors of subsystems outside J commute with that
 polynomial, so they are left untouched; :func:`locality_residual` verifies
 this numerically and the cumulative-conjugation engine cross-checks the
 whole step law.
@@ -13,21 +14,13 @@ whole step law.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .gates import (
-    Cnot,
-    ControlledPlus,
-    CustomGate,
-    GateApplication,
-    Hadamard,
-    Network,
-    Plus,
-    RotationY,
-)
+from .gates import Gate, GateApplication, Network
 from .operators import (
     DEFAULT_TOLERANCE,
     PAULI_X,
@@ -36,16 +29,15 @@ from .operators import (
     LayoutError,
     Operator,
     SpaceLayout,
+    compose,
     embed_local,
-    embed_matrix,
     frobenius,
-    half_sum,
     qudit_shift_clock,
 )
 
 
 class EngineError(ValueError):
-    """Evolution bookkeeping violated: time mismatch or unsupported path."""
+    """Evolution bookkeeping violated: time mismatch or out-of-range time."""
 
 
 @dataclass(frozen=True)
@@ -96,96 +88,95 @@ def initial_descriptors(layout: SpaceLayout) -> dict[str, Descriptor]:
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _weyl_terms(gate: Gate, dims: tuple[int, ...]) -> tuple:
+    """The gate's nonzero expansion G = sum c X^a Z^b over the acted
+    subsystems' shift/clock pairs, grouped by the last subsystem's
+    exponents: ``((a, b), ((prefix, c), ...)), ...``, where a prefix lists
+    the other subsystems' nonzero exponents as ``(position, a, b)``.
+
+    Per subsystem, G[k + a, k] = sum_b c_ab omega^(b k), so shifting each
+    row index by a and taking the FFT over k, divided by dim, gives c_ab.
+    """
+    m = len(dims)
+    tensor = gate.matrix(dims).reshape(dims * 2)
+    grid = np.indices(dims * 2)
+    rows = tuple((grid[i] + grid[m + i]) % d for i, d in enumerate(dims))
+    shifted = tensor[rows + tuple(grid[m:])]
+    coeffs = np.fft.fftn(shifted, axes=range(m, 2 * m), norm="forward")
+    groups: dict[tuple[int, int], list] = {}
+    for idx in zip(*np.nonzero(coeffs)):
+        exps = [(int(idx[i]), int(idx[m + i])) for i in range(m)]
+        prefix = tuple((i, a, b) for i, (a, b) in enumerate(exps[:-1]) if a or b)
+        groups.setdefault(exps[-1], []).append((prefix, complex(coeffs[idx])))
+    return tuple((last, tuple(terms)) for last, terms in groups.items())
+
+
 def functional_form(
-    app: GateApplication,
-    descriptors: Mapping[str, Descriptor],
-    frame: Operator | None = None,
+    app: GateApplication, descriptors: Mapping[str, Descriptor]
 ) -> Operator:
     """The gate's unitary expressed in the acted subsystems' descriptors.
 
-    Fed time-0 descriptors this reproduces the embedded gate matrix (the
-    defining equation); fed time-t descriptors it is the conjugating
-    unitary of the step-evolution law.  Custom gates have no fixed
-    polynomial and need the cumulative ``frame`` U(t) instead, giving
-    U(t)^dag G U(t); at time 0 they take no frame and give G itself.
+    The gate's expansion over the time-0 generators, evaluated on the
+    current ones.  Fed time-0 descriptors this reproduces the embedded
+    gate matrix (the defining equation); fed time-t descriptors it is
+    U(t)^dag G U(t), the conjugating unitary of the step-evolution law,
+    because conjugation preserves sums and products.  Horner-style over
+    the last acted subsystem: each of its monomials multiplies the sum of
+    the terms that share it.
     """
-    gate = app.gate
     args = [descriptors[sid] for sid in app.subsystems]
     times = {d.time for d in args}
     if len(times) != 1:
         raise EngineError(f"descriptor times differ: {sorted(times)}")
     layout = args[0].layout
+    dims = tuple(layout.dim_of(sid) for sid in app.subsystems)
+    # x^a z^b of each acted descriptor, built once per call; None is 1
+    monomials: dict[tuple[int, int, int], Operator | None] = {}
 
-    if isinstance(gate, Hadamard):
-        qx, qz = args[0].components
-        return (qx + qz) * (1 / np.sqrt(2))
-    if isinstance(gate, RotationY):
-        qx, qz = args[0].components
-        half = gate.theta / 2
-        return Operator.identity(layout) * np.cos(half) + (qx @ qz) * np.sin(half)
-    # half_sum skips the involution re-check of a control's z component:
-    # evolution preserves the algebra, which the property tests verify
-    # independently
-    if isinstance(gate, Cnot):
-        control, target = args
-        q_cz = control.components[1]
-        q_tx = target.components[0]
-        return half_sum(q_cz, +1) + half_sum(q_cz, -1) @ q_tx
-    if isinstance(gate, Plus):
-        shift = args[0].components[0]
-        return shift.matpow(gate.k % args[0].layout.dim_of(args[0].subsystem))
-    if isinstance(gate, ControlledPlus):
-        control, target = args
-        q_cz = control.components[1]
-        shift = target.components[0]
-        power = shift.matpow(gate.k % layout.dim_of(target.subsystem))
-        return half_sum(q_cz, +1) + half_sum(q_cz, -1) @ power
-    if isinstance(gate, CustomGate):
-        if frame is None and times != {0}:
-            raise EngineError(
-                "custom gates after time 0 need the cumulative frame; "
-                "use NetworkEvolution or cumulative_evolve"
+    def monomial(i: int, a: int, b: int) -> Operator | None:
+        if (i, a, b) not in monomials:
+            x, z = args[i].components
+            monomials[i, a, b] = compose(
+                x.matpow(a) if a > 1 else x if a else None,
+                z.matpow(b) if b > 1 else z if b else None,
             )
-        dims = tuple(layout.dim_of(sid) for sid in app.subsystems)
-        embedded = Operator(
-            layout, embed_matrix(gate.matrix(dims), app.subsystems, layout)
-        )
-        return embedded if frame is None else frame.H @ embedded @ frame
-    raise EngineError(f"unknown gate kind {type(gate).__name__}")
+        return monomials[i, a, b]
 
+    def scaled(op: Operator | None, c: complex) -> Operator:
+        return (Operator.identity(layout) if op is None else op) * c
 
-def _network_form(
-    network: Network, app: GateApplication, descriptors: Mapping[str, Descriptor]
-) -> Operator:
-    """The functional form of one of the network's gates; a custom gate
-    after time 0 gets the cumulative unitary of the slices before it as
-    its frame."""
-    frame = (
-        cumulative_unitary(network, app.time)
-        if isinstance(app.gate, CustomGate) and app.time > 0
-        else None
-    )
-    return functional_form(app, descriptors, frame)
+    def prefix_product(prefix: tuple) -> Operator | None:
+        return functools.reduce(compose, (monomial(*e) for e in prefix), None)
+
+    total = None
+    for last, terms in _weyl_terms(app.gate, dims):
+        mono = monomial(len(args) - 1, *last)
+        if len(terms) == 1:  # scale the monomial; c * I @ it would be a product
+            ((prefix, c),) = terms
+            part = scaled(compose(prefix_product(prefix), mono), c)
+        else:
+            inner = [scaled(prefix_product(prefix), c) for prefix, c in terms]
+            part = compose(sum(inner[1:], inner[0]), mono)
+        total = part if total is None else total + part
+    return total
 
 
 class NetworkEvolution:
     """Iterates the step law slice by slice through a network.
 
     The production evolution path; :func:`cumulative_evolve` is the
-    independent reference.  A custom gate (the one gate kind without a
-    fixed polynomial) after time 0 takes its frame from
-    :func:`cumulative_unitary` when it is reached, so gates after the last
-    custom gate pay nothing for it.
+    independent reference.
     """
 
     def __init__(self, network: Network):
-        self.network = network
         self._slices = network.slices()
         self.descriptors = initial_descriptors(network.layout)
         self.time = 0
 
-    def advance(self) -> None:
-        """Apply every gate of the current slice (disjoint, so order-free).
+    def advance(self) -> list[tuple[GateApplication, Operator]]:
+        """Apply every gate of the current slice (disjoint, so order-free);
+        returns each gate with the functional form it was applied by.
 
         Only the acted subsystems' components are conjugated: components
         of non-acted subsystems commute with the gate polynomial, so
@@ -195,17 +186,20 @@ class NetworkEvolution:
         if self.time >= len(self._slices):
             raise EngineError(f"network exhausted at time {self.time}")
         descriptors = dict(self.descriptors)
+        applied = []
         for app in self._slices[self.time]:
-            unitary = _network_form(self.network, app, descriptors)
+            unitary = functional_form(app, descriptors)
             u_dag = unitary.H
             for sid in app.subsystems:
                 comps = tuple(u_dag @ c @ unitary for c in descriptors[sid].components)
                 descriptors[sid] = Descriptor(sid, self.time, comps)
+            applied.append((app, unitary))
         self.time += 1
         self.descriptors = {
             sid: Descriptor(sid, self.time, d.components)
             for sid, d in descriptors.items()
         }
+        return applied
 
     def run_to(self, t: int) -> "NetworkEvolution":
         if not 0 <= t <= len(self._slices):
@@ -274,17 +268,16 @@ def locality_residual(network: Network) -> float:
     """
     evo = NetworkEvolution(network)
     worst = 0.0
-    for sl in network.slices():
-        for app in sl:
-            unitary = _network_form(network, app, evo.descriptors)
+    for _ in range(network.n_steps):
+        before = evo.descriptors
+        for app, unitary in evo.advance():
             u_dag = unitary.H
-            for sid, desc in evo.descriptors.items():
+            for sid, desc in before.items():
                 if sid in app.subsystems:
                     continue
                 for comp in desc.components:
                     moved = u_dag @ comp @ unitary
                     worst = max(worst, moved.distance(comp))
-        evo.advance()
     return worst
 
 

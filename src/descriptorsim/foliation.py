@@ -10,8 +10,9 @@ branch's relative descriptor is projector * W^dag(base components)W and
 the branch measure is the reference expectation of the projector.
 
 :func:`foliate` is the first split, a :meth:`Foliation.refine` of a root
-foliation whose one unlabelled branch has projector I, conditional I and
-measure 1.  Each split checks its control once, then builds its two
+foliation whose one unlabelled branch has measure 1 and no projector and
+no conditional: ``None`` stands for the identity, so no split multiplies
+by it.  Each split checks its control once, then builds its two
 projectors unchecked.
 """
 
@@ -25,6 +26,7 @@ from .operators import (
     DEFAULT_TOLERANCE,
     AlgebraError,
     Operator,
+    compose,
     half_sum,
 )
 
@@ -36,8 +38,8 @@ class FoliationError(AlgebraError):
 @dataclass(frozen=True)
 class Branch:
     labels: tuple[tuple[str, int], ...]
-    projector: Operator
-    conditional: Operator
+    projector: Operator | None  # None: the identity, before any split
+    conditional: Operator | None  # None: the identity, never conditioned
     measure: float
 
     @property
@@ -53,10 +55,9 @@ class Foliation:
 
     def relative_components(self, branch: Branch) -> tuple[Operator, ...]:
         w = branch.conditional
-        w_dag = w.H
-        return tuple(
-            branch.projector @ (w_dag @ c @ w) for c in self.base.components
-        )
+        w_dag = None if w is None else w.H
+        conjugated = (compose(compose(w_dag, c), w) for c in self.base.components)
+        return tuple(compose(branch.projector, c) for c in conjugated)
 
     def branch_sum(self) -> tuple[Operator, ...]:
         """Componentwise sum of all relative descriptors; reconstructs the
@@ -85,10 +86,10 @@ class Foliation:
         new_branches = []
         for branch in self.branches:
             for sign in (+1, -1):
-                projector = branch.projector @ proj[sign]
-                conditional = (
-                    branch.conditional if sign == +1 else gate_poly @ branch.conditional
-                )
+                projector = compose(branch.projector, proj[sign])
+                conditional = branch.conditional
+                if sign == -1:
+                    conditional = compose(gate_poly, conditional)
                 new_branches.append(
                     Branch(
                         branch.labels + ((control_id, sign),),
@@ -106,7 +107,9 @@ class Foliation:
         return Foliation(
             self.base,
             tuple(
-                Branch(b.labels, b.projector, gate_poly @ b.conditional, b.measure)
+                Branch(
+                    b.labels, b.projector, compose(gate_poly, b.conditional), b.measure
+                )
                 for b in self.branches
             ),
         )
@@ -126,8 +129,7 @@ def foliate(
     target's current time).  A sharp control is permitted and yields a
     measure-0 branch.
     """
-    identity = Operator.identity(target.layout)
-    root = Foliation(target, (Branch((), identity, identity, 1.0),))
+    root = Foliation(target, (Branch((), None, None, 1.0),))
     return root.refine(control, gate_poly, control_id)
 
 

@@ -3,7 +3,7 @@
 A network is an ordered list of gate applications over a declared layout.
 Applications carry an integer time slice; several gates may share a slice
 when they act on disjoint subsystems.  Gate kinds know their matrix form
-only; their functional (operator-valued) forms live in the engine.
+only; the engine derives their functional (operator-valued) forms from it.
 """
 
 from __future__ import annotations

@@ -223,6 +223,11 @@ def embed_local(op: np.ndarray, target: str, layout: SpaceLayout) -> Operator:
     return Operator._wrap(layout, embed_matrix(op, (target,), layout))
 
 
+def compose(a: Operator | None, b: Operator | None) -> Operator | None:
+    """a @ b, where None stands for the identity and costs no product."""
+    return b if a is None else a if b is None else a @ b
+
+
 def half_sum(q: Operator, sign: int) -> Operator:
     """(1 + sign*q)/2 without checks; callers guarantee q is an involution."""
     n = q.layout.total_dim

@@ -106,7 +106,7 @@ def test_criterion_03_strategy_distribution_table():
     }
     worst = 0.0
     for pair, pattern in patterns.items():
-        dist = quantum_distribution(*pair)
+        dist = quantum_distribution(*pair).branch_measures
         for key, want in zip(("00", "01", "10", "11"), pattern):
             worst = max(worst, abs(dist[key] - want))
     report(3, "all four input-pair rows match the distribution table", worst < 1e-9,

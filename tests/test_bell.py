@@ -13,6 +13,7 @@ from descriptorsim import (
     Decohered,
     LayoutError,
     NetworkEvolution,
+    Plain,
     RotationY,
     WignerUndo,
     build_bell_network,
@@ -286,6 +287,36 @@ class TestWignerUndo:
         # force a degenerate marginal instead via closed-form check
         report = run_wigner_undo(0.0, 0.4)
         assert all(v is not None for v in report.conditional_bob_given_alice.values())
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [Plain(), Decohered(3), Decohered(None), Chained(1, 1), Chained(0, 2), WignerUndo()],
+    ids=repr,
+)
+def test_run_bell_never_multiplies_by_the_identity(monkeypatch, variant):
+    # a product with I only copies; the foliation's root and its
+    # never-conditioned branches stand for I without multiplying by it.
+    # An I that an earlier product computed (x^dag x, for a conditional
+    # x^k with k = 1) is data, not a stand-in, and is let through.
+    matmul = Operator.__matmul__
+    computed = []
+
+    def is_eye(op):
+        return np.array_equal(op.matrix, np.eye(op.layout.total_dim))
+
+    def checked_matmul(a, b):
+        for side, op in (("left", a), ("right", b)):
+            stand_in = is_eye(op) and not any(op is c for c in computed)
+            assert not stand_in, f"{side} operand is I"
+        out = matmul(a, b)
+        if is_eye(out):
+            computed.append(out)
+        return out
+
+    monkeypatch.setattr(Operator, "__matmul__", checked_matmul)
+    out = run_bell(BellConfig(0.3, 0.9, variant))
+    assert out.reconstruction_residual < 1e-12
 
 
 class TestLocalityWitness:

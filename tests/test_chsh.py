@@ -67,14 +67,14 @@ class TestClassicalStrategies:
 
 class TestQuantumStrategy:
     def test_row_00(self):
-        dist = quantum_distribution(0, 0)
+        dist = quantum_distribution(0, 0).branch_measures
         assert dist["00"] == pytest.approx(COS8, abs=1e-9)
         assert dist["01"] == pytest.approx(SIN8, abs=1e-9)
         assert dist["10"] == pytest.approx(SIN8, abs=1e-9)
         assert dist["11"] == pytest.approx(COS8, abs=1e-9)
 
     def test_row_11_flips_pattern(self):
-        dist = quantum_distribution(1, 1)
+        dist = quantum_distribution(1, 1).branch_measures
         assert dist["00"] == pytest.approx(SIN8, abs=1e-9)
         assert dist["01"] == pytest.approx(COS8, abs=1e-9)
         assert dist["10"] == pytest.approx(COS8, abs=1e-9)
@@ -82,14 +82,14 @@ class TestQuantumStrategy:
 
     @pytest.mark.parametrize("pair", [(0, 1), (1, 0)])
     def test_mixed_rows_match_row_00(self, pair):
-        dist = quantum_distribution(*pair)
-        reference = quantum_distribution(0, 0)
+        dist = quantum_distribution(*pair).branch_measures
+        reference = quantum_distribution(0, 0).branch_measures
         for key in dist:
             assert dist[key] == pytest.approx(reference[key], abs=1e-9)
 
     def test_rows_equal_bell_runs(self):
         for x, y in ((0, 0), (1, 1)):
-            dist = quantum_distribution(x, y)
+            dist = quantum_distribution(x, y).branch_measures
             bell = run_bell(BellConfig(ALICE_ANGLES[x], BOB_ANGLES[y]))
             assert dist == bell.branch_measures
 

@@ -353,16 +353,17 @@ class TestExecuteAndReport:
         assert len(calls) == 4
 
     @pytest.mark.parametrize(
-        "cfg",
+        "cfg, networks",
         [
-            RunConfig("bell"),
-            RunConfig("decoherence"),
-            RunConfig("chain", chain_alice=1, chain_bob=1),
-            RunConfig("wigner"),
+            (RunConfig("bell"), 1),
+            (RunConfig("decoherence"), 1),
+            (RunConfig("chain", chain_alice=1, chain_bob=1), 1),
+            (RunConfig("wigner"), 1),
+            (RunConfig("chsh"), 4),  # one per input pair
         ],
-        ids=["bell", "decoherence", "chain", "wigner"],
+        ids=["bell", "decoherence", "chain", "wigner", "chsh"],
     )
-    def test_bell_like_section_builds_its_network_once(self, monkeypatch, cfg):
+    def test_bell_like_section_builds_its_network_once(self, monkeypatch, cfg, networks):
         # the oracle column reads the network run_bell built
         built = []
         build = bell.build_bell_network
@@ -372,7 +373,8 @@ class TestExecuteAndReport:
             return build(bell_cfg)
 
         for module in (bell, cli):
-            monkeypatch.setattr(module, "build_bell_network", counting_build)
+            if hasattr(module, "build_bell_network"):
+                monkeypatch.setattr(module, "build_bell_network", counting_build)
         code, _ = execute_and_report(cfg)
         assert code == 0
-        assert len(built) == 1
+        assert len(built) == networks

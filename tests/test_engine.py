@@ -9,6 +9,7 @@ from descriptorsim import (
     Cnot,
     ControlledPlus,
     CustomGate,
+    Decohered,
     EngineError,
     GateApplication,
     Hadamard,
@@ -20,6 +21,7 @@ from descriptorsim import (
     algebra_residual,
     build_bell_network,
     cumulative_evolve,
+    cumulative_unitary,
     embed_local,
     functional_form,
     initial_descriptors,
@@ -28,6 +30,7 @@ from descriptorsim import (
     is_sharp,
     locality_residual,
 )
+from descriptorsim import engine
 from descriptorsim.operators import PAULI_X, PAULI_Z, haar_random_unitary
 from conftest import random_network
 
@@ -35,6 +38,7 @@ ONE_QUBIT = SpaceLayout((("Q1", 2),))
 TWO_QUBITS = SpaceLayout((("Q1", 2), ("Q2", 2)))
 THREE_QUBITS = SpaceLayout((("Q1", 2), ("Q2", 2), ("Q3", 2)))
 QUBIT_AND_RECORD = SpaceLayout((("Q1", 2), ("SC", 4)))
+MIXED = SpaceLayout((("Q1", 2), ("Q2", 2), ("Q3", 2), ("SC", 4)))
 
 
 def evolved(layout, *apps):
@@ -139,18 +143,58 @@ class TestFunctionalForm:
         u = functional_form(app, self.fresh(QUBIT_AND_RECORD))
         assert u.isclose(net.embedded(app), 1e-14)
 
-    def test_custom_gate_at_time_zero(self, rng):
-        gate = CustomGate(haar_random_unitary(4, rng), "scramble")
-        app = GateApplication(gate, ("Q1", "Q2"), 0)
-        net = Network(TWO_QUBITS, (app,))
-        u = functional_form(app, self.fresh(TWO_QUBITS))
+    @pytest.mark.parametrize(
+        "sids",
+        [("Q1",), ("Q1", "Q2"), ("Q1", "SC"), ("SC", "Q1"), ("Q3", "Q1", "Q2")],
+        ids=["2", "2x2", "2x4", "4x2", "2x2x2"],
+    )
+    def test_custom_gate_at_time_zero(self, rng, sids):
+        dim = int(np.prod([MIXED.dim_of(sid) for sid in sids]))
+        gate = CustomGate(haar_random_unitary(dim, rng), "scramble")
+        app = GateApplication(gate, sids, 0)
+        net = Network(MIXED, (app,))
+        u = functional_form(app, self.fresh(MIXED))
         assert u.isclose(net.embedded(app), 1e-13)
 
-    def test_custom_gate_later_needs_frame(self, rng):
-        gate = CustomGate(haar_random_unitary(2, rng))
-        descs = evolved(TWO_QUBITS, GateApplication(Hadamard(), ("Q1",), 0))
-        with pytest.raises(EngineError):
-            functional_form(GateApplication(gate, ("Q1",), 1), descs)
+    def test_custom_gate_later_is_the_conjugated_gate(self, rng):
+        # the expansion on time-t descriptors is U(t)^dag G U(t)
+        mix = CustomGate(haar_random_unitary(8, rng), "mix")
+        net = Network(MIXED, (
+            GateApplication(Hadamard(), ("Q1",), 0),
+            GateApplication(Cnot(), ("Q1", "Q2"), 1),
+            GateApplication(ControlledPlus(1), ("Q2", "SC"), 2),
+            GateApplication(mix, ("SC", "Q1"), 3),
+        ))
+        app = net.gates[-1]
+        descs = NetworkEvolution(net).run_to(app.time).descriptors
+        u = cumulative_unitary(net, app.time)
+        want = u.H @ net.embedded(app) @ u
+        assert functional_form(app, descs).isclose(want, 1e-12)
+
+    @pytest.mark.parametrize(
+        "gate, sids, terms",
+        [
+            (Hadamard(), ("Q1",), 2),
+            (RotationY(0.7), ("Q1",), 2),
+            (RotationY(0.0), ("Q1",), 1),
+            (Cnot(), ("Q1", "Q2"), 4),
+            (Plus(3), ("SC",), 1),
+            (ControlledPlus(2), ("Q1", "SC"), 4),
+        ],
+        ids=repr,
+    )
+    def test_fixed_gates_expand_exactly(self, gate, sids, terms):
+        # H, Ry, Cnot, Plus and ControlledPlus take their textbook
+        # expansions, with no roundoff-scale terms beside them
+        app = GateApplication(gate, sids, 0)
+        dims = tuple(MIXED.dim_of(sid) for sid in sids)
+        coeffs = [c for _, group in engine._weyl_terms(gate, dims) for _, c in group]
+        assert len(coeffs) == terms
+        assert {abs(c) for c in coeffs} <= {
+            0.5, 1.0, 1 / np.sqrt(2), abs(np.cos(0.35)), abs(np.sin(0.35))
+        }
+        u = functional_form(app, self.fresh(MIXED))
+        assert u.isclose(Network(MIXED, (app,)).embedded(app), 1e-15)
 
     def test_mixed_times_rejected(self):
         descs = self.fresh(TWO_QUBITS)
@@ -311,6 +355,20 @@ class TestInvariants:
     def test_locality_residual_on_bell_network(self):
         network = build_bell_network(BellConfig(0.4, 1.2))
         assert locality_residual(network) < 1e-12
+
+    def test_locality_residual_builds_each_form_once(self, monkeypatch):
+        # the check reuses the forms advance() applied
+        calls = []
+        form = engine.functional_form
+
+        def counting_form(app, descriptors):
+            calls.append(app)
+            return form(app, descriptors)
+
+        monkeypatch.setattr(engine, "functional_form", counting_form)
+        network = build_bell_network(BellConfig(0.4, 1.2, Decohered(3)))
+        assert locality_residual(network) < 1e-12
+        assert len(calls) == len(network.gates) == 10
 
     def test_evolution_rewind_rejected(self):
         net = Network(TWO_QUBITS, (GateApplication(Hadamard(), ("Q1",), 0),))

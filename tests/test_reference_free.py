@@ -4,20 +4,35 @@
 independent reference path for cross-checks.  With every binding of them
 made to raise, each Bell variant, the non-isomorphism witness and every
 CLI experiment must still run: their results come from the step law alone.
+So must a network with a custom gate after time 0, whose functional form
+is its expansion on the current descriptors, not a cumulative frame.
 """
 
 import sys
 
+import numpy as np
 import pytest
 
 from descriptorsim import (
     BellConfig,
     Chained,
+    Cnot,
+    ControlledPlus,
+    CustomGate,
     Decohered,
+    GateApplication,
+    Hadamard,
+    Network,
+    NetworkEvolution,
     Plain,
+    SpaceLayout,
     WignerUndo,
+    haar_random_unitary,
+    initial_descriptors,
+    locality_residual,
     nonisomorphism_witness,
     run_bell,
+    simulate_statevector,
 )
 from descriptorsim.cli import EXPERIMENTS, RunConfig, execute_and_report
 
@@ -50,6 +65,25 @@ def test_witness_never_calls_the_reference(no_reference):
     report = nonisomorphism_witness()
     assert report.states_match and report.descriptors_differ
     assert report.marginal_expectation_gap < 1e-12
+
+
+def test_late_custom_gate_never_calls_the_reference(no_reference):
+    layout = SpaceLayout((("Q1", 2), ("Q2", 2), ("SC", 4)))
+    mix = CustomGate(haar_random_unitary(8, np.random.default_rng(5)), "mix")
+    net = Network(layout, (
+        GateApplication(Hadamard(), ("Q1",), 0),
+        GateApplication(Cnot(), ("Q1", "Q2"), 1),
+        GateApplication(mix, ("SC", "Q1"), 2),
+        GateApplication(ControlledPlus(1), ("Q2", "SC"), 3),
+    ))
+    evolved = NetworkEvolution(net).run().descriptors
+    # <0|U^dag c U|0> of every evolved component is <psi|c|psi> at the end
+    psi = simulate_statevector(net).amplitudes
+    for sid, initial in initial_descriptors(layout).items():
+        for got, c in zip(evolved[sid].components, initial.components):
+            want = psi.conj() @ c.matrix @ psi
+            assert got.expectation() == pytest.approx(want, abs=1e-12)
+    assert locality_residual(net) < 1e-12
 
 
 # "all" runs the same six sections

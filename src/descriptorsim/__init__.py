@@ -17,7 +17,6 @@ from .operators import (
     embed_matrix,
     frobenius,
     haar_random_unitary,
-    projector_pm,
     qudit_shift_clock,
 )
 from .gates import (
@@ -40,17 +39,14 @@ from .engine import (
     cumulative_unitary,
     functional_form,
     initial_descriptors,
-    initial_qubit_descriptor,
-    initial_qudit_descriptor,
     is_sharp,
     locality_residual,
 )
-from .foliation import Branch, Foliation, FoliationError, branch_measure, foliate
+from .foliation import Branch, Foliation, FoliationError, foliate
 from .oracle import (
     StateVector,
     joint_outcome_distribution,
     reduced_density_matrix,
-    reference_state,
     simulate_statevector,
 )
 from .bell import (

@@ -34,6 +34,7 @@ from .operators import (
     DEFAULT_TOLERANCE,
     Operator,
     SpaceLayout,
+    check_descriptor_budget,
     haar_random_unitary,
 )
 from .oracle import reduced_density_matrix, simulate_statevector
@@ -147,6 +148,9 @@ def build_bell_network(cfg: BellConfig) -> Network:
         raise TypeError(f"unknown variant {type(v).__name__}")
     decohered = isinstance(v, Decohered)
     links = (v.alice, v.bob) if isinstance(v, Chained) else (0, 0)
+    # the qubits Q1, Q2, QA, QB, the environment's QE, QF and the links, and
+    # the 4-level record: checked before anything per link is built
+    check_descriptor_budget({2: 4 + 2 * decohered + sum(links), 4: 1})
     alice_ids = ["QA"] + [f"QA{i}" for i in range(1, links[0] + 1)]
     bob_ids = ["QB"] + [f"QB{i}" for i in range(1, links[1] + 1)]
     extra = ["QE", "QF"] if decohered else []

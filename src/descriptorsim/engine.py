@@ -1,30 +1,28 @@
 """Descriptor construction and evolution in the Heisenberg picture.
 
-Each subsystem carries a descriptor: an ordered pair of generator
-observables embedded in the full space ((x, z) for qubits, (shift, clock)
-for qudits).  A gate G applied to subsystems J evolves every descriptor by
-conjugation with the gate's functional form: G's expansion
-sum c X^a Z^b over the time-0 generators of J, evaluated on the current
-descriptors of J, which is U(t)^dag G U(t) for the unitary U(t) of the
-gates before it.  Descriptors of subsystems outside J commute with that
-polynomial, so they are left untouched; :func:`locality_residual` verifies
-this numerically and the cumulative-conjugation engine cross-checks the
-whole step law.
+Each subsystem carries a descriptor: its (shift, clock) generator pair,
+embedded in the full space; for a qubit, (sigma_x, sigma_z).  A gate G
+applied to subsystems J evolves every descriptor by conjugation with the
+gate's functional form: G's expansion sum c X^a Z^b over the time-0
+generators of J, evaluated on the current descriptors of J, which is
+U(t)^dag G U(t) for the unitary U(t) of the gates before it.  Descriptors
+of subsystems outside J commute with that polynomial, so they are left
+untouched; :func:`locality_residual` verifies this numerically and the
+cumulative-conjugation engine cross-checks the whole step law.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .gates import Gate, GateApplication, Network
 from .operators import (
     DEFAULT_TOLERANCE,
-    PAULI_X,
-    PAULI_Z,
     AlgebraError,
     LayoutError,
     Operator,
@@ -59,33 +57,14 @@ class Descriptor:
         return self.components[0].layout
 
 
-def initial_qubit_descriptor(sid: str, layout: SpaceLayout) -> Descriptor:
-    """(sigma_x, sigma_z) embedded on subsystem ``sid``; time 0."""
-    if layout.dim_of(sid) != 2:
-        raise LayoutError(f"subsystem {sid!r} is not a qubit")
-    return Descriptor(
-        sid, 0, (embed_local(PAULI_X, sid, layout), embed_local(PAULI_Z, sid, layout))
-    )
-
-
-def initial_qudit_descriptor(sid: str, layout: SpaceLayout) -> Descriptor:
-    """Embedded (shift, clock) pair; generates the subsystem's operator algebra."""
-    shift, clock = qudit_shift_clock(layout.dim_of(sid))
-    return Descriptor(
-        sid, 0, (embed_local(shift, sid, layout), embed_local(clock, sid, layout))
-    )
-
-
 def initial_descriptors(layout: SpaceLayout) -> dict[str, Descriptor]:
-    """Initial descriptors for every subsystem: qubit pairs for dim 2,
-    shift/clock pairs otherwise."""
-    out = {}
-    for sid, dim in layout.subsystems:
-        if dim == 2:
-            out[sid] = initial_qubit_descriptor(sid, layout)
-        else:
-            out[sid] = initial_qudit_descriptor(sid, layout)
-    return out
+    """Every subsystem's time-0 descriptor: its shift/clock pair, embedded."""
+    return {
+        sid: Descriptor(
+            sid, 0, tuple(embed_local(g, sid, layout) for g in qudit_shift_clock(dim))
+        )
+        for sid, dim in layout.subsystems
+    }
 
 
 @functools.lru_cache(maxsize=256)
@@ -110,6 +89,9 @@ def _weyl_terms(gate: Gate, dims: tuple[int, ...]) -> tuple:
         prefix = tuple((i, a, b) for i, (a, b) in enumerate(exps[:-1]) if a or b)
         groups.setdefault(exps[-1], []).append((prefix, complex(coeffs[idx])))
     return tuple((last, tuple(terms)) for last, terms in groups.items())
+
+
+_IDENTITY = (((0, 0), (((), 1),)),)  # the expansion of I: the one term 1 * I
 
 
 def functional_form(
@@ -170,7 +152,13 @@ class NetworkEvolution:
     """
 
     def __init__(self, network: Network):
-        self._slices = network.slices()
+        # a gate that is exactly 1 * I is left out: conjugating by it copies
+        dims = network.layout.dim_of
+        self._slices = [
+            [a for a in sl
+             if _weyl_terms(a.gate, tuple(map(dims, a.subsystems))) != _IDENTITY]
+            for sl in network.slices()
+        ]
         self.descriptors = initial_descriptors(network.layout)
         self.time = 0
 
@@ -281,40 +269,23 @@ def locality_residual(network: Network) -> float:
     return worst
 
 
-def algebra_residual(
-    descriptors: Mapping[str, Descriptor] | Iterable[Descriptor],
-) -> float:
-    """Worst violation of the preserved algebraic relations: unitarity and
-    power/phase identities per subsystem, commutation across subsystems."""
-    if isinstance(descriptors, Mapping):
-        descs = list(descriptors.values())
-    else:
-        descs = list(descriptors)
+def algebra_residual(descriptors: Mapping[str, Descriptor]) -> float:
+    """Worst violation of the preserved algebraic relations: per subsystem,
+    unitarity, x^d = z^d = I and z x = omega x z; across subsystems,
+    commutation."""
+    descs = list(descriptors.values())
     worst = 0.0
     for desc in descs:
         d = desc.layout.dim_of(desc.subsystem)
-        a, b = desc.components
+        x, z = (c.matrix for c in desc.components)
         eye = np.eye(desc.layout.total_dim)
-        for c in desc.components:
-            worst = max(worst, frobenius(c.matrix.conj().T @ c.matrix - eye))
-        if d == 2:
-            worst = max(worst, frobenius(a.matrix @ a.matrix - eye))
-            worst = max(worst, frobenius(b.matrix @ b.matrix - eye))
-            worst = max(worst, frobenius(a.matrix @ b.matrix + b.matrix @ a.matrix))
-        else:
-            omega = np.exp(2j * np.pi / d)
-            worst = max(worst, frobenius(np.linalg.matrix_power(a.matrix, d) - eye))
-            worst = max(worst, frobenius(np.linalg.matrix_power(b.matrix, d) - eye))
-            worst = max(
-                worst,
-                frobenius(b.matrix @ a.matrix - omega * a.matrix @ b.matrix),
-            )
-    for i, d1 in enumerate(descs):
-        for d2 in descs[i + 1 :]:
-            for c1 in d1.components:
-                for c2 in d2.components:
-                    worst = max(
-                        worst,
-                        frobenius(c1.matrix @ c2.matrix - c2.matrix @ c1.matrix),
-                    )
+        for c in (x, z):
+            worst = max(worst, frobenius(c.conj().T @ c - eye))
+            worst = max(worst, frobenius(np.linalg.matrix_power(c, d) - eye))
+        omega = qudit_shift_clock(d)[1][1, 1]  # the clock's second entry
+        worst = max(worst, frobenius(z @ x - omega * x @ z))
+    comps = [(desc.subsystem, c.matrix) for desc in descs for c in desc.components]
+    for (s1, c1), (s2, c2) in itertools.combinations(comps, 2):
+        if s1 != s2:
+            worst = max(worst, frobenius(c1 @ c2 - c2 @ c1))
     return worst

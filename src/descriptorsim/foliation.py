@@ -19,7 +19,6 @@ projectors unchecked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .engine import Descriptor
 from .operators import (
@@ -131,22 +130,6 @@ def foliate(
     """
     root = Foliation(target, (Branch((), None, None, 1.0),))
     return root.refine(control, gate_poly, control_id)
-
-
-def branch_measure(projectors: Sequence[Operator]) -> float:
-    """Reference expectation of a product of commuting projectors."""
-    for i, p in enumerate(projectors):
-        if not p.is_projector():
-            raise AlgebraError(f"argument {i} is not a hermitian idempotent")
-        for q in projectors[i + 1 :]:
-            if not p.commutes_with(q):
-                raise AlgebraError("branch projectors do not commute")
-    if not projectors:
-        return 1.0
-    product = projectors[0]
-    for p in projectors[1:]:
-        product = product @ p
-    return _real_measure(product)
 
 
 def _check_interaction(

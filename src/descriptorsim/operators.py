@@ -8,6 +8,8 @@ dynamics act on operators.
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass
 from math import prod
 
@@ -37,14 +39,31 @@ def frobenius(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(matrix))
 
 
+def check_descriptor_budget(dims: dict[int, int]) -> None:
+    """Refuse initial descriptors, two dense N x N complex components per
+    subsystem, over the budget.  ``dims`` counts the subsystems of each
+    dimension, so the check builds nothing of the layout's size."""
+    budget = f"over the {DESCRIPTOR_BUDGET_BYTES / 2**30:g} GiB budget"
+    # from N = 2^600 on, the estimate is over 1e308 GiB; N is not built
+    if sum(m * (d.bit_length() - 1) for d, m in dims.items()) < 600:
+        count, n = sum(dims.values()), prod(d**m for d, m in dims.items())
+        estimate = 2 * count * n * n * 16
+        if estimate <= DESCRIPTOR_BUDGET_BYTES:
+            return
+        if estimate < 10**308 * 2**30:  # a float holds the GiB figure
+            raise LayoutError(
+                f"initial descriptors need {estimate / 2**30:.3g} GiB "
+                f"(2 x {count} subsystems x {n}^2 x 16 bytes), {budget}"
+            )
+    raise LayoutError(f"initial descriptors need over 1e+308 GiB, {budget}")
+
+
 @dataclass(frozen=True)
 class SpaceLayout:
     """Ordered list of (id, dim) subsystems spanning one composite space.
 
-    Tensor order equals declaration order.  The initial descriptors, two
-    dense N x N complex components per subsystem, must fit in
-    ``DESCRIPTOR_BUDGET_BYTES``; the layout checks this before anything
-    of that size is allocated.
+    Tensor order equals declaration order.  The initial descriptors must
+    fit in ``DESCRIPTOR_BUDGET_BYTES``, checked before any is allocated.
     """
 
     subsystems: tuple[tuple[str, int], ...]
@@ -60,14 +79,7 @@ class SpaceLayout:
         for sid, dim in subsystems:
             if dim < 2:
                 raise LayoutError(f"subsystem {sid!r} has dim {dim} < 2")
-        n = self.total_dim
-        estimate = 2 * len(subsystems) * n * n * 16
-        if estimate > DESCRIPTOR_BUDGET_BYTES:
-            raise LayoutError(
-                f"initial descriptors need {estimate / 2**30:.3g} GiB "
-                f"(2 x {len(subsystems)} subsystems x {n}^2 x 16 bytes), "
-                f"over the {DESCRIPTOR_BUDGET_BYTES / 2**30:g} GiB budget"
-            )
+        check_descriptor_budget(Counter(self.dims))
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -234,26 +246,22 @@ def half_sum(q: Operator, sign: int) -> Operator:
     return Operator._wrap(q.layout, (np.eye(n) + sign * q.matrix) / 2)
 
 
-def projector_pm(q: Operator, sign: int) -> Operator:
-    """(1 + sign*q)/2 for an involutive q; projects onto the ±1 eigenspace."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if not q.is_involution():
-        raise AlgebraError("projector argument is not an involution")
-    return half_sum(q, sign)
-
-
+@functools.lru_cache(maxsize=16)
 def qudit_shift_clock(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shift (|j> -> |j+1 mod d|) and clock (diag of d-th roots of unity).
+    """The read-only generators of every d-level subsystem: shift
+    (|j> -> |j+1 mod d>) and clock (diag of omega^j, omega = exp(2 pi i/d)).
 
-    Their monomials shift^a clock^b multiplicatively generate a complete
-    operator basis on d levels; for d=2 they reduce to sigma_x, sigma_z.
+    Their monomials shift^a clock^b form an operator basis.  The clock is
+    the inverse FFT of the shift's first column, the convention the
+    engine's Weyl expansion inverts with the forward FFT, and is exact at
+    d = 2, (sigma_x, sigma_z), and d = 4, diag(1, i, -1, -i).
     """
     if dim < 2:
         raise ValueError(f"shift/clock need dim >= 2, got {dim}")
     shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
-    omega = np.exp(2j * np.pi / dim)
-    clock = np.diag(omega ** np.arange(dim))
+    clock = np.diag(dim * np.fft.ifft(shift[:, 0]))
+    for generator in (shift, clock):
+        generator.setflags(write=False)
     return shift, clock
 
 

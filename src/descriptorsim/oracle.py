@@ -32,17 +32,6 @@ class StateVector:
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def reference_state(layout: SpaceLayout) -> StateVector:
-    """|0...0> on the given layout."""
-    amp = np.zeros(layout.total_dim, dtype=complex)
-    amp[0] = 1.0
-    return StateVector(layout, amp)
-
 
 def simulate_statevector(network: Network, t: int | None = None) -> StateVector:
     """Apply the embedded gate matrices of the first ``t`` slices to |0...0>."""
@@ -50,7 +39,8 @@ def simulate_statevector(network: Network, t: int | None = None) -> StateVector:
         t = network.n_steps
     if not 0 <= t <= network.n_steps:
         raise ValueError(f"time {t} outside network range 0..{network.n_steps}")
-    amp = reference_state(network.layout).amplitudes.copy()
+    amp = np.zeros(network.layout.total_dim, dtype=complex)
+    amp[0] = 1.0
     for app in network.gates:
         if app.time >= t:
             break

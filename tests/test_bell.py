@@ -25,6 +25,7 @@ from descriptorsim import (
     run_wigner_undo,
     simulate_statevector,
 )
+from descriptorsim import bell
 from descriptorsim.operators import PAULI_X, Operator
 
 COS8 = math.cos(math.pi / 8) ** 2 / 2  # 0.4267766952966369
@@ -237,6 +238,21 @@ class TestChain:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_long_chain_refused_before_any_link_is_built(self, monkeypatch):
+        # a million links: the budget is checked from the subsystem count,
+        # before the per-link gates (one Cnot each) exist
+        built = []
+
+        def bounded_cnot():
+            built.append(None)
+            if len(built) > 300:
+                raise RuntimeError("per-link gates built before the budget check")
+            return Cnot()
+
+        monkeypatch.setattr(bell, "Cnot", bounded_cnot)
+        with pytest.raises(LayoutError, match=r"over 1e\+308 GiB"):
+            build_bell_network(BellConfig(0, 0.7, Chained(10**6, 0)))
+
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             Chained(-1, 0)
@@ -290,11 +306,18 @@ class TestWignerUndo:
 
 
 @pytest.mark.parametrize(
-    "variant",
-    [Plain(), Decohered(3), Decohered(None), Chained(1, 1), Chained(0, 2), WignerUndo()],
-    ids=repr,
+    "variant, angles",
+    [
+        # at theta = 0, Alice's rotation Ry(0) is exactly I
+        pytest.param(variant, angles, id=repr(variant) + suffix)
+        for angles, suffix in (((0.3, 0.9), ""), ((0.0, math.pi / 4), "-theta=0"))
+        for variant in (
+            Plain(), Decohered(3), Decohered(None), Chained(1, 1), Chained(0, 2),
+            WignerUndo(),
+        )
+    ],
 )
-def test_run_bell_never_multiplies_by_the_identity(monkeypatch, variant):
+def test_run_bell_never_multiplies_by_the_identity(monkeypatch, variant, angles):
     # a product with I only copies; the foliation's root and its
     # never-conditioned branches stand for I without multiplying by it.
     # An I that an earlier product computed (x^dag x, for a conditional
@@ -315,7 +338,7 @@ def test_run_bell_never_multiplies_by_the_identity(monkeypatch, variant):
         return out
 
     monkeypatch.setattr(Operator, "__matmul__", checked_matmul)
-    out = run_bell(BellConfig(0.3, 0.9, variant))
+    out = run_bell(BellConfig(*angles, variant))
     assert out.reconstruction_residual < 1e-12
 
 

@@ -275,6 +275,7 @@ class TestShellLevel:
             ["run", "bell", "--theta", "inf"],
             ["run", "bell", "--output", "/nonexistent/dir/x"],
             ["run", "bell", "--config", NOT_UTF8],
+            ["run", "chain", "--chain-alice", "600"],
         ],
     )
     def test_bad_inputs_exit_2_without_traceback(self, args, tmp_path):
@@ -289,6 +290,7 @@ class TestShellLevel:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("experiment", ["bell", "decoherence"])
     def test_huge_tolerance_bounds_residuals_only(self, experiment):

@@ -25,13 +25,16 @@ from descriptorsim import (
     embed_local,
     functional_form,
     initial_descriptors,
-    initial_qubit_descriptor,
-    initial_qudit_descriptor,
     is_sharp,
     locality_residual,
 )
 from descriptorsim import engine
-from descriptorsim.operators import PAULI_X, PAULI_Z, haar_random_unitary
+from descriptorsim.operators import (
+    PAULI_X,
+    PAULI_Z,
+    haar_random_unitary,
+    qudit_shift_clock,
+)
 from conftest import random_network
 
 ONE_QUBIT = SpaceLayout((("Q1", 2),))
@@ -48,37 +51,42 @@ def evolved(layout, *apps):
 
 class TestInitialDescriptors:
     def test_single_qubit_pair(self):
-        d = initial_qubit_descriptor("Q1", ONE_QUBIT)
+        d = initial_descriptors(ONE_QUBIT)["Q1"]
         assert np.array_equal(d.components[0].matrix, PAULI_X)
         assert np.array_equal(d.components[1].matrix, PAULI_Z)
         assert d.time == 0
 
     def test_two_qubit_ordering(self):
-        d = initial_qubit_descriptor("Q2", TWO_QUBITS)
+        d = initial_descriptors(TWO_QUBITS)["Q2"]
         assert np.array_equal(d.components[0].matrix, np.kron(np.eye(2), PAULI_X))
         assert np.array_equal(d.components[1].matrix, np.kron(np.eye(2), PAULI_Z))
 
     def test_components_anticommute_exactly(self):
-        d = initial_qubit_descriptor("Q1", TWO_QUBITS)
+        d = initial_descriptors(TWO_QUBITS)["Q1"]
         x, z = (c.matrix for c in d.components)
         assert np.array_equal(x @ z, -(z @ x))
 
-    def test_qubit_descriptor_rejects_qudit(self):
-        with pytest.raises(Exception):
-            initial_qubit_descriptor("SC", QUBIT_AND_RECORD)
-
     def test_qudit_embedded_patterns(self):
-        d = initial_qudit_descriptor("SC", QUBIT_AND_RECORD)
-        from descriptorsim import qudit_shift_clock
-
+        d = initial_descriptors(QUBIT_AND_RECORD)["SC"]
         shift, clock = qudit_shift_clock(4)
         assert np.allclose(d.components[0].matrix, np.kron(np.eye(2), shift))
         assert np.allclose(d.components[1].matrix, np.kron(np.eye(2), clock))
 
+    def test_mixed_layout_pairs_are_exact(self):
+        descs = initial_descriptors(QUBIT_AND_RECORD)
+        eye2, eye4 = np.eye(2), np.eye(4)
+        shift = np.roll(eye4, 1, axis=0)
+        clock = np.diag([1, 1j, -1, -1j])
+        expected = {
+            "Q1": (np.kron(PAULI_X, eye4), np.kron(PAULI_Z, eye4)),
+            "SC": (np.kron(eye2, shift), np.kron(eye2, clock)),
+        }
+        for sid, pair in expected.items():
+            for got, want in zip(descs[sid].components, pair):
+                assert np.array_equal(got.matrix, want)
+
     def test_computational_observable_is_clock_polynomial(self):
         # solve diag(0..3) = sum_k c_k clock^k and check the reconstruction
-        from descriptorsim import qudit_shift_clock
-
         _, clock = qudit_shift_clock(4)
         vander = np.array([[clock[j, j] ** k for k in range(4)] for j in range(4)])
         coeffs = np.linalg.solve(vander, np.arange(4.0))
@@ -88,10 +96,11 @@ class TestInitialDescriptors:
         assert np.allclose(rebuilt, np.diag([0, 1, 2, 3]), atol=1e-12)
 
     def test_dim_two_qudit_matches_qubit(self):
-        qudit = initial_qudit_descriptor("Q1", TWO_QUBITS)
-        qubit = initial_qubit_descriptor("Q1", TWO_QUBITS)
-        for a, b in zip(qudit.components, qubit.components):
-            assert a.isclose(b, 1e-15)
+        pair = initial_descriptors(TWO_QUBITS)["Q1"].components
+        for got, generator, pauli in zip(pair, qudit_shift_clock(2), (PAULI_X, PAULI_Z)):
+            want = embed_local(pauli, "Q1", TWO_QUBITS).matrix
+            assert np.array_equal(got.matrix, want)
+            assert np.array_equal(embed_local(generator, "Q1", TWO_QUBITS).matrix, want)
 
 
 class TestFunctionalForm:
@@ -103,7 +112,7 @@ class TestFunctionalForm:
         net = Network(ONE_QUBIT, (app,))
         u = functional_form(app, self.fresh(ONE_QUBIT))
         assert u.isclose(net.embedded(app), 1e-15)
-        x, z = (c.matrix for c in initial_qubit_descriptor("Q1", ONE_QUBIT).components)
+        x, z = (c.matrix for c in initial_descriptors(ONE_QUBIT)["Q1"].components)
         assert np.allclose(u.matrix, (x + z) / np.sqrt(2))
 
     def test_rotation_zero_angle_is_identity(self):
@@ -335,7 +344,7 @@ class TestSharpness:
         assert abs(complex(qz.matrix[0, :] @ qz.matrix[:, 0]) - 1) < 1e-12
 
     def test_non_hermitian_rejected(self):
-        shift = initial_qudit_descriptor("SC", QUBIT_AND_RECORD).components[0]
+        shift = initial_descriptors(QUBIT_AND_RECORD)["SC"].components[0]
         with pytest.raises(AlgebraError):
             is_sharp(shift)
 

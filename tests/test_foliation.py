@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from descriptorsim import (
-    AlgebraError,
     BellConfig,
     FoliationError,
     GateApplication,
@@ -12,13 +11,13 @@ from descriptorsim import (
     Network,
     RotationY,
     SpaceLayout,
-    branch_measure,
     build_bell_network,
     embed_local,
     foliate,
     functional_form,
-    projector_pm,
+    initial_descriptors,
 )
+from descriptorsim.foliation import Branch, Foliation
 from descriptorsim.operators import PAULI_X, PAULI_Z, Operator
 
 
@@ -149,44 +148,69 @@ class TestFoliate:
             foliate(descs["Q2"], control, descs["Q2"].components[0], "bad")
 
 
+def record_split(evo, *splits):
+    """Foliate the record by each (subsystem, time, k) of ``splits`` in
+    turn, as run_bell splits it by Alice's and Bob's record gates."""
+    fol = None
+    for sid, t, k in splits:
+        evo.run_to(t)
+        record = evo.descriptor("SC")
+        control = evo.descriptor(sid).components[1]
+        gate_poly = record.components[0].matpow(k)
+        fol = (
+            foliate(record, control, gate_poly, f"{sid}.z")
+            if fol is None
+            else fol.refine(control, gate_poly, f"{sid}.z")
+        )
+    return fol
+
+
+ALICE_SPLIT = ("QA", 4, 2)
+BOB_SPLIT = ("QB", 5, 1)
+
+
 class TestBranchMeasure:
     def test_single_projector_half(self):
         network, evo = bell_evolution(0.7, 0.1)
-        evo.run_to(4)
-        p = projector_pm(evo.descriptor("QA").components[1], +1)
-        assert branch_measure([p]) == pytest.approx(0.5, abs=1e-12)
+        measures = record_split(evo, ALICE_SPLIT).measures()
+        assert measures == pytest.approx({"0": 0.5, "1": 0.5}, abs=1e-12)
 
     def test_joint_projectors_reproduce_closed_form(self):
         theta, phi = 0.0, math.pi / 4
         network, evo = bell_evolution(theta, phi)
-        evo.run_to(5)
-        pa = projector_pm(evo.descriptor("QA").components[1], +1)
-        pb = projector_pm(evo.descriptor("QB").components[1], +1)
-        value = branch_measure([pa, pb])
+        value = record_split(evo, ALICE_SPLIT, BOB_SPLIT).measures()["00"]
         assert value == pytest.approx(0.4267766953, abs=1e-9)
         assert value == pytest.approx(math.cos(math.pi / 8) ** 2 / 2, abs=1e-12)
 
     def test_empty_product_is_one(self):
-        assert branch_measure([]) == 1.0
+        # before any split: one unlabelled branch of measure 1, with the
+        # identity as projector and conditional, so it is the base itself
+        base = initial_descriptors(SpaceLayout((("Q1", 2),)))["Q1"]
+        root = Foliation(base, (Branch((), None, None, 1.0),))
+        assert root.measures() == {"": 1.0}
+        assert root.branch_sum() == base.components
 
     def test_non_idempotent_rejected(self):
-        layout = SpaceLayout((("Q1", 2),))
-        with pytest.raises(AlgebraError):
-            branch_measure([Operator(layout, 2 * np.eye(2))])
+        # a refinement checks its control as the first split does
+        network, evo = bell_evolution(0.7, 0.1)
+        fol = record_split(evo, ALICE_SPLIT)
+        control = Operator(network.layout, 2 * np.eye(network.layout.total_dim))
+        with pytest.raises(FoliationError):
+            fol.refine(control, fol.base.components[0], "bad")
 
     def test_non_commuting_rejected(self):
-        layout = SpaceLayout((("Q1", 2),))
-        px = projector_pm(embed_local(PAULI_X, "Q1", layout), +1)
-        pz = projector_pm(embed_local(PAULI_Z, "Q1", layout), +1)
-        with pytest.raises(AlgebraError):
-            branch_measure([px, pz])
+        network, evo = bell_evolution(0.7, 0.1)
+        fol = record_split(evo, ALICE_SPLIT)
+        # the record's shift squared: an involution that anticommutes with
+        # the record's clock
+        control = fol.base.components[0].matpow(2)
+        assert control.is_involution()
+        with pytest.raises(FoliationError):
+            fol.refine(control, fol.base.components[0], "bad")
 
     def test_measures_within_unit_interval(self):
         network, evo = bell_evolution(1.2, -2.0)
-        evo.run_to(5)
-        for sign_a in (+1, -1):
-            for sign_b in (+1, -1):
-                pa = projector_pm(evo.descriptor("QA").components[1], sign_a)
-                pb = projector_pm(evo.descriptor("QB").components[1], sign_b)
-                value = branch_measure([pa, pb])
-                assert -1e-12 <= value <= 1 + 1e-12
+        measures = record_split(evo, ALICE_SPLIT, BOB_SPLIT).measures()
+        assert sorted(measures) == ["00", "01", "10", "11"]
+        for value in measures.values():
+            assert -1e-12 <= value <= 1 + 1e-12

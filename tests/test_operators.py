@@ -2,15 +2,22 @@ import numpy as np
 import pytest
 
 from descriptorsim import (
-    AlgebraError,
     LayoutError,
     Operator,
     SpaceLayout,
+    FoliationError,
     embed_local,
-    projector_pm,
+    foliate,
+    initial_descriptors,
     qudit_shift_clock,
 )
-from descriptorsim.operators import PAULI_X, PAULI_Y, PAULI_Z, haar_random_unitary
+from descriptorsim.operators import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    half_sum,
+    haar_random_unitary,
+)
 
 TWO_QUBITS = SpaceLayout((("Q1", 2), ("Q2", 2)))
 
@@ -101,13 +108,16 @@ class TestReferenceExpectation:
 
 
 class TestProjectorPm:
+    """The +-1 eigenprojectors (1 +- q)/2 of an involution q, as
+    ``half_sum`` builds them for every foliation split."""
+
     def test_sigma_z_plus_projector_pattern(self):
-        p = projector_pm(embed_local(PAULI_Z, "Q1", TWO_QUBITS), +1)
+        p = half_sum(embed_local(PAULI_Z, "Q1", TWO_QUBITS), +1)
         assert np.allclose(p.matrix, np.kron(np.diag([1.0, 0.0]), np.eye(2)))
 
     def test_plus_and_minus_sum_to_identity(self):
         q = embed_local(PAULI_X, "Q2", TWO_QUBITS)
-        total = projector_pm(q, +1) + projector_pm(q, -1)
+        total = half_sum(q, +1) + half_sum(q, -1)
         assert total.isclose(Operator.identity(TWO_QUBITS), 1e-14)
 
     def test_idempotent_for_evolved_component(self):
@@ -116,7 +126,7 @@ class TestProjectorPm:
 
         network = build_bell_network(BellConfig(0.3, 0.9))
         evo = NetworkEvolution(network).run_to(3)
-        p = projector_pm(evo.descriptor("Q1").components[1], +1)
+        p = half_sum(evo.descriptor("Q1").components[1], +1)
         assert (p @ p).isclose(p, 1e-12)
         assert p.is_hermitian(1e-12)
 
@@ -125,24 +135,32 @@ class TestProjectorPm:
             u = haar_random_unitary(4, rng)
             q = Operator(TWO_QUBITS, u @ np.diag([1, 1, -1, -1]) @ u.conj().T)
             for sign in (+1, -1):
-                p = projector_pm(q, sign)
+                p = half_sum(q, sign)
                 assert p.is_projector(1e-12)
 
     def test_non_involution_rejected(self):
-        with pytest.raises(AlgebraError):
-            projector_pm(Operator(TWO_QUBITS, np.diag([1, 2, 3, 4.0])), +1)
-
-    def test_bad_sign_rejected(self):
-        q = embed_local(PAULI_Z, "Q1", TWO_QUBITS)
-        with pytest.raises(ValueError):
-            projector_pm(q, 2)
+        # a split checks its control before half_sum builds the projectors
+        target = initial_descriptors(TWO_QUBITS)["Q2"]
+        control = Operator(TWO_QUBITS, np.diag([1, 2, 3, 4.0]))
+        with pytest.raises(FoliationError):
+            foliate(target, control, target.components[0])
 
 
 class TestShiftClock:
     def test_qubit_reduction(self):
         shift, clock = qudit_shift_clock(2)
-        assert np.allclose(shift, PAULI_X)
-        assert np.allclose(clock, PAULI_Z)
+        assert np.array_equal(shift, PAULI_X)
+        assert np.array_equal(clock, PAULI_Z)
+
+    def test_dim_four_clock_is_exact(self):
+        _, clock = qudit_shift_clock(4)
+        assert np.array_equal(clock, np.diag([1, 1j, -1, -1j]))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_generators_are_read_only(self, dim):
+        for generator in qudit_shift_clock(dim):
+            with pytest.raises(ValueError):
+                generator[0, 0] = 5
 
     def test_dim_four_relations(self):
         shift, clock = qudit_shift_clock(4)

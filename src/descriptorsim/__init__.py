@@ -15,7 +15,6 @@ from .operators import (
     SpaceLayout,
     embed_local,
     embed_matrix,
-    frobenius,
     haar_random_unitary,
     qudit_shift_clock,
 )

@@ -1,14 +1,15 @@
 """Descriptor construction and evolution in the Heisenberg picture.
 
 Each subsystem carries a descriptor: its (shift, clock) generator pair,
-embedded in the full space; for a qubit, (sigma_x, sigma_z).  A gate G
+embedded in the full space; for a qubit, (sigma_x, sigma_z), each
+component a short sum of Weyl terms, never an N x N matrix.  A gate G
 applied to subsystems J evolves every descriptor by conjugation with the
 gate's functional form: G's expansion sum c X^a Z^b over the time-0
 generators of J, evaluated on the current descriptors of J, which is
 U(t)^dag G U(t) for the unitary U(t) of the gates before it.  Descriptors
 of subsystems outside J commute with that polynomial, so they are left
 untouched; :func:`locality_residual` verifies this numerically and the
-cumulative-conjugation engine cross-checks the whole step law.
+dense cumulative-conjugation engine cross-checks the whole step law.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import prod
 from typing import Mapping
 
 import numpy as np
@@ -28,8 +30,6 @@ from .operators import (
     Operator,
     SpaceLayout,
     compose,
-    embed_local,
-    frobenius,
     qudit_shift_clock,
 )
 
@@ -58,40 +58,32 @@ class Descriptor:
 
 
 def initial_descriptors(layout: SpaceLayout) -> dict[str, Descriptor]:
-    """Every subsystem's time-0 descriptor: its shift/clock pair, embedded."""
+    """Every subsystem's time-0 descriptor: its shift/clock pair, embedded:
+    the single terms X_i and Z_i."""
+    m = len(layout.dims)
+    unit = np.eye(2 * m, dtype=np.int64)
     return {
-        sid: Descriptor(
-            sid, 0, tuple(embed_local(g, sid, layout) for g in qudit_shift_clock(dim))
-        )
-        for sid, dim in layout.subsystems
+        sid: Descriptor(sid, 0, tuple(
+            Operator(layout, unit[[j]], np.ones(1, complex)) for j in (i, m + i)
+        ))
+        for i, sid in enumerate(layout.ids)
     }
 
 
 @functools.lru_cache(maxsize=256)
 def _weyl_terms(gate: Gate, dims: tuple[int, ...]) -> tuple:
     """The gate's nonzero expansion G = sum c X^a Z^b over the acted
-    subsystems' shift/clock pairs, grouped by the last subsystem's
-    exponents: ``((a, b), ((prefix, c), ...)), ...``, where a prefix lists
-    the other subsystems' nonzero exponents as ``(position, a, b)``.
-
-    Per subsystem, G[k + a, k] = sum_b c_ab omega^(b k), so shifting each
-    row index by a and taking the FFT over k, divided by dim, gives c_ab.
-    """
+    subsystems' shift/clock pairs: ``((exponents, c), ...)``, where the
+    exponents list the nonzero pairs as ``(position, a, b)``."""
     m = len(dims)
-    tensor = gate.matrix(dims).reshape(dims * 2)
-    grid = np.indices(dims * 2)
-    rows = tuple((grid[i] + grid[m + i]) % d for i, d in enumerate(dims))
-    shifted = tensor[rows + tuple(grid[m:])]
-    coeffs = np.fft.fftn(shifted, axes=range(m, 2 * m), norm="forward")
-    groups: dict[tuple[int, int], list] = {}
-    for idx in zip(*np.nonzero(coeffs)):
-        exps = [(int(idx[i]), int(idx[m + i])) for i in range(m)]
-        prefix = tuple((i, a, b) for i, (a, b) in enumerate(exps[:-1]) if a or b)
-        groups.setdefault(exps[-1], []).append((prefix, complex(coeffs[idx])))
-    return tuple((last, tuple(terms)) for last, terms in groups.items())
+    terms = Operator.from_matrix(SpaceLayout(tuple(enumerate(dims))), gate.matrix(dims))
+    return tuple(
+        (tuple((i, a, b) for i, (a, b) in enumerate(zip(row[:m], row[m:])) if a or b), c)
+        for row, c in zip(terms.exponents.tolist(), terms.coefficients.tolist())
+    )
 
 
-_IDENTITY = (((0, 0), (((), 1),)),)  # the expansion of I: the one term 1 * I
+_IDENTITY = (((), 1),)  # the expansion of I: the one term 1 * I
 
 
 def functional_form(
@@ -103,9 +95,7 @@ def functional_form(
     current ones.  Fed time-0 descriptors this reproduces the embedded
     gate matrix (the defining equation); fed time-t descriptors it is
     U(t)^dag G U(t), the conjugating unitary of the step-evolution law,
-    because conjugation preserves sums and products.  Horner-style over
-    the last acted subsystem: each of its monomials multiplies the sum of
-    the terms that share it.
+    because conjugation preserves sums and products.
     """
     args = [descriptors[sid] for sid in app.subsystems]
     times = {d.time for d in args}
@@ -120,26 +110,14 @@ def functional_form(
         if (i, a, b) not in monomials:
             x, z = args[i].components
             monomials[i, a, b] = compose(
-                x.matpow(a) if a > 1 else x if a else None,
-                z.matpow(b) if b > 1 else z if b else None,
+                x.matpow(a) if a else None, z.matpow(b) if b else None
             )
         return monomials[i, a, b]
 
-    def scaled(op: Operator | None, c: complex) -> Operator:
-        return (Operator.identity(layout) if op is None else op) * c
-
-    def prefix_product(prefix: tuple) -> Operator | None:
-        return functools.reduce(compose, (monomial(*e) for e in prefix), None)
-
     total = None
-    for last, terms in _weyl_terms(app.gate, dims):
-        mono = monomial(len(args) - 1, *last)
-        if len(terms) == 1:  # scale the monomial; c * I @ it would be a product
-            ((prefix, c),) = terms
-            part = scaled(compose(prefix_product(prefix), mono), c)
-        else:
-            inner = [scaled(prefix_product(prefix), c) for prefix, c in terms]
-            part = compose(sum(inner[1:], inner[0]), mono)
+    for exps, c in _weyl_terms(app.gate, dims):
+        mono = functools.reduce(compose, (monomial(*e) for e in exps), None)
+        part = (Operator.identity(layout) if mono is None else mono) * c
         total = part if total is None else total + part
     return total
 
@@ -205,14 +183,14 @@ class NetworkEvolution:
         return self.descriptors[sid]
 
 
-def cumulative_unitary(network: Network, t: int | None = None) -> Operator:
-    """Product of embedded gate matrices of the first ``t`` slices,
+def cumulative_unitary(network: Network, t: int | None = None) -> np.ndarray:
+    """Dense product of embedded gate matrices of the first ``t`` slices,
     latest on the left."""
     if t is None:
         t = network.n_steps
     if not 0 <= t <= network.n_steps:
         raise EngineError(f"time {t} outside network range 0..{network.n_steps}")
-    u = Operator.identity(network.layout)
+    u = np.eye(network.layout.total_dim, dtype=complex)
     for app in network.gates:
         if app.time >= t:
             break
@@ -222,15 +200,17 @@ def cumulative_unitary(network: Network, t: int | None = None) -> Operator:
 
 def cumulative_evolve(network: Network, t: int | None = None) -> dict[str, Descriptor]:
     """Descriptors at time t by direct conjugation with the cumulative
-    unitary; the reference engine that cross-checks the step law."""
+    unitary; the reference engine that cross-checks the step law.  It
+    conjugates dense matrices and decomposes the results into terms."""
     if t is None:
         t = network.n_steps
-    u = cumulative_unitary(network, t)
-    u_dag = u.H
-    out = {}
-    for sid, desc in initial_descriptors(network.layout).items():
-        comps = tuple(u_dag @ c @ u for c in desc.components)
-        out[sid] = Descriptor(sid, t, comps)
+    layout, u = network.layout, cumulative_unitary(network, t)
+    u_dag, out = u.conj().T, {}
+    for i, (sid, dim) in enumerate(layout.subsystems):
+        # g on subsystem i times u: g acts on that digit of u's row index
+        rows = u.reshape(prod(layout.dims[:i]), dim, -1)
+        comps = (np.einsum("ij,ajk->aik", g, rows).reshape(u.shape) for g in qudit_shift_clock(dim))
+        out[sid] = Descriptor(sid, t, tuple(Operator.from_matrix(layout, u_dag @ c) for c in comps))
     return out
 
 
@@ -242,7 +222,7 @@ def is_sharp(o: Operator) -> tuple[bool, float | None]:
     mean = o.expectation()
     if abs(mean.imag) > DEFAULT_TOLERANCE:
         raise AlgebraError(f"hermitian expectation has imaginary part {mean.imag}")
-    second = complex(o.matrix[0, :] @ o.matrix[:, 0])
+    second = (o @ o).expectation()
     sharp = abs(second - mean**2) < DEFAULT_TOLERANCE
     return (True, float(mean.real)) if sharp else (False, None)
 
@@ -277,15 +257,14 @@ def algebra_residual(descriptors: Mapping[str, Descriptor]) -> float:
     worst = 0.0
     for desc in descs:
         d = desc.layout.dim_of(desc.subsystem)
-        x, z = (c.matrix for c in desc.components)
-        eye = np.eye(desc.layout.total_dim)
+        x, z = desc.components
+        eye = Operator.identity(desc.layout)
         for c in (x, z):
-            worst = max(worst, frobenius(c.conj().T @ c - eye))
-            worst = max(worst, frobenius(np.linalg.matrix_power(c, d) - eye))
+            worst = max(worst, (c.H @ c).distance(eye), c.matpow(d).distance(eye))
         omega = qudit_shift_clock(d)[1][1, 1]  # the clock's second entry
-        worst = max(worst, frobenius(z @ x - omega * x @ z))
-    comps = [(desc.subsystem, c.matrix) for desc in descs for c in desc.components]
+        worst = max(worst, (z @ x).distance(omega * (x @ z)))
+    comps = [(desc.subsystem, c) for desc in descs for c in desc.components]
     for (s1, c1), (s2, c2) in itertools.combinations(comps, 2):
         if s1 != s2:
-            worst = max(worst, frobenius(c1 @ c2 - c2 @ c1))
+            worst = max(worst, (c1 @ c2).distance(c2 @ c1))
     return worst

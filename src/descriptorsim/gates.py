@@ -16,10 +16,8 @@ import numpy as np
 from .operators import (
     DEFAULT_TOLERANCE,
     HADAMARD,
-    Operator,
     SpaceLayout,
     embed_matrix,
-    frobenius,
     qudit_shift_clock,
 )
 
@@ -129,7 +127,7 @@ class CustomGate:
         u = np.array(self.unitary, dtype=complex)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise NetworkError(f"custom gate matrix must be square, got {u.shape}")
-        if frobenius(u.conj().T @ u - np.eye(u.shape[0])) > DEFAULT_TOLERANCE:
+        if np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) > DEFAULT_TOLERANCE:
             raise NetworkError(f"custom gate {self.name!r} is not unitary")
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
@@ -193,20 +191,19 @@ class Network:
             raise NetworkError("gate times must be non-decreasing")
         if times and sorted(set(times)) != list(range(max(times) + 1)):
             raise NetworkError(f"gate times {sorted(set(times))} leave gaps")
-        for app in self.gates:
+        # times are sorted, so one pass sees each slice's gates together
+        acted: set[str] = set()
+        for prev, app in zip((None,) + self.gates, self.gates):
             dims = tuple(self.layout.dim_of(sid) for sid in app.subsystems)
             app.gate.matrix(dims)  # validates dims and unitarity
-        for t in set(times):
-            acted: set[str] = set()
-            for app in self.gates:
-                if app.time != t:
-                    continue
-                overlap = acted & set(app.subsystems)
-                if overlap:
-                    raise NetworkError(
-                        f"slice {t}: subsystems {sorted(overlap)} acted twice"
-                    )
-                acted |= set(app.subsystems)
+            if prev is None or prev.time != app.time:
+                acted = set()
+            overlap = acted & set(app.subsystems)
+            if overlap:
+                raise NetworkError(
+                    f"slice {app.time}: subsystems {sorted(overlap)} acted twice"
+                )
+            acted |= set(app.subsystems)
 
     @property
     def n_steps(self) -> int:
@@ -218,9 +215,8 @@ class Network:
             out[app.time].append(app)
         return out
 
-    def embedded(self, app: GateApplication) -> Operator:
-        """The gate's matrix tensored into the full space."""
+    def embedded(self, app: GateApplication) -> np.ndarray:
+        """The gate's dense matrix tensored into the full space, for the
+        state-vector oracle and the reference engine."""
         dims = tuple(self.layout.dim_of(sid) for sid in app.subsystems)
-        return Operator(
-            self.layout, embed_matrix(app.gate.matrix(dims), app.subsystems, self.layout)
-        )
+        return embed_matrix(app.gate.matrix(dims), app.subsystems, self.layout)

@@ -1,9 +1,12 @@
-"""Dense complex operator algebra over composite Hilbert spaces.
+"""Complex operator algebra over composite Hilbert spaces, in Weyl terms.
 
-Operators are stored as dense matrices in the full tensor-product space,
-ordered by subsystem declaration order.  Expectation values are taken
-against the fixed reference vector |0...0>, which never evolves; all
-dynamics act on operators.
+An operator is a short sum of monomials c X^a Z^b, the tensor product
+(in subsystem declaration order) of each subsystem's shift^a_i clock^b_i.
+Each monomial is a phased permutation, so products, adjoints, norms and
+expectations are sums over terms; dense N x N matrices appear only at the
+edges: the reference engine, the state-vector oracle and the tests.
+Expectation values are taken against the fixed reference vector |0...0>,
+which never evolves; all dynamics act on operators.
 """
 
 from __future__ import annotations
@@ -11,14 +14,19 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from math import prod
+from math import lcm, prod
+from typing import NamedTuple
 
 import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
-# the largest dense initial descriptors a layout may need; chain(2, 2), the
-# largest Bell network the tests and demos run, needs 0.28 GiB
+# the largest dense initial descriptors a layout may need (chain(2, 2) needs
+# 0.28 GiB); it guards the dense oracle and reference engine, and keeps N^2
+# below 2^63 for the int64 keys of Weyl terms
 DESCRIPTOR_BUDGET_BYTES = 2**30
+# a merged term with |c| <= PRUNE * max |c| is roundoff and is dropped;
+# without this the residue of cancelled terms fills every operator in
+PRUNE = 1e-14
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -34,15 +42,10 @@ class AlgebraError(ValueError):
     """An operator violates a required algebraic predicate."""
 
 
-def frobenius(matrix: np.ndarray) -> float:
-    """Frobenius norm, the metric for all matrix-equality checks."""
-    return float(np.linalg.norm(matrix))
-
-
 def check_descriptor_budget(dims: dict[int, int]) -> None:
-    """Refuse initial descriptors, two dense N x N complex components per
-    subsystem, over the budget.  ``dims`` counts the subsystems of each
-    dimension, so the check builds nothing of the layout's size."""
+    """Refuse dense initial descriptors (two N x N complex components per
+    subsystem, the size of the oracle's and reference's matrices) over the
+    budget.  ``dims`` counts each dimension's subsystems; nothing is built."""
     budget = f"over the {DESCRIPTOR_BUDGET_BYTES / 2**30:g} GiB budget"
     # from N = 2^600 on, the estimate is over 1e308 GiB; N is not built
     if sum(m * (d.bit_length() - 1) for d, m in dims.items()) < 600:
@@ -58,12 +61,22 @@ def check_descriptor_budget(dims: dict[int, int]) -> None:
     raise LayoutError(f"initial descriptors need over 1e+308 GiB, {budget}")
 
 
+class WeylConstants(NamedTuple):
+    """Per-layout constants of the term arithmetic, over the exponent
+    columns (a_1..a_m, b_1..b_m)."""
+
+    mods: np.ndarray  # each column's dimension
+    keys: np.ndarray  # mixed-radix weights: a row's int64 key is exps @ keys
+    weights: np.ndarray  # omega_i^k = table[weights_i * k mod len(table)]
+    table: np.ndarray  # the clock diagonal of dimension lcm(dims)
+
+
 @dataclass(frozen=True)
 class SpaceLayout:
     """Ordered list of (id, dim) subsystems spanning one composite space.
 
-    Tensor order equals declaration order.  The initial descriptors must
-    fit in ``DESCRIPTOR_BUDGET_BYTES``, checked before any is allocated.
+    Tensor order equals declaration order.  The dense initial descriptors
+    must fit in ``DESCRIPTOR_BUDGET_BYTES``, checked before any is built.
     """
 
     subsystems: tuple[tuple[str, int], ...]
@@ -85,13 +98,21 @@ class SpaceLayout:
     def ids(self) -> tuple[str, ...]:
         return tuple(sid for sid, _ in self.subsystems)
 
-    @property
+    @functools.cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(dim for _, dim in self.subsystems)
 
-    @property
+    @functools.cached_property
     def total_dim(self) -> int:
         return prod(self.dims)
+
+    @functools.cached_property
+    def weyl(self) -> WeylConstants:
+        mods = np.array(self.dims * 2, dtype=np.int64)
+        keys = np.cumprod(np.r_[1, mods[:0:-1]])[::-1].copy()
+        order = lcm(*self.dims)
+        weights = order // mods[: len(self.dims)]
+        return WeylConstants(mods, keys, weights, np.diag(qudit_shift_clock(order)[1]))
 
     def index_of(self, sid: str) -> int:
         for i, (name, _) in enumerate(self.subsystems):
@@ -105,37 +126,59 @@ class SpaceLayout:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """A dense complex operator on a layout's full space.
+    """sum_t coefficients[t] X^exponents[t, :m] Z^exponents[t, m:] on a
+    layout of m subsystems, with distinct exponent rows.
 
     Immutable; arithmetic returns new instances.  Equality is numeric,
     via :meth:`distance` / :meth:`isclose`, never ``==``.
     """
 
     layout: SpaceLayout
-    matrix: np.ndarray
+    exponents: np.ndarray  # (terms, 2m) int64
+    coefficients: np.ndarray  # (terms,) complex
 
     def __post_init__(self) -> None:
-        matrix = np.array(self.matrix, dtype=complex)
-        n = self.layout.total_dim
+        self.exponents.setflags(write=False)
+        self.coefficients.setflags(write=False)
+
+    @classmethod
+    def identity(cls, layout: SpaceLayout) -> "Operator":
+        return cls(layout, np.zeros((1, 2 * len(layout.dims)), np.int64), np.ones(1, complex))
+
+    @classmethod
+    def from_matrix(cls, layout: SpaceLayout, matrix: np.ndarray) -> "Operator":
+        """The Weyl terms of a dense matrix.  Per subsystem, M[k + a, k] =
+        sum_b c_ab omega^(b k), so shifting each row index by a and taking
+        the forward FFT over k gives c_ab."""
+        matrix = np.asarray(matrix, dtype=complex)
+        n = layout.total_dim
         if matrix.shape != (n, n):
             raise LayoutError(
                 f"operator shape {matrix.shape} does not match layout dim {n}"
             )
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+        dims, (digits, rows) = layout.dims, _row_shift(layout.dims)
+        coeffs = np.take_along_axis(matrix, rows, axis=0)
+        for i, d in enumerate(dims):  # the forward FFT over digit k_i, as a matrix
+            dft = np.fft.fft(np.eye(d), norm="forward")
+            shaped = coeffs.reshape(-1, d, prod(dims[i + 1:]))
+            coeffs = np.einsum("akb,kc->acb", shaped, dft).reshape(n, n)
+        a, b = np.nonzero(coeffs)
+        return _pruned(layout, np.concatenate((digits[:, a], digits[:, b])).T, coeffs[a, b])
 
-    @classmethod
-    def _wrap(cls, layout: SpaceLayout, matrix: np.ndarray) -> "Operator":
-        # adopt a freshly computed array without the defensive copy
-        op = object.__new__(cls)
-        matrix.setflags(write=False)
-        object.__setattr__(op, "layout", layout)
-        object.__setattr__(op, "matrix", matrix)
-        return op
-
-    @classmethod
-    def identity(cls, layout: SpaceLayout) -> "Operator":
-        return cls._wrap(layout, np.eye(layout.total_dim, dtype=complex))
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense N x N matrix, for the reference paths and the tests:
+        X^a Z^b sends |k> to omega^(b.k) |k + a>, so each term fills one
+        phased permutation."""
+        w, n, m = self.layout.weyl, self.layout.total_dim, len(self.layout.dims)
+        digits, shifted = _row_shift(self.layout.dims)
+        a, b = np.split(self.exponents, 2, axis=1)
+        rows = shifted[a @ w.keys[m:]]  # each term's row for every column k
+        phase = (b * w.weights) @ digits % len(w.table)
+        out = np.zeros((n, n), dtype=complex)
+        np.add.at(out, (rows, np.arange(n)), self.coefficients[:, None] * w.table[phase])
+        out.setflags(write=False)
+        return out
 
     def _same_layout(self, other: "Operator") -> None:
         if self.layout != other.layout:
@@ -143,57 +186,102 @@ class Operator:
 
     def __matmul__(self, other: "Operator") -> "Operator":
         self._same_layout(other)
-        return Operator._wrap(self.layout, self.matrix @ other.matrix)
+        return _product(self, other)
 
     def __add__(self, other: "Operator") -> "Operator":
         self._same_layout(other)
-        return Operator._wrap(self.layout, self.matrix + other.matrix)
+        return _merged(
+            self.layout,
+            np.concatenate((self.exponents, other.exponents)),
+            np.concatenate((self.coefficients, other.coefficients)),
+        )
 
     def __mul__(self, scalar: complex) -> "Operator":
-        return Operator._wrap(self.layout, self.matrix * complex(scalar))
+        return _pruned(self.layout, self.exponents, self.coefficients * complex(scalar))
 
     __rmul__ = __mul__
 
     @property
     def H(self) -> "Operator":
-        """Adjoint (conjugate transpose)."""
-        return Operator._wrap(self.layout, self.matrix.conj().T)
+        """Adjoint: (c X^a Z^b)^dag = conj(c) omega^(a.b) X^-a Z^-b."""
+        w, m = self.layout.weyl, len(self.layout.dims)
+        a, b = self.exponents[:, :m], self.exponents[:, m:]
+        phase = w.table[(a * b) @ w.weights % len(w.table)]
+        return Operator(self.layout, -self.exponents % w.mods, self.coefficients.conj() * phase)
 
     def matpow(self, k: int) -> "Operator":
-        return Operator._wrap(self.layout, np.linalg.matrix_power(self.matrix, k))
+        """self^k, k >= 0, by squaring; never multiplies by I."""
+        if k < 0:
+            raise ValueError(f"matpow needs k >= 0, got {k}")
+        if k < 2:
+            return self if k else Operator.identity(self.layout)
+        half = self.matpow(k // 2)
+        return compose(half @ half, self if k % 2 else None)
 
     def expectation(self) -> complex:
-        """<0...0| self |0...0>, the (0, 0) entry."""
-        return complex(self.matrix[0, 0])
+        """<0...0| self |0...0>: the terms with no shift."""
+        m = len(self.layout.dims)
+        return complex(self.coefficients[~self.exponents[:, :m].any(axis=1)].sum())
 
     def distance(self, other: "Operator") -> float:
-        self._same_layout(other)
-        return frobenius(self.matrix - other.matrix)
+        """Frobenius norm of the difference, sqrt(N sum |c|^2)."""
+        diff = self + other * -1
+        return float(np.sqrt(self.layout.total_dim) * np.linalg.norm(diff.coefficients))
 
     def isclose(self, other: "Operator", tol: float = DEFAULT_TOLERANCE) -> bool:
         return self.distance(other) < tol
 
     def is_hermitian(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        return frobenius(self.matrix - self.matrix.conj().T) < tol
+        return self.distance(self.H) < tol
 
     def is_unitary(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        n = self.layout.total_dim
-        return frobenius(self.matrix.conj().T @ self.matrix - np.eye(n)) < tol
+        return _product(self.H, self).distance(Operator.identity(self.layout)) < tol
 
     def is_involution(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        n = self.layout.total_dim
-        return frobenius(self.matrix @ self.matrix - np.eye(n)) < tol
+        return _product(self, self).distance(Operator.identity(self.layout)) < tol
 
     def is_projector(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        sq = self.matrix @ self.matrix
-        return (
-            frobenius(sq - self.matrix) < tol
-            and frobenius(self.matrix - self.matrix.conj().T) < tol
-        )
+        return _product(self, self).distance(self) < tol and self.is_hermitian(tol)
 
     def commutes_with(self, other: "Operator", tol: float = DEFAULT_TOLERANCE) -> bool:
         self._same_layout(other)
-        return frobenius(self.matrix @ other.matrix - other.matrix @ self.matrix) < tol
+        return _product(self, other).distance(_product(other, self)) < tol
+
+
+@functools.lru_cache(maxsize=4)
+def _row_shift(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Every index's digits, and at [a, k] the index of k + a, digit by
+    digit: the index tables of the dense edges, kept per dims."""
+    digits = np.indices(dims).reshape(len(dims), -1)
+    strides = np.cumprod((1,) + dims[:0:-1])[::-1]
+    return digits, sum((k[:, None] + k) % d * s for k, d, s in zip(digits, dims, strides))
+
+
+def _merged(layout: SpaceLayout, exps: np.ndarray, coeffs: np.ndarray) -> Operator:
+    """Sum the terms that share an exponent row, keyed by its int64 key,
+    then prune."""
+    keys = exps @ layout.weyl.keys
+    order = np.argsort(keys, kind="stable")
+    first = np.flatnonzero(np.diff(keys[order], prepend=-1))  # keys are >= 0
+    return _pruned(layout, exps[order[first]], np.add.reduceat(coeffs[order], first))
+
+
+def _pruned(layout: SpaceLayout, exps: np.ndarray, coeffs: np.ndarray) -> Operator:
+    """Drop the roundoff terms, |c| <= PRUNE * max |c|."""
+    magnitude = np.abs(coeffs)
+    keep = magnitude > PRUNE * magnitude.max(initial=0.0)
+    return Operator(layout, exps[keep], coeffs[keep])
+
+
+def _product(a: Operator, b: Operator) -> Operator:
+    """(X^a Z^b)(X^c Z^d) = omega^(b.c) X^(a+c) Z^(b+d), term by term."""
+    w, m = a.layout.weyl, len(a.layout.dims)
+    exps = ((a.exponents[:, None] + b.exponents[None]) % w.mods).reshape(-1, 2 * m)
+    phase = w.table[(a.exponents[:, m:] * w.weights) @ b.exponents[:, :m].T % len(w.table)]
+    coeffs = (a.coefficients[:, None] * b.coefficients * phase).ravel()
+    if min(len(a.coefficients), len(b.coefficients)) == 1:
+        return Operator(a.layout, exps, coeffs)  # a monomial factor: rows stay distinct
+    return _merged(a.layout, exps, coeffs)
 
 
 def embed_matrix(
@@ -226,13 +314,11 @@ def embed_matrix(
 
 def embed_local(op: np.ndarray, target: str, layout: SpaceLayout) -> Operator:
     """Embed a single-subsystem operator into the full space."""
-    dim = layout.dim_of(target)
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (dim, dim):
-        raise LayoutError(
-            f"operator shape {op.shape} does not match subsystem {target!r} dim {dim}"
-        )
-    return Operator._wrap(layout, embed_matrix(op, (target,), layout))
+    i, m = layout.index_of(target), len(layout.dims)
+    local = Operator.from_matrix(SpaceLayout(((target, layout.dims[i]),)), op)
+    exps = np.zeros((len(local.coefficients), 2 * m), dtype=np.int64)
+    exps[:, [i, m + i]] = local.exponents
+    return Operator(layout, exps, local.coefficients)
 
 
 def compose(a: Operator | None, b: Operator | None) -> Operator | None:
@@ -242,8 +328,7 @@ def compose(a: Operator | None, b: Operator | None) -> Operator | None:
 
 def half_sum(q: Operator, sign: int) -> Operator:
     """(1 + sign*q)/2 without checks; callers guarantee q is an involution."""
-    n = q.layout.total_dim
-    return Operator._wrap(q.layout, (np.eye(n) + sign * q.matrix) / 2)
+    return (Operator.identity(q.layout) + q * sign) * 0.5
 
 
 @functools.lru_cache(maxsize=16)
@@ -252,9 +337,9 @@ def qudit_shift_clock(dim: int) -> tuple[np.ndarray, np.ndarray]:
     (|j> -> |j+1 mod d>) and clock (diag of omega^j, omega = exp(2 pi i/d)).
 
     Their monomials shift^a clock^b form an operator basis.  The clock is
-    the inverse FFT of the shift's first column, the convention the
-    engine's Weyl expansion inverts with the forward FFT, and is exact at
-    d = 2, (sigma_x, sigma_z), and d = 4, diag(1, i, -1, -i).
+    the inverse FFT of the shift's first column, the convention that
+    :meth:`Operator.from_matrix` inverts with the forward FFT, and is exact
+    at d = 2, (sigma_x, sigma_z), and d = 4, diag(1, i, -1, -i).
     """
     if dim < 2:
         raise ValueError(f"shift/clock need dim >= 2, got {dim}")

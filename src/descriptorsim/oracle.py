@@ -44,7 +44,7 @@ def simulate_statevector(network: Network, t: int | None = None) -> StateVector:
     for app in network.gates:
         if app.time >= t:
             break
-        amp = network.embedded(app).matrix @ amp
+        amp = network.embedded(app) @ amp
     return StateVector(network.layout, amp)
 
 

@@ -363,3 +363,21 @@ class TestNonIsomorphism:
         assert report.descriptors_differ
         assert report.descriptor_distance == pytest.approx(2 * math.sqrt(2), abs=1e-12)
         assert report.marginal_expectation_gap < 1e-12
+
+
+@pytest.mark.parametrize("angles", [(0.3, 0.9), (0.0, math.pi / 4), (-2.1, 1.3)])
+@pytest.mark.parametrize(
+    "variant, bound",
+    [(Plain(), 6), (Chained(2, 2), 6), (WignerUndo(), 6), (Decohered(3), 30)],
+    ids=repr,
+)
+def test_evolved_components_stay_short_weyl_sums(variant, bound, angles):
+    # the operators' pruning drops the roundoff residue of cancelled terms;
+    # kept, it fills the components in as the network runs
+    network = build_bell_network(BellConfig(*angles, variant))
+    evo = NetworkEvolution(network)
+    for t in range(network.n_steps + 1):
+        evo.run_to(t)
+        for desc in evo.descriptors.values():
+            for component in desc.components:
+                assert len(component.coefficients) <= bound, (t, desc.subsystem)

@@ -12,11 +12,10 @@ import pytest
 import descriptorsim
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
-# classicality.py evolves chain(2, 2) and takes about 15 s; it gets the
-# import check only
 QUICK_DEMOS = (
     "bell_branch_measures.py",
     "chsh_game.py",
+    "classicality.py",
     "descriptors_vs_wavefunction.py",
     "wigner_undo.py",
 )

@@ -11,21 +11,28 @@ scale on every such network.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descriptorsim import (
+    BellConfig,
+    Chained,
     Cnot,
     ControlledPlus,
     CustomGate,
+    Decohered,
     GateApplication,
     Hadamard,
     Network,
     NetworkEvolution,
+    Plain,
     Plus,
     RotationY,
     SpaceLayout,
+    WignerUndo,
     algebra_residual,
+    build_bell_network,
     cumulative_evolve,
     haar_random_unitary,
     initial_descriptors,
@@ -103,3 +110,16 @@ def test_step_law_matches_cumulative_conjugation_and_oracle(network):
 def test_residuals_stay_at_double_precision(network):
     assert locality_residual(network) < TOL
     assert algebra_residual(NetworkEvolution(network).run().descriptors) < TOL
+
+
+@pytest.mark.parametrize(
+    "variant", [Plain(), Decohered(3), Chained(2, 1), WignerUndo()], ids=repr
+)
+def test_bell_step_law_matches_cumulative_conjugation(variant):
+    network = build_bell_network(BellConfig(0.3, 0.9, variant))
+    evo = NetworkEvolution(network)
+    for t in range(network.n_steps + 1):
+        evo.run_to(t)
+        for sid, want in cumulative_evolve(network, t).items():
+            for got, ref in zip(evo.descriptor(sid).components, want.components):
+                assert got.distance(ref) < TOL

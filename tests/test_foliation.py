@@ -143,7 +143,7 @@ class TestFoliate:
         from descriptorsim import initial_descriptors
 
         descs = initial_descriptors(layout)
-        control = Operator(layout, np.diag([1, 2, 3, 4.0]))
+        control = Operator.from_matrix(layout, np.diag([1, 2, 3, 4.0]))
         with pytest.raises(FoliationError):
             foliate(descs["Q2"], control, descs["Q2"].components[0], "bad")
 
@@ -194,7 +194,7 @@ class TestBranchMeasure:
         # a refinement checks its control as the first split does
         network, evo = bell_evolution(0.7, 0.1)
         fol = record_split(evo, ALICE_SPLIT)
-        control = Operator(network.layout, 2 * np.eye(network.layout.total_dim))
+        control = 2 * Operator.identity(network.layout)
         with pytest.raises(FoliationError):
             fol.refine(control, fol.base.components[0], "bad")
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -88,7 +90,7 @@ def test_network_gate_dims_checked():
 def test_embedded_respects_target_order():
     # Cnot with control Q2, target Q1: embedding must permute correctly
     net = Network(LAYOUT, (GateApplication(Cnot(), ("Q2", "Q1"), 0),))
-    m = net.embedded(net.gates[0]).matrix
+    m = net.embedded(net.gates[0])
     for q1 in range(2):
         for q2 in range(2):
             for sc in range(4):
@@ -101,7 +103,7 @@ def test_embedded_respects_target_order():
 def test_embedded_nonadjacent_targets():
     layout = SpaceLayout((("a", 2), ("b", 2), ("c", 2)))
     net = Network(layout, (GateApplication(Cnot(), ("a", "c"), 0),))
-    m = net.embedded(net.gates[0]).matrix
+    m = net.embedded(net.gates[0])
     for a in range(2):
         for b in range(2):
             for c in range(2):
@@ -114,3 +116,18 @@ def test_empty_network():
     net = Network(LAYOUT, ())
     assert net.n_steps == 0
     assert net.slices() == []
+
+
+def test_long_network_builds_in_linear_time():
+    # the slice-overlap check is one pass over the time-sorted gates, so
+    # 20 000 one-gate slices build in well under 2 s
+    layout = SpaceLayout((("Q1", 2), ("Q2", 2)))
+    apps = tuple(
+        GateApplication(Hadamard(), (("Q1", "Q2")[t % 2],), t) for t in range(20_000)
+    )
+    start = time.perf_counter()
+    network = Network(layout, apps)
+    assert time.perf_counter() - start < 2.0
+    assert network.n_steps == 20_000
+    with pytest.raises(NetworkError, match=r"slice 19999: subsystems \['Q2'\] acted twice"):
+        Network(layout, apps + (GateApplication(Hadamard(), ("Q2",), 19_999),))

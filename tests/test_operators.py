@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from descriptorsim import (
     LayoutError,
@@ -91,8 +95,8 @@ class TestReferenceExpectation:
         assert Operator.identity(TWO_QUBITS).expectation() == 1
 
     def test_linearity(self, rng):
-        a = Operator(TWO_QUBITS, rng.standard_normal((4, 4)))
-        b = Operator(TWO_QUBITS, rng.standard_normal((4, 4)))
+        a = Operator.from_matrix(TWO_QUBITS, rng.standard_normal((4, 4)))
+        b = Operator.from_matrix(TWO_QUBITS, rng.standard_normal((4, 4)))
         lhs = (2.5 * a + b).expectation()
         rhs = 2.5 * a.expectation() + b.expectation()
         assert abs(lhs - rhs) < 1e-14
@@ -133,7 +137,7 @@ class TestProjectorPm:
     def test_random_involutions_give_hermitian_idempotents(self, rng):
         for _ in range(5):
             u = haar_random_unitary(4, rng)
-            q = Operator(TWO_QUBITS, u @ np.diag([1, 1, -1, -1]) @ u.conj().T)
+            q = Operator.from_matrix(TWO_QUBITS, u @ np.diag([1, 1, -1, -1]) @ u.conj().T)
             for sign in (+1, -1):
                 p = half_sum(q, sign)
                 assert p.is_projector(1e-12)
@@ -141,7 +145,7 @@ class TestProjectorPm:
     def test_non_involution_rejected(self):
         # a split checks its control before half_sum builds the projectors
         target = initial_descriptors(TWO_QUBITS)["Q2"]
-        control = Operator(TWO_QUBITS, np.diag([1, 2, 3, 4.0]))
+        control = Operator.from_matrix(TWO_QUBITS, np.diag([1, 2, 3, 4.0]))
         with pytest.raises(FoliationError):
             foliate(target, control, target.components[0])
 
@@ -197,7 +201,7 @@ class TestOperator:
 
     def test_shape_validated(self):
         with pytest.raises(LayoutError):
-            Operator(TWO_QUBITS, np.eye(3))
+            Operator.from_matrix(TWO_QUBITS, np.eye(3))
 
     def test_adjoint_and_predicates(self):
         y = embed_local(PAULI_Y, "Q1", TWO_QUBITS)
@@ -215,3 +219,44 @@ class TestOperator:
         other = SpaceLayout((("A", 4),))
         with pytest.raises(LayoutError):
             embed_local(PAULI_X, "Q1", TWO_QUBITS) @ Operator.identity(other)
+
+
+@st.composite
+def dense_operators(draw):
+    """A layout of one to three subsystems of dims 2, 3 or 4 with N <= 16
+    (a dense operator has up to N^2 terms, a product of two up to N^4),
+    two random dense operators of Frobenius norm at most 1 with a drawn
+    share of zeroed entries, and a complex scalar."""
+    dims = draw(
+        st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=3)
+        .filter(lambda dims: math.prod(dims) <= 16)
+    )
+    layout = SpaceLayout(tuple((f"S{i}", d) for i, d in enumerate(dims)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    n = layout.total_dim
+    mats = []
+    for _ in range(2):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m *= rng.random((n, n)) < density
+        mats.append(m / max(np.linalg.norm(m), 1.0))
+    scalar = complex(*draw(st.tuples(st.floats(-2, 2), st.floats(-2, 2))))
+    return layout, mats[0], mats[1], scalar
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(dense_operators())
+def test_weyl_term_algebra_matches_dense(case):
+    layout, a, b, scalar = case
+    op_a, op_b = (Operator.from_matrix(layout, m) for m in (a, b))
+
+    def dense_gap(op, want):
+        return np.abs(op.matrix - want).max()
+
+    assert dense_gap(op_a, a) < 1e-12 and dense_gap(op_b, b) < 1e-12
+    assert dense_gap(op_a @ op_b, a @ b) < 1e-12
+    assert dense_gap(op_a + op_b, a + b) < 1e-12
+    assert dense_gap(scalar * op_a, scalar * a) < 1e-12
+    assert dense_gap(op_a.H, a.conj().T) < 1e-12
+    assert abs(op_a.expectation() - a[0, 0]) < 1e-12
+    assert abs(op_a.distance(op_b) - np.linalg.norm(a - b)) < 1e-12

@@ -1,4 +1,4 @@
-"""Production code never calls the reference engine.
+"""Production code never calls the reference engine, nor densifies.
 
 ``engine.cumulative_unitary`` and ``engine.cumulative_evolve`` are the
 independent reference path for cross-checks.  With every binding of them
@@ -6,9 +6,15 @@ made to raise, each Bell variant, the non-isomorphism witness and every
 CLI experiment must still run: their results come from the step law alone.
 So must a network with a custom gate after time 0, whose functional form
 is its expansion on the current descriptors, not a cumulative frame.
+
+``Operator.matrix`` builds the dense N x N matrix for the reference paths
+and the tests.  No production module reads it, and with it made to raise
+each Bell variant and every CLI experiment still run.
 """
 
+import ast
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +30,7 @@ from descriptorsim import (
     Hadamard,
     Network,
     NetworkEvolution,
+    Operator,
     Plain,
     SpaceLayout,
     WignerUndo,
@@ -51,12 +58,20 @@ def no_reference(monkeypatch):
                     monkeypatch.setattr(module, attr, forbidden)
 
 
+@pytest.fixture
+def no_dense(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("production code built a dense operator matrix")
+
+    monkeypatch.setattr(Operator, "matrix", property(forbidden))
+
+
 @pytest.mark.parametrize(
     "variant",
     [Plain(), Decohered(3), Decohered(None), Chained(1, 1), WignerUndo()],
     ids=repr,
 )
-def test_run_bell_never_calls_the_reference(no_reference, variant):
+def test_run_bell_never_calls_the_reference(no_reference, no_dense, variant):
     out = run_bell(BellConfig(0.3, 0.9, variant))
     assert sum(out.branch_measures.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -88,8 +103,22 @@ def test_late_custom_gate_never_calls_the_reference(no_reference):
 
 # "all" runs the same six sections
 @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "all"])
-def test_cli_experiment_never_calls_the_reference(no_reference, experiment):
+def test_cli_experiment_never_calls_the_reference(no_reference, no_dense, experiment):
     code, _ = execute_and_report(
         RunConfig(experiment, seed=3, chain_alice=1, chain_bob=1)
     )
     assert code == 0
+
+
+def test_no_production_module_reads_the_dense_matrix():
+    # ``gate.matrix(dims)`` is a call; ``op.matrix`` is a read of the property
+    package = Path(sys.modules["descriptorsim"].__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        reads = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "matrix"
+            and id(node) not in called
+        ]
+        assert reads == [], f"{path.name} reads .matrix at lines {reads}"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from math import prod
 from typing import Mapping
@@ -29,7 +30,6 @@ from .operators import (
     LayoutError,
     Operator,
     SpaceLayout,
-    compose,
     qudit_shift_clock,
 )
 
@@ -73,17 +73,16 @@ def initial_descriptors(layout: SpaceLayout) -> dict[str, Descriptor]:
 @functools.lru_cache(maxsize=256)
 def _weyl_terms(gate: Gate, dims: tuple[int, ...]) -> tuple:
     """The gate's nonzero expansion G = sum c X^a Z^b over the acted
-    subsystems' shift/clock pairs: ``((exponents, c), ...)``, where the
-    exponents list the nonzero pairs as ``(position, a, b)``."""
+    subsystems' shift/clock pairs: ``((factors, c), ...)``, where each
+    monomial's factors list ``(position, component)`` in product order,
+    component 0 (the shift) a times, then component 1 (the clock) b times,
+    position by position; no factors is the identity."""
     m = len(dims)
     terms = Operator.from_matrix(SpaceLayout(tuple(enumerate(dims))), gate.matrix(dims))
     return tuple(
-        (tuple((i, a, b) for i, (a, b) in enumerate(zip(row[:m], row[m:])) if a or b), c)
+        (tuple((i, j) for i in range(m) for j in (0, 1) for _ in range(row[i + j * m])), c)
         for row, c in zip(terms.exponents.tolist(), terms.coefficients.tolist())
     )
-
-
-_IDENTITY = (((), 1),)  # the expansion of I: the one term 1 * I
 
 
 def functional_form(
@@ -103,23 +102,14 @@ def functional_form(
         raise EngineError(f"descriptor times differ: {sorted(times)}")
     layout = args[0].layout
     dims = tuple(layout.dim_of(sid) for sid in app.subsystems)
-    # x^a z^b of each acted descriptor, built once per call; None is 1
-    monomials: dict[tuple[int, int, int], Operator | None] = {}
 
-    def monomial(i: int, a: int, b: int) -> Operator | None:
-        if (i, a, b) not in monomials:
-            x, z = args[i].components
-            monomials[i, a, b] = compose(
-                x.matpow(a) if a else None, z.matpow(b) if b else None
-            )
-        return monomials[i, a, b]
+    def monomial(factors: tuple[tuple[int, int], ...]) -> Operator:
+        ops = [args[i].components[j] for i, j in factors]
+        return functools.reduce(operator.matmul, ops) if ops else Operator.identity(layout)
 
-    total = None
-    for exps, c in _weyl_terms(app.gate, dims):
-        mono = functools.reduce(compose, (monomial(*e) for e in exps), None)
-        part = (Operator.identity(layout) if mono is None else mono) * c
-        total = part if total is None else total + part
-    return total
+    return functools.reduce(
+        operator.add, (monomial(f) * c for f, c in _weyl_terms(app.gate, dims))
+    )
 
 
 class NetworkEvolution:
@@ -130,13 +120,7 @@ class NetworkEvolution:
     """
 
     def __init__(self, network: Network):
-        # a gate that is exactly 1 * I is left out: conjugating by it copies
-        dims = network.layout.dim_of
-        self._slices = [
-            [a for a in sl
-             if _weyl_terms(a.gate, tuple(map(dims, a.subsystems))) != _IDENTITY]
-            for sl in network.slices()
-        ]
+        self._slices = network.slices()
         self.descriptors = initial_descriptors(network.layout)
         self.time = 0
 
@@ -201,7 +185,7 @@ def cumulative_unitary(network: Network, t: int | None = None) -> np.ndarray:
 def cumulative_evolve(network: Network, t: int | None = None) -> dict[str, Descriptor]:
     """Descriptors at time t by direct conjugation with the cumulative
     unitary; the reference engine that cross-checks the step law.  It
-    conjugates dense matrices and decomposes the results into terms."""
+    conjugates dense matrices and expands the results into terms."""
     if t is None:
         t = network.n_steps
     layout, u = network.layout, cumulative_unitary(network, t)

@@ -10,10 +10,10 @@ branch's relative descriptor is projector * W^dag(base components)W and
 the branch measure is the reference expectation of the projector.
 
 :func:`foliate` is the first split, a :meth:`Foliation.refine` of a root
-foliation whose one unlabelled branch has measure 1 and no projector and
-no conditional: ``None`` stands for the identity, so no split multiplies
-by it.  Each split checks its control once, then builds its two
-projectors unchecked.
+foliation whose one unlabelled branch has measure 1 and the identity as
+both projector and conditional: the unit of the descriptor algebra.
+Each split checks its control once, then builds its two projectors
+unchecked.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .operators import (
     DEFAULT_TOLERANCE,
     AlgebraError,
     Operator,
-    compose,
     half_sum,
 )
 
@@ -37,8 +36,8 @@ class FoliationError(AlgebraError):
 @dataclass(frozen=True)
 class Branch:
     labels: tuple[tuple[str, int], ...]
-    projector: Operator | None  # None: the identity, before any split
-    conditional: Operator | None  # None: the identity, never conditioned
+    projector: Operator  # the product of the split projectors; I at the root
+    conditional: Operator  # the conditioned gates, latest on the left; I if none
     measure: float
 
     @property
@@ -53,10 +52,8 @@ class Foliation:
     branches: tuple[Branch, ...]
 
     def relative_components(self, branch: Branch) -> tuple[Operator, ...]:
-        w = branch.conditional
-        w_dag = None if w is None else w.H
-        conjugated = (compose(compose(w_dag, c), w) for c in self.base.components)
-        return tuple(compose(branch.projector, c) for c in conjugated)
+        p, w = branch.projector, branch.conditional
+        return tuple(p @ (w.H @ c @ w) for c in self.base.components)
 
     def branch_sum(self) -> tuple[Operator, ...]:
         """Componentwise sum of all relative descriptors; reconstructs the
@@ -77,18 +74,18 @@ class Foliation:
         """Split every branch again by a further conditioned interaction.
 
         ``gate_poly`` is the conditioned unitary expressed in the base
-        components; within a branch it composes on the left of the
-        accumulated conditional.
+        components; within a branch it multiplies the accumulated
+        conditional from the left.
         """
         _check_interaction(control, gate_poly, self.base)
         proj = {s: half_sum(control, s) for s in (+1, -1)}
         new_branches = []
         for branch in self.branches:
             for sign in (+1, -1):
-                projector = compose(branch.projector, proj[sign])
+                projector = branch.projector @ proj[sign]
                 conditional = branch.conditional
                 if sign == -1:
-                    conditional = compose(gate_poly, conditional)
+                    conditional = gate_poly @ conditional
                 new_branches.append(
                     Branch(
                         branch.labels + ((control_id, sign),),
@@ -106,9 +103,7 @@ class Foliation:
         return Foliation(
             self.base,
             tuple(
-                Branch(
-                    b.labels, b.projector, compose(gate_poly, b.conditional), b.measure
-                )
+                Branch(b.labels, b.projector, gate_poly @ b.conditional, b.measure)
                 for b in self.branches
             ),
         )
@@ -128,7 +123,8 @@ def foliate(
     target's current time).  A sharp control is permitted and yields a
     measure-0 branch.
     """
-    root = Foliation(target, (Branch((), None, None, 1.0),))
+    identity = Operator.identity(target.layout)
+    root = Foliation(target, (Branch((), identity, identity, 1.0),))
     return root.refine(control, gate_poly, control_id)
 
 

@@ -9,7 +9,7 @@ only; the engine derives their functional (operator-valued) forms from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
 
@@ -49,6 +49,10 @@ class RotationY:
 
     theta: float
     n_subsystems = 1
+
+    def __post_init__(self) -> None:
+        if not isfinite(self.theta):
+            raise NetworkError(f"Ry angle {self.theta} is not finite")
 
     def matrix(self, dims: tuple[int, ...]) -> np.ndarray:
         _require_dims("Ry", dims, (2,))
@@ -127,7 +131,8 @@ class CustomGate:
         u = np.array(self.unitary, dtype=complex)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise NetworkError(f"custom gate matrix must be square, got {u.shape}")
-        if np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) > DEFAULT_TOLERANCE:
+        # written so that a NaN entry fails it
+        if not np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) <= DEFAULT_TOLERANCE:
             raise NetworkError(f"custom gate {self.name!r} is not unitary")
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
@@ -161,6 +166,8 @@ class GateApplication:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "subsystems", tuple(self.subsystems))
+        if not self.subsystems:
+            raise NetworkError(f"{self.gate.label()} acts on no subsystems")
         expected = self.gate.n_subsystems
         if expected is not None and len(self.subsystems) != expected:
             raise NetworkError(

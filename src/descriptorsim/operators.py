@@ -156,6 +156,8 @@ class Operator:
             raise LayoutError(
                 f"operator shape {matrix.shape} does not match layout dim {n}"
             )
+        if not np.isfinite(matrix).all():
+            raise ValueError("operator matrix has non-finite entries")
         dims, (digits, rows) = layout.dims, _row_shift(layout.dims)
         coeffs = np.take_along_axis(matrix, rows, axis=0)
         for i, d in enumerate(dims):  # the forward FFT over digit k_i, as a matrix
@@ -210,13 +212,13 @@ class Operator:
         return Operator(self.layout, -self.exponents % w.mods, self.coefficients.conj() * phase)
 
     def matpow(self, k: int) -> "Operator":
-        """self^k, k >= 0, by squaring; never multiplies by I."""
+        """self^k, k >= 0, by squaring."""
         if k < 0:
             raise ValueError(f"matpow needs k >= 0, got {k}")
         if k < 2:
             return self if k else Operator.identity(self.layout)
         half = self.matpow(k // 2)
-        return compose(half @ half, self if k % 2 else None)
+        return half @ half @ self if k % 2 else half @ half
 
     def expectation(self) -> complex:
         """<0...0| self |0...0>: the terms with no shift."""
@@ -319,11 +321,6 @@ def embed_local(op: np.ndarray, target: str, layout: SpaceLayout) -> Operator:
     exps = np.zeros((len(local.coefficients), 2 * m), dtype=np.int64)
     exps[:, [i, m + i]] = local.exponents
     return Operator(layout, exps, local.coefficients)
-
-
-def compose(a: Operator | None, b: Operator | None) -> Operator | None:
-    """a @ b, where None stands for the identity and costs no product."""
-    return b if a is None else a if b is None else a @ b
 
 
 def half_sum(q: Operator, sign: int) -> Operator:

@@ -64,10 +64,10 @@ def networks(draw):
         elif kind == "Cnot":
             gate, sids = Cnot(), tuple(draw(st.permutations(qubits))[:2])
         elif kind == "Plus":
-            gate, sids = Plus(draw(st.integers(1, 3))), (qudits[0],)
+            gate, sids = Plus(draw(st.integers(0, 4))), (qudits[0],)
         elif kind == "CPlus":
             control = draw(st.sampled_from(qubits))
-            gate, sids = ControlledPlus(draw(st.integers(1, 3))), (control, qudits[0])
+            gate, sids = ControlledPlus(draw(st.integers(0, 4))), (control, qudits[0])
         else:
             sids = tuple(
                 draw(st.lists(st.sampled_from(layout.ids), min_size=1, max_size=2, unique=True))

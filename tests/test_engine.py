@@ -194,7 +194,9 @@ class TestFunctionalForm:
             (RotationY(0.0), ("Q1",), 1),
             (Cnot(), ("Q1", "Q2"), 4),
             (Plus(3), ("SC",), 1),
+            (Plus(4), ("SC",), 1),
             (ControlledPlus(2), ("Q1", "SC"), 4),
+            (ControlledPlus(0), ("Q1", "SC"), 1),
         ],
         ids=repr,
     )
@@ -251,6 +253,28 @@ class TestStepEvolve:
         c, s = math.cos(theta), math.sin(theta)
         assert out["Q1"].components[0].isclose(c * qx + s * qz, 1e-12)
         assert out["Q1"].components[1].isclose(-s * qx + c * qz, 1e-12)
+
+    def test_identity_slice_leaves_descriptors_exactly(self):
+        # Ry(0), Plus(0) and ControlledPlus(4) on a 4-level record expand to
+        # the one term 1 * I; conjugating by it copies every term exactly
+        layout = SpaceLayout((("Q1", 2), ("Q2", 2), ("SC", 4), ("SD", 4)))
+        scramble = CustomGate(haar_random_unitary(8, np.random.default_rng(5)))
+        net = Network(layout, (
+            GateApplication(Hadamard(), ("Q1",), 0),
+            GateApplication(scramble, ("Q1", "SC"), 1),
+            GateApplication(Cnot(), ("Q1", "Q2"), 2),
+            GateApplication(ControlledPlus(1), ("Q2", "SD"), 3),
+            GateApplication(RotationY(0.0), ("Q1",), 4),
+            GateApplication(ControlledPlus(4), ("Q2", "SC"), 4),
+            GateApplication(Plus(0), ("SD",), 4),
+        ))
+        evo = NetworkEvolution(net).run_to(4)
+        before = evo.descriptors
+        after = evo.run().descriptors
+        for sid, desc in before.items():
+            for b, a in zip(desc.components, after[sid].components, strict=True):
+                assert np.array_equal(a.exponents, b.exponents)
+                assert np.array_equal(a.coefficients, b.coefficients)
 
     def test_non_acted_descriptor_passed_through_unchanged(self):
         descs = initial_descriptors(TWO_QUBITS)

@@ -186,9 +186,11 @@ class TestBranchMeasure:
         # before any split: one unlabelled branch of measure 1, with the
         # identity as projector and conditional, so it is the base itself
         base = initial_descriptors(SpaceLayout((("Q1", 2),)))["Q1"]
-        root = Foliation(base, (Branch((), None, None, 1.0),))
+        identity = Operator.identity(base.layout)
+        root = Foliation(base, (Branch((), identity, identity, 1.0),))
         assert root.measures() == {"": 1.0}
-        assert root.branch_sum() == base.components
+        for got, want in zip(root.branch_sum(), base.components, strict=True):
+            assert got.distance(want) == 0.0
 
     def test_non_idempotent_rejected(self):
         # a refinement checks its control as the first split does

@@ -51,6 +51,12 @@ def test_controlled_plus_blocks():
 def test_custom_gate_must_be_unitary():
     with pytest.raises(NetworkError):
         CustomGate(np.diag([1.0, 2.0]))
+    with pytest.raises(NetworkError):
+        CustomGate(np.diag([1.0, np.nan]))
+    with pytest.raises(NetworkError):
+        RotationY(np.nan)
+    with pytest.raises(NetworkError):
+        RotationY(np.inf)
     CustomGate(np.diag([1.0, -1.0]))  # fine
 
 
@@ -61,6 +67,8 @@ def test_application_arity_checked():
         GateApplication(Cnot(), ("Q1", "Q1"), 0)
     with pytest.raises(NetworkError):
         GateApplication(Hadamard(), ("Q1",), -1)
+    with pytest.raises(NetworkError):
+        GateApplication(CustomGate([[1j]]), (), 0)
 
 
 def test_network_time_validation():

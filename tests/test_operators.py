@@ -202,6 +202,8 @@ class TestOperator:
     def test_shape_validated(self):
         with pytest.raises(LayoutError):
             Operator.from_matrix(TWO_QUBITS, np.eye(3))
+        with pytest.raises(ValueError):  # NaN terms would be pruned to 0
+            Operator.from_matrix(TWO_QUBITS, np.diag([1.0, np.nan, 1.0, 1.0]))
 
     def test_adjoint_and_predicates(self):
         y = embed_local(PAULI_Y, "Q1", TWO_QUBITS)

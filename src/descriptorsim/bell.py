@@ -3,9 +3,10 @@
 The plain network entangles two particles, rotates them by the two input
 angles, copies each particle's z observable onto an observer qubit, and
 records both outcomes on a 4-level register via controlled +2/+1 shifts
-(Alice's side strictly first).  Variants insert a decoherent environment
-interaction, replace the direct record interactions with copy chains, or
-undo and redo Bob's measurement after an extra rotation.
+(Alice's side strictly first).  Each variant edits that network: an
+environment copies Particle 1 before the measurements, copy chains carry
+the outcomes to the record, or Bob's measurement is undone and redone
+after an extra rotation.
 
 All branch measures come from foliating the record's descriptor; the
 state-vector oracle is used only for decoherence diagnostics, never for
@@ -44,7 +45,8 @@ BRANCH_KEYS = ("00", "01", "10", "11")
 
 @dataclass(frozen=True)
 class Plain:
-    pass
+    def edit(self, cfg: BellConfig, qubits: list[str], stages: dict) -> None:
+        """Leave the plain network as it is."""
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,14 @@ class Decohered:
 
     seed: int | None = 0
 
+    def edit(self, cfg: BellConfig, qubits: list[str], stages: dict) -> None:
+        """Add QE, QF (scrambled first if seeded); QE copies Q1 after the rotations."""
+        qubits[2:2] = ["QE", "QF"]
+        if self.seed is not None:
+            u = haar_random_unitary(4, np.random.default_rng(self.seed))
+            stages["prepare"][0].insert(0, (CustomGate(u, "env-scramble"), ("QE", "QF")))
+        stages["rotate"].append([(Cnot(), ("Q1", "QE"))])
+
 
 @dataclass(frozen=True)
 class Chained:
@@ -69,6 +79,22 @@ class Chained:
     def __post_init__(self) -> None:
         if self.alice < 0 or self.bob < 0:
             raise ValueError("chain lengths must be >= 0")
+
+    def edit(self, cfg: BellConfig, qubits: list[str], stages: dict) -> None:
+        """Copy QA and QB along their chains; the record reads each chain's end."""
+        # the one unbounded variant: its layout is counted before any link exists
+        check_descriptor_budget({2: len(qubits) + self.alice + self.bob, 4: 1})
+        chains = [
+            [head] + [f"{head}{i}" for i in range(1, n + 1)]
+            for head, n in (("QA", self.alice), ("QB", self.bob))
+        ]
+        qubits[2:] = chains[0] + chains[1]
+        for i in range(max(self.alice, self.bob)):
+            stages["measure"].append([
+                (Cnot(), (ids[i], ids[i + 1])) for ids in chains if i + 1 < len(ids)
+            ])
+        for sl, ids in zip(stages["record"], chains):
+            sl[:] = [(gate, (ids[-1], record)) for gate, (_, record) in sl]
 
 
 @dataclass(frozen=True)
@@ -84,6 +110,12 @@ class WignerUndo:
     def angle(self, phi: float) -> float:
         """The re-rotation applied to Bob's particle after rotation ``phi``."""
         return math.pi - phi if self.rerotation is None else self.rerotation
+
+    def edit(self, cfg: BellConfig, qubits: list[str], stages: dict) -> None:
+        """Undo Bob's measurement, re-rotate Q2 and measure it again."""
+        undo = (Cnot(), ("Q2", "QB"))  # Cnot is self-inverse
+        rerotate = (RotationY(self.angle(cfg.phi)), ("Q2",))
+        stages["measure"] += [[undo], [rerotate], [undo]]
 
 
 Variant = Plain | Decohered | Chained | WignerUndo
@@ -139,58 +171,25 @@ def closed_form_measures(theta: float, phi: float) -> dict[str, float]:
 
 
 def build_bell_network(cfg: BellConfig) -> Network:
-    """Assemble the timed gate list of the requested variant: the plain
-    network's slices plus the variant's insertions (extra subsystems, a
-    time-0 scramble, an environment slice, chain links, undo slices).  A
-    gate's time is the position of its slice."""
-    v = cfg.variant
-    if not isinstance(v, Variant):
-        raise TypeError(f"unknown variant {type(v).__name__}")
-    decohered = isinstance(v, Decohered)
-    links = (v.alice, v.bob) if isinstance(v, Chained) else (0, 0)
-    # the qubits Q1, Q2, QA, QB, the environment's QE, QF and the links, and
-    # the 4-level record: checked before anything per link is built
-    check_descriptor_budget({2: 4 + 2 * decohered + sum(links), 4: 1})
-    alice_ids = ["QA"] + [f"QA{i}" for i in range(1, links[0] + 1)]
-    bob_ids = ["QB"] + [f"QB{i}" for i in range(1, links[1] + 1)]
-    extra = ["QE", "QF"] if decohered else []
-
-    first = [(Hadamard(), ("Q1",))]
-    if decohered and v.seed is not None:
-        scramble = haar_random_unitary(4, np.random.default_rng(v.seed))
-        first.insert(0, (CustomGate(scramble, "env-scramble"), ("QE", "QF")))
-    slices = [
-        first,
-        [(Cnot(), ("Q1", "Q2"))],
-        [(RotationY(cfg.theta), ("Q1",)), (RotationY(cfg.phi), ("Q2",))],
-    ]
-    if decohered:
-        slices.append([(Cnot(), ("Q1", "QE"))])
-    slices.append([(Cnot(), ("Q1", "QA")), (Cnot(), ("Q2", "QB"))])
-    for i in range(max(links)):
-        slices.append([
-            (Cnot(), (ids[i], ids[i + 1]))
-            for ids in (alice_ids, bob_ids)
-            if i + 1 < len(ids)
-        ])
-    if isinstance(v, WignerUndo):
-        slices += [
-            [(Cnot(), ("Q2", "QB"))],  # Cnot is self-inverse
-            [(RotationY(v.angle(cfg.phi)), ("Q2",))],
-            [(Cnot(), ("Q2", "QB"))],
-        ]
-    slices += [
-        [(ControlledPlus(2), (alice_ids[-1], RECORD))],
-        [(ControlledPlus(1), (bob_ids[-1], RECORD))],
-    ]
-
-    qubits = ["Q1", "Q2"] + extra + alice_ids + bob_ids
+    """Assemble the timed gate list: the plain network's qubits and its
+    named stages (each a list of slices of (gate, subsystems), in time
+    order), as the variant's ``edit`` changes them.  A gate's time is the
+    position of its slice."""
+    if not isinstance(cfg.variant, Variant):
+        raise TypeError(f"unknown variant {type(cfg.variant).__name__}")
+    qubits = ["Q1", "Q2", "QA", "QB"]
+    stages = {
+        "prepare": [[(Hadamard(), ("Q1",))]],
+        "entangle": [[(Cnot(), ("Q1", "Q2"))]],
+        "rotate": [[(RotationY(cfg.theta), ("Q1",)), (RotationY(cfg.phi), ("Q2",))]],
+        "measure": [[(Cnot(), ("Q1", "QA")), (Cnot(), ("Q2", "QB"))]],
+        "record": [[(ControlledPlus(2), ("QA", RECORD))],
+                   [(ControlledPlus(1), ("QB", RECORD))]],
+    }
+    cfg.variant.edit(cfg, qubits, stages)
     layout = SpaceLayout(tuple((sid, 2) for sid in qubits) + ((RECORD, 4),))
-    gates = tuple(
-        GateApplication(gate, sids, t)
-        for t, sl in enumerate(slices)
-        for gate, sids in sl
-    )
+    slices = enumerate(sl for stage in stages.values() for sl in stage)
+    gates = tuple(GateApplication(g, sids, t) for t, sl in slices for g, sids in sl)
     return Network(layout, gates)
 
 

@@ -106,6 +106,8 @@ def chsh_win_rate(
 def referee_demo(seed: int, rounds: int = 1000) -> float:
     """Monte-Carlo referee sampling inputs and outcomes; demonstration
     only, the analytic rate is :func:`chsh_win_rate`."""
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
     rng = np.random.default_rng(seed)
     rows = {(x, y): quantum_distribution(x, y).branch_measures for x, y in INPUT_PAIRS}
     wins = 0

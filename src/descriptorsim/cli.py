@@ -170,10 +170,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads "-1e-3" as a flag (only -1 and -.5 pass as numbers), so a
+# number that follows a numeric flag is attached to it, as in "--phi=-1e-3"
+_NUMERIC_FLAGS = ("--theta", "--phi", "--tolerance", "--seed", "--chain-alice", "--chain-bob")
+
+
+def _takes_number(flag: str, token: str) -> bool:
+    """Whether ``token`` is a number after a numeric flag, whole or abbreviated."""
+    # "-" and "--" abbreviate no flag
+    if len(flag) < 3 or not any(f.startswith(flag) for f in _NUMERIC_FLAGS):
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def parse_config(argv: list[str]) -> RunConfig:
     """Resolve CLI flags, config file, environment, and defaults, in that
     precedence order; deterministic for identical inputs."""
-    ns = _build_parser().parse_args(argv)
+    args: list[str] = []
+    for token in argv:
+        if args and _takes_number(args[-1], token):
+            args[-1] += "=" + token
+        else:
+            args.append(token)
+    ns = _build_parser().parse_args(args)
     file_vals = _load_config_file(ns.config) if ns.config else {}
 
     def pick(key):

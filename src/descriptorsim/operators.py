@@ -12,6 +12,7 @@ which never evolves; all dynamics act on operators.
 from __future__ import annotations
 
 import functools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from math import lcm, prod
@@ -82,7 +83,10 @@ class SpaceLayout:
     subsystems: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        subsystems = tuple((str(sid), int(dim)) for sid, dim in self.subsystems)
+        try:  # a dimension is an integer: 2.5 is not truncated, "3" not parsed
+            subsystems = tuple((str(sid), operator.index(d)) for sid, d in self.subsystems)
+        except TypeError as exc:
+            raise LayoutError(f"subsystem dimension is not an integer: {exc}") from exc
         object.__setattr__(self, "subsystems", subsystems)
         if not subsystems:
             raise LayoutError("layout needs at least one subsystem")

@@ -332,6 +332,63 @@ def test_run_bell_never_multiplies_by_the_identity(variant, angles):
     assert out.reconstruction_residual < 1e-12
 
 
+H, CX, RY, CP, CU = "Hadamard", "Cnot", "RotationY", "ControlledPlus", "CustomGate"
+# every variant's slices 1 and 2: Cnot(Q1, Q2), then both rotations
+HEAD = [(1, CX, ("Q1", "Q2")), (2, RY, ("Q1",)), (2, RY, ("Q2",))]
+
+
+# each variant's layout ids and (time, gate kind, subsystems) list
+NETWORKS = {
+    Plain(): ("Q1 Q2 QA QB SC", [
+        (0, H, ("Q1",)), *HEAD,
+        (3, CX, ("Q1", "QA")), (3, CX, ("Q2", "QB")),
+        (4, CP, ("QA", "SC")), (5, CP, ("QB", "SC")),
+    ]),
+    Decohered(3): ("Q1 Q2 QE QF QA QB SC", [
+        (0, CU, ("QE", "QF")), (0, H, ("Q1",)), *HEAD,
+        (3, CX, ("Q1", "QE")),
+        (4, CX, ("Q1", "QA")), (4, CX, ("Q2", "QB")),
+        (5, CP, ("QA", "SC")), (6, CP, ("QB", "SC")),
+    ]),
+    Decohered(None): ("Q1 Q2 QE QF QA QB SC", [
+        (0, H, ("Q1",)), *HEAD,
+        (3, CX, ("Q1", "QE")),
+        (4, CX, ("Q1", "QA")), (4, CX, ("Q2", "QB")),
+        (5, CP, ("QA", "SC")), (6, CP, ("QB", "SC")),
+    ]),
+    Chained(2, 1): ("Q1 Q2 QA QA1 QA2 QB QB1 SC", [
+        (0, H, ("Q1",)), *HEAD,
+        (3, CX, ("Q1", "QA")), (3, CX, ("Q2", "QB")),
+        (4, CX, ("QA", "QA1")), (4, CX, ("QB", "QB1")),
+        (5, CX, ("QA1", "QA2")),
+        (6, CP, ("QA2", "SC")), (7, CP, ("QB1", "SC")),
+    ]),
+    Chained(0, 2): ("Q1 Q2 QA QB QB1 QB2 SC", [
+        (0, H, ("Q1",)), *HEAD,
+        (3, CX, ("Q1", "QA")), (3, CX, ("Q2", "QB")),
+        (4, CX, ("QB", "QB1")),
+        (5, CX, ("QB1", "QB2")),
+        (6, CP, ("QA", "SC")), (7, CP, ("QB2", "SC")),
+    ]),
+    WignerUndo(0.4): ("Q1 Q2 QA QB SC", [
+        (0, H, ("Q1",)), *HEAD,
+        (3, CX, ("Q1", "QA")), (3, CX, ("Q2", "QB")),
+        (4, CX, ("Q2", "QB")), (5, RY, ("Q2",)), (6, CX, ("Q2", "QB")),
+        (7, CP, ("QA", "SC")), (8, CP, ("QB", "SC")),
+    ]),
+}
+
+
+@pytest.mark.parametrize("variant", NETWORKS, ids=repr)
+def test_every_variant_builds_its_whole_network(variant):
+    ids, gates = NETWORKS[variant]
+    network = build_bell_network(BellConfig(0.3, 0.9, variant))
+    assert network.layout.ids == tuple(ids.split())
+    assert [
+        (app.time, type(app.gate).__name__, app.subsystems) for app in network.gates
+    ] == gates
+
+
 class TestLocalityWitness:
     def test_bob_side_gates_leave_alice_unchanged(self):
         # between Alice's measurement and her record interaction, three

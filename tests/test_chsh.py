@@ -116,3 +116,9 @@ class TestWinRate:
         b = referee_demo(11, rounds=800)
         assert a == b
         assert 0.78 < a < 0.92
+
+    @pytest.mark.parametrize("rounds", [0, -5])
+    def test_referee_demo_needs_a_round(self, rounds):
+        # a rate needs a round: 0 would divide by zero, -5 would read -0.0
+        with pytest.raises(ValueError, match="rounds"):
+            referee_demo(11, rounds=rounds)

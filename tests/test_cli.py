@@ -144,6 +144,19 @@ class TestExitCodes:
         code, _, _ = run_main(capsys, "run", "bell", "--theta", "abc")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, expected",
+        [
+            ("--phi", "-1e-3", 0), ("--theta", "-2E-1", 0), ("--ph", "-1e-3", 0),
+            ("--phi", "-inf", 2),
+        ],
+    )
+    def test_negative_number_after_a_space_is_a_value(self, capsys, flag, value, expected):
+        # argparse alone reads "-1e-3" as a flag and leaves "--phi" without a value
+        spaced = run_main(capsys, "run", "bell", flag, value)
+        assert spaced == run_main(capsys, "run", "bell", f"{flag}={value}")
+        assert spaced[0] == expected
+
     def test_conflicting_flags_exit_two(self, capsys):
         code, _, err = run_main(capsys, "run", "bell", "--preset", "chsh-00", "--phi", "1")
         assert code == 2

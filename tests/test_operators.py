@@ -49,6 +49,15 @@ class TestSpaceLayout:
         with pytest.raises(LayoutError):
             SpaceLayout((("a", 1),))
 
+    @pytest.mark.parametrize("dim", [2.5, "3", 3.0])
+    def test_non_integer_dims_rejected(self, dim):
+        # a dimension is never truncated (2.5 -> 2) or parsed ("3" -> 3)
+        with pytest.raises(LayoutError):
+            SpaceLayout((("a", dim),))
+
+    def test_numpy_integer_dims_accepted(self):
+        assert SpaceLayout((("a", np.int64(3)),)).dims == (3,)
+
     def test_unknown_id(self):
         with pytest.raises(LayoutError):
             TWO_QUBITS.index_of("nope")

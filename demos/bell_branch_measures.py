@@ -23,10 +23,11 @@ from descriptorsim import (
 theta, phi = 0.0, math.pi / 4
 
 network = build_bell_network(BellConfig(theta, phi))
-print(f"network: {network.n_steps} time steps over "
+print(f"network: {len(network.slices)} time steps over "
       f"{[sid for sid, _ in network.layout.subsystems]}")
-for app in network.gates:
-    print(f"  t={app.time}: {app.gate.label():<8} on {', '.join(app.subsystems)}")
+for t, sl in enumerate(network.slices):
+    for app in sl:
+        print(f"  t={t}: {app.gate.label():<8} on {', '.join(app.subsystems)}")
 
 # Before measuring, each particle's z observable has lost any definite value.
 evo = NetworkEvolution(network).run_to(3)

@@ -20,7 +20,7 @@ from descriptorsim import (
 
 layout = SpaceLayout((("Q1", 2), ("Q2", 2)))
 empty = Network(layout, ())
-cnot = Network(layout, (GateApplication(Cnot(), ("Q1", "Q2"), 0),))
+cnot = Network(layout, [[GateApplication(Cnot(), ("Q1", "Q2"))]])
 
 print("final state vectors:")
 for name, net in (("empty", empty), ("cnot ", cnot)):

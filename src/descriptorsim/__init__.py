@@ -14,7 +14,6 @@ from .operators import (
     Operator,
     SpaceLayout,
     embed_local,
-    embed_matrix,
     haar_random_unitary,
     qudit_shift_clock,
 )
@@ -43,7 +42,6 @@ from .engine import (
 )
 from .foliation import Branch, Foliation, FoliationError, foliate
 from .oracle import (
-    StateVector,
     joint_outcome_distribution,
     reduced_density_matrix,
     simulate_statevector,

@@ -165,16 +165,15 @@ RECORD = "SC"
 
 def closed_form_measures(theta: float, phi: float) -> dict[str, float]:
     """The four record measures as closed trigonometric forms of theta - phi."""
-    half = (theta - phi) / 2
+    half = theta / 2 - phi / 2  # theta - phi overflows for angles near 1e308
     c, s = math.cos(half) ** 2 / 2, math.sin(half) ** 2 / 2
     return {"00": c, "01": s, "10": s, "11": c}
 
 
 def build_bell_network(cfg: BellConfig) -> Network:
-    """Assemble the timed gate list: the plain network's qubits and its
+    """Assemble the network's slices: the plain network's qubits and its
     named stages (each a list of slices of (gate, subsystems), in time
-    order), as the variant's ``edit`` changes them.  A gate's time is the
-    position of its slice."""
+    order), as the variant's ``edit`` changes them."""
     if not isinstance(cfg.variant, Variant):
         raise TypeError(f"unknown variant {type(cfg.variant).__name__}")
     qubits = ["Q1", "Q2", "QA", "QB"]
@@ -188,9 +187,8 @@ def build_bell_network(cfg: BellConfig) -> Network:
     }
     cfg.variant.edit(cfg, qubits, stages)
     layout = SpaceLayout(tuple((sid, 2) for sid in qubits) + ((RECORD, 4),))
-    slices = enumerate(sl for stage in stages.values() for sl in stage)
-    gates = tuple(GateApplication(g, sids, t) for t, sl in slices for g, sids in sl)
-    return Network(layout, gates)
+    slices = (sl for stage in stages.values() for sl in stage)
+    return Network(layout, [[GateApplication(g, sids) for g, sids in sl] for sl in slices])
 
 
 def _marginal(control: Operator) -> tuple[float, float]:
@@ -209,27 +207,27 @@ def run_bell(cfg: BellConfig) -> BellOutcome:
     """
     network = build_bell_network(cfg)
     evo = NetworkEvolution(network)
+    timed = [(t, app) for t, sl in enumerate(network.slices) for app in sl]
     env_diagnostics: dict[str, float] = {}
-    for app in network.gates:
+    for t, app in timed:
         if app.subsystems == ("Q1", "QE"):
-            t_after = app.time + 1
-            q1x_after = evo.run_to(t_after).descriptor("Q1").components[0]
+            q1x_after = evo.run_to(t + 1).descriptor("Q1").components[0]
             env_diagnostics["q1_x_expectation"] = abs(q1x_after.expectation())
-            rho = reduced_density_matrix(simulate_statevector(network, t_after), "Q1")
+            rho = reduced_density_matrix(simulate_statevector(network.upto(t + 1)), "Q1")
             env_diagnostics["q1_offdiagonal"] = float(abs(rho[0, 1]))
 
-    alice, bob = (
-        app for app in network.gates
+    (t_alice, alice), (t_bob, bob) = (
+        (t, app) for t, app in timed
         if isinstance(app.gate, ControlledPlus) and app.subsystems[1] == RECORD
     )
-    evo.run_to(alice.time)
+    evo.run_to(t_alice)
     record = evo.descriptor(RECORD)
     shift = record.components[0]
     control_a = evo.descriptor(alice.subsystems[0]).components[1]
     fol = foliate(
         record, control_a, shift.matpow(alice.gate.k), f"{alice.subsystems[0]}.z"
     )
-    evo.run_to(bob.time)
+    evo.run_to(t_bob)
     control_b = evo.descriptor(bob.subsystems[0]).components[1]
     fol = fol.refine(control_b, shift.matpow(bob.gate.k), f"{bob.subsystems[0]}.z")
 
@@ -284,7 +282,7 @@ def nonisomorphism_witness() -> NonIsomorphismReport:
     """
     layout = SpaceLayout((("Q1", 2), ("Q2", 2)))
     empty = Network(layout, ())
-    cnot = Network(layout, (GateApplication(Cnot(), ("Q1", "Q2"), 0),))
+    cnot = Network(layout, [[GateApplication(Cnot(), ("Q1", "Q2"))]])
 
     state_empty = simulate_statevector(empty)
     state_cnot = simulate_statevector(cnot)

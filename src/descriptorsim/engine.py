@@ -78,7 +78,8 @@ def _weyl_terms(gate: Gate, dims: tuple[int, ...]) -> tuple:
     component 0 (the shift) a times, then component 1 (the clock) b times,
     position by position; no factors is the identity."""
     m = len(dims)
-    terms = Operator.from_matrix(SpaceLayout(tuple(enumerate(dims))), gate.matrix(dims))
+    layout = SpaceLayout(tuple((str(i), d) for i, d in enumerate(dims)))
+    terms = Operator.from_matrix(layout, gate.matrix(dims))
     return tuple(
         (tuple((i, j) for i in range(m) for j in (0, 1) for _ in range(row[i + j * m])), c)
         for row, c in zip(terms.exponents.tolist(), terms.coefficients.tolist())
@@ -120,7 +121,7 @@ class NetworkEvolution:
     """
 
     def __init__(self, network: Network):
-        self._slices = network.slices()
+        self._slices = network.slices
         self.descriptors = initial_descriptors(network.layout)
         self.time = 0
 
@@ -167,28 +168,21 @@ class NetworkEvolution:
         return self.descriptors[sid]
 
 
-def cumulative_unitary(network: Network, t: int | None = None) -> np.ndarray:
-    """Dense product of embedded gate matrices of the first ``t`` slices,
-    latest on the left."""
-    if t is None:
-        t = network.n_steps
-    if not 0 <= t <= network.n_steps:
-        raise EngineError(f"time {t} outside network range 0..{network.n_steps}")
+def cumulative_unitary(network: Network) -> np.ndarray:
+    """Dense product of the network's embedded gate matrices, latest on
+    the left; ``network.upto(t)`` gives the unitary of the first t slices."""
     u = np.eye(network.layout.total_dim, dtype=complex)
-    for app in network.gates:
-        if app.time >= t:
-            break
-        u = network.embedded(app) @ u
+    for sl in network.slices:
+        for app in sl:
+            u = network.embedded(app) @ u
     return u
 
 
-def cumulative_evolve(network: Network, t: int | None = None) -> dict[str, Descriptor]:
-    """Descriptors at time t by direct conjugation with the cumulative
-    unitary; the reference engine that cross-checks the step law.  It
-    conjugates dense matrices and expands the results into terms."""
-    if t is None:
-        t = network.n_steps
-    layout, u = network.layout, cumulative_unitary(network, t)
+def cumulative_evolve(network: Network) -> dict[str, Descriptor]:
+    """Descriptors at the network's end by direct conjugation with the
+    cumulative unitary; the reference engine that cross-checks the step
+    law.  It conjugates dense matrices and expands the results into terms."""
+    layout, u, t = network.layout, cumulative_unitary(network), len(network.slices)
     u_dag, out = u.conj().T, {}
     for i, (sid, dim) in enumerate(layout.subsystems):
         # g on subsystem i times u: g acts on that digit of u's row index
@@ -220,7 +214,7 @@ def locality_residual(network: Network) -> float:
     """
     evo = NetworkEvolution(network)
     worst = 0.0
-    for _ in range(network.n_steps):
+    for _ in network.slices:
         before = evo.descriptors
         for app, unitary in evo.advance():
             u_dag = unitary.H

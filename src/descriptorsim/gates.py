@@ -1,14 +1,14 @@
-"""Gate kinds, timed gate applications, and networks.
+"""Gate kinds, gate applications, and networks.
 
-A network is an ordered list of gate applications over a declared layout.
-Applications carry an integer time slice; several gates may share a slice
-when they act on disjoint subsystems.  Gate kinds know their matrix form
-only; the engine derives their functional (operator-valued) forms from it.
+A network is a sequence of time slices over a declared layout; each slice
+holds gate applications on disjoint subsystems, and a gate's time is the
+position of its slice.  Gate kinds know their matrix form only; the
+engine derives their functional (operator-valued) forms from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite, prod
 
 import numpy as np
@@ -23,7 +23,7 @@ from .operators import (
 
 
 class NetworkError(ValueError):
-    """Malformed network: bad times, overlapping slices, or gate/dim mismatch."""
+    """Malformed network: a bad slice, an out-of-range time, or a gate/dim mismatch."""
 
 
 def _require_dims(name: str, dims: tuple[int, ...], expected: tuple[int, ...]) -> None:
@@ -158,11 +158,10 @@ Gate = Hadamard | RotationY | Cnot | Plus | ControlledPlus | CustomGate
 
 @dataclass(frozen=True)
 class GateApplication:
-    """One gate applied to an ordered tuple of subsystem ids at a time slice."""
+    """One gate applied to an ordered tuple of subsystem ids."""
 
     gate: Gate
     subsystems: tuple[str, ...]
-    time: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "subsystems", tuple(self.subsystems))
@@ -176,51 +175,38 @@ class GateApplication:
             )
         if len(set(self.subsystems)) != len(self.subsystems):
             raise NetworkError(f"repeated subsystem in {self.subsystems}")
-        if self.time < 0:
-            raise NetworkError(f"negative gate time {self.time}")
 
 
 @dataclass(frozen=True)
 class Network:
-    """Timed gate applications over a layout.
+    """Time slices of gate applications over a layout.
 
-    Times must be non-decreasing and cover 0..n_steps-1 without gaps;
-    gates sharing a slice must act on disjoint subsystems.
+    A gate's time is the position of its slice; the gates of one slice
+    act on disjoint subsystems, and every slice holds at least one gate.
     """
 
     layout: SpaceLayout
-    gates: tuple[GateApplication, ...] = field(default_factory=tuple)
+    slices: tuple[tuple[GateApplication, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gates", tuple(self.gates))
-        times = [g.time for g in self.gates]
-        if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
-            raise NetworkError("gate times must be non-decreasing")
-        if times and sorted(set(times)) != list(range(max(times) + 1)):
-            raise NetworkError(f"gate times {sorted(set(times))} leave gaps")
-        # times are sorted, so one pass sees each slice's gates together
-        acted: set[str] = set()
-        for prev, app in zip((None,) + self.gates, self.gates):
-            dims = tuple(self.layout.dim_of(sid) for sid in app.subsystems)
-            app.gate.matrix(dims)  # validates dims and unitarity
-            if prev is None or prev.time != app.time:
-                acted = set()
-            overlap = acted & set(app.subsystems)
-            if overlap:
-                raise NetworkError(
-                    f"slice {app.time}: subsystems {sorted(overlap)} acted twice"
-                )
-            acted |= set(app.subsystems)
+        object.__setattr__(self, "slices", tuple(tuple(sl) for sl in self.slices))
+        for t, sl in enumerate(self.slices):
+            if not sl:
+                raise NetworkError(f"slice {t} holds no gates")
+            acted: set[str] = set()
+            for app in sl:
+                dims = tuple(self.layout.dim_of(sid) for sid in app.subsystems)
+                app.gate.matrix(dims)  # validates dims and unitarity
+                overlap = acted & set(app.subsystems)
+                if overlap:
+                    raise NetworkError(f"slice {t}: subsystems {sorted(overlap)} acted twice")
+                acted |= set(app.subsystems)
 
-    @property
-    def n_steps(self) -> int:
-        return self.gates[-1].time + 1 if self.gates else 0
-
-    def slices(self) -> list[list[GateApplication]]:
-        out: list[list[GateApplication]] = [[] for _ in range(self.n_steps)]
-        for app in self.gates:
-            out[app.time].append(app)
-        return out
+    def upto(self, t: int) -> Network:
+        """The prefix of the first ``t`` slices."""
+        if not 0 <= t <= len(self.slices):
+            raise NetworkError(f"time {t} outside network range 0..{len(self.slices)}")
+        return Network(self.layout, self.slices[:t])
 
     def embedded(self, app: GateApplication) -> np.ndarray:
         """The gate's dense matrix tensored into the full space, for the

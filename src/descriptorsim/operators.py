@@ -30,7 +30,6 @@ DESCRIPTOR_BUDGET_BYTES = 2**30
 PRUNE = 1e-14
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -84,18 +83,20 @@ class SpaceLayout:
 
     def __post_init__(self) -> None:
         try:  # a dimension is an integer: 2.5 is not truncated, "3" not parsed
-            subsystems = tuple((str(sid), operator.index(d)) for sid, d in self.subsystems)
+            subsystems = tuple((sid, operator.index(d)) for sid, d in self.subsystems)
         except TypeError as exc:
             raise LayoutError(f"subsystem dimension is not an integer: {exc}") from exc
         object.__setattr__(self, "subsystems", subsystems)
         if not subsystems:
             raise LayoutError("layout needs at least one subsystem")
+        for sid, dim in subsystems:
+            if not isinstance(sid, str):  # 3 is not renamed "3"
+                raise LayoutError(f"subsystem id {sid!r} is not a string")
+            if dim < 2:
+                raise LayoutError(f"subsystem {sid!r} has dim {dim} < 2")
         ids = [sid for sid, _ in subsystems]
         if len(set(ids)) != len(ids):
             raise LayoutError(f"duplicate subsystem ids in {ids}")
-        for sid, dim in subsystems:
-            if dim < 2:
-                raise LayoutError(f"subsystem {sid!r} has dim {dim} < 2")
         check_descriptor_budget(Counter(self.dims))
 
     @property

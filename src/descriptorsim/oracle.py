@@ -33,18 +33,14 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amp)
 
 
-def simulate_statevector(network: Network, t: int | None = None) -> StateVector:
-    """Apply the embedded gate matrices of the first ``t`` slices to |0...0>."""
-    if t is None:
-        t = network.n_steps
-    if not 0 <= t <= network.n_steps:
-        raise ValueError(f"time {t} outside network range 0..{network.n_steps}")
+def simulate_statevector(network: Network) -> StateVector:
+    """Apply the network's embedded gate matrices to |0...0>;
+    ``network.upto(t)`` gives the state after the first t slices."""
     amp = np.zeros(network.layout.total_dim, dtype=complex)
     amp[0] = 1.0
-    for app in network.gates:
-        if app.time >= t:
-            break
-        amp = network.embedded(app) @ amp
+    for sl in network.slices:
+        for app in sl:
+            amp = network.embedded(app) @ amp
     return StateVector(network.layout, amp)
 
 

@@ -20,7 +20,8 @@ def random_network(
     with_qudit: bool | None = None,
 ) -> Network:
     """A random well-formed network: qubits plus (optionally) one 4-level
-    system, one gate per time slice, gate kinds drawn uniformly."""
+    system, gate kinds drawn uniformly; a gate joins the open slice when
+    it is disjoint from it and a coin says so, else it opens a new one."""
     n_sub = int(rng.integers(2, max_subsystems + 1))
     if with_qudit is None:
         with_qudit = bool(rng.integers(2))
@@ -31,32 +32,35 @@ def random_network(
     qubits = [sid for sid, dim in layout.subsystems if dim == 2]
     qudits = [sid for sid, dim in layout.subsystems if dim == 4]
 
-    gates = []
+    slices, acted = [], set()
     n_gates = int(rng.integers(1, max_gates + 1))
-    t = 0
-    while t < n_gates:
+    placed = 0
+    while placed < n_gates:
         kind = rng.integers(5)
         if kind == 0:
-            app = GateApplication(Hadamard(), (rng.choice(qubits),), t)
+            app = GateApplication(Hadamard(), (rng.choice(qubits),))
         elif kind == 1:
             theta = float(rng.uniform(-np.pi, np.pi))
-            app = GateApplication(RotationY(theta), (rng.choice(qubits),), t)
+            app = GateApplication(RotationY(theta), (rng.choice(qubits),))
         elif kind == 2 and len(qubits) >= 2:
             c, tgt = rng.choice(qubits, size=2, replace=False)
-            app = GateApplication(Cnot(), (c, tgt), t)
+            app = GateApplication(Cnot(), (c, tgt))
         elif kind == 3 and qudits:
-            app = GateApplication(Plus(int(rng.integers(1, 4))), (rng.choice(qudits),), t)
+            app = GateApplication(Plus(int(rng.integers(1, 4))), (rng.choice(qudits),))
         elif kind == 4 and qudits:
             app = GateApplication(
                 ControlledPlus(int(rng.integers(1, 4))),
                 (rng.choice(qubits), rng.choice(qudits)),
-                t,
             )
         else:
             continue
-        gates.append(app)
-        t += 1
-    return Network(layout, tuple(gates))
+        if not slices or acted & set(app.subsystems) or rng.integers(2):
+            slices.append([])
+            acted = set()
+        slices[-1].append(app)
+        acted |= set(app.subsystems)
+        placed += 1
+    return Network(layout, slices)
 
 
 @pytest.fixture

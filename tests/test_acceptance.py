@@ -170,9 +170,9 @@ def test_criterion_08_reconstruction_and_autonomy():
     control = evo.descriptor("Q1").components[1]
     fol = foliate(alice, control, alice.components[0], "Q1.z")
     angle = float(np.random.default_rng(8).uniform(-math.pi, math.pi))
-    follow = GateApplication(RotationY(angle), ("QA",), 4)
+    follow = GateApplication(RotationY(angle), ("QA",))
     fol = fol.evolve_branches(functional_form(follow, {"QA": alice}))
-    extended = Network(network.layout, network.gates[:6] + (follow,))
+    extended = Network(network.layout, network.slices[:4] + ((follow,),))
     direct = NetworkEvolution(extended).run_to(5).descriptor("QA")
     autonomy = max(
         got.distance(want) for got, want in zip(fol.branch_sum(), direct.components)
@@ -249,10 +249,12 @@ def test_criterion_09b_decoherence_reduced_matrix(decohered_twenty):
     for seed, _, _ in decohered_twenty[:5]:
         cfg = BellConfig(0.0, math.pi / 4, Decohered(seed))
         network = build_bell_network(cfg)
-        (copy,) = [app for app in network.gates if app.subsystems == ("Q1", "QE")]
-        t_after = copy.time + 1
+        (t_copy,) = [
+            t for t, sl in enumerate(network.slices)
+            for app in sl if app.subsystems == ("Q1", "QE")
+        ]
         rho = reduced_density_matrix(
-            simulate_statevector(network, t_after), "Q1"
+            simulate_statevector(network.upto(t_copy + 1)), "Q1"
         )
         worst = max(worst, abs(rho[0, 1]))
     report(9, "oracle reduced matrix of Q1 is z-diagonal", worst < 1e-9,

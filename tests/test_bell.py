@@ -33,6 +33,11 @@ COS8 = math.cos(math.pi / 8) ** 2 / 2  # 0.4267766952966369
 SIN8 = math.sin(math.pi / 8) ** 2 / 2  # 0.0732233047033631
 
 
+def timed(network):
+    """Every gate application with its time, the position of its slice."""
+    return [(t, app) for t, sl in enumerate(network.slices) for app in sl]
+
+
 def assert_measures(outcome, expected, tol=1e-9):
     for key, want in expected.items():
         assert outcome.branch_measures[key] == pytest.approx(want, abs=tol), key
@@ -41,16 +46,16 @@ def assert_measures(outcome, expected, tol=1e-9):
 class TestPlainNetwork:
     def test_structure_and_timing(self):
         net = build_bell_network(BellConfig(0.1, 0.2))
-        assert net.n_steps == 6
-        kinds = [type(app.gate).__name__ for app in net.gates]
+        assert len(net.slices) == 6
+        kinds = [type(app.gate).__name__ for _, app in timed(net)]
         assert kinds == [
             "Hadamard", "Cnot", "RotationY", "RotationY",
             "Cnot", "Cnot", "ControlledPlus", "ControlledPlus",
         ]
         # Alice's record interaction strictly precedes Bob's
-        assert net.gates[-2].subsystems == ("QA", "SC")
-        assert net.gates[-1].subsystems == ("QB", "SC")
-        assert net.gates[-2].time < net.gates[-1].time
+        (alice,), (bob,) = net.slices[-2:]
+        assert alice.subsystems == ("QA", "SC")
+        assert bob.subsystems == ("QB", "SC")
 
     def test_table_row_zero_zero(self):
         out = run_bell(BellConfig(0.0, math.pi / 4))
@@ -164,12 +169,12 @@ class TestDecoherence:
         monkeypatch.setattr(NetworkEvolution, "advance", counting_advance)
         cfg = BellConfig(0.4, 1.0, Decohered(3))
         run_bell(cfg)
-        assert times == list(range(build_bell_network(cfg).n_steps))
+        assert times == list(range(len(build_bell_network(cfg).slices)))
 
     def test_scramble_is_seed_deterministic(self):
         a = build_bell_network(BellConfig(0.1, 0.2, Decohered(5)))
         b = build_bell_network(BellConfig(0.1, 0.2, Decohered(5)))
-        ga, gb = a.gates[0].gate, b.gates[0].gate
+        ga, gb = a.slices[0][0].gate, b.slices[0][0].gate
         assert isinstance(ga, CustomGate) and isinstance(gb, CustomGate)
         assert np.array_equal(ga.unitary, gb.unitary)
 
@@ -183,15 +188,15 @@ class TestChain:
     def test_network_retargets_record_gates(self):
         network = build_bell_network(BellConfig(0.0, 0.0, Chained(2, 2)))
         record_gates = [
-            app for app in network.gates
+            app for _, app in timed(network)
             if isinstance(app.gate, ControlledPlus)
         ]
         assert record_gates[0].subsystems == ("QA2", "SC")
         assert record_gates[1].subsystems == ("QB2", "SC")
         chain_hops = [
             app.subsystems
-            for app in network.gates
-            if isinstance(app.gate, Cnot) and app.time >= 4
+            for t, app in timed(network)
+            if isinstance(app.gate, Cnot) and t >= 4
         ]
         assert ("QA", "QA1") in chain_hops and ("QA1", "QA2") in chain_hops
 
@@ -202,8 +207,8 @@ class TestChain:
         evo = NetworkEvolution(network).run_to(3)
         q1z_3 = evo.descriptor("Q1").components[1]
         # Alice's record gate is controlled by the end of her chain
-        (record_gate,) = [app for app in network.gates if app.subsystems == ("QA1", "SC")]
-        evo.run_to(record_gate.time)
+        (t_record,) = [t for t, app in timed(network) if app.subsystems == ("QA1", "SC")]
+        evo.run_to(t_record)
         control = evo.descriptor("QA1").components[1]
         from descriptorsim.operators import PAULI_Z
 
@@ -282,13 +287,12 @@ class TestWignerUndo:
 
     def test_network_contains_undo_sequence(self):
         network = build_bell_network(BellConfig(0.0, 0.7, WignerUndo()))
-        kinds = [
-            (type(app.gate).__name__, app.subsystems) for app in network.gates
-        ]
+        apps = [app for _, app in timed(network)]
+        kinds = [(type(app.gate).__name__, app.subsystems) for app in apps]
         assert kinds[6] == ("Cnot", ("Q2", "QB"))  # undo
         assert kinds[7][0] == "RotationY"
         assert kinds[8] == ("Cnot", ("Q2", "QB"))  # re-measure
-        rerot = network.gates[7].gate
+        rerot = apps[7].gate
         assert isinstance(rerot, RotationY)
         assert rerot.theta == pytest.approx(math.pi - 0.7)
 
@@ -385,7 +389,7 @@ def test_every_variant_builds_its_whole_network(variant):
     network = build_bell_network(BellConfig(0.3, 0.9, variant))
     assert network.layout.ids == tuple(ids.split())
     assert [
-        (app.time, type(app.gate).__name__, app.subsystems) for app in network.gates
+        (t, type(app.gate).__name__, app.subsystems) for t, app in timed(network)
     ] == gates
 
 
@@ -423,7 +427,7 @@ def test_evolved_components_stay_short_weyl_sums(variant, bound, angles):
     # kept, it fills the components in as the network runs
     network = build_bell_network(BellConfig(*angles, variant))
     evo = NetworkEvolution(network)
-    for t in range(network.n_steps + 1):
+    for t in range(len(network.slices) + 1):
         evo.run_to(t)
         for desc in evo.descriptors.values():
             for component in desc.components:

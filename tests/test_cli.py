@@ -270,6 +270,9 @@ class TestShellLevel:
             (["run", "nonisomorphism", "--format", "csv"], 0),
             (["run", "bell", "--tolerance", "1e-20"], 1),
             (["run", "bell", "--theta", "abc"], 2),
+            # theta - phi overflows to inf; each angle is finite
+            (["run", "all", "--theta", "1e308", "--phi=-1e308",
+              "--chain-alice", "1", "--chain-bob", "1"], 0),
         ],
     )
     def test_exit_codes_from_a_real_process(self, args, expected):

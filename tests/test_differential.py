@@ -53,7 +53,7 @@ def networks(draw):
     qudits = [sid for sid, d in layout.subsystems if d == 4]
     kinds = ["H", "Ry", "Cnot", "Custom"] + (["Plus", "CPlus"] if qudits else [])
 
-    apps, acted, t = [], set(), 0
+    slices, acted = [], set()
     for _ in range(draw(st.integers(1, 8))):
         kind = draw(st.sampled_from(kinds))
         if kind == "H":
@@ -76,11 +76,12 @@ def networks(draw):
             seed = draw(st.integers(0, 2**32 - 1))
             gate = CustomGate(haar_random_unitary(dim, np.random.default_rng(seed)))
         # a gate opens a new slice when it overlaps the open one, or by draw
-        if apps and (acted & set(sids) or not draw(st.booleans())):
-            t, acted = t + 1, set()
+        if not slices or acted & set(sids) or not draw(st.booleans()):
+            slices.append([])
+            acted = set()
         acted |= set(sids)
-        apps.append(GateApplication(gate, sids, t))
-    return Network(layout, tuple(apps))
+        slices[-1].append(GateApplication(gate, sids))
+    return Network(layout, slices)
 
 
 @SETTINGS
@@ -88,10 +89,11 @@ def networks(draw):
 def test_step_law_matches_cumulative_conjugation_and_oracle(network):
     evo = NetworkEvolution(network)
     time0 = initial_descriptors(network.layout)
-    for t in range(network.n_steps + 1):
+    for t in range(len(network.slices) + 1):
         evo.run_to(t)
-        reference = cumulative_evolve(network, t)
-        state = simulate_statevector(network, t).amplitudes
+        prefix = network.upto(t)
+        reference = cumulative_evolve(prefix)
+        state = simulate_statevector(prefix).amplitudes
         for sid, initial in time0.items():
             for got, want, base in zip(
                 evo.descriptor(sid).components,
@@ -118,8 +120,8 @@ def test_residuals_stay_at_double_precision(network):
 def test_bell_step_law_matches_cumulative_conjugation(variant):
     network = build_bell_network(BellConfig(0.3, 0.9, variant))
     evo = NetworkEvolution(network)
-    for t in range(network.n_steps + 1):
+    for t in range(len(network.slices) + 1):
         evo.run_to(t)
-        for sid, want in cumulative_evolve(network, t).items():
+        for sid, want in cumulative_evolve(network.upto(t)).items():
             for got, ref in zip(evo.descriptor(sid).components, want.components):
                 assert got.distance(ref) < TOL

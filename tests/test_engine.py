@@ -14,6 +14,7 @@ from descriptorsim import (
     GateApplication,
     Hadamard,
     Network,
+    NetworkError,
     NetworkEvolution,
     Operator,
     Plus,
@@ -50,9 +51,14 @@ def embedded(net, app):
     return Operator.from_matrix(net.layout, net.embedded(app))
 
 
+def single(layout, app):
+    """The network of one slice holding ``app``."""
+    return Network(layout, [[app]])
+
+
 def evolved(layout, *apps):
-    """Final descriptors of the network made of ``apps``."""
-    return NetworkEvolution(Network(layout, apps)).run().descriptors
+    """Final descriptors of the network of ``apps``, one slice each."""
+    return NetworkEvolution(Network(layout, [[app] for app in apps])).run().descriptors
 
 
 class TestInitialDescriptors:
@@ -114,29 +120,29 @@ class TestFunctionalForm:
         return initial_descriptors(layout)
 
     def test_hadamard_defining_equation(self):
-        app = GateApplication(Hadamard(), ("Q1",), 0)
-        net = Network(ONE_QUBIT, (app,))
+        app = GateApplication(Hadamard(), ("Q1",))
+        net = single(ONE_QUBIT, app)
         u = functional_form(app, self.fresh(ONE_QUBIT))
         assert u.isclose(embedded(net, app), 1e-15)
         x, z = (c.matrix for c in initial_descriptors(ONE_QUBIT)["Q1"].components)
         assert np.allclose(u.matrix, (x + z) / np.sqrt(2))
 
     def test_rotation_zero_angle_is_identity(self):
-        app = GateApplication(RotationY(0.0), ("Q1",), 0)
+        app = GateApplication(RotationY(0.0), ("Q1",))
         u = functional_form(app, self.fresh(ONE_QUBIT))
         assert np.allclose(u.matrix, np.eye(2))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_rotation_defining_equation_random_angles(self, seed):
         theta = float(np.random.default_rng(seed).uniform(-2 * np.pi, 2 * np.pi))
-        app = GateApplication(RotationY(theta), ("Q1",), 0)
-        net = Network(ONE_QUBIT, (app,))
+        app = GateApplication(RotationY(theta), ("Q1",))
+        net = single(ONE_QUBIT, app)
         u = functional_form(app, self.fresh(ONE_QUBIT))
         assert u.isclose(embedded(net, app), 1e-12)
 
     def test_cnot_defining_equation_and_action(self):
-        app = GateApplication(Cnot(), ("Q1", "Q2"), 0)
-        net = Network(TWO_QUBITS, (app,))
+        app = GateApplication(Cnot(), ("Q1", "Q2"))
+        net = single(TWO_QUBITS, app)
         descs = self.fresh(TWO_QUBITS)
         u = functional_form(app, descs)
         assert u.isclose(embedded(net, app), 1e-14)
@@ -147,14 +153,14 @@ class TestFunctionalForm:
         assert moved.isclose(q1x @ q2x, 1e-13)
 
     def test_controlled_plus_defining_equation(self):
-        app = GateApplication(ControlledPlus(2), ("Q1", "SC"), 0)
-        net = Network(QUBIT_AND_RECORD, (app,))
+        app = GateApplication(ControlledPlus(2), ("Q1", "SC"))
+        net = single(QUBIT_AND_RECORD, app)
         u = functional_form(app, self.fresh(QUBIT_AND_RECORD))
         assert u.isclose(embedded(net, app), 1e-14)
 
     def test_plus_defining_equation(self):
-        app = GateApplication(Plus(3), ("SC",), 0)
-        net = Network(QUBIT_AND_RECORD, (app,))
+        app = GateApplication(Plus(3), ("SC",))
+        net = single(QUBIT_AND_RECORD, app)
         u = functional_form(app, self.fresh(QUBIT_AND_RECORD))
         assert u.isclose(embedded(net, app), 1e-14)
 
@@ -166,23 +172,23 @@ class TestFunctionalForm:
     def test_custom_gate_at_time_zero(self, rng, sids):
         dim = int(np.prod([MIXED.dim_of(sid) for sid in sids]))
         gate = CustomGate(haar_random_unitary(dim, rng), "scramble")
-        app = GateApplication(gate, sids, 0)
-        net = Network(MIXED, (app,))
+        app = GateApplication(gate, sids)
+        net = single(MIXED, app)
         u = functional_form(app, self.fresh(MIXED))
         assert u.isclose(embedded(net, app), 1e-13)
 
     def test_custom_gate_later_is_the_conjugated_gate(self, rng):
         # the expansion on time-t descriptors is U(t)^dag G U(t)
         mix = CustomGate(haar_random_unitary(8, rng), "mix")
-        net = Network(MIXED, (
-            GateApplication(Hadamard(), ("Q1",), 0),
-            GateApplication(Cnot(), ("Q1", "Q2"), 1),
-            GateApplication(ControlledPlus(1), ("Q2", "SC"), 2),
-            GateApplication(mix, ("SC", "Q1"), 3),
-        ))
-        app = net.gates[-1]
-        descs = NetworkEvolution(net).run_to(app.time).descriptors
-        u = cumulative_unitary(net, app.time)
+        net = Network(MIXED, [
+            [GateApplication(Hadamard(), ("Q1",))],
+            [GateApplication(Cnot(), ("Q1", "Q2"))],
+            [GateApplication(ControlledPlus(1), ("Q2", "SC"))],
+            [GateApplication(mix, ("SC", "Q1"))],
+        ])
+        (app,) = net.slices[3]
+        descs = NetworkEvolution(net).run_to(3).descriptors
+        u = cumulative_unitary(net.upto(3))
         want = Operator.from_matrix(MIXED, u.conj().T @ net.embedded(app) @ u)
         assert functional_form(app, descs).isclose(want, 1e-12)
 
@@ -203,7 +209,7 @@ class TestFunctionalForm:
     def test_fixed_gates_expand_exactly(self, gate, sids, terms):
         # H, Ry, Cnot, Plus and ControlledPlus take their textbook
         # expansions, with no roundoff-scale terms beside them
-        app = GateApplication(gate, sids, 0)
+        app = GateApplication(gate, sids)
         dims = tuple(MIXED.dim_of(sid) for sid in sids)
         coeffs = [c for _, c in engine._weyl_terms(gate, dims)]
         assert len(coeffs) == terms
@@ -211,20 +217,20 @@ class TestFunctionalForm:
             0.5, 1.0, 1 / np.sqrt(2), abs(np.cos(0.35)), abs(np.sin(0.35))
         }
         u = functional_form(app, self.fresh(MIXED))
-        assert u.isclose(embedded(Network(MIXED, (app,)), app), 1e-15)
+        assert u.isclose(embedded(single(MIXED, app), app), 1e-15)
 
     def test_mixed_times_rejected(self):
         descs = self.fresh(TWO_QUBITS)
-        after = evolved(TWO_QUBITS, GateApplication(Hadamard(), ("Q1",), 0))
+        after = evolved(TWO_QUBITS, GateApplication(Hadamard(), ("Q1",)))
         mixed = {"Q1": after["Q1"], "Q2": descs["Q2"]}
         with pytest.raises(EngineError):
-            functional_form(GateApplication(Cnot(), ("Q1", "Q2"), 1), mixed)
+            functional_form(GateApplication(Cnot(), ("Q1", "Q2")), mixed)
 
 
 class TestStepEvolve:
     def test_hadamard_swaps_components(self):
         descs = initial_descriptors(TWO_QUBITS)
-        out = evolved(TWO_QUBITS, GateApplication(Hadamard(), ("Q1",), 0))
+        out = evolved(TWO_QUBITS, GateApplication(Hadamard(), ("Q1",)))
         assert out["Q1"].components[0].isclose(descs["Q1"].components[1], 1e-14)
         assert out["Q1"].components[1].isclose(descs["Q1"].components[0], 1e-14)
         assert out["Q1"].time == 1
@@ -232,8 +238,8 @@ class TestStepEvolve:
     def test_cnot_after_hadamard_matches_wire_labels(self):
         descs = evolved(
             TWO_QUBITS,
-            GateApplication(Hadamard(), ("Q1",), 0),
-            GateApplication(Cnot(), ("Q1", "Q2"), 1),
+            GateApplication(Hadamard(), ("Q1",)),
+            GateApplication(Cnot(), ("Q1", "Q2")),
         )
         q1x0 = embed_local(PAULI_X, "Q1", TWO_QUBITS)
         q1z0 = embed_local(PAULI_Z, "Q1", TWO_QUBITS)
@@ -248,7 +254,7 @@ class TestStepEvolve:
     def test_rotation_mixes_components(self, seed):
         theta = float(np.random.default_rng(seed + 100).uniform(-np.pi, np.pi))
         descs = initial_descriptors(TWO_QUBITS)
-        out = evolved(TWO_QUBITS, GateApplication(RotationY(theta), ("Q1",), 0))
+        out = evolved(TWO_QUBITS, GateApplication(RotationY(theta), ("Q1",)))
         qx, qz = descs["Q1"].components
         c, s = math.cos(theta), math.sin(theta)
         assert out["Q1"].components[0].isclose(c * qx + s * qz, 1e-12)
@@ -259,15 +265,17 @@ class TestStepEvolve:
         # the one term 1 * I; conjugating by it copies every term exactly
         layout = SpaceLayout((("Q1", 2), ("Q2", 2), ("SC", 4), ("SD", 4)))
         scramble = CustomGate(haar_random_unitary(8, np.random.default_rng(5)))
-        net = Network(layout, (
-            GateApplication(Hadamard(), ("Q1",), 0),
-            GateApplication(scramble, ("Q1", "SC"), 1),
-            GateApplication(Cnot(), ("Q1", "Q2"), 2),
-            GateApplication(ControlledPlus(1), ("Q2", "SD"), 3),
-            GateApplication(RotationY(0.0), ("Q1",), 4),
-            GateApplication(ControlledPlus(4), ("Q2", "SC"), 4),
-            GateApplication(Plus(0), ("SD",), 4),
-        ))
+        net = Network(layout, [
+            [GateApplication(Hadamard(), ("Q1",))],
+            [GateApplication(scramble, ("Q1", "SC"))],
+            [GateApplication(Cnot(), ("Q1", "Q2"))],
+            [GateApplication(ControlledPlus(1), ("Q2", "SD"))],
+            [
+                GateApplication(RotationY(0.0), ("Q1",)),
+                GateApplication(ControlledPlus(4), ("Q2", "SC")),
+                GateApplication(Plus(0), ("SD",)),
+            ],
+        ])
         evo = NetworkEvolution(net).run_to(4)
         before = evo.descriptors
         after = evo.run().descriptors
@@ -278,30 +286,30 @@ class TestStepEvolve:
 
     def test_non_acted_descriptor_passed_through_unchanged(self):
         descs = initial_descriptors(TWO_QUBITS)
-        out = evolved(TWO_QUBITS, GateApplication(Hadamard(), ("Q1",), 0))
+        out = evolved(TWO_QUBITS, GateApplication(Hadamard(), ("Q1",)))
         for a, b in zip(out["Q2"].components, descs["Q2"].components):
             assert np.array_equal(a.matrix, b.matrix)
 
 
 class TestCumulativeEvolve:
     def test_time_zero_is_initial(self):
-        net = Network(TWO_QUBITS, (GateApplication(Hadamard(), ("Q1",), 0),))
-        out = cumulative_evolve(net, 0)
+        net = single(TWO_QUBITS, GateApplication(Hadamard(), ("Q1",)))
+        out = cumulative_evolve(net.upto(0))
         init = initial_descriptors(TWO_QUBITS)
         for sid in TWO_QUBITS.ids:
             for a, b in zip(out[sid].components, init[sid].components):
                 assert a.isclose(b, 1e-15)
 
     def test_out_of_range(self):
-        net = Network(TWO_QUBITS, (GateApplication(Hadamard(), ("Q1",), 0),))
-        with pytest.raises(EngineError):
-            cumulative_evolve(net, 2)
+        net = single(TWO_QUBITS, GateApplication(Hadamard(), ("Q1",)))
+        with pytest.raises(NetworkError, match=r"time 2 outside network range 0\.\.1"):
+            net.upto(2)
 
     def test_bell_alice_z_component_shape(self):
         theta, phi = 0.37, -1.1
         network = build_bell_network(BellConfig(theta, phi))
         layout = network.layout
-        out = cumulative_evolve(network, 4)
+        out = cumulative_evolve(network.upto(4))
         q1x = embed_local(PAULI_X, "Q1", layout)
         q1z = embed_local(PAULI_Z, "Q1", layout)
         q2x = embed_local(PAULI_X, "Q2", layout)
@@ -329,22 +337,22 @@ class TestCumulativeEvolve:
         mix = CustomGate(haar_random_unitary(4, rng), "mix")
         turn = CustomGate(haar_random_unitary(2, rng), "turn")
         shapes = [
-            [(Hadamard(), ("Q1",)), (mix, ("Q1", "Q2")), (RotationY(0.7), ("Q2",))],
+            [[(Hadamard(), ("Q1",))], [(mix, ("Q1", "Q2"))], [(RotationY(0.7), ("Q2",))]],
             # the custom gate follows another gate of its own slice (time 2)
             [
-                (Hadamard(), ("Q1",)), (Cnot(), ("Q1", "Q2")),
-                (RotationY(0.4), ("Q3",)), (mix, ("Q1", "Q2")), (Cnot(), ("Q2", "Q3")),
+                [(Hadamard(), ("Q1",))], [(Cnot(), ("Q1", "Q2"))],
+                [(RotationY(0.4), ("Q3",)), (mix, ("Q1", "Q2"))], [(Cnot(), ("Q2", "Q3"))],
             ],
             # two custom gates at different times
             [
-                (Hadamard(), ("Q1",)), (mix, ("Q1", "Q2")), (Cnot(), ("Q2", "Q3")),
-                (turn, ("Q3",)), (Hadamard(), ("Q2",)),
+                [(Hadamard(), ("Q1",))], [(mix, ("Q1", "Q2"))], [(Cnot(), ("Q2", "Q3"))],
+                [(turn, ("Q3",))], [(Hadamard(), ("Q2",))],
             ],
         ]
-        for gates, times in zip(shapes, [range(3), [0, 1, 2, 2, 3], range(5)]):
+        for slices in shapes:
             net = Network(
                 THREE_QUBITS,
-                tuple(GateApplication(g, sids, t) for (g, sids), t in zip(gates, times)),
+                [[GateApplication(g, sids) for g, sids in sl] for sl in slices],
             )
             evo = NetworkEvolution(net).run()
             cum = cumulative_evolve(net)
@@ -383,7 +391,7 @@ class TestInvariants:
     def test_algebra_preserved_along_bell_network(self):
         network = build_bell_network(BellConfig(0.5, -0.3))
         evo = NetworkEvolution(network)
-        for _ in range(network.n_steps):
+        for _ in network.slices:
             evo.advance()
             assert algebra_residual(evo.descriptors) < 1e-11
 
@@ -407,10 +415,10 @@ class TestInvariants:
         monkeypatch.setattr(engine, "functional_form", counting_form)
         network = build_bell_network(BellConfig(0.4, 1.2, Decohered(3)))
         assert locality_residual(network) < 1e-12
-        assert len(calls) == len(network.gates) == 10
+        assert len(calls) == sum(map(len, network.slices)) == 10
 
     def test_evolution_rewind_rejected(self):
-        net = Network(TWO_QUBITS, (GateApplication(Hadamard(), ("Q1",), 0),))
+        net = single(TWO_QUBITS, GateApplication(Hadamard(), ("Q1",)))
         evo = NetworkEvolution(net).run()
         with pytest.raises(EngineError):
             evo.run_to(0)

@@ -114,17 +114,14 @@ class TestFoliate:
         fol = foliate(alice, control, alice.components[0], "Q1.z")
 
         angle = 1.234
-        follow = GateApplication(RotationY(angle), ("QA",), 4)
+        follow = GateApplication(RotationY(angle), ("QA",))
         gate_poly_base = functional_form(
             follow, {"QA": alice}
         )  # expressed in base components
 
         fol = fol.evolve_branches(gate_poly_base)
 
-        extended = Network(
-            network.layout,
-            network.gates[:6] + (follow,),
-        )
+        extended = Network(network.layout, network.slices[:4] + ((follow,),))
         direct = NetworkEvolution(extended).run_to(5).descriptor("QA")
         for got, want in zip(fol.branch_sum(), direct.components):
             assert got.isclose(want, 1e-9)

@@ -62,43 +62,47 @@ def test_custom_gate_must_be_unitary():
 
 def test_application_arity_checked():
     with pytest.raises(NetworkError):
-        GateApplication(Hadamard(), ("Q1", "Q2"), 0)
+        GateApplication(Hadamard(), ("Q1", "Q2"))
     with pytest.raises(NetworkError):
-        GateApplication(Cnot(), ("Q1", "Q1"), 0)
+        GateApplication(Cnot(), ("Q1", "Q1"))
     with pytest.raises(NetworkError):
-        GateApplication(Hadamard(), ("Q1",), -1)
-    with pytest.raises(NetworkError):
-        GateApplication(CustomGate([[1j]]), (), 0)
+        GateApplication(CustomGate([[1j]]), ())
 
 
 def test_network_time_validation():
-    h = GateApplication(Hadamard(), ("Q1",), 0)
-    with pytest.raises(NetworkError):
-        Network(LAYOUT, (GateApplication(Hadamard(), ("Q1",), 1),))  # gap at 0
-    with pytest.raises(NetworkError):
-        Network(LAYOUT, (GateApplication(Hadamard(), ("Q1",), 0), h))  # Q1 twice at t=0
-    with pytest.raises(NetworkError):
-        Network(
-            LAYOUT,
-            (GateApplication(Hadamard(), ("Q1",), 1), GateApplication(Hadamard(), ("Q2",), 0)),
-        )  # decreasing times
+    # a gate's time is the index of its slice
+    h = GateApplication(Hadamard(), ("Q1",))
+    with pytest.raises(NetworkError, match=r"slice 1: subsystems \['Q1'\] acted twice"):
+        Network(LAYOUT, [[h], [GateApplication(Cnot(), ("Q2", "Q1")), h]])
+    with pytest.raises(NetworkError, match="slice 1 holds no gates"):
+        Network(LAYOUT, [[h], [], [h]])
     net = Network(
         LAYOUT,
-        (h, GateApplication(Cnot(), ("Q1", "Q2"), 1), GateApplication(Plus(1), ("SC",), 1)),
+        [[h], [GateApplication(Cnot(), ("Q1", "Q2")), GateApplication(Plus(1), ("SC",))]],
     )
-    assert net.n_steps == 2
-    assert [len(sl) for sl in net.slices()] == [1, 2]
+    assert [len(sl) for sl in net.slices] == [1, 2]
+
+
+def test_upto_is_a_prefix_within_range():
+    h = GateApplication(Hadamard(), ("Q1",))
+    net = Network(LAYOUT, [[h], [GateApplication(Cnot(), ("Q1", "Q2"))], [h]])
+    assert net.upto(len(net.slices)) == net
+    assert net.upto(1).slices == ((h,),)
+    assert net.upto(0).slices == ()
+    for t in (-1, len(net.slices) + 1):
+        with pytest.raises(NetworkError, match=rf"time {t} outside network range 0\.\.3"):
+            net.upto(t)
 
 
 def test_network_gate_dims_checked():
     with pytest.raises(NetworkError):
-        Network(LAYOUT, (GateApplication(Hadamard(), ("SC",), 0),))
+        Network(LAYOUT, [[GateApplication(Hadamard(), ("SC",))]])
 
 
 def test_embedded_respects_target_order():
     # Cnot with control Q2, target Q1: embedding must permute correctly
-    net = Network(LAYOUT, (GateApplication(Cnot(), ("Q2", "Q1"), 0),))
-    m = net.embedded(net.gates[0])
+    net = Network(LAYOUT, [[GateApplication(Cnot(), ("Q2", "Q1"))]])
+    m = net.embedded(net.slices[0][0])
     for q1 in range(2):
         for q2 in range(2):
             for sc in range(4):
@@ -110,8 +114,8 @@ def test_embedded_respects_target_order():
 
 def test_embedded_nonadjacent_targets():
     layout = SpaceLayout((("a", 2), ("b", 2), ("c", 2)))
-    net = Network(layout, (GateApplication(Cnot(), ("a", "c"), 0),))
-    m = net.embedded(net.gates[0])
+    net = Network(layout, [[GateApplication(Cnot(), ("a", "c"))]])
+    m = net.embedded(net.slices[0][0])
     for a in range(2):
         for b in range(2):
             for c in range(2):
@@ -122,20 +126,20 @@ def test_embedded_nonadjacent_targets():
 
 def test_empty_network():
     net = Network(LAYOUT, ())
-    assert net.n_steps == 0
-    assert net.slices() == []
+    assert net.slices == ()
+    assert net.upto(0) == net
 
 
 def test_long_network_builds_in_linear_time():
-    # the slice-overlap check is one pass over the time-sorted gates, so
-    # 20 000 one-gate slices build in well under 2 s
+    # each slice's overlap check sees only its own gates, so 20 000
+    # one-gate slices build in well under 2 s
     layout = SpaceLayout((("Q1", 2), ("Q2", 2)))
-    apps = tuple(
-        GateApplication(Hadamard(), (("Q1", "Q2")[t % 2],), t) for t in range(20_000)
+    slices = tuple(
+        (GateApplication(Hadamard(), (("Q1", "Q2")[t % 2],)),) for t in range(20_000)
     )
     start = time.perf_counter()
-    network = Network(layout, apps)
+    network = Network(layout, slices)
     assert time.perf_counter() - start < 2.0
-    assert network.n_steps == 20_000
+    assert len(network.slices) == 20_000
     with pytest.raises(NetworkError, match=r"slice 19999: subsystems \['Q2'\] acted twice"):
-        Network(layout, apps + (GateApplication(Hadamard(), ("Q2",), 19_999),))
+        Network(layout, slices[:-1] + (slices[-1] * 2,))

@@ -17,7 +17,6 @@ from descriptorsim import (
 )
 from descriptorsim.operators import (
     PAULI_X,
-    PAULI_Y,
     PAULI_Z,
     half_sum,
     haar_random_unitary,
@@ -54,6 +53,12 @@ class TestSpaceLayout:
         # a dimension is never truncated (2.5 -> 2) or parsed ("3" -> 3)
         with pytest.raises(LayoutError):
             SpaceLayout((("a", dim),))
+
+    @pytest.mark.parametrize("sid", [3, None, b"a", ("a",), ["a"]], ids=repr)
+    def test_non_string_ids_rejected(self, sid):
+        # an id is never renamed (3 -> "3", None -> "None")
+        with pytest.raises(LayoutError, match="is not a string"):
+            SpaceLayout(((sid, 2), ("b", 2)))
 
     def test_numpy_integer_dims_accepted(self):
         assert SpaceLayout((("a", np.int64(3)),)).dims == (3,)
@@ -215,7 +220,7 @@ class TestOperator:
             Operator.from_matrix(TWO_QUBITS, np.diag([1.0, np.nan, 1.0, 1.0]))
 
     def test_adjoint_and_predicates(self):
-        y = embed_local(PAULI_Y, "Q1", TWO_QUBITS)
+        y = embed_local(1j * PAULI_X @ PAULI_Z, "Q1", TWO_QUBITS)
         assert y.is_hermitian(1e-14)
         assert y.is_unitary(1e-14)
         assert y.is_involution(1e-14)

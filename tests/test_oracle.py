@@ -7,6 +7,7 @@ from descriptorsim import (
     Hadamard,
     LayoutError,
     Network,
+    NetworkError,
     SpaceLayout,
     joint_outcome_distribution,
     reduced_density_matrix,
@@ -17,7 +18,7 @@ from conftest import random_network
 TWO_QUBITS = SpaceLayout((("Q1", 2), ("Q2", 2)))
 BELL_PAIR = Network(
     TWO_QUBITS,
-    (GateApplication(Hadamard(), ("Q1",), 0), GateApplication(Cnot(), ("Q1", "Q2"), 1)),
+    [[GateApplication(Hadamard(), ("Q1",))], [GateApplication(Cnot(), ("Q1", "Q2"))]],
 )
 
 
@@ -34,11 +35,11 @@ def test_bell_pair_amplitudes():
 
 
 def test_partial_evolution_time():
-    state = simulate_statevector(BELL_PAIR, t=1)
+    state = simulate_statevector(BELL_PAIR.upto(1))
     expected = np.array([1, 0, 1, 0]) / np.sqrt(2)
     assert np.allclose(state.amplitudes, expected, atol=1e-15)
-    with pytest.raises(ValueError):
-        simulate_statevector(BELL_PAIR, t=3)
+    with pytest.raises(NetworkError):
+        BELL_PAIR.upto(3)
 
 
 def test_norm_preserved_on_random_networks(rng):
@@ -54,7 +55,7 @@ def test_bell_marginal_is_maximally_mixed():
 
 
 def test_joint_distribution_orders_by_request():
-    state = simulate_statevector(BELL_PAIR, t=1)  # (|00> + |10>)/sqrt(2)
+    state = simulate_statevector(BELL_PAIR.upto(1))  # (|00> + |10>)/sqrt(2)
     dist = joint_outcome_distribution(state, ("Q2", "Q1"))
     assert dist[(0, 0)] == pytest.approx(0.5)
     assert dist[(0, 1)] == pytest.approx(0.5)

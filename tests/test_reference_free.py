@@ -85,12 +85,12 @@ def test_witness_never_calls_the_reference(no_reference):
 def test_late_custom_gate_never_calls_the_reference(no_reference):
     layout = SpaceLayout((("Q1", 2), ("Q2", 2), ("SC", 4)))
     mix = CustomGate(haar_random_unitary(8, np.random.default_rng(5)), "mix")
-    net = Network(layout, (
-        GateApplication(Hadamard(), ("Q1",), 0),
-        GateApplication(Cnot(), ("Q1", "Q2"), 1),
-        GateApplication(mix, ("SC", "Q1"), 2),
-        GateApplication(ControlledPlus(1), ("Q2", "SC"), 3),
-    ))
+    net = Network(layout, [
+        [GateApplication(Hadamard(), ("Q1",))],
+        [GateApplication(Cnot(), ("Q1", "Q2"))],
+        [GateApplication(mix, ("SC", "Q1"))],
+        [GateApplication(ControlledPlus(1), ("Q2", "SC"))],
+    ])
     evolved = NetworkEvolution(net).run().descriptors
     # <0|U^dag c U|0> of every evolved component is <psi|c|psi> at the end
     psi = simulate_statevector(net).amplitudes

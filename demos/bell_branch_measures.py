@@ -32,13 +32,13 @@ for t, sl in enumerate(network.slices):
 # Before measuring, each particle's z observable has lost any definite value.
 evo = NetworkEvolution(network).run_to(3)
 for sid in ("Q1", "Q2"):
-    sharp, value = is_sharp(evo.descriptor(sid).components[1])
+    sharp, value = is_sharp(evo.descriptors[sid][1])
     print(f"z of {sid} at t=3: {'sharp, value ' + str(value) if sharp else 'not sharp'}")
 
 # After the copy interactions, Alice still has no sharp observable at all:
 # she has split into two local instances, one per outcome.
 evo.run_to(4)
-qx, qz = evo.descriptor("QA").components
+qx, qz = evo.descriptors["QA"]
 qy = 1j * (qx @ qz)
 print("Alice at t=4:",
       ", ".join(f"<{n}> = {o.expectation().real:+.3f}" for n, o in

@@ -28,7 +28,7 @@ for name, net in (("empty", empty), ("cnot ", cnot)):
 
 print("\nQ1 x-component after each history:")
 for name, net in (("empty", empty), ("cnot ", cnot)):
-    comp = NetworkEvolution(net).run().descriptor("Q1").components[0]
+    comp = NetworkEvolution(net).run().descriptors["Q1"][0]
     rows = ["    " + "  ".join(f"{v.real:+.0f}" for v in row) for row in comp.matrix]
     print(f"  {name}:")
     print("\n".join(rows))

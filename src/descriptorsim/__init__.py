@@ -29,7 +29,6 @@ from .gates import (
     RotationY,
 )
 from .engine import (
-    Descriptor,
     EngineError,
     NetworkEvolution,
     algebra_residual,

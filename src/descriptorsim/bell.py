@@ -35,6 +35,7 @@ from .operators import (
     DEFAULT_TOLERANCE,
     Operator,
     SpaceLayout,
+    as_index,
     check_descriptor_budget,
     haar_random_unitary,
 )
@@ -77,7 +78,7 @@ class Chained:
     bob: int = 2
 
     def __post_init__(self) -> None:
-        if self.alice < 0 or self.bob < 0:
+        if min(as_index(n, "chain length", ValueError) for n in (self.alice, self.bob)) < 0:
             raise ValueError("chain lengths must be >= 0")
 
     def edit(self, cfg: BellConfig, qubits: list[str], stages: dict) -> None:
@@ -211,7 +212,7 @@ def run_bell(cfg: BellConfig) -> BellOutcome:
     env_diagnostics: dict[str, float] = {}
     for t, app in timed:
         if app.subsystems == ("Q1", "QE"):
-            q1x_after = evo.run_to(t + 1).descriptor("Q1").components[0]
+            q1x_after = evo.run_to(t + 1).descriptors["Q1"][0]
             env_diagnostics["q1_x_expectation"] = abs(q1x_after.expectation())
             rho = reduced_density_matrix(simulate_statevector(network.upto(t + 1)), "Q1")
             env_diagnostics["q1_offdiagonal"] = float(abs(rho[0, 1]))
@@ -221,24 +222,21 @@ def run_bell(cfg: BellConfig) -> BellOutcome:
         if isinstance(app.gate, ControlledPlus) and app.subsystems[1] == RECORD
     )
     evo.run_to(t_alice)
-    record = evo.descriptor(RECORD)
-    shift = record.components[0]
-    control_a = evo.descriptor(alice.subsystems[0]).components[1]
-    fol = foliate(
-        record, control_a, shift.matpow(alice.gate.k), f"{alice.subsystems[0]}.z"
-    )
+    record = evo.descriptors[RECORD]
+    shift = record[0]
+    control_a = evo.descriptors[alice.subsystems[0]][1]
+    fol = foliate(record, control_a, shift.matpow(alice.gate.k), f"{alice.subsystems[0]}.z")
     evo.run_to(t_bob)
-    control_b = evo.descriptor(bob.subsystems[0]).components[1]
+    control_b = evo.descriptors[bob.subsystems[0]][1]
     fol = fol.refine(control_b, shift.matpow(bob.gate.k), f"{bob.subsystems[0]}.z")
 
     evo.run()
-    final_record = evo.descriptor(RECORD)
     residual = max(
         got.distance(want)
-        for got, want in zip(fol.branch_sum(), final_record.components)
+        for got, want in zip(fol.branch_sum(), evo.descriptors[RECORD])
     )
 
-    qx, qz = evo.descriptor(alice.subsystems[0]).components
+    qx, qz = evo.descriptors[alice.subsystems[0]]
     qy = 1j * (qx @ qz)
     sharpness = {"x": is_sharp(qx)[0], "z": is_sharp(qz)[0], "y": is_sharp(qy)[0]}
 
@@ -295,16 +293,14 @@ def nonisomorphism_witness() -> NonIsomorphismReport:
     descriptor_distance = max(
         a.distance(b)
         for sid in layout.ids
-        for a, b in zip(
-            evo_empty.descriptor(sid).components, evo_cnot.descriptor(sid).components
-        )
+        for a, b in zip(evo_empty.descriptors[sid], evo_cnot.descriptors[sid])
     )
 
     # <x>, <y> = <i x z> and <z> of every evolved qubit, in both networks
     marginals = [
         [
             o.expectation()
-            for x, z in (evo.descriptor(sid).components for sid in layout.ids)
+            for x, z in (evo.descriptors[sid] for sid in layout.ids)
             for o in (x, 1j * (x @ z), z)
         ]
         for evo in (evo_empty, evo_cnot)

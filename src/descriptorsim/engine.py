@@ -1,15 +1,17 @@
 """Descriptor construction and evolution in the Heisenberg picture.
 
-Each subsystem carries a descriptor: its (shift, clock) generator pair,
-embedded in the full space; for a qubit, (sigma_x, sigma_z), each
-component a short sum of Weyl terms, never an N x N matrix.  A gate G
+Each subsystem carries a descriptor: the tuple of its (shift, clock)
+generator pair embedded in the full space, (sigma_x, sigma_z) for a
+qubit, each component a short sum of Weyl terms, never an N x N matrix.
+The time belongs to the evolution, not to the descriptors.  A gate G
 applied to subsystems J evolves every descriptor by conjugation with the
 gate's functional form: G's expansion sum c X^a Z^b over the time-0
 generators of J, evaluated on the current descriptors of J, which is
-U(t)^dag G U(t) for the unitary U(t) of the gates before it.  Descriptors
-of subsystems outside J commute with that polynomial, so they are left
-untouched; :func:`locality_residual` verifies this numerically and the
-dense cumulative-conjugation engine cross-checks the whole step law.
+U(t)^dag G U(t) for the unitary U(t) of the gates before it.
+Descriptors of subsystems outside J commute with that polynomial, so
+they are left untouched; :func:`locality_residual` verifies this
+numerically.  The cumulative-conjugation engine cross-checks the whole
+step law on dense components and shares no term arithmetic with it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from math import prod
 from typing import Mapping
 
@@ -27,45 +28,24 @@ from .gates import Gate, GateApplication, Network
 from .operators import (
     DEFAULT_TOLERANCE,
     AlgebraError,
-    LayoutError,
     Operator,
     SpaceLayout,
+    as_index,
     qudit_shift_clock,
 )
 
 
 class EngineError(ValueError):
-    """Evolution bookkeeping violated: time mismatch or out-of-range time."""
+    """Evolution bookkeeping violated: an out-of-range or non-integer time."""
 
 
-@dataclass(frozen=True)
-class Descriptor:
-    """The generator observables of one subsystem at one time step."""
-
-    subsystem: str
-    time: int
-    components: tuple[Operator, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
-        layouts = {c.layout for c in self.components}
-        if len(layouts) != 1:
-            raise LayoutError("descriptor components live on different layouts")
-
-    @property
-    def layout(self) -> SpaceLayout:
-        return self.components[0].layout
-
-
-def initial_descriptors(layout: SpaceLayout) -> dict[str, Descriptor]:
+def initial_descriptors(layout: SpaceLayout) -> dict[str, tuple[Operator, ...]]:
     """Every subsystem's time-0 descriptor: its shift/clock pair, embedded:
     the single terms X_i and Z_i."""
     m = len(layout.dims)
     unit = np.eye(2 * m, dtype=np.int64)
     return {
-        sid: Descriptor(sid, 0, tuple(
-            Operator(layout, unit[[j]], np.ones(1, complex)) for j in (i, m + i)
-        ))
+        sid: tuple(Operator(layout, unit[[j]], np.ones(1, complex)) for j in (i, m + i))
         for i, sid in enumerate(layout.ids)
     }
 
@@ -87,7 +67,7 @@ def _weyl_terms(gate: Gate, dims: tuple[int, ...]) -> tuple:
 
 
 def functional_form(
-    app: GateApplication, descriptors: Mapping[str, Descriptor]
+    app: GateApplication, descriptors: Mapping[str, tuple[Operator, ...]]
 ) -> Operator:
     """The gate's unitary expressed in the acted subsystems' descriptors.
 
@@ -98,14 +78,11 @@ def functional_form(
     because conjugation preserves sums and products.
     """
     args = [descriptors[sid] for sid in app.subsystems]
-    times = {d.time for d in args}
-    if len(times) != 1:
-        raise EngineError(f"descriptor times differ: {sorted(times)}")
-    layout = args[0].layout
+    layout = args[0][0].layout
     dims = tuple(layout.dim_of(sid) for sid in app.subsystems)
 
     def monomial(factors: tuple[tuple[int, int], ...]) -> Operator:
-        ops = [args[i].components[j] for i, j in factors]
+        ops = [args[i][j] for i, j in factors]
         return functools.reduce(operator.matmul, ops) if ops else Operator.identity(layout)
 
     return functools.reduce(
@@ -142,17 +119,14 @@ class NetworkEvolution:
             unitary = functional_form(app, descriptors)
             u_dag = unitary.H
             for sid in app.subsystems:
-                comps = tuple(u_dag @ c @ unitary for c in descriptors[sid].components)
-                descriptors[sid] = Descriptor(sid, self.time, comps)
+                descriptors[sid] = tuple(u_dag @ c @ unitary for c in descriptors[sid])
             applied.append((app, unitary))
         self.time += 1
-        self.descriptors = {
-            sid: Descriptor(sid, self.time, d.components)
-            for sid, d in descriptors.items()
-        }
+        self.descriptors = descriptors
         return applied
 
     def run_to(self, t: int) -> "NetworkEvolution":
+        t = as_index(t, "time", EngineError)
         if not 0 <= t <= len(self._slices):
             raise EngineError(f"time {t} outside network range 0..{len(self._slices)}")
         if t < self.time:
@@ -163,9 +137,6 @@ class NetworkEvolution:
 
     def run(self) -> "NetworkEvolution":
         return self.run_to(len(self._slices))
-
-    def descriptor(self, sid: str) -> Descriptor:
-        return self.descriptors[sid]
 
 
 def cumulative_unitary(network: Network) -> np.ndarray:
@@ -178,17 +149,19 @@ def cumulative_unitary(network: Network) -> np.ndarray:
     return u
 
 
-def cumulative_evolve(network: Network) -> dict[str, Descriptor]:
-    """Descriptors at the network's end by direct conjugation with the
-    cumulative unitary; the reference engine that cross-checks the step
-    law.  It conjugates dense matrices and expands the results into terms."""
-    layout, u, t = network.layout, cumulative_unitary(network), len(network.slices)
+def cumulative_evolve(network: Network) -> dict[str, tuple[np.ndarray, ...]]:
+    """Dense descriptor components at the network's end, ``U^dag g U`` for
+    each generator g and the cumulative unitary U; the reference engine
+    that cross-checks the step law.  It shares no term arithmetic with it."""
+    layout, u = network.layout, cumulative_unitary(network)
     u_dag, out = u.conj().T, {}
     for i, (sid, dim) in enumerate(layout.subsystems):
         # g on subsystem i times u: g acts on that digit of u's row index
         rows = u.reshape(prod(layout.dims[:i]), dim, -1)
-        comps = (np.einsum("ij,ajk->aik", g, rows).reshape(u.shape) for g in qudit_shift_clock(dim))
-        out[sid] = Descriptor(sid, t, tuple(Operator.from_matrix(layout, u_dag @ c) for c in comps))
+        out[sid] = tuple(
+            u_dag @ np.einsum("ij,ajk->aik", g, rows).reshape(u.shape)
+            for g in qudit_shift_clock(dim)
+        )
     return out
 
 
@@ -218,30 +191,25 @@ def locality_residual(network: Network) -> float:
         before = evo.descriptors
         for app, unitary in evo.advance():
             u_dag = unitary.H
-            for sid, desc in before.items():
-                if sid in app.subsystems:
-                    continue
-                for comp in desc.components:
-                    moved = u_dag @ comp @ unitary
-                    worst = max(worst, moved.distance(comp))
+            for sid in before.keys() - set(app.subsystems):
+                for comp in before[sid]:
+                    worst = max(worst, (u_dag @ comp @ unitary).distance(comp))
     return worst
 
 
-def algebra_residual(descriptors: Mapping[str, Descriptor]) -> float:
+def algebra_residual(descriptors: Mapping[str, tuple[Operator, ...]]) -> float:
     """Worst violation of the preserved algebraic relations: per subsystem,
     unitarity, x^d = z^d = I and z x = omega x z; across subsystems,
     commutation."""
-    descs = list(descriptors.values())
     worst = 0.0
-    for desc in descs:
-        d = desc.layout.dim_of(desc.subsystem)
-        x, z = desc.components
-        eye = Operator.identity(desc.layout)
+    for sid, (x, z) in descriptors.items():
+        d = x.layout.dim_of(sid)
+        eye = Operator.identity(x.layout)
         for c in (x, z):
             worst = max(worst, (c.H @ c).distance(eye), c.matpow(d).distance(eye))
         omega = qudit_shift_clock(d)[1][1, 1]  # the clock's second entry
         worst = max(worst, (z @ x).distance(omega * (x @ z)))
-    comps = [(desc.subsystem, c) for desc in descs for c in desc.components]
+    comps = [(sid, c) for sid, desc in descriptors.items() for c in desc]
     for (s1, c1), (s2, c2) in itertools.combinations(comps, 2):
         if s1 != s2:
             worst = max(worst, (c1 @ c2).distance(c2 @ c1))

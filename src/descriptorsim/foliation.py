@@ -4,10 +4,11 @@ A conditioned interaction whose control observable is unsharp splits a
 descriptor into projector-weighted instances, one per control eigenvalue.
 Each branch keeps three things: its label history, the accumulated
 projector onto the controlling eigenvalues, and the accumulated
-conditioned unitary (expressed in the base descriptor's components, which
-is where every later gate polynomial must be expressed as well).  The
-branch's relative descriptor is projector * W^dag(base components)W and
-the branch measure is the reference expectation of the projector.
+conditioned unitary (expressed in the base: the foliated descriptor, a
+tuple of components, which is where every later gate polynomial must be
+expressed as well).  The branch's relative descriptor is projector *
+W^dag(base component)W, component by component, and the branch measure
+is the reference expectation of the projector.
 
 :func:`foliate` is the first split, a :meth:`Foliation.refine` of a root
 foliation whose one unlabelled branch has measure 1 and the identity as
@@ -18,9 +19,10 @@ unchecked.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
-from .engine import Descriptor
 from .operators import (
     DEFAULT_TOLERANCE,
     AlgebraError,
@@ -48,22 +50,18 @@ class Branch:
 
 @dataclass(frozen=True)
 class Foliation:
-    base: Descriptor
+    base: tuple[Operator, ...]  # the foliated descriptor's components
     branches: tuple[Branch, ...]
 
     def relative_components(self, branch: Branch) -> tuple[Operator, ...]:
         p, w = branch.projector, branch.conditional
-        return tuple(p @ (w.H @ c @ w) for c in self.base.components)
+        return tuple(p @ (w.H @ c @ w) for c in self.base)
 
     def branch_sum(self) -> tuple[Operator, ...]:
         """Componentwise sum of all relative descriptors; reconstructs the
         evolved descriptor."""
-        branches = iter(self.branches)
-        totals = self.relative_components(next(branches))
-        for branch in branches:
-            comps = self.relative_components(branch)
-            totals = tuple(t + c for t, c in zip(totals, comps))
-        return totals
+        relative = [self.relative_components(b) for b in self.branches]
+        return tuple(functools.reduce(operator.add, comps) for comps in zip(*relative))
 
     def measures(self) -> dict[str, float]:
         return {b.key: b.measure for b in self.branches}
@@ -83,9 +81,7 @@ class Foliation:
         for branch in self.branches:
             for sign in (+1, -1):
                 projector = branch.projector @ proj[sign]
-                conditional = branch.conditional
-                if sign == -1:
-                    conditional = gate_poly @ conditional
+                conditional = gate_poly @ branch.conditional if sign == -1 else branch.conditional
                 new_branches.append(
                     Branch(
                         branch.labels + ((control_id, sign),),
@@ -110,7 +106,7 @@ class Foliation:
 
 
 def foliate(
-    target: Descriptor,
+    target: tuple[Operator, ...],
     control: Operator,
     gate_poly: Operator,
     control_id: str = "control",
@@ -123,19 +119,19 @@ def foliate(
     target's current time).  A sharp control is permitted and yields a
     measure-0 branch.
     """
-    identity = Operator.identity(target.layout)
+    identity = Operator.identity(target[0].layout)
     root = Foliation(target, (Branch((), identity, identity, 1.0),))
     return root.refine(control, gate_poly, control_id)
 
 
 def _check_interaction(
-    control: Operator, gate_poly: Operator, target: Descriptor
+    control: Operator, gate_poly: Operator, target: tuple[Operator, ...]
 ) -> None:
     """The conditioned interaction a split is made by: an involutive
     control commuting with the target, and a unitary gate polynomial."""
     if not control.is_involution():
         raise FoliationError("control observable is not an involution")
-    for c in target.components:
+    for c in target:
         if not control.commutes_with(c):
             raise FoliationError(
                 "control observable does not commute with the target descriptor"

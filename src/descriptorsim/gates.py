@@ -17,6 +17,7 @@ from .operators import (
     DEFAULT_TOLERANCE,
     HADAMARD,
     SpaceLayout,
+    as_index,
     embed_matrix,
     qudit_shift_clock,
 )
@@ -86,6 +87,9 @@ class Plus:
     k: int
     n_subsystems = 1
 
+    def __post_init__(self) -> None:
+        as_index(self.k, "Plus shift", NetworkError)
+
     def matrix(self, dims: tuple[int, ...]) -> np.ndarray:
         (d,) = dims
         shift, _ = qudit_shift_clock(d)
@@ -105,6 +109,9 @@ class ControlledPlus:
 
     k: int
     n_subsystems = 2
+
+    def __post_init__(self) -> None:
+        as_index(self.k, "ControlledPlus shift", NetworkError)
 
     def matrix(self, dims: tuple[int, ...]) -> np.ndarray:
         c, d = dims
@@ -204,6 +211,7 @@ class Network:
 
     def upto(self, t: int) -> Network:
         """The prefix of the first ``t`` slices."""
+        t = as_index(t, "time", NetworkError)
         if not 0 <= t <= len(self.slices):
             raise NetworkError(f"time {t} outside network range 0..{len(self.slices)}")
         return Network(self.layout, self.slices[:t])

@@ -42,6 +42,15 @@ class AlgebraError(ValueError):
     """An operator violates a required algebraic predicate."""
 
 
+def as_index(value, what: str, error: type[ValueError]) -> int:
+    """``value`` as an int, raising ``error`` for a float, a string or any
+    other non-integer, rather than truncating, parsing or failing later."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} {value!r} is not an integer") from None
+
+
 def check_descriptor_budget(dims: dict[int, int]) -> None:
     """Refuse dense initial descriptors (two N x N complex components per
     subsystem, the size of the oracle's and reference's matrices) over the
@@ -82,10 +91,9 @@ class SpaceLayout:
     subsystems: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        try:  # a dimension is an integer: 2.5 is not truncated, "3" not parsed
-            subsystems = tuple((sid, operator.index(d)) for sid, d in self.subsystems)
-        except TypeError as exc:
-            raise LayoutError(f"subsystem dimension is not an integer: {exc}") from exc
+        subsystems = tuple(
+            (sid, as_index(d, "subsystem dimension", LayoutError)) for sid, d in self.subsystems
+        )
         object.__setattr__(self, "subsystems", subsystems)
         if not subsystems:
             raise LayoutError("layout needs at least one subsystem")

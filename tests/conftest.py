@@ -63,6 +63,15 @@ def random_network(
     return Network(layout, slices)
 
 
+def dense_distance(descriptor, reference) -> float:
+    """Worst Frobenius distance between a descriptor's components and the
+    reference engine's dense ones, the measure of ``Operator.distance``."""
+    return max(
+        float(np.linalg.norm(op.matrix - ref))
+        for op, ref in zip(descriptor, reference, strict=True)
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -36,7 +36,7 @@ from descriptorsim import (
     run_wigner_undo,
     simulate_statevector,
 )
-from conftest import random_network
+from conftest import dense_distance, random_network
 
 COS8 = math.cos(math.pi / 8) ** 2
 GRID = [
@@ -154,8 +154,7 @@ def test_criterion_07_engine_equivalence():
         evo = NetworkEvolution(net).run()
         cum = cumulative_evolve(net)
         for sid in net.layout.ids:
-            for a, b in zip(evo.descriptor(sid).components, cum[sid].components):
-                worst = max(worst, a.distance(b))
+            worst = max(worst, dense_distance(evo.descriptors[sid], cum[sid]))
     report(7, "step evolution equals cumulative conjugation on 100 networks",
            worst < 1e-9, f"worst={worst:.2e}")
 
@@ -166,16 +165,16 @@ def test_criterion_08_reconstruction_and_autonomy():
 
     network = build_bell_network(BellConfig(0.6, -0.9))
     evo = NetworkEvolution(network).run_to(3)
-    alice = evo.descriptor("QA")
-    control = evo.descriptor("Q1").components[1]
-    fol = foliate(alice, control, alice.components[0], "Q1.z")
+    alice = evo.descriptors["QA"]
+    control = evo.descriptors["Q1"][1]
+    fol = foliate(alice, control, alice[0], "Q1.z")
     angle = float(np.random.default_rng(8).uniform(-math.pi, math.pi))
     follow = GateApplication(RotationY(angle), ("QA",))
     fol = fol.evolve_branches(functional_form(follow, {"QA": alice}))
     extended = Network(network.layout, network.slices[:4] + ((follow,),))
-    direct = NetworkEvolution(extended).run_to(5).descriptor("QA")
+    direct = NetworkEvolution(extended).run_to(5).descriptors["QA"]
     autonomy = max(
-        got.distance(want) for got, want in zip(fol.branch_sum(), direct.components)
+        got.distance(want) for got, want in zip(fol.branch_sum(), direct)
     )
     ok = reconstruction < 1e-12 and autonomy < 1e-9
     report(8, "branch sums reconstruct; follow-up autonomy holds", ok,

@@ -133,12 +133,12 @@ class TestDecoherence:
         cfg = BellConfig(0.6, -0.2, Decohered(seed=None))
         network = build_bell_network(cfg)
         evo = NetworkEvolution(network).run_to(3)
-        q1x_3 = evo.descriptor("Q1").components[0]
+        q1x_3 = evo.descriptors["Q1"][0]
         evo.run_to(4)
         qex = embed_local(PAULI_X, "QE", network.layout)
-        assert evo.descriptor("Q1").components[0].isclose(q1x_3 @ qex, 1e-12)
-        assert evo.descriptor("Q1").components[1].isclose(
-            NetworkEvolution(network).run_to(3).descriptor("Q1").components[1],
+        assert evo.descriptors["Q1"][0].isclose(q1x_3 @ qex, 1e-12)
+        assert evo.descriptors["Q1"][1].isclose(
+            NetworkEvolution(network).run_to(3).descriptors["Q1"][1],
             1e-12,
         )
 
@@ -205,11 +205,11 @@ class TestChain:
         network = build_bell_network(cfg)
         layout = network.layout
         evo = NetworkEvolution(network).run_to(3)
-        q1z_3 = evo.descriptor("Q1").components[1]
+        q1z_3 = evo.descriptors["Q1"][1]
         # Alice's record gate is controlled by the end of her chain
         (t_record,) = [t for t, app in timed(network) if app.subsystems == ("QA1", "SC")]
         evo.run_to(t_record)
-        control = evo.descriptor("QA1").components[1]
+        control = evo.descriptors["QA1"][1]
         from descriptorsim.operators import PAULI_Z
 
         qaz = embed_local(PAULI_Z, "QA", layout)
@@ -262,6 +262,10 @@ class TestChain:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             Chained(-1, 0)
+        # a length is an integer, checked before any link is built
+        for alice, bob in ((1.5, 0), ("1", 0), (0, 2.0)):
+            with pytest.raises(ValueError, match="chain length .* is not an integer"):
+                Chained(alice, bob)
 
 
 class TestWignerUndo:
@@ -399,9 +403,9 @@ class TestLocalityWitness:
         # Bob-side gates fire in the undo network; Alice's descriptor stays put
         network = build_bell_network(BellConfig(0.3, 0.7, WignerUndo()))
         evo = NetworkEvolution(network).run_to(4)
-        before = [c.matrix.copy() for c in evo.descriptor("QA").components]
+        before = [c.matrix.copy() for c in evo.descriptors["QA"]]
         evo.run_to(7)
-        after = evo.descriptor("QA").components
+        after = evo.descriptors["QA"]
         for b, a in zip(before, after):
             assert np.array_equal(b, a.matrix)
 
@@ -429,6 +433,6 @@ def test_evolved_components_stay_short_weyl_sums(variant, bound, angles):
     evo = NetworkEvolution(network)
     for t in range(len(network.slices) + 1):
         evo.run_to(t)
-        for desc in evo.descriptors.values():
-            for component in desc.components:
-                assert len(component.coefficients) <= bound, (t, desc.subsystem)
+        for sid, desc in evo.descriptors.items():
+            for component in desc:
+                assert len(component.coefficients) <= bound, (t, sid)

@@ -30,16 +30,16 @@ class TestFoliate:
     def test_alice_measurement_splits_half_half(self):
         network, evo = bell_evolution(0.3, 1.1)
         evo.run_to(3)
-        alice = evo.descriptor("QA")
-        control = evo.descriptor("Q1").components[1]  # z of Particle 1
-        gate_poly = alice.components[0]  # conditioned not = x component
+        alice = evo.descriptors["QA"]
+        control = evo.descriptors["Q1"][1]  # z of Particle 1
+        gate_poly = alice[0]  # conditioned not = x component
         fol = foliate(alice, control, gate_poly, "Q1.z")
         measures = fol.measures()
         assert measures["0"] == pytest.approx(0.5, abs=1e-12)
         assert measures["1"] == pytest.approx(0.5, abs=1e-12)
         # each instance indicates a definite z outcome: P(+-1) (qx, +-qz)
         plus, minus = fol.branches
-        qx, qz = alice.components
+        qx, qz = alice
         for branch, sign in ((plus, 1), (minus, -1)):
             rel = fol.relative_components(branch)
             assert rel[0].isclose(branch.projector @ qx, 1e-12)
@@ -51,39 +51,39 @@ class TestFoliate:
 
         descs = initial_descriptors(layout)
         control = embed_local(PAULI_Z, "Q1", layout)  # sharp, value +1
-        fol = foliate(descs["Q2"], control, descs["Q2"].components[0], "Q1.z")
+        fol = foliate(descs["Q2"], control, descs["Q2"][0], "Q1.z")
         assert fol.measures() == pytest.approx({"0": 1.0, "1": 0.0}, abs=1e-14)
 
     def test_branch_sum_reconstructs_step_evolution(self):
         network, evo = bell_evolution(0.9, -0.4)
         evo.run_to(4)
-        record = evo.descriptor("SC")
-        control = evo.descriptor("QA").components[1]
-        gate_poly = record.components[0].matpow(2)
+        record = evo.descriptors["SC"]
+        control = evo.descriptors["QA"][1]
+        gate_poly = record[0].matpow(2)
         fol = foliate(record, control, gate_poly, "QA.z")
         evo.run_to(5)
-        evolved = evo.descriptor("SC")
-        for got, want in zip(fol.branch_sum(), evolved.components):
+        evolved = evo.descriptors["SC"]
+        for got, want in zip(fol.branch_sum(), evolved):
             assert got.isclose(want, 1e-12)
 
     def test_nested_foliation_reconstructs_final_record(self):
         network, evo = bell_evolution(0.25, 0.8)
         evo.run_to(4)
-        record = evo.descriptor("SC")
+        record = evo.descriptors["SC"]
         fol = foliate(
             record,
-            evo.descriptor("QA").components[1],
-            record.components[0].matpow(2),
+            evo.descriptors["QA"][1],
+            record[0].matpow(2),
             "QA.z",
         )
         evo.run_to(5)
         fol = fol.refine(
-            evo.descriptor("QB").components[1], record.components[0], "QB.z"
+            evo.descriptors["QB"][1], record[0], "QB.z"
         )
         assert len(fol.branches) == 4
         assert [b.key for b in fol.branches] == ["00", "01", "10", "11"]
         evo.run_to(6)
-        for got, want in zip(fol.branch_sum(), evo.descriptor("SC").components):
+        for got, want in zip(fol.branch_sum(), evo.descriptors["SC"]):
             assert got.isclose(want, 1e-12)
         assert sum(fol.measures().values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -91,17 +91,17 @@ class TestFoliate:
         # refine checks its interaction exactly as foliate does
         network, evo = bell_evolution(0.25, 0.8)
         evo.run_to(4)
-        record = evo.descriptor("SC")
+        record = evo.descriptors["SC"]
         fol = foliate(
             record,
-            evo.descriptor("QA").components[1],
-            record.components[0].matpow(2),
+            evo.descriptors["QA"][1],
+            record[0].matpow(2),
             "QA.z",
         )
         evo.run_to(5)
         with pytest.raises(FoliationError, match="not unitary"):
             fol.refine(
-                evo.descriptor("QB").components[1], record.components[0] * 3, "QB.z"
+                evo.descriptors["QB"][1], record[0] * 3, "QB.z"
             )
 
     def test_follow_up_autonomy(self):
@@ -109,9 +109,9 @@ class TestFoliate:
         # branchwise sum equals the directly evolved descriptor
         network, evo = bell_evolution(0.3, 1.1)
         evo.run_to(3)
-        alice = evo.descriptor("QA")
-        control = evo.descriptor("Q1").components[1]
-        fol = foliate(alice, control, alice.components[0], "Q1.z")
+        alice = evo.descriptors["QA"]
+        control = evo.descriptors["Q1"][1]
+        fol = foliate(alice, control, alice[0], "Q1.z")
 
         angle = 1.234
         follow = GateApplication(RotationY(angle), ("QA",))
@@ -122,8 +122,8 @@ class TestFoliate:
         fol = fol.evolve_branches(gate_poly_base)
 
         extended = Network(network.layout, network.slices[:4] + ((follow,),))
-        direct = NetworkEvolution(extended).run_to(5).descriptor("QA")
-        for got, want in zip(fol.branch_sum(), direct.components):
+        direct = NetworkEvolution(extended).run_to(5).descriptors["QA"]
+        for got, want in zip(fol.branch_sum(), direct):
             assert got.isclose(want, 1e-9)
 
     def test_non_commuting_control_rejected(self):
@@ -133,7 +133,7 @@ class TestFoliate:
         descs = initial_descriptors(layout)
         control = embed_local(PAULI_X, "Q2", layout)
         with pytest.raises(FoliationError):
-            foliate(descs["Q2"], control, descs["Q2"].components[0], "Q2.x")
+            foliate(descs["Q2"], control, descs["Q2"][0], "Q2.x")
 
     def test_non_involutive_control_rejected(self):
         layout = SpaceLayout((("Q1", 2), ("Q2", 2)))
@@ -142,7 +142,7 @@ class TestFoliate:
         descs = initial_descriptors(layout)
         control = Operator.from_matrix(layout, np.diag([1, 2, 3, 4.0]))
         with pytest.raises(FoliationError):
-            foliate(descs["Q2"], control, descs["Q2"].components[0], "bad")
+            foliate(descs["Q2"], control, descs["Q2"][0], "bad")
 
 
 def record_split(evo, *splits):
@@ -151,9 +151,9 @@ def record_split(evo, *splits):
     fol = None
     for sid, t, k in splits:
         evo.run_to(t)
-        record = evo.descriptor("SC")
-        control = evo.descriptor(sid).components[1]
-        gate_poly = record.components[0].matpow(k)
+        record = evo.descriptors["SC"]
+        control = evo.descriptors[sid][1]
+        gate_poly = record[0].matpow(k)
         fol = (
             foliate(record, control, gate_poly, f"{sid}.z")
             if fol is None
@@ -182,11 +182,12 @@ class TestBranchMeasure:
     def test_empty_product_is_one(self):
         # before any split: one unlabelled branch of measure 1, with the
         # identity as projector and conditional, so it is the base itself
-        base = initial_descriptors(SpaceLayout((("Q1", 2),)))["Q1"]
-        identity = Operator.identity(base.layout)
+        layout = SpaceLayout((("Q1", 2),))
+        base = tuple(embed_local(p, "Q1", layout) for p in (PAULI_X, PAULI_Z))
+        identity = Operator.identity(layout)
         root = Foliation(base, (Branch((), identity, identity, 1.0),))
         assert root.measures() == {"": 1.0}
-        for got, want in zip(root.branch_sum(), base.components, strict=True):
+        for got, want in zip(root.branch_sum(), base, strict=True):
             assert got.distance(want) == 0.0
 
     def test_non_idempotent_rejected(self):
@@ -195,17 +196,17 @@ class TestBranchMeasure:
         fol = record_split(evo, ALICE_SPLIT)
         control = 2 * Operator.identity(network.layout)
         with pytest.raises(FoliationError):
-            fol.refine(control, fol.base.components[0], "bad")
+            fol.refine(control, fol.base[0], "bad")
 
     def test_non_commuting_rejected(self):
         network, evo = bell_evolution(0.7, 0.1)
         fol = record_split(evo, ALICE_SPLIT)
         # the record's shift squared: an involution that anticommutes with
         # the record's clock
-        control = fol.base.components[0].matpow(2)
+        control = fol.base[0].matpow(2)
         assert control.is_involution()
         with pytest.raises(FoliationError):
-            fol.refine(control, fol.base.components[0], "bad")
+            fol.refine(control, fol.base[0], "bad")
 
     def test_measures_within_unit_interval(self):
         network, evo = bell_evolution(1.2, -2.0)

@@ -57,6 +57,11 @@ def test_custom_gate_must_be_unitary():
         RotationY(np.nan)
     with pytest.raises(NetworkError):
         RotationY(np.inf)
+    # a shift is an integer power of the shift generator
+    with pytest.raises(NetworkError, match="Plus shift 1.5 is not an integer"):
+        Plus(1.5)
+    with pytest.raises(NetworkError, match="ControlledPlus shift 2.0 is not an integer"):
+        ControlledPlus(2.0)
     CustomGate(np.diag([1.0, -1.0]))  # fine
 
 

@@ -121,7 +121,7 @@ class TestReferenceExpectation:
 
         network = build_bell_network(BellConfig(0.3, 0.9))
         evo = NetworkEvolution(network).run_to(4)
-        value = evo.descriptor("QA").components[1].expectation()
+        value = evo.descriptors["QA"][1].expectation()
         assert abs(value) < 1e-12
 
 
@@ -144,7 +144,7 @@ class TestProjectorPm:
 
         network = build_bell_network(BellConfig(0.3, 0.9))
         evo = NetworkEvolution(network).run_to(3)
-        p = half_sum(evo.descriptor("Q1").components[1], +1)
+        p = half_sum(evo.descriptors["Q1"][1], +1)
         assert (p @ p).isclose(p, 1e-12)
         assert p.is_hermitian(1e-12)
 
@@ -161,7 +161,7 @@ class TestProjectorPm:
         target = initial_descriptors(TWO_QUBITS)["Q2"]
         control = Operator.from_matrix(TWO_QUBITS, np.diag([1, 2, 3, 4.0]))
         with pytest.raises(FoliationError):
-            foliate(target, control, target.components[0])
+            foliate(target, control, target[0])
 
 
 class TestShiftClock:

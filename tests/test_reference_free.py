@@ -10,6 +10,10 @@ is its expansion on the current descriptors, not a cumulative frame.
 ``Operator.matrix`` builds the dense N x N matrix for the reference paths
 and the tests.  No production module reads it, and with it made to raise
 each Bell variant and every CLI experiment still run.
+
+The reference in turn shares no term arithmetic with the step law: it
+returns dense components, and with ``Operator.from_matrix`` (the term
+expansion behind every functional form) made to raise, it still runs.
 """
 
 import ast
@@ -34,6 +38,8 @@ from descriptorsim import (
     Plain,
     SpaceLayout,
     WignerUndo,
+    build_bell_network,
+    cumulative_evolve,
     haar_random_unitary,
     initial_descriptors,
     locality_residual,
@@ -42,6 +48,7 @@ from descriptorsim import (
     simulate_statevector,
 )
 from descriptorsim.cli import EXPERIMENTS, RunConfig, execute_and_report
+from conftest import dense_distance
 
 REFERENCE = ("cumulative_unitary", "cumulative_evolve")
 
@@ -95,10 +102,25 @@ def test_late_custom_gate_never_calls_the_reference(no_reference):
     # <0|U^dag c U|0> of every evolved component is <psi|c|psi> at the end
     psi = simulate_statevector(net).amplitudes
     for sid, initial in initial_descriptors(layout).items():
-        for got, c in zip(evolved[sid].components, initial.components):
+        for got, c in zip(evolved[sid], initial):
             want = psi.conj() @ c.matrix @ psi
             assert got.expectation() == pytest.approx(want, abs=1e-12)
     assert locality_residual(net) < 1e-12
+
+
+@pytest.mark.parametrize("variant", [Decohered(3), Chained(1, 1)], ids=repr)
+def test_reference_never_expands_into_terms(monkeypatch, variant):
+    network = build_bell_network(BellConfig(0.3, 0.9, variant))
+    evolved = NetworkEvolution(network).run().descriptors
+
+    def forbidden(cls, layout, matrix):
+        raise AssertionError("the reference engine expanded a matrix into terms")
+
+    monkeypatch.setattr(Operator, "from_matrix", classmethod(forbidden))
+    reference = cumulative_evolve(network)
+    for sid, components in evolved.items():
+        assert all(isinstance(c, np.ndarray) for c in reference[sid])
+        assert dense_distance(components, reference[sid]) < 1e-10
 
 
 # "all" runs the same six sections

@@ -27,7 +27,7 @@ print(f"network: {len(network.slices)} time steps over "
       f"{[sid for sid, _ in network.layout.subsystems]}")
 for t, sl in enumerate(network.slices):
     for app in sl:
-        print(f"  t={t}: {app.gate.label():<8} on {', '.join(app.subsystems)}")
+        print(f"  t={t}: {', '.join(app.subsystems):<7} {app.gate!r}")
 
 # Before measuring, each particle's z observable has lost any definite value.
 evo = NetworkEvolution(network).run_to(3)

@@ -61,6 +61,10 @@ class Decohered:
 
     seed: int | None = 0
 
+    def __post_init__(self) -> None:
+        if self.seed is not None and as_index(self.seed, "seed", ValueError) < 0:
+            raise ValueError("seed must be >= 0")
+
     def edit(self, cfg: BellConfig, qubits: list[str], stages: dict) -> None:
         """Add QE, QF (scrambled first if seeded); QE copies Q1 after the rotations."""
         qubits[2:2] = ["QE", "QF"]

@@ -51,12 +51,7 @@ from .oracle import joint_outcome_distribution, simulate_statevector
 
 EXPERIMENTS = ("bell", "chsh", "decoherence", "chain", "wigner", "nonisomorphism", "all")
 FORMATS = ("table", "csv", "json")
-PRESETS = {
-    "chsh-00": (0, 0),
-    "chsh-01": (0, 1),
-    "chsh-10": (1, 0),
-    "chsh-11": (1, 1),
-}
+PRESETS = {f"chsh-{x}{y}": (x, y) for x, y in INPUT_PAIRS}
 ENV_TOLERANCE = "DESCRIPTOR_SIM_TOLERANCE"
 
 
@@ -81,14 +76,15 @@ class RunConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}")
-        if self.chain_alice < 0 or self.chain_bob < 0:
-            raise ConfigError("chain lengths must be >= 0")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ConfigError("tolerance must be finite and positive")
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ConfigError("angles must be finite")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        # the library types check their own parameters, chain lengths first
+        try:
+            chained = Chained(self.chain_alice, self.chain_bob)
+            if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+                raise ValueError("tolerance must be finite and positive")
+            BellConfig(self.theta, self.phi, chained)
+            Decohered(self.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 # a config-file key is a RunConfig field, parsed as the field's type (an

@@ -4,11 +4,14 @@ A network is a sequence of time slices over a declared layout; each slice
 holds gate applications on disjoint subsystems, and a gate's time is the
 position of its slice.  Gate kinds know their matrix form only; the
 engine derives their functional (operator-valued) forms from it.
+``matrix(dims)`` is also the one check that a gate fits the dims, and so
+the number, of the subsystems it acts on: the network, its embedding and
+the functional form all call it before they use an application.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isfinite, prod
 
 import numpy as np
@@ -34,14 +37,9 @@ def _require_dims(name: str, dims: tuple[int, ...], expected: tuple[int, ...]) -
 
 @dataclass(frozen=True)
 class Hadamard:
-    n_subsystems = 1
-
     def matrix(self, dims: tuple[int, ...]) -> np.ndarray:
         _require_dims("H", dims, (2,))
         return HADAMARD.copy()
-
-    def label(self) -> str:
-        return "H"
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,6 @@ class RotationY:
     """Bloch-sphere rotation around the y axis by ``theta`` radians."""
 
     theta: float
-    n_subsystems = 1
 
     def __post_init__(self) -> None:
         if not isfinite(self.theta):
@@ -60,15 +57,10 @@ class RotationY:
         c, s = np.cos(self.theta / 2), np.sin(self.theta / 2)
         return np.array([[c, -s], [s, c]], dtype=complex)
 
-    def label(self) -> str:
-        return f"Ry({self.theta:g})"
-
 
 @dataclass(frozen=True)
 class Cnot:
     """Controlled-not; subsystems are (control, target)."""
-
-    n_subsystems = 2
 
     def matrix(self, dims: tuple[int, ...]) -> np.ndarray:
         _require_dims("Cnot", dims, (2, 2))
@@ -76,27 +68,21 @@ class Cnot:
         m[2:, 2:] = np.array([[0, 1], [1, 0]])
         return m
 
-    def label(self) -> str:
-        return "Cnot"
-
 
 @dataclass(frozen=True)
 class Plus:
     """|j> -> |j + k mod d> on one qudit."""
 
     k: int
-    n_subsystems = 1
 
     def __post_init__(self) -> None:
         as_index(self.k, "Plus shift", NetworkError)
 
     def matrix(self, dims: tuple[int, ...]) -> np.ndarray:
-        (d,) = dims
-        shift, _ = qudit_shift_clock(d)
-        return np.linalg.matrix_power(shift, self.k % d)
-
-    def label(self) -> str:
-        return f"+{self.k}"
+        if len(dims) != 1:
+            raise NetworkError(f"Plus expects subsystem dims (d,), got {dims}")
+        shift, _ = qudit_shift_clock(dims[0])
+        return np.linalg.matrix_power(shift, self.k % dims[0])
 
 
 @dataclass(frozen=True)
@@ -108,30 +94,26 @@ class ControlledPlus:
     """
 
     k: int
-    n_subsystems = 2
 
     def __post_init__(self) -> None:
         as_index(self.k, "ControlledPlus shift", NetworkError)
 
     def matrix(self, dims: tuple[int, ...]) -> np.ndarray:
-        c, d = dims
-        if c != 2:
-            raise NetworkError(f"ControlledPlus control must be a qubit, got dim {c}")
+        if len(dims) != 2 or dims[0] != 2:
+            raise NetworkError(f"ControlledPlus expects subsystem dims (2, d), got {dims}")
+        d = dims[1]
         shift, _ = qudit_shift_clock(d)
         m = np.zeros((2 * d, 2 * d), dtype=complex)
         m[:d, :d] = np.eye(d)
         m[d:, d:] = np.linalg.matrix_power(shift, self.k % d)
         return m
 
-    def label(self) -> str:
-        return f"Ctrl-+{self.k}"
-
 
 @dataclass(frozen=True, eq=False)
 class CustomGate:
     """An arbitrary unitary supplied as an explicit matrix."""
 
-    unitary: np.ndarray
+    unitary: np.ndarray = field(repr=False)
     name: str = "custom"
 
     def __post_init__(self) -> None:
@@ -144,10 +126,6 @@ class CustomGate:
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
 
-    @property
-    def n_subsystems(self) -> None:
-        return None  # any subsystem count whose dim product matches
-
     def matrix(self, dims: tuple[int, ...]) -> np.ndarray:
         if self.unitary.shape[0] != prod(dims):
             raise NetworkError(
@@ -155,9 +133,6 @@ class CustomGate:
                 f"acted dims {dims}"
             )
         return self.unitary
-
-    def label(self) -> str:
-        return self.name
 
 
 Gate = Hadamard | RotationY | Cnot | Plus | ControlledPlus | CustomGate
@@ -173,13 +148,7 @@ class GateApplication:
     def __post_init__(self) -> None:
         object.__setattr__(self, "subsystems", tuple(self.subsystems))
         if not self.subsystems:
-            raise NetworkError(f"{self.gate.label()} acts on no subsystems")
-        expected = self.gate.n_subsystems
-        if expected is not None and len(self.subsystems) != expected:
-            raise NetworkError(
-                f"{self.gate.label()} acts on {expected} subsystem(s), "
-                f"got {self.subsystems}"
-            )
+            raise NetworkError(f"{type(self.gate).__name__} acts on no subsystems")
         if len(set(self.subsystems)) != len(self.subsystems):
             raise NetworkError(f"repeated subsystem in {self.subsystems}")
 
@@ -203,7 +172,7 @@ class Network:
             acted: set[str] = set()
             for app in sl:
                 dims = tuple(self.layout.dim_of(sid) for sid in app.subsystems)
-                app.gate.matrix(dims)  # validates dims and unitarity
+                app.gate.matrix(dims)  # the check that the gate fits these dims
                 overlap = acted & set(app.subsystems)
                 if overlap:
                     raise NetworkError(f"slice {t}: subsystems {sorted(overlap)} acted twice")

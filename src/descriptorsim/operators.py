@@ -303,17 +303,12 @@ def embed_matrix(
     small: np.ndarray, targets: tuple[str, ...], layout: SpaceLayout
 ) -> np.ndarray:
     """Tensor a small matrix acting on ``targets`` (in that order) with the
-    identity on every other subsystem, permuted into layout order."""
+    identity on every other subsystem, permuted into layout order.  Unchecked:
+    the one caller, ``Network.embedded``, passes distinct targets (checked by
+    ``GateApplication``) and a matrix that ``gate.matrix(dims)`` sized."""
     small = np.asarray(small, dtype=complex)
     t_idx = [layout.index_of(sid) for sid in targets]
-    if len(set(t_idx)) != len(t_idx):
-        raise LayoutError(f"repeated target subsystems {targets}")
     dims = layout.dims
-    acted = prod(dims[i] for i in t_idx)
-    if small.shape != (acted, acted):
-        raise LayoutError(
-            f"gate shape {small.shape} does not match acted dims product {acted}"
-        )
     rest = [i for i in range(len(dims)) if i not in t_idx]
     big = np.kron(small, np.eye(prod(dims[i] for i in rest) if rest else 1))
     # Axis a of the kron result corresponds to layout position order[a];

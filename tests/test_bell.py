@@ -171,6 +171,13 @@ class TestDecoherence:
         run_bell(cfg)
         assert times == list(range(len(build_bell_network(cfg).slices)))
 
+    def test_bad_seed_rejected(self):
+        # a seed is a non-negative integer, checked before any gate is built
+        with pytest.raises(ValueError, match="seed 1.5 is not an integer"):
+            Decohered(1.5)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            Decohered(-1)
+
     def test_scramble_is_seed_deterministic(self):
         a = build_bell_network(BellConfig(0.1, 0.2, Decohered(5)))
         b = build_bell_network(BellConfig(0.1, 0.2, Decohered(5)))

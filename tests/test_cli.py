@@ -353,6 +353,8 @@ class TestExecuteAndReport:
             {"theta": math.inf},
             {"phi": math.nan},
             {"seed": -1},
+            {"seed": 1.5},
+            {"chain_alice": 1.5},
         ):
             with pytest.raises(ConfigError):
                 RunConfig(experiment="bell", **bad)

@@ -65,9 +65,16 @@ def test_custom_gate_must_be_unitary():
     CustomGate(np.diag([1.0, -1.0]))  # fine
 
 
+def test_custom_gate_repr_is_its_name():
+    u = np.diag([1.0, -1.0])
+    assert repr(CustomGate(u, "env-scramble")) == "CustomGate(name='env-scramble')"
+
+
 def test_application_arity_checked():
-    with pytest.raises(NetworkError):
-        GateApplication(Hadamard(), ("Q1", "Q2"))
+    # a gate's arity is checked by its matrix, when a network holds it
+    wrong_arity = GateApplication(Hadamard(), ("Q1", "Q2"))
+    with pytest.raises(NetworkError, match="expects subsystem dims"):
+        Network(LAYOUT, [[wrong_arity]])
     with pytest.raises(NetworkError):
         GateApplication(Cnot(), ("Q1", "Q1"))
     with pytest.raises(NetworkError):
@@ -99,9 +106,21 @@ def test_upto_is_a_prefix_within_range():
             net.upto(t)
 
 
-def test_network_gate_dims_checked():
+@pytest.mark.parametrize(
+    "app",
+    [
+        GateApplication(Hadamard(), ("SC",)),
+        GateApplication(Hadamard(), ("Q1", "Q2")),
+        GateApplication(Cnot(), ("Q1",)),
+        GateApplication(Plus(1), ("Q1", "SC")),
+        GateApplication(ControlledPlus(1), ("Q1",)),
+        GateApplication(CustomGate(np.eye(2)), ("Q1", "Q2")),
+    ],
+    ids=lambda app: "-".join((type(app.gate).__name__, *app.subsystems)),
+)
+def test_network_gate_dims_checked(app):
     with pytest.raises(NetworkError):
-        Network(LAYOUT, [[GateApplication(Hadamard(), ("SC",))]])
+        Network(LAYOUT, [[app]])
 
 
 def test_embedded_respects_target_order():

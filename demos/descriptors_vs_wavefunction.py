@@ -24,7 +24,7 @@ cnot = Network(layout, [[GateApplication(Cnot(), ("Q1", "Q2"))]])
 
 print("final state vectors:")
 for name, net in (("empty", empty), ("cnot ", cnot)):
-    print(f"  {name}: {np.round(simulate_statevector(net).amplitudes, 6)}")
+    print(f"  {name}: {np.round(simulate_statevector(net).ravel(), 6)}")
 
 print("\nQ1 x-component after each history:")
 for name, net in (("empty", empty), ("cnot ", cnot)):

@@ -36,6 +36,7 @@ from .operators import (
     Operator,
     SpaceLayout,
     as_index,
+    as_real,
     check_descriptor_budget,
     haar_random_unitary,
 )
@@ -133,7 +134,10 @@ class BellConfig:
     variant: Variant = field(default_factory=Plain)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+        if not (
+            math.isfinite(as_real(self.theta, "theta", ValueError))
+            and math.isfinite(as_real(self.phi, "phi", ValueError))
+        ):
             raise ValueError("angles must be finite")
 
 
@@ -218,7 +222,7 @@ def run_bell(cfg: BellConfig) -> BellOutcome:
         if app.subsystems == ("Q1", "QE"):
             q1x_after = evo.run_to(t + 1).descriptors["Q1"][0]
             env_diagnostics["q1_x_expectation"] = abs(q1x_after.expectation())
-            rho = reduced_density_matrix(simulate_statevector(network.upto(t + 1)), "Q1")
+            rho = reduced_density_matrix(network.upto(t + 1), "Q1")
             env_diagnostics["q1_offdiagonal"] = float(abs(rho[0, 1]))
 
     (t_alice, alice), (t_bob, bob) = (
@@ -229,10 +233,10 @@ def run_bell(cfg: BellConfig) -> BellOutcome:
     record = evo.descriptors[RECORD]
     shift = record[0]
     control_a = evo.descriptors[alice.subsystems[0]][1]
-    fol = foliate(record, control_a, shift.matpow(alice.gate.k), f"{alice.subsystems[0]}.z")
+    fol = foliate(record, control_a, shift.matpow(alice.gate.k))
     evo.run_to(t_bob)
     control_b = evo.descriptors[bob.subsystems[0]][1]
-    fol = fol.refine(control_b, shift.matpow(bob.gate.k), f"{bob.subsystems[0]}.z")
+    fol = fol.refine(control_b, shift.matpow(bob.gate.k))
 
     evo.run()
     residual = max(
@@ -286,10 +290,8 @@ def nonisomorphism_witness() -> NonIsomorphismReport:
     empty = Network(layout, ())
     cnot = Network(layout, [[GateApplication(Cnot(), ("Q1", "Q2"))]])
 
-    state_empty = simulate_statevector(empty)
-    state_cnot = simulate_statevector(cnot)
     state_distance = float(
-        np.linalg.norm(state_empty.amplitudes - state_cnot.amplitudes)
+        np.linalg.norm(simulate_statevector(empty) - simulate_statevector(cnot))
     )
 
     evo_empty = NetworkEvolution(empty).run()

@@ -46,8 +46,8 @@ from .chsh import (
     win_rate,
 )
 from .gates import Network
-from .operators import DEFAULT_TOLERANCE, LayoutError
-from .oracle import joint_outcome_distribution, simulate_statevector
+from .operators import DEFAULT_TOLERANCE, LayoutError, as_real
+from .oracle import joint_outcome_distribution
 
 EXPERIMENTS = ("bell", "chsh", "decoherence", "chain", "wigner", "nonisomorphism", "all")
 FORMATS = ("table", "csv", "json")
@@ -79,7 +79,8 @@ class RunConfig:
         # the library types check their own parameters, chain lengths first
         try:
             chained = Chained(self.chain_alice, self.chain_bob)
-            if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            tolerance = as_real(self.tolerance, "tolerance", ValueError)
+            if not (math.isfinite(tolerance) and tolerance > 0):
                 raise ValueError("tolerance must be finite and positive")
             BellConfig(self.theta, self.phi, chained)
             Decohered(self.seed)
@@ -249,7 +250,7 @@ def _rows(
 ) -> list[dict]:
     """One row per record branch: measure, closed form, and the oracle's
     probability for the network the measures came from."""
-    dist = joint_outcome_distribution(simulate_statevector(network), (RECORD,))
+    dist = joint_outcome_distribution(network, (RECORD,))
     oracle = {format(value[0], "02b"): p for value, p in dist.items()}
     return [
         {

@@ -2,8 +2,8 @@
 
 A conditioned interaction whose control observable is unsharp splits a
 descriptor into projector-weighted instances, one per control eigenvalue.
-Each branch keeps three things: its label history, the accumulated
-projector onto the controlling eigenvalues, and the accumulated
+Each branch keeps three things: its key, one bit per split, the
+accumulated projector onto the controlling eigenvalues, and the accumulated
 conditioned unitary (expressed in the base: the foliated descriptor, a
 tuple of components, which is where every later gate polynomial must be
 expressed as well).  The branch's relative descriptor is projector *
@@ -11,8 +11,8 @@ W^dag(base component)W, component by component, and the branch measure
 is the reference expectation of the projector.
 
 :func:`foliate` is the first split, a :meth:`Foliation.refine` of a root
-foliation whose one unlabelled branch has measure 1 and the identity as
-both projector and conditional: the unit of the descriptor algebra.
+foliation whose one branch has the empty key, measure 1 and the identity
+as both projector and conditional: the unit of the descriptor algebra.
 Each split checks its control once, then builds its two projectors
 unchecked.
 """
@@ -37,15 +37,10 @@ class FoliationError(AlgebraError):
 
 @dataclass(frozen=True)
 class Branch:
-    labels: tuple[tuple[str, int], ...]
+    key: str  # one bit per split, in foliation order; eigenvalue +1 is 0
     projector: Operator  # the product of the split projectors; I at the root
     conditional: Operator  # the conditioned gates, latest on the left; I if none
     measure: float
-
-    @property
-    def key(self) -> str:
-        """Label bits in foliation order: eigenvalue +1 is bit 0."""
-        return "".join("0" if sign == 1 else "1" for _, sign in self.labels)
 
 
 @dataclass(frozen=True)
@@ -66,9 +61,7 @@ class Foliation:
     def measures(self) -> dict[str, float]:
         return {b.key: b.measure for b in self.branches}
 
-    def refine(
-        self, control: Operator, gate_poly: Operator, control_id: str
-    ) -> "Foliation":
+    def refine(self, control: Operator, gate_poly: Operator) -> "Foliation":
         """Split every branch again by a further conditioned interaction.
 
         ``gate_poly`` is the conditioned unitary expressed in the base
@@ -79,16 +72,11 @@ class Foliation:
         proj = {s: half_sum(control, s) for s in (+1, -1)}
         new_branches = []
         for branch in self.branches:
-            for sign in (+1, -1):
+            for sign, bit in ((+1, "0"), (-1, "1")):
                 projector = branch.projector @ proj[sign]
                 conditional = gate_poly @ branch.conditional if sign == -1 else branch.conditional
                 new_branches.append(
-                    Branch(
-                        branch.labels + ((control_id, sign),),
-                        projector,
-                        conditional,
-                        _real_measure(projector),
-                    )
+                    Branch(branch.key + bit, projector, conditional, _real_measure(projector))
                 )
         return Foliation(self.base, tuple(new_branches))
 
@@ -99,17 +87,14 @@ class Foliation:
         return Foliation(
             self.base,
             tuple(
-                Branch(b.labels, b.projector, gate_poly @ b.conditional, b.measure)
+                Branch(b.key, b.projector, gate_poly @ b.conditional, b.measure)
                 for b in self.branches
             ),
         )
 
 
 def foliate(
-    target: tuple[Operator, ...],
-    control: Operator,
-    gate_poly: Operator,
-    control_id: str = "control",
+    target: tuple[Operator, ...], control: Operator, gate_poly: Operator
 ) -> Foliation:
     """Split ``target`` under a conditioned interaction into two labeled
     relative descriptors.
@@ -120,8 +105,8 @@ def foliate(
     measure-0 branch.
     """
     identity = Operator.identity(target[0].layout)
-    root = Foliation(target, (Branch((), identity, identity, 1.0),))
-    return root.refine(control, gate_poly, control_id)
+    root = Foliation(target, (Branch("", identity, identity, 1.0),))
+    return root.refine(control, gate_poly)
 
 
 def _check_interaction(

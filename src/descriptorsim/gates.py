@@ -21,6 +21,7 @@ from .operators import (
     HADAMARD,
     SpaceLayout,
     as_index,
+    as_real,
     embed_matrix,
     qudit_shift_clock,
 )
@@ -49,7 +50,7 @@ class RotationY:
     theta: float
 
     def __post_init__(self) -> None:
-        if not isfinite(self.theta):
+        if not isfinite(as_real(self.theta, "Ry angle", NetworkError)):
             raise NetworkError(f"Ry angle {self.theta} is not finite")
 
     def matrix(self, dims: tuple[int, ...]) -> np.ndarray:

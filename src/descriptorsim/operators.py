@@ -12,6 +12,7 @@ which never evolves; all dynamics act on operators.
 from __future__ import annotations
 
 import functools
+import numbers
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -43,12 +44,23 @@ class AlgebraError(ValueError):
 
 
 def as_index(value, what: str, error: type[ValueError]) -> int:
-    """``value`` as an int, raising ``error`` for a float, a string or any
-    other non-integer, rather than truncating, parsing or failing later."""
+    """``value`` as an int, raising ``error`` for a bool, a float, a string
+    or any other non-integer, rather than truncating, parsing or failing
+    later."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise error(f"{what} {value!r} is not an integer") from None
+        pass
+    raise error(f"{what} {value!r} is not an integer")
+
+
+def as_real(value, what: str, error: type[ValueError]):
+    """``value`` itself if it is a real number, raising ``error`` for a
+    bool, a string, None or any other non-real, rather than failing later."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{what} {value!r} is not a real number")
+    return value
 
 
 def check_descriptor_budget(dims: dict[int, int]) -> None:

@@ -34,7 +34,6 @@ from descriptorsim import (
     reduced_density_matrix,
     run_bell,
     run_wigner_undo,
-    simulate_statevector,
 )
 from conftest import dense_distance, random_network
 
@@ -56,7 +55,7 @@ def report(criterion: int, description: str, ok: bool, detail: str = "") -> None
 
 def oracle_record_distribution(cfg: BellConfig) -> dict[str, float]:
     network = build_bell_network(cfg)
-    dist = joint_outcome_distribution(simulate_statevector(network), ("SC",))
+    dist = joint_outcome_distribution(network, ("SC",))
     return {format(value[0], "02b"): p for value, p in dist.items()}
 
 
@@ -167,7 +166,7 @@ def test_criterion_08_reconstruction_and_autonomy():
     evo = NetworkEvolution(network).run_to(3)
     alice = evo.descriptors["QA"]
     control = evo.descriptors["Q1"][1]
-    fol = foliate(alice, control, alice[0], "Q1.z")
+    fol = foliate(alice, control, alice[0])
     angle = float(np.random.default_rng(8).uniform(-math.pi, math.pi))
     follow = GateApplication(RotationY(angle), ("QA",))
     fol = fol.evolve_branches(functional_form(follow, {"QA": alice}))
@@ -252,9 +251,7 @@ def test_criterion_09b_decoherence_reduced_matrix(decohered_twenty):
             t for t, sl in enumerate(network.slices)
             for app in sl if app.subsystems == ("Q1", "QE")
         ]
-        rho = reduced_density_matrix(
-            simulate_statevector(network.upto(t_copy + 1)), "Q1"
-        )
+        rho = reduced_density_matrix(network.upto(t_copy + 1), "Q1")
         worst = max(worst, abs(rho[0, 1]))
     report(9, "oracle reduced matrix of Q1 is z-diagonal", worst < 1e-9,
            f"offdiag={worst:.2e}")

@@ -24,7 +24,6 @@ from descriptorsim import (
     nonisomorphism_witness,
     run_bell,
     run_wigner_undo,
-    simulate_statevector,
 )
 from descriptorsim import bell
 from descriptorsim.operators import PAULI_X, Operator
@@ -77,9 +76,7 @@ class TestPlainNetwork:
         cfg = BellConfig(theta, phi)
         out = run_bell(cfg)
         assert_measures(out, closed_form_measures(theta, phi))
-        dist = joint_outcome_distribution(
-            simulate_statevector(build_bell_network(cfg)), ("SC",)
-        )
+        dist = joint_outcome_distribution(build_bell_network(cfg), ("SC",))
         for value, prob in dist.items():
             key = format(value[0], "02b")
             assert out.branch_measures[key] == pytest.approx(prob, abs=1e-9)
@@ -108,7 +105,7 @@ class TestPlainNetwork:
 
     def test_outcome_carries_its_network(self):
         out = run_bell(BellConfig(0.3, 1.1, Decohered(4)))
-        dist = joint_outcome_distribution(simulate_statevector(out.network), ("SC",))
+        dist = joint_outcome_distribution(out.network, ("SC",))
         for value, prob in dist.items():
             key = format(value[0], "02b")
             assert out.branch_measures[key] == pytest.approx(prob, abs=1e-9)
@@ -120,6 +117,9 @@ class TestPlainNetwork:
     def test_infinite_angle_rejected(self):
         with pytest.raises(ValueError):
             BellConfig(math.inf, 0.0)
+        # an angle is a real number, not a string parsed later
+        with pytest.raises(ValueError, match="theta '0.3' is not a real number"):
+            BellConfig("0.3", 0)
 
 
 class TestDecoherence:
@@ -270,7 +270,7 @@ class TestChain:
         with pytest.raises(ValueError):
             Chained(-1, 0)
         # a length is an integer, checked before any link is built
-        for alice, bob in ((1.5, 0), ("1", 0), (0, 2.0)):
+        for alice, bob in ((1.5, 0), ("1", 0), (0, 2.0), (True, 0)):
             with pytest.raises(ValueError, match="chain length .* is not an integer"):
                 Chained(alice, bob)
 
@@ -310,9 +310,7 @@ class TestWignerUndo:
     def test_oracle_agrees(self):
         report = run_wigner_undo(0.3, 0.5)
         network = build_bell_network(report.outcome.config)
-        dist = joint_outcome_distribution(
-            simulate_statevector(network), ("SC",)
-        )
+        dist = joint_outcome_distribution(network, ("SC",))
         for value, prob in dist.items():
             key = format(value[0], "02b")
             assert report.outcome.branch_measures[key] == pytest.approx(

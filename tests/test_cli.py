@@ -2,8 +2,10 @@ import dataclasses
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,22 @@ def run_main(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_readme_cli_examples_exit_0(capsys):
+    # every documented `descriptorsim run ...` line of README's sh blocks
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M)
+    commands = [
+        shlex.split(line)[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("descriptorsim run ")
+    ]
+    assert commands
+    for argv in commands:
+        code, _, err = run_main(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 class TestParseConfig:
@@ -355,6 +373,13 @@ class TestExecuteAndReport:
             {"seed": -1},
             {"seed": 1.5},
             {"chain_alice": 1.5},
+            # a value of the wrong kind, neither a traceback nor coerced
+            {"theta": "0.3"},
+            {"tolerance": "1e-9"},
+            {"phi": None},
+            {"theta": True},
+            {"chain_alice": True},
+            {"seed": True},
         ):
             with pytest.raises(ConfigError):
                 RunConfig(experiment="bell", **bad)

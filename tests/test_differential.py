@@ -94,7 +94,7 @@ def test_step_law_matches_cumulative_conjugation_and_oracle(network):
         evo.run_to(t)
         prefix = network.upto(t)
         reference = cumulative_evolve(prefix)
-        state = simulate_statevector(prefix).amplitudes
+        state = simulate_statevector(prefix).ravel()
         for sid, initial in time0.items():
             assert dense_distance(evo.descriptors[sid], reference[sid]) < TOL
             for got, base in zip(evo.descriptors[sid], initial):

@@ -33,7 +33,7 @@ class TestFoliate:
         alice = evo.descriptors["QA"]
         control = evo.descriptors["Q1"][1]  # z of Particle 1
         gate_poly = alice[0]  # conditioned not = x component
-        fol = foliate(alice, control, gate_poly, "Q1.z")
+        fol = foliate(alice, control, gate_poly)
         measures = fol.measures()
         assert measures["0"] == pytest.approx(0.5, abs=1e-12)
         assert measures["1"] == pytest.approx(0.5, abs=1e-12)
@@ -51,7 +51,7 @@ class TestFoliate:
 
         descs = initial_descriptors(layout)
         control = embed_local(PAULI_Z, "Q1", layout)  # sharp, value +1
-        fol = foliate(descs["Q2"], control, descs["Q2"][0], "Q1.z")
+        fol = foliate(descs["Q2"], control, descs["Q2"][0])
         assert fol.measures() == pytest.approx({"0": 1.0, "1": 0.0}, abs=1e-14)
 
     def test_branch_sum_reconstructs_step_evolution(self):
@@ -60,7 +60,7 @@ class TestFoliate:
         record = evo.descriptors["SC"]
         control = evo.descriptors["QA"][1]
         gate_poly = record[0].matpow(2)
-        fol = foliate(record, control, gate_poly, "QA.z")
+        fol = foliate(record, control, gate_poly)
         evo.run_to(5)
         evolved = evo.descriptors["SC"]
         for got, want in zip(fol.branch_sum(), evolved):
@@ -70,16 +70,9 @@ class TestFoliate:
         network, evo = bell_evolution(0.25, 0.8)
         evo.run_to(4)
         record = evo.descriptors["SC"]
-        fol = foliate(
-            record,
-            evo.descriptors["QA"][1],
-            record[0].matpow(2),
-            "QA.z",
-        )
+        fol = foliate(record, evo.descriptors["QA"][1], record[0].matpow(2))
         evo.run_to(5)
-        fol = fol.refine(
-            evo.descriptors["QB"][1], record[0], "QB.z"
-        )
+        fol = fol.refine(evo.descriptors["QB"][1], record[0])
         assert len(fol.branches) == 4
         assert [b.key for b in fol.branches] == ["00", "01", "10", "11"]
         evo.run_to(6)
@@ -92,17 +85,10 @@ class TestFoliate:
         network, evo = bell_evolution(0.25, 0.8)
         evo.run_to(4)
         record = evo.descriptors["SC"]
-        fol = foliate(
-            record,
-            evo.descriptors["QA"][1],
-            record[0].matpow(2),
-            "QA.z",
-        )
+        fol = foliate(record, evo.descriptors["QA"][1], record[0].matpow(2))
         evo.run_to(5)
         with pytest.raises(FoliationError, match="not unitary"):
-            fol.refine(
-                evo.descriptors["QB"][1], record[0] * 3, "QB.z"
-            )
+            fol.refine(evo.descriptors["QB"][1], record[0] * 3)
 
     def test_follow_up_autonomy(self):
         # a later local unitary evolves each branch independently, and the
@@ -111,7 +97,7 @@ class TestFoliate:
         evo.run_to(3)
         alice = evo.descriptors["QA"]
         control = evo.descriptors["Q1"][1]
-        fol = foliate(alice, control, alice[0], "Q1.z")
+        fol = foliate(alice, control, alice[0])
 
         angle = 1.234
         follow = GateApplication(RotationY(angle), ("QA",))
@@ -133,7 +119,7 @@ class TestFoliate:
         descs = initial_descriptors(layout)
         control = embed_local(PAULI_X, "Q2", layout)
         with pytest.raises(FoliationError):
-            foliate(descs["Q2"], control, descs["Q2"][0], "Q2.x")
+            foliate(descs["Q2"], control, descs["Q2"][0])
 
     def test_non_involutive_control_rejected(self):
         layout = SpaceLayout((("Q1", 2), ("Q2", 2)))
@@ -142,7 +128,7 @@ class TestFoliate:
         descs = initial_descriptors(layout)
         control = Operator.from_matrix(layout, np.diag([1, 2, 3, 4.0]))
         with pytest.raises(FoliationError):
-            foliate(descs["Q2"], control, descs["Q2"][0], "bad")
+            foliate(descs["Q2"], control, descs["Q2"][0])
 
 
 def record_split(evo, *splits):
@@ -155,9 +141,9 @@ def record_split(evo, *splits):
         control = evo.descriptors[sid][1]
         gate_poly = record[0].matpow(k)
         fol = (
-            foliate(record, control, gate_poly, f"{sid}.z")
+            foliate(record, control, gate_poly)
             if fol is None
-            else fol.refine(control, gate_poly, f"{sid}.z")
+            else fol.refine(control, gate_poly)
         )
     return fol
 
@@ -180,12 +166,12 @@ class TestBranchMeasure:
         assert value == pytest.approx(math.cos(math.pi / 8) ** 2 / 2, abs=1e-12)
 
     def test_empty_product_is_one(self):
-        # before any split: one unlabelled branch of measure 1, with the
-        # identity as projector and conditional, so it is the base itself
+        # before any split: one branch, with the empty key and measure 1, and
+        # with the identity as projector and conditional, so it is the base itself
         layout = SpaceLayout((("Q1", 2),))
         base = tuple(embed_local(p, "Q1", layout) for p in (PAULI_X, PAULI_Z))
         identity = Operator.identity(layout)
-        root = Foliation(base, (Branch((), identity, identity, 1.0),))
+        root = Foliation(base, (Branch("", identity, identity, 1.0),))
         assert root.measures() == {"": 1.0}
         for got, want in zip(root.branch_sum(), base, strict=True):
             assert got.distance(want) == 0.0
@@ -196,7 +182,7 @@ class TestBranchMeasure:
         fol = record_split(evo, ALICE_SPLIT)
         control = 2 * Operator.identity(network.layout)
         with pytest.raises(FoliationError):
-            fol.refine(control, fol.base[0], "bad")
+            fol.refine(control, fol.base[0])
 
     def test_non_commuting_rejected(self):
         network, evo = bell_evolution(0.7, 0.1)
@@ -206,7 +192,7 @@ class TestBranchMeasure:
         control = fol.base[0].matpow(2)
         assert control.is_involution()
         with pytest.raises(FoliationError):
-            fol.refine(control, fol.base[0], "bad")
+            fol.refine(control, fol.base[0])
 
     def test_measures_within_unit_interval(self):
         network, evo = bell_evolution(1.2, -2.0)

@@ -57,11 +57,15 @@ def test_custom_gate_must_be_unitary():
         RotationY(np.nan)
     with pytest.raises(NetworkError):
         RotationY(np.inf)
+    with pytest.raises(NetworkError, match="Ry angle '0.3' is not a real number"):
+        RotationY("0.3")
     # a shift is an integer power of the shift generator
     with pytest.raises(NetworkError, match="Plus shift 1.5 is not an integer"):
         Plus(1.5)
     with pytest.raises(NetworkError, match="ControlledPlus shift 2.0 is not an integer"):
         ControlledPlus(2.0)
+    with pytest.raises(NetworkError, match="Plus shift True is not an integer"):
+        Plus(True)
     CustomGate(np.diag([1.0, -1.0]))  # fine
 
 

@@ -25,19 +25,28 @@ BELL_PAIR = Network(
 def test_empty_network_leaves_reference_state():
     layout = SpaceLayout((("a", 2), ("b", 4)))
     state = simulate_statevector(Network(layout, ()))
-    assert np.array_equal(state.amplitudes, np.eye(8)[0])
+    assert np.array_equal(state.ravel(), np.eye(8)[0])
+
+
+def test_state_is_read_only_with_one_axis_per_subsystem(rng):
+    for _ in range(10):
+        net = random_network(rng, with_qudit=True)
+        state = simulate_statevector(net)
+        assert isinstance(state, np.ndarray)
+        assert state.shape == net.layout.dims
+        assert not state.flags.writeable
 
 
 def test_bell_pair_amplitudes():
     state = simulate_statevector(BELL_PAIR)
     expected = np.array([1, 0, 0, 1]) / np.sqrt(2)
-    assert np.allclose(state.amplitudes, expected, atol=1e-15)
+    assert np.allclose(state.ravel(), expected, atol=1e-15)
 
 
 def test_partial_evolution_time():
     state = simulate_statevector(BELL_PAIR.upto(1))
     expected = np.array([1, 0, 1, 0]) / np.sqrt(2)
-    assert np.allclose(state.amplitudes, expected, atol=1e-15)
+    assert np.allclose(state.ravel(), expected, atol=1e-15)
     with pytest.raises(NetworkError):
         BELL_PAIR.upto(3)
 
@@ -45,18 +54,17 @@ def test_partial_evolution_time():
 def test_norm_preserved_on_random_networks(rng):
     for _ in range(25):
         state = simulate_statevector(random_network(rng))
-        assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
 
 def test_bell_marginal_is_maximally_mixed():
-    state = simulate_statevector(BELL_PAIR)
-    dist = joint_outcome_distribution(state, ("Q1",))
+    dist = joint_outcome_distribution(BELL_PAIR, ("Q1",))
     assert dist == pytest.approx({(0,): 0.5, (1,): 0.5})
 
 
 def test_joint_distribution_orders_by_request():
-    state = simulate_statevector(BELL_PAIR.upto(1))  # (|00> + |10>)/sqrt(2)
-    dist = joint_outcome_distribution(state, ("Q2", "Q1"))
+    # (|00> + |10>)/sqrt(2)
+    dist = joint_outcome_distribution(BELL_PAIR.upto(1), ("Q2", "Q1"))
     assert dist[(0, 0)] == pytest.approx(0.5)
     assert dist[(0, 1)] == pytest.approx(0.5)
     assert dist[(1, 0)] == pytest.approx(0.0)
@@ -65,22 +73,33 @@ def test_joint_distribution_orders_by_request():
 def test_joint_distribution_sums_to_one(rng):
     for _ in range(10):
         net = random_network(rng)
-        state = simulate_statevector(net)
         ids = net.layout.ids[: max(1, len(net.layout.ids) - 1)]
-        dist = joint_outcome_distribution(state, ids)
+        dist = joint_outcome_distribution(net, ids)
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_joint_distribution_rejects_unknown_or_repeated_ids():
-    state = simulate_statevector(BELL_PAIR)
     with pytest.raises(LayoutError):
-        joint_outcome_distribution(state, ("QX",))
+        joint_outcome_distribution(BELL_PAIR, ("QX",))
     with pytest.raises(LayoutError):
-        joint_outcome_distribution(state, ("Q1", "Q1"))
+        joint_outcome_distribution(BELL_PAIR, ("Q1", "Q1"))
 
 
 def test_reduced_density_of_bell_half_is_mixed():
-    state = simulate_statevector(BELL_PAIR)
-    rho = reduced_density_matrix(state, "Q1")
+    rho = reduced_density_matrix(BELL_PAIR, "Q1")
     assert np.allclose(rho, np.eye(2) / 2, atol=1e-14)
     assert abs(np.trace(rho) - 1.0) < 1e-14
+
+
+def test_reduced_density_diagonal_is_the_marginal(rng):
+    # the two readers agree on every subsystem, the 4-level one included
+    for _ in range(10):
+        net = random_network(rng, with_qudit=True)
+        for sid in net.layout.ids:
+            rho = reduced_density_matrix(net, sid)
+            dist = joint_outcome_distribution(net, (sid,))
+            assert rho.shape == (net.layout.dims[net.layout.index_of(sid)],) * 2
+            assert np.diag(rho).real == pytest.approx(
+                [dist[(j,)] for j in range(len(rho))], abs=1e-12
+            )
+            assert abs(np.trace(rho) - 1.0) < 1e-12

@@ -100,7 +100,7 @@ def test_late_custom_gate_never_calls_the_reference(no_reference):
     ])
     evolved = NetworkEvolution(net).run().descriptors
     # <0|U^dag c U|0> of every evolved component is <psi|c|psi> at the end
-    psi = simulate_statevector(net).amplitudes
+    psi = simulate_statevector(net).ravel()
     for sid, initial in initial_descriptors(layout).items():
         for got, c in zip(evolved[sid], initial):
             want = psi.conj() @ c.matrix @ psi

@@ -1,18 +1,20 @@
 """One wave function, many descriptor assignments.
 
-Run nothing at all, or run a single Cnot on |00>: the final state vector
-is the same, every local expectation agrees, yet the descriptors of the
-two histories differ by a large fixed norm.  Descriptors carry strictly
-more structure than the wave function they project onto.
+Run nothing at all, or run a single controlled-not on |00>: the final
+state vector is the same, every local expectation agrees, yet the
+descriptors of the two histories differ by a large fixed norm.
+Descriptors carry strictly more structure than the wave function they
+project onto.
 """
 
 import numpy as np
 
 from descriptorsim import (
-    Cnot,
+    Controlled,
     GateApplication,
     Network,
     NetworkEvolution,
+    Plus,
     SpaceLayout,
     nonisomorphism_witness,
     simulate_statevector,
@@ -20,7 +22,7 @@ from descriptorsim import (
 
 layout = SpaceLayout((("Q1", 2), ("Q2", 2)))
 empty = Network(layout, ())
-cnot = Network(layout, [[GateApplication(Cnot(), ("Q1", "Q2"))]])
+cnot = Network(layout, [[GateApplication(Controlled(Plus(1)), ("Q1", "Q2"))]])
 
 print("final state vectors:")
 for name, net in (("empty", empty), ("cnot ", cnot)):

@@ -18,8 +18,7 @@ from .operators import (
     qudit_shift_clock,
 )
 from .gates import (
-    Cnot,
-    ControlledPlus,
+    Controlled,
     CustomGate,
     GateApplication,
     Hadamard,

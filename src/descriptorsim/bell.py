@@ -2,15 +2,16 @@
 
 The plain network entangles two particles, rotates them by the two input
 angles, copies each particle's z observable onto an observer qubit, and
-records both outcomes on a 4-level register via controlled +2/+1 shifts
-(Alice's side strictly first).  Each variant edits that network: an
-environment copies Particle 1 before the measurements, copy chains carry
-the outcomes to the record, or Bob's measurement is undone and redone
-after an extra rotation.
+records both outcomes on a 4-level register by ``Controlled(Plus(2))``
+and ``Controlled(Plus(1))`` (Alice's side strictly first); each copy is
+the controlled-not ``Controlled(Plus(1))``.  Each variant edits that
+network: an environment copies Particle 1 before the measurements, copy
+chains carry the outcomes to the record, or Bob's measurement is undone
+and redone after an extra rotation.
 
-All branch measures come from foliating the record's descriptor; the
-state-vector oracle is used only for decoherence diagnostics, never for
-the measures themselves.
+All branch measures come from foliating the record's descriptor at the
+controlled gates onto it; the state-vector oracle is used only for
+decoherence diagnostics, never for the measures themselves.
 """
 
 from __future__ import annotations
@@ -20,15 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import NetworkEvolution, is_sharp
+from .engine import NetworkEvolution, functional_form, is_sharp
 from .foliation import foliate
 from .gates import (
-    Cnot,
-    ControlledPlus,
+    Controlled,
     CustomGate,
     GateApplication,
     Hadamard,
     Network,
+    Plus,
     RotationY,
 )
 from .operators import (
@@ -72,7 +73,7 @@ class Decohered:
         if self.seed is not None:
             u = haar_random_unitary(4, np.random.default_rng(self.seed))
             stages["prepare"][0].insert(0, (CustomGate(u, "env-scramble"), ("QE", "QF")))
-        stages["rotate"].append([(Cnot(), ("Q1", "QE"))])
+        stages["rotate"].append([(Controlled(Plus(1)), ("Q1", "QE"))])
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ class Chained:
         qubits[2:] = chains[0] + chains[1]
         for i in range(max(self.alice, self.bob)):
             stages["measure"].append([
-                (Cnot(), (ids[i], ids[i + 1])) for ids in chains if i + 1 < len(ids)
+                (Controlled(Plus(1)), (ids[i], ids[i + 1])) for ids in chains if i + 1 < len(ids)
             ])
         for sl, ids in zip(stages["record"], chains):
             sl[:] = [(gate, (ids[-1], record)) for gate, (_, record) in sl]
@@ -119,7 +120,7 @@ class WignerUndo:
 
     def edit(self, cfg: BellConfig, qubits: list[str], stages: dict) -> None:
         """Undo Bob's measurement, re-rotate Q2 and measure it again."""
-        undo = (Cnot(), ("Q2", "QB"))  # Cnot is self-inverse
+        undo = (Controlled(Plus(1)), ("Q2", "QB"))  # the controlled-not is self-inverse
         rerotate = (RotationY(self.angle(cfg.phi)), ("Q2",))
         stages["measure"] += [[undo], [rerotate], [undo]]
 
@@ -188,11 +189,11 @@ def build_bell_network(cfg: BellConfig) -> Network:
     qubits = ["Q1", "Q2", "QA", "QB"]
     stages = {
         "prepare": [[(Hadamard(), ("Q1",))]],
-        "entangle": [[(Cnot(), ("Q1", "Q2"))]],
+        "entangle": [[(Controlled(Plus(1)), ("Q1", "Q2"))]],
         "rotate": [[(RotationY(cfg.theta), ("Q1",)), (RotationY(cfg.phi), ("Q2",))]],
-        "measure": [[(Cnot(), ("Q1", "QA")), (Cnot(), ("Q2", "QB"))]],
-        "record": [[(ControlledPlus(2), ("QA", RECORD))],
-                   [(ControlledPlus(1), ("QB", RECORD))]],
+        "measure": [[(Controlled(Plus(1)), ("Q1", "QA")), (Controlled(Plus(1)), ("Q2", "QB"))]],
+        "record": [[(Controlled(Plus(2)), ("QA", RECORD))],
+                   [(Controlled(Plus(1)), ("QB", RECORD))]],
     }
     cfg.variant.edit(cfg, qubits, stages)
     layout = SpaceLayout(tuple((sid, 2) for sid in qubits) + ((RECORD, 4),))
@@ -211,8 +212,10 @@ def run_bell(cfg: BellConfig) -> BellOutcome:
 
     One evolution, in one pass: the environment diagnostics just after the
     gate that copies Q1 onto the environment, then the record foliated by
-    Alice's and refined by Bob's record gate, then the final record for
-    the reconstruction check and Alice's sharpness.
+    Alice's and refined by Bob's record gate (each splits by its control's
+    clock and conditions by its inner gate, evaluated on the foliated
+    record), then the final record for the reconstruction check and
+    Alice's sharpness.
     """
     network = build_bell_network(cfg)
     evo = NetworkEvolution(network)
@@ -227,16 +230,18 @@ def run_bell(cfg: BellConfig) -> BellOutcome:
 
     (t_alice, alice), (t_bob, bob) = (
         (t, app) for t, app in timed
-        if isinstance(app.gate, ControlledPlus) and app.subsystems[1] == RECORD
+        if isinstance(app.gate, Controlled) and app.subsystems[1:] == (RECORD,)
     )
     evo.run_to(t_alice)
-    record = evo.descriptors[RECORD]
-    shift = record[0]
+    base = {RECORD: evo.descriptors[RECORD]}
+    poly_a, poly_b = (
+        functional_form(GateApplication(app.gate.gate, (RECORD,)), base) for app in (alice, bob)
+    )
     control_a = evo.descriptors[alice.subsystems[0]][1]
-    fol = foliate(record, control_a, shift.matpow(alice.gate.k))
+    fol = foliate(base[RECORD], control_a, poly_a)
     evo.run_to(t_bob)
     control_b = evo.descriptors[bob.subsystems[0]][1]
-    fol = fol.refine(control_b, shift.matpow(bob.gate.k))
+    fol = fol.refine(control_b, poly_b)
 
     evo.run()
     residual = max(
@@ -282,13 +287,13 @@ def run_wigner_undo(
 def nonisomorphism_witness() -> NonIsomorphismReport:
     """Two networks with one final wave function but different descriptors.
 
-    The empty two-qubit network and the single-Cnot network both leave the
-    state at |00>, yet the Cnot rewrites Q1's x component into a two-qubit
-    product; descriptors carry strictly more structure than the state.
+    The empty two-qubit network and a single controlled-not both leave the
+    state at |00>, yet the controlled-not rewrites Q1's x component into a
+    two-qubit product; descriptors carry strictly more structure than the state.
     """
     layout = SpaceLayout((("Q1", 2), ("Q2", 2)))
     empty = Network(layout, ())
-    cnot = Network(layout, [[GateApplication(Cnot(), ("Q1", "Q2"))]])
+    cnot = Network(layout, [[GateApplication(Controlled(Plus(1)), ("Q1", "Q2"))]])
 
     state_distance = float(
         np.linalg.norm(simulate_statevector(empty) - simulate_statevector(cnot))

@@ -345,7 +345,7 @@ def _section_chsh(name: str, cfg: RunConfig) -> dict:
 
 def _section_nonisomorphism(name: str, cfg: RunConfig) -> dict:
     report = nonisomorphism_witness()
-    exact_gap = 2 * math.sqrt(2)  # Cnot turns q1x into a two-qubit product
+    exact_gap = 2 * math.sqrt(2)  # the controlled-not turns q1x into a two-qubit product
     rows = [
         _row("state_distance", report.state_distance, 0.0),
         _row("descriptor_distance", report.descriptor_distance, exact_gap),

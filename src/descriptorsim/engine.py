@@ -10,8 +10,10 @@ generators of J, evaluated on the current descriptors of J, which is
 U(t)^dag G U(t) for the unitary U(t) of the gates before it.
 Descriptors of subsystems outside J commute with that polynomial, so
 they are left untouched; :func:`locality_residual` verifies this
-numerically.  The cumulative-conjugation engine cross-checks the whole
-step law on dense components and shares no term arithmetic with it.
+numerically.  A controlled gate is expanded like any other; on a qubit
+control its form is P0 + P1 V, the split a foliation makes.  The
+cumulative-conjugation engine cross-checks the whole step law on dense
+components and shares no term arithmetic with it.
 """
 
 from __future__ import annotations

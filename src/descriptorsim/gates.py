@@ -6,7 +6,8 @@ position of its slice.  Gate kinds know their matrix form only; the
 engine derives their functional (operator-valued) forms from it.
 ``matrix(dims)`` is also the one check that a gate fits the dims, and so
 the number, of the subsystems it acts on: the network, its embedding and
-the functional form all call it before they use an application.
+the functional form all call it before they use an application.  A
+controlled gate is a control and a gate, ``Controlled(gate)``.
 """
 
 from __future__ import annotations
@@ -60,17 +61,6 @@ class RotationY:
 
 
 @dataclass(frozen=True)
-class Cnot:
-    """Controlled-not; subsystems are (control, target)."""
-
-    def matrix(self, dims: tuple[int, ...]) -> np.ndarray:
-        _require_dims("Cnot", dims, (2, 2))
-        m = np.eye(4, dtype=complex)
-        m[2:, 2:] = np.array([[0, 1], [1, 0]])
-        return m
-
-
-@dataclass(frozen=True)
 class Plus:
     """|j> -> |j + k mod d> on one qudit."""
 
@@ -87,26 +77,23 @@ class Plus:
 
 
 @dataclass(frozen=True)
-class ControlledPlus:
-    """Adds k to the target qudit when the control qubit holds bit 1.
+class Controlled:
+    """``gate`` raised to the control's value: on (control, *targets), block
+    j of the matrix is ``gate``'s to the power j.  The controlled-not is
+    ``Controlled(Plus(1))``; a Toffoli, ``Controlled(Controlled(Plus(1)))``."""
 
-    Subsystems are (control qubit, target qudit); the shift fires on the
-    -1 eigenvalue of the control's z observable.
-    """
-
-    k: int
+    gate: Gate
 
     def __post_init__(self) -> None:
-        as_index(self.k, "ControlledPlus shift", NetworkError)
+        if not isinstance(self.gate, Gate):
+            raise NetworkError(f"Controlled needs a gate, got {self.gate!r}")
 
     def matrix(self, dims: tuple[int, ...]) -> np.ndarray:
-        if len(dims) != 2 or dims[0] != 2:
-            raise NetworkError(f"ControlledPlus expects subsystem dims (2, d), got {dims}")
-        d = dims[1]
-        shift, _ = qudit_shift_clock(d)
-        m = np.zeros((2 * d, 2 * d), dtype=complex)
-        m[:d, :d] = np.eye(d)
-        m[d:, d:] = np.linalg.matrix_power(shift, self.k % d)
+        g = self.gate.matrix(dims[1:])
+        n = len(g)
+        m = np.zeros((dims[0] * n, dims[0] * n), dtype=complex)
+        for j in range(dims[0]):
+            m[j * n:(j + 1) * n, j * n:(j + 1) * n] = np.linalg.matrix_power(g, j)
         return m
 
 
@@ -136,7 +123,7 @@ class CustomGate:
         return self.unitary
 
 
-Gate = Hadamard | RotationY | Cnot | Plus | ControlledPlus | CustomGate
+Gate = Hadamard | RotationY | Plus | Controlled | CustomGate
 
 
 @dataclass(frozen=True)
@@ -147,6 +134,8 @@ class GateApplication:
     subsystems: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.subsystems, str):  # tuple() would split it into one-letter ids
+            raise NetworkError(f"subsystems {self.subsystems!r} is a string, not a tuple of ids")
         object.__setattr__(self, "subsystems", tuple(self.subsystems))
         if not self.subsystems:
             raise NetworkError(f"{type(self.gate).__name__} acts on no subsystems")

@@ -35,6 +35,8 @@ def joint_outcome_distribution(
 ) -> dict[tuple[int, ...], float]:
     """Born-rule probabilities of computational outcomes on ``subsystems``
     after the network, marginalizing everything else."""
+    if isinstance(subsystems, str):  # tuple() would split it into one-letter ids
+        raise LayoutError(f"subsystems {subsystems!r} is a string, not a tuple of ids")
     subsystems = tuple(subsystems)
     if len(set(subsystems)) != len(subsystems):
         raise LayoutError(f"repeated subsystem in {subsystems}")

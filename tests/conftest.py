@@ -1,9 +1,12 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import descriptorsim
 from descriptorsim import (
-    Cnot,
-    ControlledPlus,
+    Controlled,
     GateApplication,
     Hadamard,
     Network,
@@ -44,12 +47,12 @@ def random_network(
             app = GateApplication(RotationY(theta), (rng.choice(qubits),))
         elif kind == 2 and len(qubits) >= 2:
             c, tgt = rng.choice(qubits, size=2, replace=False)
-            app = GateApplication(Cnot(), (c, tgt))
+            app = GateApplication(Controlled(Plus(1)), (c, tgt))
         elif kind == 3 and qudits:
             app = GateApplication(Plus(int(rng.integers(1, 4))), (rng.choice(qudits),))
         elif kind == 4 and qudits:
             app = GateApplication(
-                ControlledPlus(int(rng.integers(1, 4))),
+                Controlled(Plus(int(rng.integers(1, 4)))),
                 (rng.choice(qubits), rng.choice(qudits)),
             )
         else:
@@ -61,6 +64,14 @@ def random_network(
         acted |= set(app.subsystems)
         placed += 1
     return Network(layout, slices)
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child Python process that imports the package
+    these tests import, installed or not."""
+    src = str(Path(descriptorsim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def dense_distance(descriptor, reference) -> float:

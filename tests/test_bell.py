@@ -7,14 +7,14 @@ import pytest
 from descriptorsim import (
     BellConfig,
     Chained,
-    Cnot,
-    ControlledPlus,
+    Controlled,
     CustomGate,
     Decohered,
     LayoutError,
     NetworkError,
     NetworkEvolution,
     Plain,
+    Plus,
     RotationY,
     WignerUndo,
     build_bell_network,
@@ -37,6 +37,15 @@ def timed(network):
     return [(t, app) for t, sl in enumerate(network.slices) for app in sl]
 
 
+def kind(gate) -> str:
+    """A gate's class name; a controlled gate's repr, which names its inner gate."""
+    return repr(gate) if isinstance(gate, Controlled) else type(gate).__name__
+
+
+# the controlled-not, which also records Bob's outcome, and Alice's record gate
+CX, CP2 = repr(Controlled(Plus(1))), repr(Controlled(Plus(2)))
+
+
 def assert_measures(outcome, expected, tol=1e-9):
     for key, want in expected.items():
         assert outcome.branch_measures[key] == pytest.approx(want, abs=tol), key
@@ -46,11 +55,8 @@ class TestPlainNetwork:
     def test_structure_and_timing(self):
         net = build_bell_network(BellConfig(0.1, 0.2))
         assert len(net.slices) == 6
-        kinds = [type(app.gate).__name__ for _, app in timed(net)]
-        assert kinds == [
-            "Hadamard", "Cnot", "RotationY", "RotationY",
-            "Cnot", "Cnot", "ControlledPlus", "ControlledPlus",
-        ]
+        kinds = [kind(app.gate) for _, app in timed(net)]
+        assert kinds == ["Hadamard", CX, "RotationY", "RotationY", CX, CX, CP2, CX]
         # Alice's record interaction strictly precedes Bob's
         (alice,), (bob,) = net.slices[-2:]
         assert alice.subsystems == ("QA", "SC")
@@ -196,14 +202,14 @@ class TestChain:
         network = build_bell_network(BellConfig(0.0, 0.0, Chained(2, 2)))
         record_gates = [
             app for _, app in timed(network)
-            if isinstance(app.gate, ControlledPlus)
+            if isinstance(app.gate, Controlled) and app.subsystems[1:] == ("SC",)
         ]
         assert record_gates[0].subsystems == ("QA2", "SC")
         assert record_gates[1].subsystems == ("QB2", "SC")
         chain_hops = [
             app.subsystems
             for t, app in timed(network)
-            if isinstance(app.gate, Cnot) and t >= 4
+            if isinstance(app.gate, Controlled) and t >= 4
         ]
         assert ("QA", "QA1") in chain_hops and ("QA1", "QA2") in chain_hops
 
@@ -253,16 +259,16 @@ class TestChain:
 
     def test_long_chain_refused_before_any_link_is_built(self, monkeypatch):
         # a million links: the budget is checked from the subsystem count,
-        # before the per-link gates (one Cnot each) exist
+        # before the per-link gates (one controlled-not each) exist
         built = []
 
-        def bounded_cnot():
+        def bounded_controlled(gate):
             built.append(None)
             if len(built) > 300:
                 raise RuntimeError("per-link gates built before the budget check")
-            return Cnot()
+            return Controlled(gate)
 
-        monkeypatch.setattr(bell, "Cnot", bounded_cnot)
+        monkeypatch.setattr(bell, "Controlled", bounded_controlled)
         with pytest.raises(LayoutError, match=r"over 1e\+308 GiB"):
             build_bell_network(BellConfig(0, 0.7, Chained(10**6, 0)))
 
@@ -299,10 +305,10 @@ class TestWignerUndo:
     def test_network_contains_undo_sequence(self):
         network = build_bell_network(BellConfig(0.0, 0.7, WignerUndo()))
         apps = [app for _, app in timed(network)]
-        kinds = [(type(app.gate).__name__, app.subsystems) for app in apps]
-        assert kinds[6] == ("Cnot", ("Q2", "QB"))  # undo
+        kinds = [(kind(app.gate), app.subsystems) for app in apps]
+        assert kinds[6] == (CX, ("Q2", "QB"))  # undo
         assert kinds[7][0] == "RotationY"
-        assert kinds[8] == ("Cnot", ("Q2", "QB"))  # re-measure
+        assert kinds[8] == (CX, ("Q2", "QB"))  # re-measure
         rerot = apps[7].gate
         assert isinstance(rerot, RotationY)
         assert rerot.theta == pytest.approx(math.pi - 0.7)
@@ -345,8 +351,8 @@ def test_run_bell_never_multiplies_by_the_identity(variant, angles):
     assert out.reconstruction_residual < 1e-12
 
 
-H, CX, RY, CP, CU = "Hadamard", "Cnot", "RotationY", "ControlledPlus", "CustomGate"
-# every variant's slices 1 and 2: Cnot(Q1, Q2), then both rotations
+H, RY, CU = "Hadamard", "RotationY", "CustomGate"
+# every variant's slices 1 and 2: the controlled-not on (Q1, Q2), then both rotations
 HEAD = [(1, CX, ("Q1", "Q2")), (2, RY, ("Q1",)), (2, RY, ("Q2",))]
 
 
@@ -355,39 +361,39 @@ NETWORKS = {
     Plain(): ("Q1 Q2 QA QB SC", [
         (0, H, ("Q1",)), *HEAD,
         (3, CX, ("Q1", "QA")), (3, CX, ("Q2", "QB")),
-        (4, CP, ("QA", "SC")), (5, CP, ("QB", "SC")),
+        (4, CP2, ("QA", "SC")), (5, CX, ("QB", "SC")),
     ]),
     Decohered(3): ("Q1 Q2 QE QF QA QB SC", [
         (0, CU, ("QE", "QF")), (0, H, ("Q1",)), *HEAD,
         (3, CX, ("Q1", "QE")),
         (4, CX, ("Q1", "QA")), (4, CX, ("Q2", "QB")),
-        (5, CP, ("QA", "SC")), (6, CP, ("QB", "SC")),
+        (5, CP2, ("QA", "SC")), (6, CX, ("QB", "SC")),
     ]),
     Decohered(None): ("Q1 Q2 QE QF QA QB SC", [
         (0, H, ("Q1",)), *HEAD,
         (3, CX, ("Q1", "QE")),
         (4, CX, ("Q1", "QA")), (4, CX, ("Q2", "QB")),
-        (5, CP, ("QA", "SC")), (6, CP, ("QB", "SC")),
+        (5, CP2, ("QA", "SC")), (6, CX, ("QB", "SC")),
     ]),
     Chained(2, 1): ("Q1 Q2 QA QA1 QA2 QB QB1 SC", [
         (0, H, ("Q1",)), *HEAD,
         (3, CX, ("Q1", "QA")), (3, CX, ("Q2", "QB")),
         (4, CX, ("QA", "QA1")), (4, CX, ("QB", "QB1")),
         (5, CX, ("QA1", "QA2")),
-        (6, CP, ("QA2", "SC")), (7, CP, ("QB1", "SC")),
+        (6, CP2, ("QA2", "SC")), (7, CX, ("QB1", "SC")),
     ]),
     Chained(0, 2): ("Q1 Q2 QA QB QB1 QB2 SC", [
         (0, H, ("Q1",)), *HEAD,
         (3, CX, ("Q1", "QA")), (3, CX, ("Q2", "QB")),
         (4, CX, ("QB", "QB1")),
         (5, CX, ("QB1", "QB2")),
-        (6, CP, ("QA", "SC")), (7, CP, ("QB2", "SC")),
+        (6, CP2, ("QA", "SC")), (7, CX, ("QB2", "SC")),
     ]),
     WignerUndo(0.4): ("Q1 Q2 QA QB SC", [
         (0, H, ("Q1",)), *HEAD,
         (3, CX, ("Q1", "QA")), (3, CX, ("Q2", "QB")),
         (4, CX, ("Q2", "QB")), (5, RY, ("Q2",)), (6, CX, ("Q2", "QB")),
-        (7, CP, ("QA", "SC")), (8, CP, ("QB", "SC")),
+        (7, CP2, ("QA", "SC")), (8, CX, ("QB", "SC")),
     ]),
 }
 
@@ -398,7 +404,7 @@ def test_every_variant_builds_its_whole_network(variant):
     network = build_bell_network(BellConfig(0.3, 0.9, variant))
     assert network.layout.ids == tuple(ids.split())
     assert [
-        (t, type(app.gate).__name__, app.subsystems) for t, app in timed(network)
+        (t, kind(app.gate), app.subsystems) for t, app in timed(network)
     ] == gates
 
 

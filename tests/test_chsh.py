@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,11 +13,13 @@ from descriptorsim import (
     chsh_win_rate,
     enumerate_classical,
     expected_win_rate,
+    joint_outcome_distribution,
     quantum_distribution,
     referee_demo,
     run_bell,
     win_predicate,
 )
+from descriptorsim.chsh import INPUT_PAIRS, win_rate
 
 COS8 = math.cos(math.pi / 8) ** 2 / 2
 SIN8 = math.sin(math.pi / 8) ** 2 / 2
@@ -122,3 +125,25 @@ class TestWinRate:
         # a rate needs a round: 0 would divide by zero, -5 would read -0.0
         with pytest.raises(ValueError, match="rounds"):
             referee_demo(11, rounds=rounds)
+
+
+def test_no_angle_table_beats_tsirelson():
+    # an 8 x 8 grid of (theta, phi) on [-pi, pi), which holds the optimal
+    # angles: every table of two Alice and two Bob angles from it, each
+    # distribution checked against the oracle's record
+    grid = [k * math.pi / 4 for k in range(-4, 4)]
+    runs = {(a, b): run_bell(BellConfig(a, b)) for a in grid for b in grid}
+    for out in runs.values():
+        for (value,), p in joint_outcome_distribution(out.network, ("SC",)).items():
+            assert abs(out.branch_measures[format(value, "02b")] - p) < 1e-12
+    pairs = list(itertools.product(grid, repeat=2))
+    rates = {
+        (alice, bob): win_rate({
+            (x, y): runs[(alice[x], bob[y])].branch_measures for x, y in INPUT_PAIRS
+        })
+        for alice in pairs
+        for bob in pairs
+    }
+    assert len(rates) == 4096
+    assert max(rates.values()) <= WIN_RATE + 1e-12
+    assert abs(rates[(ALICE_ANGLES, BOB_ANGLES)] - WIN_RATE) < 1e-12

@@ -18,6 +18,7 @@ from descriptorsim.cli import (
     main,
     parse_config,
 )
+from conftest import child_env
 
 
 # stands for the path of a config file that is not valid UTF-8
@@ -28,6 +29,16 @@ def run_main(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(args, **kwargs):
+    """``python -m descriptorsim.cli *args`` in a child process."""
+    return subprocess.run(
+        [sys.executable, "-m", "descriptorsim.cli", *args],
+        capture_output=True,
+        env=child_env(),
+        **kwargs,
+    )
 
 
 def test_readme_cli_examples_exit_0(capsys):
@@ -294,10 +305,7 @@ class TestShellLevel:
         ],
     )
     def test_exit_codes_from_a_real_process(self, args, expected):
-        proc = subprocess.run(
-            [sys.executable, "-m", "descriptorsim.cli"] + args,
-            capture_output=True,
-        )
+        proc = run_process(args)
         assert proc.returncode == expected
 
     @pytest.mark.parametrize(
@@ -316,11 +324,7 @@ class TestShellLevel:
         config = tmp_path / "latin1.txt"
         config.write_bytes("theta=0.5\n# café\n".encode("latin-1"))
         args = [str(config) if arg == NOT_UTF8 else arg for arg in args]
-        proc = subprocess.run(
-            [sys.executable, "-m", "descriptorsim.cli"] + args,
-            capture_output=True,
-            text=True,
-        )
+        proc = run_process(args, text=True)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
@@ -329,23 +333,13 @@ class TestShellLevel:
     @pytest.mark.parametrize("experiment", ["bell", "decoherence"])
     def test_huge_tolerance_bounds_residuals_only(self, experiment):
         # the reporting tolerance never reaches the sharpness test
-        proc = subprocess.run(
-            [sys.executable, "-m", "descriptorsim.cli", "run", experiment,
-             "--tolerance", "1e300"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_process(["run", experiment, "--tolerance", "1e300"], text=True)
         assert proc.returncode == 0
         assert "alice_unsharp = True" in proc.stdout
         assert "result: PASS" in proc.stdout
 
     def test_huge_tolerance_keeps_wigner_conditionals(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "descriptorsim.cli", "run", "wigner",
-             "--tolerance", "1e300"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_process(["run", "wigner", "--tolerance", "1e300"], text=True)
         assert proc.returncode == 0
         shown = re.findall(r"p_bob\d_given_alice\d = (\S+)", proc.stdout)
         assert len(shown) == 4

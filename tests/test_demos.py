@@ -2,14 +2,13 @@
 
 import ast
 import importlib
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import descriptorsim
+from conftest import child_env
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 QUICK_DEMOS = (
@@ -37,12 +36,7 @@ def test_demo_imports_resolve():
 
 @pytest.mark.parametrize("name", QUICK_DEMOS)
 def test_quick_demo_runs(name):
-    src = str(Path(descriptorsim.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, str(DEMOS / name)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, str(DEMOS / name)], capture_output=True, text=True, env=child_env()
     )
     assert proc.returncode == 0, proc.stderr

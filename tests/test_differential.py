@@ -1,11 +1,13 @@
 """Differential tests over generated networks.
 
 Hypothesis draws well-formed networks (2-4 qubits, an optional 4-level
-system, every gate kind, Haar-random custom gates at any time, several
-disjoint gates per slice) and checks the production step law against the
-two independent references: cumulative conjugation and the state-vector
-oracle.  The residual checks of the engine must stay at double-precision
-scale on every such network.
+system, every gate kind, Haar-random custom gates at any time, controlled
+gates whose control may be the 4-level system, several disjoint gates per
+slice) and checks the production step law against the two independent
+references: cumulative conjugation and the state-vector oracle.  The
+residual checks of the engine must stay at double-precision scale on every
+such network, and every controlled gate with a qubit control must be a
+foliation of its target.
 """
 
 import math
@@ -18,10 +20,10 @@ from hypothesis import strategies as st
 from descriptorsim import (
     BellConfig,
     Chained,
-    Cnot,
-    ControlledPlus,
+    Controlled,
     CustomGate,
     Decohered,
+    FoliationError,
     GateApplication,
     Hadamard,
     Network,
@@ -34,8 +36,11 @@ from descriptorsim import (
     algebra_residual,
     build_bell_network,
     cumulative_evolve,
+    foliate,
+    functional_form,
     haar_random_unitary,
     initial_descriptors,
+    joint_outcome_distribution,
     locality_residual,
     simulate_statevector,
 )
@@ -45,6 +50,20 @@ TOL = 1e-10
 SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
 
 
+def haar_gates(dim):
+    return st.integers(0, 2**32 - 1).map(
+        lambda seed: CustomGate(haar_random_unitary(dim, np.random.default_rng(seed)))
+    )
+
+
+def one_subsystem_gates(dim):
+    """H, Ry (qubits only), Plus or a Haar-random custom gate on ``dim`` levels."""
+    gates = [st.integers(0, 4).map(Plus), haar_gates(dim)]
+    if dim == 2:
+        gates += [st.just(Hadamard()), st.floats(-math.pi, math.pi).map(RotationY)]
+    return st.one_of(*gates)
+
+
 @st.composite
 def networks(draw):
     n_qubits = draw(st.integers(2, 4))
@@ -52,7 +71,7 @@ def networks(draw):
     layout = SpaceLayout(tuple((f"S{i}", d) for i, d in enumerate(dims)))
     qubits = [sid for sid, d in layout.subsystems if d == 2]
     qudits = [sid for sid, d in layout.subsystems if d == 4]
-    kinds = ["H", "Ry", "Cnot", "Custom"] + (["Plus", "CPlus"] if qudits else [])
+    kinds = ["H", "Ry", "Controlled", "Custom"] + (["Plus"] if qudits else [])
 
     slices, acted = [], set()
     for _ in range(draw(st.integers(1, 8))):
@@ -62,20 +81,18 @@ def networks(draw):
         elif kind == "Ry":
             angle = draw(st.floats(-math.pi, math.pi))
             gate, sids = RotationY(angle), (draw(st.sampled_from(qubits)),)
-        elif kind == "Cnot":
-            gate, sids = Cnot(), tuple(draw(st.permutations(qubits))[:2])
+        elif kind == "Controlled":
+            # any subsystem controls, the 4-level one too; any other is the target
+            sids = tuple(draw(st.permutations(layout.ids))[:2])
+            gate = Controlled(draw(one_subsystem_gates(layout.dim_of(sids[1]))))
         elif kind == "Plus":
             gate, sids = Plus(draw(st.integers(0, 4))), (qudits[0],)
-        elif kind == "CPlus":
-            control = draw(st.sampled_from(qubits))
-            gate, sids = ControlledPlus(draw(st.integers(0, 4))), (control, qudits[0])
         else:
             sids = tuple(
                 draw(st.lists(st.sampled_from(layout.ids), min_size=1, max_size=2, unique=True))
             )
             dim = math.prod(layout.dim_of(sid) for sid in sids)
-            seed = draw(st.integers(0, 2**32 - 1))
-            gate = CustomGate(haar_random_unitary(dim, np.random.default_rng(seed)))
+            gate = draw(haar_gates(dim))
         # a gate opens a new slice when it overlaps the open one, or by draw
         if not slices or acted & set(sids) or not draw(st.booleans()):
             slices.append([])
@@ -102,6 +119,36 @@ def test_step_law_matches_cumulative_conjugation_and_oracle(network):
                 # and clock on the 4-level system)
                 oracle = state.conj() @ base.matrix @ state
                 assert abs(got.expectation() - oracle) < TOL
+
+
+@SETTINGS
+@given(networks())
+def test_every_controlled_gate_is_a_foliation(network):
+    # the target's descriptor just before a controlled gate, split by the
+    # control's clock and the inner gate's functional form on it: the
+    # branches rebuild the target just after, and their measures are the
+    # control's Born probabilities; a 4-level clock is no involution
+    evo = NetworkEvolution(network)
+    for t, sl in enumerate(network.slices):
+        before = evo.descriptors
+        after = evo.run_to(t + 1).descriptors
+        for app in sl:
+            if not isinstance(app.gate, Controlled):
+                continue
+            control, target = app.subsystems
+            clock = before[control][1]
+            poly = functional_form(GateApplication(app.gate.gate, (target,)), before)
+            if network.layout.dim_of(control) != 2:
+                with pytest.raises(FoliationError):
+                    foliate(before[target], clock, poly)
+                continue
+            fol = foliate(before[target], clock, poly)
+            for got, want in zip(fol.branch_sum(), after[target], strict=True):
+                assert got.distance(want) < TOL
+            born = joint_outcome_distribution(network.upto(t), (control,))
+            measures = fol.measures()
+            for bit in (0, 1):
+                assert abs(measures[str(bit)] - born[(bit,)]) < 1e-12
 
 
 @SETTINGS

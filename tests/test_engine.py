@@ -6,8 +6,7 @@ import pytest
 from descriptorsim import (
     AlgebraError,
     BellConfig,
-    Cnot,
-    ControlledPlus,
+    Controlled,
     CustomGate,
     Decohered,
     EngineError,
@@ -140,7 +139,7 @@ class TestFunctionalForm:
         assert u.isclose(embedded(net, app), 1e-12)
 
     def test_cnot_defining_equation_and_action(self):
-        app = GateApplication(Cnot(), ("Q1", "Q2"))
+        app = GateApplication(Controlled(Plus(1)), ("Q1", "Q2"))
         net = single(TWO_QUBITS, app)
         descs = self.fresh(TWO_QUBITS)
         u = functional_form(app, descs)
@@ -152,7 +151,7 @@ class TestFunctionalForm:
         assert moved.isclose(q1x @ q2x, 1e-13)
 
     def test_controlled_plus_defining_equation(self):
-        app = GateApplication(ControlledPlus(2), ("Q1", "SC"))
+        app = GateApplication(Controlled(Plus(2)), ("Q1", "SC"))
         net = single(QUBIT_AND_RECORD, app)
         u = functional_form(app, self.fresh(QUBIT_AND_RECORD))
         assert u.isclose(embedded(net, app), 1e-14)
@@ -181,8 +180,8 @@ class TestFunctionalForm:
         mix = CustomGate(haar_random_unitary(8, rng), "mix")
         net = Network(MIXED, [
             [GateApplication(Hadamard(), ("Q1",))],
-            [GateApplication(Cnot(), ("Q1", "Q2"))],
-            [GateApplication(ControlledPlus(1), ("Q2", "SC"))],
+            [GateApplication(Controlled(Plus(1)), ("Q1", "Q2"))],
+            [GateApplication(Controlled(Plus(1)), ("Q2", "SC"))],
             [GateApplication(mix, ("SC", "Q1"))],
         ])
         (app,) = net.slices[3]
@@ -197,16 +196,16 @@ class TestFunctionalForm:
             (Hadamard(), ("Q1",), 2),
             (RotationY(0.7), ("Q1",), 2),
             (RotationY(0.0), ("Q1",), 1),
-            (Cnot(), ("Q1", "Q2"), 4),
+            (Controlled(Plus(1)), ("Q1", "Q2"), 4),
             (Plus(3), ("SC",), 1),
             (Plus(4), ("SC",), 1),
-            (ControlledPlus(2), ("Q1", "SC"), 4),
-            (ControlledPlus(0), ("Q1", "SC"), 1),
+            (Controlled(Plus(2)), ("Q1", "SC"), 4),
+            (Controlled(Plus(0)), ("Q1", "SC"), 1),
         ],
         ids=repr,
     )
     def test_fixed_gates_expand_exactly(self, gate, sids, terms):
-        # H, Ry, Cnot, Plus and ControlledPlus take their textbook
+        # H, Ry, the controlled-not, Plus and controlled Plus take their textbook
         # expansions, with no roundoff-scale terms beside them
         app = GateApplication(gate, sids)
         dims = tuple(MIXED.dim_of(sid) for sid in sids)
@@ -230,7 +229,7 @@ class TestStepEvolve:
         descs = evolved(
             TWO_QUBITS,
             GateApplication(Hadamard(), ("Q1",)),
-            GateApplication(Cnot(), ("Q1", "Q2")),
+            GateApplication(Controlled(Plus(1)), ("Q1", "Q2")),
         )
         q1x0 = embed_local(PAULI_X, "Q1", TWO_QUBITS)
         q1z0 = embed_local(PAULI_Z, "Q1", TWO_QUBITS)
@@ -252,18 +251,18 @@ class TestStepEvolve:
         assert out["Q1"][1].isclose(-s * qx + c * qz, 1e-12)
 
     def test_identity_slice_leaves_descriptors_exactly(self):
-        # Ry(0), Plus(0) and ControlledPlus(4) on a 4-level record expand to
+        # Ry(0), Plus(0) and Controlled(Plus(4)) on a 4-level record expand to
         # the one term 1 * I; conjugating by it copies every term exactly
         layout = SpaceLayout((("Q1", 2), ("Q2", 2), ("SC", 4), ("SD", 4)))
         scramble = CustomGate(haar_random_unitary(8, np.random.default_rng(5)))
         net = Network(layout, [
             [GateApplication(Hadamard(), ("Q1",))],
             [GateApplication(scramble, ("Q1", "SC"))],
-            [GateApplication(Cnot(), ("Q1", "Q2"))],
-            [GateApplication(ControlledPlus(1), ("Q2", "SD"))],
+            [GateApplication(Controlled(Plus(1)), ("Q1", "Q2"))],
+            [GateApplication(Controlled(Plus(1)), ("Q2", "SD"))],
             [
                 GateApplication(RotationY(0.0), ("Q1",)),
-                GateApplication(ControlledPlus(4), ("Q2", "SC")),
+                GateApplication(Controlled(Plus(4)), ("Q2", "SC")),
                 GateApplication(Plus(0), ("SD",)),
             ],
         ])
@@ -323,16 +322,17 @@ class TestCumulativeEvolve:
     def test_step_engine_handles_custom_gates_via_frame(self, rng):
         mix = CustomGate(haar_random_unitary(4, rng), "mix")
         turn = CustomGate(haar_random_unitary(2, rng), "turn")
+        cx = Controlled(Plus(1))
         shapes = [
             [[(Hadamard(), ("Q1",))], [(mix, ("Q1", "Q2"))], [(RotationY(0.7), ("Q2",))]],
             # the custom gate follows another gate of its own slice (time 2)
             [
-                [(Hadamard(), ("Q1",))], [(Cnot(), ("Q1", "Q2"))],
-                [(RotationY(0.4), ("Q3",)), (mix, ("Q1", "Q2"))], [(Cnot(), ("Q2", "Q3"))],
+                [(Hadamard(), ("Q1",))], [(cx, ("Q1", "Q2"))],
+                [(RotationY(0.4), ("Q3",)), (mix, ("Q1", "Q2"))], [(cx, ("Q2", "Q3"))],
             ],
             # two custom gates at different times
             [
-                [(Hadamard(), ("Q1",))], [(mix, ("Q1", "Q2"))], [(Cnot(), ("Q2", "Q3"))],
+                [(Hadamard(), ("Q1",))], [(mix, ("Q1", "Q2"))], [(cx, ("Q2", "Q3"))],
                 [(turn, ("Q3",))], [(Hadamard(), ("Q2",))],
             ],
         ]

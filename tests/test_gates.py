@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from descriptorsim import (
-    Cnot,
-    ControlledPlus,
+    Controlled,
     CustomGate,
     GateApplication,
     Hadamard,
@@ -26,10 +25,14 @@ def test_gate_matrices():
     ry = RotationY(theta).matrix((2,))
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     assert np.allclose(ry, [[c, -s], [s, c]])
-    cnot = Cnot().matrix((2, 2))
+    cnot = Controlled(Plus(1)).matrix((2, 2))
     assert np.allclose(cnot @ cnot, np.eye(4))
     # control bit 1 flips the target
     assert cnot[3, 2] == 1 and cnot[2, 3] == 1 and cnot[0, 0] == 1
+    # nested, it is the Toffoli: the target flips when both controls hold 1
+    toffoli = np.eye(8)
+    toffoli[6:, 6:] = [[0, 1], [1, 0]]
+    assert np.array_equal(Controlled(Controlled(Plus(1))).matrix((2, 2, 2)), toffoli)
 
 
 def test_plus_gate_cycles_basis():
@@ -41,11 +44,16 @@ def test_plus_gate_cycles_basis():
 
 
 def test_controlled_plus_blocks():
-    m = ControlledPlus(2).matrix((2, 4))
+    m = Controlled(Plus(2)).matrix((2, 4))
     assert np.allclose(m[:4, :4], np.eye(4))
     assert np.allclose(m[4:, 4:], np.linalg.matrix_power(Plus(1).matrix((4,)), 2))
-    with pytest.raises(NetworkError):
-        ControlledPlus(1).matrix((3, 4))
+    # a d-level control raises the gate to its value: block j is g^j
+    g = Plus(1).matrix((4,))
+    m = Controlled(Plus(1)).matrix((3, 4))
+    zero = np.zeros((4, 4))
+    assert np.array_equal(m, np.block([
+        [np.eye(4), zero, zero], [zero, g, zero], [zero, zero, g @ g]
+    ]))
 
 
 def test_custom_gate_must_be_unitary():
@@ -62,10 +70,14 @@ def test_custom_gate_must_be_unitary():
     # a shift is an integer power of the shift generator
     with pytest.raises(NetworkError, match="Plus shift 1.5 is not an integer"):
         Plus(1.5)
-    with pytest.raises(NetworkError, match="ControlledPlus shift 2.0 is not an integer"):
-        ControlledPlus(2.0)
+    with pytest.raises(NetworkError, match="Plus shift 2.0 is not an integer"):
+        Controlled(Plus(2.0))
     with pytest.raises(NetworkError, match="Plus shift True is not an integer"):
         Plus(True)
+    # a controlled gate holds a gate, not a gate kind or a matrix
+    for inner in (Plus, np.eye(2)):
+        with pytest.raises(NetworkError, match="Controlled needs a gate"):
+            Controlled(inner)
     CustomGate(np.diag([1.0, -1.0]))  # fine
 
 
@@ -80,28 +92,30 @@ def test_application_arity_checked():
     with pytest.raises(NetworkError, match="expects subsystem dims"):
         Network(LAYOUT, [[wrong_arity]])
     with pytest.raises(NetworkError):
-        GateApplication(Cnot(), ("Q1", "Q1"))
+        GateApplication(Controlled(Plus(1)), ("Q1", "Q1"))
     with pytest.raises(NetworkError):
         GateApplication(CustomGate([[1j]]), ())
+    # a string is not split into one-letter ids
+    for ids in ("Q1", "AB"):
+        with pytest.raises(NetworkError, match=f"subsystems '{ids}' is a string"):
+            GateApplication(Controlled(Plus(1)), ids)
 
 
 def test_network_time_validation():
     # a gate's time is the index of its slice
     h = GateApplication(Hadamard(), ("Q1",))
     with pytest.raises(NetworkError, match=r"slice 1: subsystems \['Q1'\] acted twice"):
-        Network(LAYOUT, [[h], [GateApplication(Cnot(), ("Q2", "Q1")), h]])
+        Network(LAYOUT, [[h], [GateApplication(Controlled(Plus(1)), ("Q2", "Q1")), h]])
     with pytest.raises(NetworkError, match="slice 1 holds no gates"):
         Network(LAYOUT, [[h], [], [h]])
-    net = Network(
-        LAYOUT,
-        [[h], [GateApplication(Cnot(), ("Q1", "Q2")), GateApplication(Plus(1), ("SC",))]],
-    )
+    cnot = GateApplication(Controlled(Plus(1)), ("Q1", "Q2"))
+    net = Network(LAYOUT, [[h], [cnot, GateApplication(Plus(1), ("SC",))]])
     assert [len(sl) for sl in net.slices] == [1, 2]
 
 
 def test_upto_is_a_prefix_within_range():
     h = GateApplication(Hadamard(), ("Q1",))
-    net = Network(LAYOUT, [[h], [GateApplication(Cnot(), ("Q1", "Q2"))], [h]])
+    net = Network(LAYOUT, [[h], [GateApplication(Controlled(Plus(1)), ("Q1", "Q2"))], [h]])
     assert net.upto(len(net.slices)) == net
     assert net.upto(1).slices == ((h,),)
     assert net.upto(0).slices == ()
@@ -115,9 +129,9 @@ def test_upto_is_a_prefix_within_range():
     [
         GateApplication(Hadamard(), ("SC",)),
         GateApplication(Hadamard(), ("Q1", "Q2")),
-        GateApplication(Cnot(), ("Q1",)),
+        GateApplication(Controlled(Plus(1)), ("Q1",)),
         GateApplication(Plus(1), ("Q1", "SC")),
-        GateApplication(ControlledPlus(1), ("Q1",)),
+        GateApplication(Controlled(Hadamard()), ("Q1", "SC")),
         GateApplication(CustomGate(np.eye(2)), ("Q1", "Q2")),
     ],
     ids=lambda app: "-".join((type(app.gate).__name__, *app.subsystems)),
@@ -128,8 +142,8 @@ def test_network_gate_dims_checked(app):
 
 
 def test_embedded_respects_target_order():
-    # Cnot with control Q2, target Q1: embedding must permute correctly
-    net = Network(LAYOUT, [[GateApplication(Cnot(), ("Q2", "Q1"))]])
+    # the controlled-not with control Q2, target Q1: embedding must permute correctly
+    net = Network(LAYOUT, [[GateApplication(Controlled(Plus(1)), ("Q2", "Q1"))]])
     m = net.embedded(net.slices[0][0])
     for q1 in range(2):
         for q2 in range(2):
@@ -142,7 +156,7 @@ def test_embedded_respects_target_order():
 
 def test_embedded_nonadjacent_targets():
     layout = SpaceLayout((("a", 2), ("b", 2), ("c", 2)))
-    net = Network(layout, [[GateApplication(Cnot(), ("a", "c"))]])
+    net = Network(layout, [[GateApplication(Controlled(Plus(1)), ("a", "c"))]])
     m = net.embedded(net.slices[0][0])
     for a in range(2):
         for b in range(2):

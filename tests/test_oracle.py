@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from descriptorsim import (
-    Cnot,
+    Controlled,
     GateApplication,
     Hadamard,
     LayoutError,
     Network,
     NetworkError,
+    Plus,
     SpaceLayout,
     joint_outcome_distribution,
     reduced_density_matrix,
@@ -18,7 +19,7 @@ from conftest import random_network
 TWO_QUBITS = SpaceLayout((("Q1", 2), ("Q2", 2)))
 BELL_PAIR = Network(
     TWO_QUBITS,
-    [[GateApplication(Hadamard(), ("Q1",))], [GateApplication(Cnot(), ("Q1", "Q2"))]],
+    [[GateApplication(Hadamard(), ("Q1",))], [GateApplication(Controlled(Plus(1)), ("Q1", "Q2"))]],
 )
 
 
@@ -83,6 +84,11 @@ def test_joint_distribution_rejects_unknown_or_repeated_ids():
         joint_outcome_distribution(BELL_PAIR, ("QX",))
     with pytest.raises(LayoutError):
         joint_outcome_distribution(BELL_PAIR, ("Q1", "Q1"))
+    # a string is not split into one-letter ids
+    one_letter = Network(SpaceLayout((("A", 2), ("B", 2))), ())
+    for net, ids in ((BELL_PAIR, "Q1"), (one_letter, "AB")):
+        with pytest.raises(LayoutError, match=f"subsystems '{ids}' is a string"):
+            joint_outcome_distribution(net, ids)
 
 
 def test_reduced_density_of_bell_half_is_mixed():

@@ -26,8 +26,7 @@ import pytest
 from descriptorsim import (
     BellConfig,
     Chained,
-    Cnot,
-    ControlledPlus,
+    Controlled,
     CustomGate,
     Decohered,
     GateApplication,
@@ -36,6 +35,7 @@ from descriptorsim import (
     NetworkEvolution,
     Operator,
     Plain,
+    Plus,
     SpaceLayout,
     WignerUndo,
     build_bell_network,
@@ -94,9 +94,9 @@ def test_late_custom_gate_never_calls_the_reference(no_reference):
     mix = CustomGate(haar_random_unitary(8, np.random.default_rng(5)), "mix")
     net = Network(layout, [
         [GateApplication(Hadamard(), ("Q1",))],
-        [GateApplication(Cnot(), ("Q1", "Q2"))],
+        [GateApplication(Controlled(Plus(1)), ("Q1", "Q2"))],
         [GateApplication(mix, ("SC", "Q1"))],
-        [GateApplication(ControlledPlus(1), ("Q2", "SC"))],
+        [GateApplication(Controlled(Plus(1)), ("Q2", "SC"))],
     ])
     evolved = NetworkEvolution(net).run().descriptors
     # <0|U^dag c U|0> of every evolved component is <psi|c|psi> at the end

@@ -134,6 +134,8 @@ class GateApplication:
     subsystems: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.gate, Gate):
+            raise NetworkError(f"GateApplication needs a gate, got {self.gate!r}")
         if isinstance(self.subsystems, str):  # tuple() would split it into one-letter ids
             raise NetworkError(f"subsystems {self.subsystems!r} is a string, not a tuple of ids")
         object.__setattr__(self, "subsystems", tuple(self.subsystems))

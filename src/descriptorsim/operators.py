@@ -315,23 +315,24 @@ def embed_matrix(
     small: np.ndarray, targets: tuple[str, ...], layout: SpaceLayout
 ) -> np.ndarray:
     """Tensor a small matrix acting on ``targets`` (in that order) with the
-    identity on every other subsystem, permuted into layout order.  Unchecked:
-    the one caller, ``Network.embedded``, passes distinct targets (checked by
+    identity on every other subsystem, in layout order.  The result is zero
+    except where row and column agree on every other subsystem: N D entries
+    for targets of total dim D, which a strided view of it holds and the
+    small matrix fills in one broadcast write.  Unchecked: the one caller,
+    ``Network.embedded``, passes distinct targets (checked by
     ``GateApplication``) and a matrix that ``gate.matrix(dims)`` sized."""
-    small = np.asarray(small, dtype=complex)
+    dims, m = layout.dims, len(layout.dims)
     t_idx = [layout.index_of(sid) for sid in targets]
-    dims = layout.dims
-    rest = [i for i in range(len(dims)) if i not in t_idx]
-    big = np.kron(small, np.eye(prod(dims[i] for i in rest) if rest else 1))
-    # Axis a of the kron result corresponds to layout position order[a];
-    # transpose so axis j corresponds to layout position j on both sides.
-    order = t_idx + rest
-    perm = [order.index(j) for j in range(len(dims))]
-    n_axes = len(dims)
-    tensor = big.reshape(tuple(dims[i] for i in order) * 2)
-    tensor = tensor.transpose(perm + [n_axes + p for p in perm])
+    rest = [i for i in range(m) if i not in t_idx]
     n = layout.total_dim
-    return np.ascontiguousarray(tensor.reshape(n, n))
+    out = np.zeros((n, n), dtype=complex)
+    # axes 0..m-1 are the row digits and m..2m-1 the column digits; a rest
+    # column axis takes its row axis's label, so einsum views their diagonal
+    cols = [i if i in rest else m + i for i in range(m)]
+    block = np.einsum(out.reshape(dims * 2), list(range(m)) + cols,
+                      t_idx + [m + i for i in t_idx] + rest)
+    block[...] = np.reshape(small, [dims[i] for i in t_idx] * 2 + [1] * len(rest))
+    return out
 
 
 def embed_local(op: np.ndarray, target: str, layout: SpaceLayout) -> Operator:

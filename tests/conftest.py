@@ -1,4 +1,5 @@
 import os
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,20 @@ def random_network(
         acted |= set(app.subsystems)
         placed += 1
     return Network(layout, slices)
+
+
+def kron_embedding(small, targets, layout) -> np.ndarray:
+    """The reference for ``operators.embed_matrix``: the Kronecker product
+    of ``small`` with the identity on the other subsystems, its 2m axes
+    transposed into layout order."""
+    t_idx = [layout.index_of(sid) for sid in targets]
+    rest = [i for i in range(len(layout.dims)) if i not in t_idx]
+    big = np.kron(np.asarray(small, dtype=complex), np.eye(prod(layout.dims[i] for i in rest)))
+    order = t_idx + rest
+    perm = [order.index(j) for j in range(len(order))]
+    tensor = big.reshape([layout.dims[i] for i in order] * 2)
+    tensor = tensor.transpose(perm + [len(order) + p for p in perm])
+    return tensor.reshape(layout.total_dim, layout.total_dim)
 
 
 def child_env() -> dict[str, str]:

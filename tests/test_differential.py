@@ -7,14 +7,15 @@ slice) and checks the production step law against the two independent
 references: cumulative conjugation and the state-vector oracle.  The
 residual checks of the engine must stay at double-precision scale on every
 such network, and every controlled gate with a qubit control must be a
-foliation of its target.
+foliation of its target.  The oracle's dense gate embedding is checked
+entry for entry against the Kronecker-product formula it replaced.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from descriptorsim import (
@@ -44,7 +45,7 @@ from descriptorsim import (
     locality_residual,
     simulate_statevector,
 )
-from conftest import dense_distance
+from conftest import dense_distance, kron_embedding
 
 TOL = 1e-10
 SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
@@ -156,6 +157,46 @@ def test_every_controlled_gate_is_a_foliation(network):
 def test_residuals_stay_at_double_precision(network):
     assert locality_residual(network) < TOL
     assert algebra_residual(NetworkEvolution(network).run().descriptors) < TOL
+
+
+def _haar(dim, seed):
+    return CustomGate(haar_random_unitary(dim, np.random.default_rng(seed)))
+
+
+TOFFOLI = Controlled(Controlled(Plus(1)))
+QUDIT_LAYOUT = SpaceLayout((("S0", 2), ("S1", 4), ("S2", 2)))
+
+
+@SETTINGS
+@given(networks())
+# one subsystem, so no other is left
+@example(Network(SpaceLayout((("S0", 4),)), [[GateApplication(_haar(4, 1), ("S0",))],
+                                              [GateApplication(Plus(3), ("S0",))]]))
+# the Toffoli out of layout order, with a subsystem left over
+@example(Network(SpaceLayout(tuple((f"S{i}", 2) for i in range(4))), [
+    [GateApplication(Hadamard(), ("S3",)), GateApplication(RotationY(0.7), ("S0",))],
+    [GateApplication(TOFFOLI, ("S3", "S0", "S2"))],
+]))
+# a two-subsystem Haar gate on the 4-level system and a qubit, then gates
+# on every subsystem, out of order: the Toffoli with a 4-level control and a
+# Haar gate
+@example(Network(QUDIT_LAYOUT, [
+    [GateApplication(_haar(8, 2), ("S1", "S0")), GateApplication(Hadamard(), ("S2",))],
+    [GateApplication(TOFFOLI, ("S1", "S2", "S0"))],
+    [GateApplication(_haar(16, 3), ("S2", "S0", "S1"))],
+]))
+def test_embedding_equals_kronecker_formula(network):
+    # the strided write of embed_matrix against the Kronecker product it
+    # replaced, entry for entry, and the oracle against a simulation by it
+    amp = np.zeros(network.layout.total_dim, dtype=complex)
+    amp[0] = 1.0
+    for sl in network.slices:
+        for app in sl:
+            dims = tuple(network.layout.dim_of(sid) for sid in app.subsystems)
+            want = kron_embedding(app.gate.matrix(dims), app.subsystems, network.layout)
+            assert np.array_equal(network.embedded(app), want)
+            amp = want @ amp
+    assert np.array_equal(simulate_statevector(network).ravel(), amp)
 
 
 @pytest.mark.parametrize(

@@ -99,6 +99,10 @@ def test_application_arity_checked():
     for ids in ("Q1", "AB"):
         with pytest.raises(NetworkError, match=f"subsystems '{ids}' is a string"):
             GateApplication(Controlled(Plus(1)), ids)
+    # a gate is checked when applied, not when a network first reads its matrix
+    for not_gate in (5, "H", np.eye(2), Hadamard):
+        with pytest.raises(NetworkError, match="GateApplication needs a gate"):
+            GateApplication(not_gate, ("Q1",))
 
 
 def test_network_time_validation():

@@ -13,7 +13,6 @@ from .operators import (
     LayoutError,
     Operator,
     SpaceLayout,
-    embed_local,
     haar_random_unitary,
     qudit_shift_clock,
 )
@@ -31,8 +30,6 @@ from .engine import (
     EngineError,
     NetworkEvolution,
     algebra_residual,
-    cumulative_evolve,
-    cumulative_unitary,
     functional_form,
     initial_descriptors,
     is_sharp,

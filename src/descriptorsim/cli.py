@@ -455,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except SystemExit as exc:  # argparse reports and exits 2 on bad flags
         return int(exc.code or 0)
-    if cfg.output:
+    if cfg.output is not None:
         try:
             with open(cfg.output, "w") as handle:
                 handle.write(text)

@@ -11,9 +11,9 @@ U(t)^dag G U(t) for the unitary U(t) of the gates before it.
 Descriptors of subsystems outside J commute with that polynomial, so
 they are left untouched; :func:`locality_residual` verifies this
 numerically.  A controlled gate is expanded like any other; on a qubit
-control its form is P0 + P1 V, the split a foliation makes.  The
-cumulative-conjugation engine cross-checks the whole step law on dense
-components and shares no term arithmetic with it.
+control its form is P0 + P1 V, the split a foliation makes.  This is the
+package's one evolution path; the tests cross-check it against dense
+cumulative conjugation, which shares no term arithmetic with it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from math import prod
 from typing import Mapping
 
 import numpy as np
@@ -93,11 +92,7 @@ def functional_form(
 
 
 class NetworkEvolution:
-    """Iterates the step law slice by slice through a network.
-
-    The production evolution path; :func:`cumulative_evolve` is the
-    independent reference.
-    """
+    """Iterates the step law slice by slice through a network."""
 
     def __init__(self, network: Network):
         self._slices = network.slices
@@ -139,32 +134,6 @@ class NetworkEvolution:
 
     def run(self) -> "NetworkEvolution":
         return self.run_to(len(self._slices))
-
-
-def cumulative_unitary(network: Network) -> np.ndarray:
-    """Dense product of the network's embedded gate matrices, latest on
-    the left; ``network.upto(t)`` gives the unitary of the first t slices."""
-    u = np.eye(network.layout.total_dim, dtype=complex)
-    for sl in network.slices:
-        for app in sl:
-            u = network.embedded(app) @ u
-    return u
-
-
-def cumulative_evolve(network: Network) -> dict[str, tuple[np.ndarray, ...]]:
-    """Dense descriptor components at the network's end, ``U^dag g U`` for
-    each generator g and the cumulative unitary U; the reference engine
-    that cross-checks the step law.  It shares no term arithmetic with it."""
-    layout, u = network.layout, cumulative_unitary(network)
-    u_dag, out = u.conj().T, {}
-    for i, (sid, dim) in enumerate(layout.subsystems):
-        # g on subsystem i times u: g acts on that digit of u's row index
-        rows = u.reshape(prod(layout.dims[:i]), dim, -1)
-        out[sid] = tuple(
-            u_dag @ np.einsum("ij,ajk->aik", g, rows).reshape(u.shape)
-            for g in qudit_shift_clock(dim)
-        )
-    return out
 
 
 def is_sharp(o: Operator) -> tuple[bool, float | None]:

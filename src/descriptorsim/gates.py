@@ -157,12 +157,19 @@ class Network:
     slices: tuple[tuple[GateApplication, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "slices", tuple(tuple(sl) for sl in self.slices))
+        if not isinstance(self.layout, SpaceLayout):
+            raise NetworkError(f"Network needs a SpaceLayout, got {self.layout!r}")
+        try:
+            object.__setattr__(self, "slices", tuple(tuple(sl) for sl in self.slices))
+        except TypeError:
+            raise NetworkError(f"slices {self.slices!r} are not sequences of gates") from None
         for t, sl in enumerate(self.slices):
             if not sl:
                 raise NetworkError(f"slice {t} holds no gates")
             acted: set[str] = set()
             for app in sl:
+                if not isinstance(app, GateApplication):
+                    raise NetworkError(f"slice {t} holds {app!r}, not a GateApplication")
                 dims = tuple(self.layout.dim_of(sid) for sid in app.subsystems)
                 app.gate.matrix(dims)  # the check that the gate fits these dims
                 overlap = acted & set(app.subsystems)
@@ -179,6 +186,6 @@ class Network:
 
     def embedded(self, app: GateApplication) -> np.ndarray:
         """The gate's dense matrix tensored into the full space, for the
-        state-vector oracle and the reference engine."""
+        state-vector oracle and the tests' dense reference."""
         dims = tuple(self.layout.dim_of(sid) for sid in app.subsystems)
         return embed_matrix(app.gate.matrix(dims), app.subsystems, self.layout)

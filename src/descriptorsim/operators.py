@@ -4,7 +4,7 @@ An operator is a short sum of monomials c X^a Z^b, the tensor product
 (in subsystem declaration order) of each subsystem's shift^a_i clock^b_i.
 Each monomial is a phased permutation, so products, adjoints, norms and
 expectations are sums over terms; dense N x N matrices appear only at the
-edges: the reference engine, the state-vector oracle and the tests.
+edges: the state-vector oracle and the tests.
 Expectation values are taken against the fixed reference vector |0...0>,
 which never evolves; all dynamics act on operators.
 """
@@ -23,15 +23,13 @@ import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
 # the largest dense initial descriptors a layout may need (chain(2, 2) needs
-# 0.28 GiB); it guards the dense oracle and reference engine, and keeps N^2
-# below 2^63 for the int64 keys of Weyl terms
+# 0.28 GiB); it guards the dense oracle and the tests' dense views, and keeps
+# N^2 below 2^63 for the int64 keys of Weyl terms
 DESCRIPTOR_BUDGET_BYTES = 2**30
 # a merged term with |c| <= PRUNE * max |c| is roundoff and is dropped;
 # without this the residue of cancelled terms fills every operator in
 PRUNE = 1e-14
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
@@ -65,8 +63,8 @@ def as_real(value, what: str, error: type[ValueError]):
 
 def check_descriptor_budget(dims: dict[int, int]) -> None:
     """Refuse dense initial descriptors (two N x N complex components per
-    subsystem, the size of the oracle's and reference's matrices) over the
-    budget.  ``dims`` counts each dimension's subsystems; nothing is built."""
+    subsystem, the oracle's matrix size) over the budget.  ``dims`` counts
+    each dimension's subsystems; nothing is built."""
     budget = f"over the {DESCRIPTOR_BUDGET_BYTES / 2**30:g} GiB budget"
     # from N = 2^600 on, the estimate is over 1e308 GiB; N is not built
     if sum(m * (d.bit_length() - 1) for d, m in dims.items()) < 600:
@@ -103,8 +101,12 @@ class SpaceLayout:
     subsystems: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
+        try:
+            pairs = [(sid, d) for sid, d in self.subsystems]
+        except (TypeError, ValueError):
+            raise LayoutError(f"{self.subsystems!r} are not (id, dim) pairs") from None
         subsystems = tuple(
-            (sid, as_index(d, "subsystem dimension", LayoutError)) for sid, d in self.subsystems
+            (sid, as_index(d, "subsystem dimension", LayoutError)) for sid, d in pairs
         )
         object.__setattr__(self, "subsystems", subsystems)
         if not subsystems:
@@ -194,7 +196,7 @@ class Operator:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense N x N matrix, for the reference paths and the tests:
+        """The dense N x N matrix, for the tests to compare against:
         X^a Z^b sends |k> to omega^(b.k) |k + a>, so each term fills one
         phased permutation."""
         w, n, m = self.layout.weyl, self.layout.total_dim, len(self.layout.dims)
@@ -238,6 +240,7 @@ class Operator:
 
     def matpow(self, k: int) -> "Operator":
         """self^k, k >= 0, by squaring."""
+        k = as_index(k, "matpow exponent", ValueError)
         if k < 0:
             raise ValueError(f"matpow needs k >= 0, got {k}")
         if k < 2:
@@ -333,15 +336,6 @@ def embed_matrix(
                       t_idx + [m + i for i in t_idx] + rest)
     block[...] = np.reshape(small, [dims[i] for i in t_idx] * 2 + [1] * len(rest))
     return out
-
-
-def embed_local(op: np.ndarray, target: str, layout: SpaceLayout) -> Operator:
-    """Embed a single-subsystem operator into the full space."""
-    i, m = layout.index_of(target), len(layout.dims)
-    local = Operator.from_matrix(SpaceLayout(((target, layout.dims[i]),)), op)
-    exps = np.zeros((len(local.coefficients), 2 * m), dtype=np.int64)
-    exps[:, [i, m + i]] = local.exponents
-    return Operator(layout, exps, local.coefficients)
 
 
 def half_sum(q: Operator, sign: int) -> Operator:

@@ -23,7 +23,6 @@ from descriptorsim import (
     build_bell_network,
     chsh_win_rate,
     closed_form_measures,
-    cumulative_evolve,
     enumerate_classical,
     foliate,
     functional_form,
@@ -36,6 +35,7 @@ from descriptorsim import (
     run_wigner_undo,
 )
 from conftest import dense_distance, random_network
+from reference import cumulative_evolve
 
 COS8 = math.cos(math.pi / 8) ** 2
 GRID = [

@@ -19,14 +19,14 @@ from descriptorsim import (
     WignerUndo,
     build_bell_network,
     closed_form_measures,
-    embed_local,
+    initial_descriptors,
     joint_outcome_distribution,
     nonisomorphism_witness,
     run_bell,
     run_wigner_undo,
 )
 from descriptorsim import bell
-from descriptorsim.operators import PAULI_X, Operator
+from descriptorsim.operators import Operator
 
 COS8 = math.cos(math.pi / 8) ** 2 / 2  # 0.4267766952966369
 SIN8 = math.sin(math.pi / 8) ** 2 / 2  # 0.0732233047033631
@@ -141,7 +141,7 @@ class TestDecoherence:
         evo = NetworkEvolution(network).run_to(3)
         q1x_3 = evo.descriptors["Q1"][0]
         evo.run_to(4)
-        qex = embed_local(PAULI_X, "QE", network.layout)
+        qex = initial_descriptors(network.layout)["QE"][0]
         assert evo.descriptors["Q1"][0].isclose(q1x_3 @ qex, 1e-12)
         assert evo.descriptors["Q1"][1].isclose(
             NetworkEvolution(network).run_to(3).descriptors["Q1"][1],
@@ -223,10 +223,8 @@ class TestChain:
         (t_record,) = [t for t, app in timed(network) if app.subsystems == ("QA1", "SC")]
         evo.run_to(t_record)
         control = evo.descriptors["QA1"][1]
-        from descriptorsim.operators import PAULI_Z
-
-        qaz = embed_local(PAULI_Z, "QA", layout)
-        qa1z = embed_local(PAULI_Z, "QA1", layout)
+        generators = initial_descriptors(layout)
+        qaz, qa1z = generators["QA"][1], generators["QA1"][1]
         assert control.isclose(qaz @ qa1z @ q1z_3, 1e-12)
         # the extra factors hold reference eigenvalue 1
         assert (qaz @ qa1z).expectation() == pytest.approx(1.0, abs=1e-14)

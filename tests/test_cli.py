@@ -316,6 +316,7 @@ class TestShellLevel:
             ["run", "decoherence", "--seed", "-1"],
             ["run", "bell", "--theta", "inf"],
             ["run", "bell", "--output", "/nonexistent/dir/x"],
+            ["run", "bell", "--output", ""],
             ["run", "bell", "--config", NOT_UTF8],
             ["run", "chain", "--chain-alice", "600"],
         ],

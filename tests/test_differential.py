@@ -36,7 +36,6 @@ from descriptorsim import (
     WignerUndo,
     algebra_residual,
     build_bell_network,
-    cumulative_evolve,
     foliate,
     functional_form,
     haar_random_unitary,
@@ -46,6 +45,7 @@ from descriptorsim import (
     simulate_statevector,
 )
 from conftest import dense_distance, kron_embedding
+from reference import cumulative_evolve
 
 TOL = 1e-10
 SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)

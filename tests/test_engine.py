@@ -21,28 +21,22 @@ from descriptorsim import (
     SpaceLayout,
     algebra_residual,
     build_bell_network,
-    cumulative_evolve,
-    cumulative_unitary,
-    embed_local,
     functional_form,
     initial_descriptors,
     is_sharp,
     locality_residual,
 )
 from descriptorsim import engine
-from descriptorsim.operators import (
-    PAULI_X,
-    PAULI_Z,
-    haar_random_unitary,
-    qudit_shift_clock,
-)
+from descriptorsim.operators import haar_random_unitary, qudit_shift_clock
 from conftest import dense_distance, random_network
+from reference import cumulative_evolve, cumulative_unitary
 
 ONE_QUBIT = SpaceLayout((("Q1", 2),))
 TWO_QUBITS = SpaceLayout((("Q1", 2), ("Q2", 2)))
 THREE_QUBITS = SpaceLayout((("Q1", 2), ("Q2", 2), ("Q3", 2)))
 QUBIT_AND_RECORD = SpaceLayout((("Q1", 2), ("SC", 4)))
 MIXED = SpaceLayout((("Q1", 2), ("Q2", 2), ("Q3", 2), ("SC", 4)))
+PAULI_X, PAULI_Z = qudit_shift_clock(2)
 
 
 def embedded(net, app):
@@ -107,10 +101,8 @@ class TestInitialDescriptors:
 
     def test_dim_two_qudit_matches_qubit(self):
         pair = initial_descriptors(TWO_QUBITS)["Q1"]
-        for got, generator, pauli in zip(pair, qudit_shift_clock(2), (PAULI_X, PAULI_Z)):
-            want = embed_local(pauli, "Q1", TWO_QUBITS).matrix
-            assert np.array_equal(got.matrix, want)
-            assert np.array_equal(embed_local(generator, "Q1", TWO_QUBITS).matrix, want)
+        for got, pauli in zip(pair, ([[0, 1], [1, 0]], np.diag([1, -1]))):
+            assert np.array_equal(got.matrix, np.kron(pauli, np.eye(2)))
 
 
 class TestFunctionalForm:
@@ -231,10 +223,9 @@ class TestStepEvolve:
             GateApplication(Hadamard(), ("Q1",)),
             GateApplication(Controlled(Plus(1)), ("Q1", "Q2")),
         )
-        q1x0 = embed_local(PAULI_X, "Q1", TWO_QUBITS)
-        q1z0 = embed_local(PAULI_Z, "Q1", TWO_QUBITS)
-        q2x0 = embed_local(PAULI_X, "Q2", TWO_QUBITS)
-        q2z0 = embed_local(PAULI_Z, "Q2", TWO_QUBITS)
+        generators = initial_descriptors(TWO_QUBITS)
+        q1x0, q1z0 = generators["Q1"]
+        q2x0, q2z0 = generators["Q2"]
         assert descs["Q1"][0].isclose(q1z0 @ q2x0, 1e-13)
         assert descs["Q1"][1].isclose(q1x0, 1e-13)
         assert descs["Q2"][0].isclose(q2x0, 1e-13)
@@ -301,11 +292,10 @@ class TestCumulativeEvolve:
         network = build_bell_network(BellConfig(theta, phi))
         layout = network.layout
         out = cumulative_evolve(network.upto(4))
-        q1x = embed_local(PAULI_X, "Q1", layout)
-        q1z = embed_local(PAULI_Z, "Q1", layout)
-        q2x = embed_local(PAULI_X, "Q2", layout)
-        qaz = embed_local(PAULI_Z, "QA", layout)
-        qax = embed_local(PAULI_X, "QA", layout)
+        generators = initial_descriptors(layout)
+        q1x, q1z = generators["Q1"]
+        q2x = generators["Q2"][0]
+        qax, qaz = generators["QA"]
         expected_z = qaz @ (
             (-math.sin(theta)) * (q1z @ q2x) + math.cos(theta) * q1x
         )
@@ -350,7 +340,7 @@ class TestCumulativeEvolve:
 
 class TestSharpness:
     def test_initial_z_sharp_plus_one(self):
-        z = embed_local(PAULI_Z, "Q1", TWO_QUBITS)
+        z = initial_descriptors(TWO_QUBITS)["Q1"][1]
         assert is_sharp(z) == (True, 1.0)
 
     def test_identity_sharp_value_one(self):

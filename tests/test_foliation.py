@@ -12,13 +12,12 @@ from descriptorsim import (
     RotationY,
     SpaceLayout,
     build_bell_network,
-    embed_local,
     foliate,
     functional_form,
     initial_descriptors,
 )
 from descriptorsim.foliation import Branch, Foliation
-from descriptorsim.operators import PAULI_X, PAULI_Z, Operator
+from descriptorsim.operators import Operator
 
 
 def bell_evolution(theta=0.0, phi=math.pi / 4):
@@ -50,7 +49,7 @@ class TestFoliate:
         from descriptorsim import initial_descriptors
 
         descs = initial_descriptors(layout)
-        control = embed_local(PAULI_Z, "Q1", layout)  # sharp, value +1
+        control = descs["Q1"][1]  # sharp, value +1
         fol = foliate(descs["Q2"], control, descs["Q2"][0])
         assert fol.measures() == pytest.approx({"0": 1.0, "1": 0.0}, abs=1e-14)
 
@@ -117,7 +116,7 @@ class TestFoliate:
         from descriptorsim import initial_descriptors
 
         descs = initial_descriptors(layout)
-        control = embed_local(PAULI_X, "Q2", layout)
+        control = descs["Q2"][0]
         with pytest.raises(FoliationError):
             foliate(descs["Q2"], control, descs["Q2"][0])
 
@@ -169,7 +168,7 @@ class TestBranchMeasure:
         # before any split: one branch, with the empty key and measure 1, and
         # with the identity as projector and conditional, so it is the base itself
         layout = SpaceLayout((("Q1", 2),))
-        base = tuple(embed_local(p, "Q1", layout) for p in (PAULI_X, PAULI_Z))
+        base = initial_descriptors(layout)["Q1"]
         identity = Operator.identity(layout)
         root = Foliation(base, (Branch("", identity, identity, 1.0),))
         assert root.measures() == {"": 1.0}

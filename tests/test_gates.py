@@ -115,6 +115,13 @@ def test_network_time_validation():
     cnot = GateApplication(Controlled(Plus(1)), ("Q1", "Q2"))
     net = Network(LAYOUT, [[h], [cnot, GateApplication(Plus(1), ("SC",))]])
     assert [len(sl) for sl in net.slices] == [1, 2]
+    # a slice holds applications, the slices are sequences, the layout is one
+    with pytest.raises(NetworkError, match="slice 0 holds .* not a GateApplication"):
+        Network(LAYOUT, [[(Hadamard(), ("Q1",))]])
+    with pytest.raises(NetworkError, match="not sequences of gates"):
+        Network(LAYOUT, [h])
+    with pytest.raises(NetworkError, match="needs a SpaceLayout"):
+        Network("x", [])
 
 
 def test_upto_is_a_prefix_within_range():

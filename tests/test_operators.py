@@ -10,19 +10,16 @@ from descriptorsim import (
     Operator,
     SpaceLayout,
     FoliationError,
-    embed_local,
     foliate,
     initial_descriptors,
     qudit_shift_clock,
 )
-from descriptorsim.operators import (
-    PAULI_X,
-    PAULI_Z,
-    half_sum,
-    haar_random_unitary,
-)
+from descriptorsim.operators import half_sum, haar_random_unitary
 
 TWO_QUBITS = SpaceLayout((("Q1", 2), ("Q2", 2)))
+# each qubit's time-0 (sigma_x, sigma_z), embedded
+GENERATORS = initial_descriptors(TWO_QUBITS)
+PAULI_X, PAULI_Z = qudit_shift_clock(2)
 
 
 class TestSpaceLayout:
@@ -67,43 +64,43 @@ class TestSpaceLayout:
         with pytest.raises(LayoutError):
             TWO_QUBITS.index_of("nope")
 
+    @pytest.mark.parametrize("subsystems", [(("Q1", 2, 3),), (5,), (("Q1",),), 5], ids=repr)
+    def test_entries_that_are_not_pairs_rejected(self, subsystems):
+        with pytest.raises(LayoutError, match=r"not \(id, dim\) pairs"):
+            SpaceLayout(subsystems)
+
 
 class TestEmbedLocal:
+    """A single-subsystem operator embedded in the full space, in layout
+    order: the identity and the time-0 generators."""
+
     def test_identity_embeds_to_identity(self):
-        op = embed_local(np.eye(2), "Q1", TWO_QUBITS)
+        op = Operator.identity(TWO_QUBITS)
         assert np.allclose(op.matrix, np.eye(4))
 
     def test_sigma_x_on_first_qubit(self):
-        op = embed_local(PAULI_X, "Q1", TWO_QUBITS)
+        op = GENERATORS["Q1"][0]
         assert op.matrix[0, 2] == 1
         assert np.allclose(op.matrix, np.kron(PAULI_X, np.eye(2)))
 
     def test_ordering_second_qubit(self):
-        op = embed_local(PAULI_Z, "Q2", TWO_QUBITS)
+        op = GENERATORS["Q2"][1]
         assert np.allclose(op.matrix, np.kron(np.eye(2), PAULI_Z))
 
     def test_disjoint_embeddings_commute_exactly(self):
-        a = embed_local(PAULI_X, "Q1", TWO_QUBITS)
-        b = embed_local(PAULI_Z, "Q2", TWO_QUBITS)
+        a = GENERATORS["Q1"][0]
+        b = GENERATORS["Q2"][1]
         assert np.array_equal((a @ b).matrix, (b @ a).matrix)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(LayoutError):
-            embed_local(np.eye(3), "Q1", TWO_QUBITS)
-
-    def test_unknown_subsystem(self):
-        with pytest.raises(LayoutError):
-            embed_local(PAULI_X, "QX", TWO_QUBITS)
 
 
 class TestReferenceExpectation:
     def test_embedded_sigma_z_is_plus_one(self):
         for sid in ("Q1", "Q2"):
-            assert embed_local(PAULI_Z, sid, TWO_QUBITS).expectation() == 1
+            assert GENERATORS[sid][1].expectation() == 1
 
     def test_embedded_sigma_x_is_zero(self):
         for sid in ("Q1", "Q2"):
-            assert embed_local(PAULI_X, sid, TWO_QUBITS).expectation() == 0
+            assert GENERATORS[sid][0].expectation() == 0
 
     def test_identity_is_one(self):
         assert Operator.identity(TWO_QUBITS).expectation() == 1
@@ -130,11 +127,11 @@ class TestProjectorPm:
     ``half_sum`` builds them for every foliation split."""
 
     def test_sigma_z_plus_projector_pattern(self):
-        p = half_sum(embed_local(PAULI_Z, "Q1", TWO_QUBITS), +1)
+        p = half_sum(GENERATORS["Q1"][1], +1)
         assert np.allclose(p.matrix, np.kron(np.diag([1.0, 0.0]), np.eye(2)))
 
     def test_plus_and_minus_sum_to_identity(self):
-        q = embed_local(PAULI_X, "Q2", TWO_QUBITS)
+        q = GENERATORS["Q2"][0]
         total = half_sum(q, +1) + half_sum(q, -1)
         assert total.isclose(Operator.identity(TWO_QUBITS), 1e-14)
 
@@ -167,8 +164,8 @@ class TestProjectorPm:
 class TestShiftClock:
     def test_qubit_reduction(self):
         shift, clock = qudit_shift_clock(2)
-        assert np.array_equal(shift, PAULI_X)
-        assert np.array_equal(clock, PAULI_Z)
+        assert np.array_equal(shift, [[0, 1], [1, 0]])
+        assert np.array_equal(clock, np.diag([1, -1]))
 
     def test_dim_four_clock_is_exact(self):
         _, clock = qudit_shift_clock(4)
@@ -209,7 +206,7 @@ class TestShiftClock:
 
 class TestOperator:
     def test_matrices_are_immutable(self):
-        op = embed_local(PAULI_X, "Q1", TWO_QUBITS)
+        op = GENERATORS["Q1"][0]
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5
 
@@ -220,11 +217,26 @@ class TestOperator:
             Operator.from_matrix(TWO_QUBITS, np.diag([1.0, np.nan, 1.0, 1.0]))
 
     def test_adjoint_and_predicates(self):
-        y = embed_local(1j * PAULI_X @ PAULI_Z, "Q1", TWO_QUBITS)
+        x, z = GENERATORS["Q1"]
+        y = 1j * (x @ z)
         assert y.is_hermitian(1e-14)
         assert y.is_unitary(1e-14)
         assert y.is_involution(1e-14)
         assert y.H.isclose(y, 1e-14)
+
+    def test_matpow_is_repeated_product(self):
+        x = initial_descriptors(SpaceLayout((("Q", 4),)))["Q"][0]
+        want = Operator.identity(x.layout)
+        for k in range(6):
+            assert np.array_equal(x.matpow(k).matrix, want.matrix)
+            want = want @ x
+
+    @pytest.mark.parametrize("k", [-1, 1.5, 2.5, True, "2"], ids=repr)
+    def test_matpow_rejects_non_natural_exponents(self, k):
+        # 1.5 is never truncated to 1, nor True read as 1
+        x = initial_descriptors(SpaceLayout((("Q", 4),)))["Q"][0]
+        with pytest.raises(ValueError):
+            x.matpow(k)
 
     def test_haar_unitary_is_unitary(self, rng):
         for dim in (2, 4, 8):
@@ -234,7 +246,7 @@ class TestOperator:
     def test_mixed_layout_arithmetic_rejected(self):
         other = SpaceLayout((("A", 4),))
         with pytest.raises(LayoutError):
-            embed_local(PAULI_X, "Q1", TWO_QUBITS) @ Operator.identity(other)
+            GENERATORS["Q1"][0] @ Operator.identity(other)
 
 
 @st.composite

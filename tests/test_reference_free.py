@@ -1,15 +1,16 @@
 """Production code never calls the reference engine, nor densifies.
 
-``engine.cumulative_unitary`` and ``engine.cumulative_evolve`` are the
-independent reference path for cross-checks.  With every binding of them
-made to raise, each Bell variant, the non-isomorphism witness and every
-CLI experiment must still run: their results come from the step law alone.
-So must a network with a custom gate after time 0, whose functional form
-is its expansion on the current descriptors, not a cumulative frame.
+``reference.cumulative_unitary`` and ``reference.cumulative_evolve`` are
+the independent reference path for cross-checks, and they live beside the
+tests: no module of the package imports ``reference`` or ``conftest``, or
+names either function.  So each Bell variant, the non-isomorphism witness
+and every CLI experiment get their results from the step law alone.  So
+does a network with a custom gate after time 0, whose functional form is
+its expansion on the current descriptors, not a cumulative frame.
 
-``Operator.matrix`` builds the dense N x N matrix for the reference paths
-and the tests.  No production module reads it, and with it made to raise
-each Bell variant and every CLI experiment still run.
+``Operator.matrix`` builds the dense N x N matrix for the tests.  No
+production module reads it, and with it made to raise each Bell variant
+and every CLI experiment still run.
 
 The reference in turn shares no term arithmetic with the step law: it
 returns dense components, and with ``Operator.from_matrix`` (the term
@@ -39,7 +40,6 @@ from descriptorsim import (
     SpaceLayout,
     WignerUndo,
     build_bell_network,
-    cumulative_evolve,
     haar_random_unitary,
     initial_descriptors,
     locality_residual,
@@ -49,20 +49,11 @@ from descriptorsim import (
 )
 from descriptorsim.cli import EXPERIMENTS, RunConfig, execute_and_report
 from conftest import dense_distance
+from reference import cumulative_evolve
 
+PACKAGE = Path(sys.modules["descriptorsim"].__file__).parent
+TEST_SIDE = ("reference", "conftest")
 REFERENCE = ("cumulative_unitary", "cumulative_evolve")
-
-
-@pytest.fixture
-def no_reference(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("production code called the reference engine")
-
-    for name, module in list(sys.modules.items()):
-        if name == "descriptorsim" or name.startswith("descriptorsim."):
-            for attr in REFERENCE:
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, forbidden)
 
 
 @pytest.fixture
@@ -78,18 +69,18 @@ def no_dense(monkeypatch):
     [Plain(), Decohered(3), Decohered(None), Chained(1, 1), WignerUndo()],
     ids=repr,
 )
-def test_run_bell_never_calls_the_reference(no_reference, no_dense, variant):
+def test_run_bell_never_calls_the_reference(no_dense, variant):
     out = run_bell(BellConfig(0.3, 0.9, variant))
     assert sum(out.branch_measures.values()) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_witness_never_calls_the_reference(no_reference):
+def test_witness_never_calls_the_reference():
     report = nonisomorphism_witness()
     assert report.states_match and report.descriptors_differ
     assert report.marginal_expectation_gap < 1e-12
 
 
-def test_late_custom_gate_never_calls_the_reference(no_reference):
+def test_late_custom_gate_never_calls_the_reference():
     layout = SpaceLayout((("Q1", 2), ("Q2", 2), ("SC", 4)))
     mix = CustomGate(haar_random_unitary(8, np.random.default_rng(5)), "mix")
     net = Network(layout, [
@@ -125,17 +116,32 @@ def test_reference_never_expands_into_terms(monkeypatch, variant):
 
 # "all" runs the same six sections
 @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "all"])
-def test_cli_experiment_never_calls_the_reference(no_reference, no_dense, experiment):
+def test_cli_experiment_never_calls_the_reference(no_dense, experiment):
     code, _ = execute_and_report(
         RunConfig(experiment, seed=3, chain_alice=1, chain_bob=1)
     )
     assert code == 0
 
 
+def test_no_production_module_imports_the_reference():
+    # an import names its module in ``module`` (absolute or relative) or in an alias
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [getattr(node, "module", None)] + [a.name for a in node.names]
+                found += [
+                    (node.lineno, m) for m in modules if m and m.split(".")[0] in TEST_SIDE
+                ]
+            for attr in ("id", "attr", "name"):
+                if getattr(node, attr, None) in REFERENCE:
+                    found.append((node.lineno, getattr(node, attr)))
+        assert found == [], f"{path.name} reaches the test-side reference: {found}"
+
+
 def test_no_production_module_reads_the_dense_matrix():
     # ``gate.matrix(dims)`` is a call; ``op.matrix`` is a read of the property
-    package = Path(sys.modules["descriptorsim"].__file__).parent
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
         reads = [

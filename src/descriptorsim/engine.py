@@ -3,24 +3,22 @@
 Each subsystem carries a descriptor: the tuple of its (shift, clock)
 generator pair embedded in the full space, (sigma_x, sigma_z) for a
 qubit, each component a short sum of Weyl terms, never an N x N matrix.
-The time belongs to the evolution, not to the descriptors.  A gate G
-applied to subsystems J evolves every descriptor by conjugation with the
-gate's functional form: G's expansion sum c X^a Z^b over the time-0
-generators of J, evaluated on the current descriptors of J, which is
-U(t)^dag G U(t) for the unitary U(t) of the gates before it.
-Descriptors of subsystems outside J commute with that polynomial, so
-they are left untouched; :func:`locality_residual` verifies this
-numerically.  A controlled gate is expanded like any other; on a qubit
-control its form is P0 + P1 V, the split a foliation makes.  This is the
-package's one evolution path; the tests cross-check it against dense
-cumulative conjugation, which shares no term arithmetic with it.
+The time belongs to the evolution, not to the descriptors.  A gate G on
+subsystems J maps each generator g of J to its image G^dag g G, a fixed
+polynomial in the generators of J (a controlled-not sends x_c to x_c x_t
+and z_t to z_c z_t); the step law evaluates it on the current descriptors
+of J.  Those outside J commute with G and are left untouched, which
+:func:`locality_residual` verifies.  The same evaluator gives a gate's
+functional form, its expansion evaluated on the current descriptors; on
+a qubit control a controlled gate's form is P0 + P1 V, the split a
+foliation makes.  The tests cross-check this one evolution path against
+dense cumulative conjugation, which shares no term arithmetic with it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from typing import Mapping
 
 import numpy as np
@@ -31,7 +29,9 @@ from .operators import (
     AlgebraError,
     Operator,
     SpaceLayout,
+    _product,
     as_index,
+    combination,
     qudit_shift_clock,
 )
 
@@ -52,19 +52,44 @@ def initial_descriptors(layout: SpaceLayout) -> dict[str, tuple[Operator, ...]]:
 
 
 @functools.lru_cache(maxsize=256)
-def _weyl_terms(gate: Gate, dims: tuple[int, ...]) -> tuple:
+def _weyl_terms(gate: Gate, dims: tuple[int, ...], images: bool = False) -> tuple:
     """The gate's nonzero expansion G = sum c X^a Z^b over the acted
-    subsystems' shift/clock pairs: ``((factors, c), ...)``, where each
+    subsystems' shift/clock pairs, as a one-element tuple, or with
+    ``images`` the images G^dag g G of those generators, shift then clock,
+    position by position.  Each polynomial is ``((factors, c), ...)``: a
     monomial's factors list ``(position, component)`` in product order,
-    component 0 (the shift) a times, then component 1 (the clock) b times,
-    position by position; no factors is the identity."""
+    the shift a times, then the clock b times, position by position; no
+    factors is the identity."""
     m = len(dims)
     layout = SpaceLayout(tuple((str(i), d) for i, d in enumerate(dims)))
-    terms = Operator.from_matrix(layout, gate.matrix(dims))
+    g = Operator.from_matrix(layout, gate.matrix(dims))
+    generators = itertools.chain(*initial_descriptors(layout).values())
+    # _product, not @: the traced product count must not depend on this cache
     return tuple(
-        (tuple((i, j) for i in range(m) for j in (0, 1) for _ in range(row[i + j * m])), c)
-        for row, c in zip(terms.exponents.tolist(), terms.coefficients.tolist())
+        tuple(
+            (tuple((i, j) for i in range(m) for j in (0, 1) for _ in range(row[i + j * m])), c)
+            for row, c in zip(terms.exponents.tolist(), terms.coefficients.tolist())
+        )
+        for terms in ([_product(_product(g.H, x), g) for x in generators] if images else [g])
     )
+
+
+def _evaluate(app: GateApplication, descriptors: Mapping, images: bool) -> list[Operator]:
+    """The gate's expansion, or its generators' images, evaluated on the
+    acted subsystems' descriptors, each monomial and each prefix of one
+    multiplied out once."""
+    args = [descriptors[sid] for sid in app.subsystems]
+    layout = args[0][0].layout
+    polynomials = _weyl_terms(app.gate, tuple(layout.dim_of(sid) for sid in app.subsystems), images)
+    monomials = {(): Operator.identity(layout)}
+    # a loop, not a recursive closure: the closure's reference cycle would
+    # hold every monomial until the cyclic garbage collector happened to run
+    for factors in (f for p in polynomials for f, _ in p):
+        for k, (i, j) in enumerate(factors, 1):
+            if factors[:k] not in monomials:
+                head = factors[:k - 1]
+                monomials[factors[:k]] = monomials[head] @ args[i][j] if head else args[i][j]
+    return [combination([monomials[f] for f, _ in p], [c for _, c in p]) for p in polynomials]
 
 
 def functional_form(
@@ -75,20 +100,9 @@ def functional_form(
     The gate's expansion over the time-0 generators, evaluated on the
     current ones.  Fed time-0 descriptors this reproduces the embedded
     gate matrix (the defining equation); fed time-t descriptors it is
-    U(t)^dag G U(t), the conjugating unitary of the step-evolution law,
-    because conjugation preserves sums and products.
+    U(t)^dag G U(t), because conjugation preserves sums and products.
     """
-    args = [descriptors[sid] for sid in app.subsystems]
-    layout = args[0][0].layout
-    dims = tuple(layout.dim_of(sid) for sid in app.subsystems)
-
-    def monomial(factors: tuple[tuple[int, int], ...]) -> Operator:
-        ops = [args[i][j] for i, j in factors]
-        return functools.reduce(operator.matmul, ops) if ops else Operator.identity(layout)
-
-    return functools.reduce(
-        operator.add, (monomial(f) * c for f, c in _weyl_terms(app.gate, dims))
-    )
+    return _evaluate(app, descriptors, images=False)[0]
 
 
 class NetworkEvolution:
@@ -99,25 +113,18 @@ class NetworkEvolution:
         self.descriptors = initial_descriptors(network.layout)
         self.time = 0
 
-    def advance(self) -> list[tuple[GateApplication, Operator]]:
-        """Apply every gate of the current slice (disjoint, so order-free);
-        returns each gate with the functional form it was applied by.
-
-        Only the acted subsystems' components are conjugated: components
-        of non-acted subsystems commute with the gate polynomial, so
-        conjugation leaves them unchanged; :func:`locality_residual`
-        checks that identity explicitly.
-        """
+    def advance(self) -> tuple[GateApplication, ...]:
+        """Apply every gate of the current slice (disjoint, so order-free)
+        and return them: each acted component becomes its generator's
+        image evaluated on the acted descriptors; the rest commute with
+        the gate and stay, as :func:`locality_residual` checks."""
         if self.time >= len(self._slices):
             raise EngineError(f"network exhausted at time {self.time}")
         descriptors = dict(self.descriptors)
-        applied = []
-        for app in self._slices[self.time]:
-            unitary = functional_form(app, descriptors)
-            u_dag = unitary.H
-            for sid in app.subsystems:
-                descriptors[sid] = tuple(u_dag @ c @ unitary for c in descriptors[sid])
-            applied.append((app, unitary))
+        applied = self._slices[self.time]
+        for app in applied:
+            images = _evaluate(app, descriptors, images=True)
+            descriptors.update(zip(app.subsystems, zip(images[::2], images[1::2])))
         self.time += 1
         self.descriptors = descriptors
         return applied
@@ -160,7 +167,8 @@ def locality_residual(network: Network) -> float:
     worst = 0.0
     for _ in network.slices:
         before = evo.descriptors
-        for app, unitary in evo.advance():
+        for app in evo.advance():
+            unitary = functional_form(app, before)
             u_dag = unitary.H
             for sid in before.keys() - set(app.subsystems):
                 for comp in before[sid]:

@@ -292,8 +292,17 @@ def _merged(layout: SpaceLayout, exps: np.ndarray, coeffs: np.ndarray) -> Operat
     then prune."""
     keys = exps @ layout.weyl.keys
     order = np.argsort(keys, kind="stable")
-    first = np.flatnonzero(np.diff(keys[order], prepend=-1))  # keys are >= 0
+    s = keys[order]
+    first = np.flatnonzero(np.concatenate((s[:1] >= 0, s[1:] != s[:-1])))  # keys are >= 0
     return _pruned(layout, exps[order[first]], np.add.reduceat(coeffs[order], first))
+
+
+def combination(ops: list[Operator], coeffs: list[complex]) -> Operator:
+    """sum_k coeffs[k] ops[k] on one layout, merged once."""
+    if len(ops) == 1:  # a single term keeps its term order
+        return ops[0] * coeffs[0]
+    parts = [(o.exponents, o.coefficients * c) for o, c in zip(ops, coeffs)]
+    return _merged(ops[0].layout, *map(np.concatenate, zip(*parts)))
 
 
 def _pruned(layout: SpaceLayout, exps: np.ndarray, coeffs: np.ndarray) -> Operator:

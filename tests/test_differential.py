@@ -6,8 +6,9 @@ gates whose control may be the 4-level system, several disjoint gates per
 slice) and checks the production step law against the two independent
 references: cumulative conjugation and the state-vector oracle.  The
 residual checks of the engine must stay at double-precision scale on every
-such network, and every controlled gate with a qubit control must be a
-foliation of its target.  The oracle's dense gate embedding is checked
+such network, each gate's generator images must agree with conjugation by
+its functional form, and every controlled gate with a qubit control must
+be a foliation of its target.  The oracle's dense gate embedding is checked
 entry for entry against the Kronecker-product formula it replaced.
 """
 
@@ -120,6 +121,22 @@ def test_step_law_matches_cumulative_conjugation_and_oracle(network):
                 # and clock on the 4-level system)
                 oracle = state.conj() @ base.matrix @ state
                 assert abs(got.expectation() - oracle) < TOL
+
+
+@SETTINGS
+@given(networks())
+def test_step_law_conjugates_by_the_functional_form(network):
+    # each acted component after a gate is the component before it
+    # conjugated by the gate's functional form there: the form a foliation
+    # splits by is the unitary the generator images apply
+    evo = NetworkEvolution(network)
+    for _ in network.slices:
+        before = evo.descriptors
+        for app in evo.advance():
+            u = functional_form(app, before)
+            for sid in app.subsystems:
+                for got, c in zip(evo.descriptors[sid], before[sid], strict=True):
+                    assert got.distance(u.H @ c @ u) < TOL
 
 
 @SETTINGS

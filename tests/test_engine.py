@@ -201,13 +201,35 @@ class TestFunctionalForm:
         # expansions, with no roundoff-scale terms beside them
         app = GateApplication(gate, sids)
         dims = tuple(MIXED.dim_of(sid) for sid in sids)
-        coeffs = [c for _, c in engine._weyl_terms(gate, dims)]
+        (expansion,) = engine._weyl_terms(gate, dims)
+        coeffs = [c for _, c in expansion]
         assert len(coeffs) == terms
         assert {abs(c) for c in coeffs} <= {
             0.5, 1.0, 1 / np.sqrt(2), abs(np.cos(0.35)), abs(np.sin(0.35))
         }
         u = functional_form(app, self.fresh(MIXED))
         assert u.isclose(embedded(single(MIXED, app), app), 1e-15)
+
+    @pytest.mark.parametrize(
+        "gate, dims, images",
+        [
+            (Hadamard(), (2,), [((0, 1),), ((0, 0),)]),
+            (
+                Controlled(Plus(1)),
+                (2, 2),
+                [((0, 0), (1, 0)), ((0, 1),), ((1, 0),), ((0, 1), (1, 1))],
+            ),
+        ],
+        ids=["H", "controlled-not"],
+    )
+    def test_fixed_gates_map_generators_to_monomials(self, gate, dims, images):
+        # the images G^dag g G, shift then clock per position: H swaps x and
+        # z; the controlled-not sends x_c to x_c x_t and z_t to z_c z_t and
+        # fixes z_c and x_t; each is one monomial of modulus 1, with no
+        # roundoff-scale terms beside it
+        got = engine._weyl_terms(gate, dims, images=True)
+        assert [[f for f, _ in poly] for poly in got] == [[f] for f in images]
+        assert all(abs(abs(c) - 1) < 1e-15 for poly in got for _, c in poly)
 
 
 class TestStepEvolve:
@@ -380,7 +402,8 @@ class TestInvariants:
         assert locality_residual(network) < 1e-12
 
     def test_locality_residual_builds_each_form_once(self, monkeypatch):
-        # the check reuses the forms advance() applied
+        # locality_residual builds each gate's form once, from the
+        # descriptors before its slice
         calls = []
         form = engine.functional_form
 

@@ -202,7 +202,8 @@ def build_bell_network(cfg: BellConfig) -> Network:
 
 
 def _marginal(control: Operator) -> tuple[float, float]:
-    """<(1 +- q)/2>, read off <q>: the (0, 0) entries of ``half_sum(q, +-1)``."""
+    """<(1 +- q)/2>, read off <q>: the expectations of ``half_sum(q, +-1)``,
+    the combination of I and q with coefficients 1/2 and +-1/2."""
     q = control.expectation().real
     return ((1 + q) / 2, (1 - q) / 2)
 

@@ -30,7 +30,6 @@ from .bell import (
     Chained,
     Decohered,
     Plain,
-    Variant,
     closed_form_measures,
     nonisomorphism_witness,
     run_bell,
@@ -49,7 +48,6 @@ from .gates import Network
 from .operators import DEFAULT_TOLERANCE, LayoutError, as_real
 from .oracle import joint_outcome_distribution
 
-EXPERIMENTS = ("bell", "chsh", "decoherence", "chain", "wigner", "nonisomorphism", "all")
 FORMATS = ("table", "csv", "json")
 PRESETS = {f"chsh-{x}{y}": (x, y) for x, y in INPUT_PAIRS}
 ENV_TOLERANCE = "DESCRIPTOR_SIM_TOLERANCE"
@@ -108,7 +106,7 @@ def _load_config_file(path: str) -> dict:
     if text.lstrip().startswith("{"):
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also over-deep nesting, over-long ints
             raise ConfigError(f"malformed JSON config: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("JSON config must be an object")
@@ -229,10 +227,6 @@ def parse_config(argv: list[str]) -> RunConfig:
     return RunConfig(experiment, **{k: v for k, v in values.items() if v is not None})
 
 
-def _round10(x: float) -> float:
-    return float(f"{x:.10g}")
-
-
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
@@ -262,27 +256,15 @@ def _rows(
     ]
 
 
-def _rows_pass(rows: list[dict], tolerance: float) -> bool:
-    return all(
-        r["residual"] < tolerance and r.get("oracle_residual", 0.0) < tolerance
-        for r in rows
-    )
-
-
-def _variant(name: str, cfg: RunConfig) -> tuple[Variant, dict]:
-    """The Bell variant experiment ``name`` runs, and its extra parameters."""
-    if name == "decoherence":
-        return Decohered(cfg.seed), {"seed": cfg.seed}
-    if name == "chain":
-        params = {"chain_alice": cfg.chain_alice, "chain_bob": cfg.chain_bob}
-        return Chained(cfg.chain_alice, cfg.chain_bob), params
-    return Plain(), {}
-
-
-def _section_variant(name: str, cfg: RunConfig) -> dict:
+def _section_variant(name: str, cfg: RunConfig) -> tuple:
     """The bell, decoherence and chain sections: one Bell variant each,
     all held to the plain network's closed forms."""
-    variant, extra = _variant(name, cfg)
+    variant, extra = Plain(), {}
+    if name == "decoherence":
+        variant, extra = Decohered(cfg.seed), {"seed": cfg.seed}
+    elif name == "chain":
+        variant = Chained(cfg.chain_alice, cfg.chain_bob)
+        extra = {"chain_alice": cfg.chain_alice, "chain_bob": cfg.chain_bob}
     outcome = run_bell(BellConfig(cfg.theta, cfg.phi, variant))
     expected = closed_form_measures(cfg.theta, cfg.phi)
     rows = _rows(outcome.network, outcome.branch_measures, expected)
@@ -295,16 +277,11 @@ def _section_variant(name: str, cfg: RunConfig) -> dict:
         **outcome.diagnostics,
     }
     # every check but alice_unsharp is a residual held to the tolerance
-    ok = (
-        _rows_pass(rows, cfg.tolerance)
-        and checks["alice_unsharp"]
-        and all(v < cfg.tolerance for k, v in checks.items() if k != "alice_unsharp")
-    )
-    return {"experiment": name, "parameters": {"theta": cfg.theta, "phi": cfg.phi, **extra},
-            "rows": rows, "checks": checks, "pass": ok}
+    conditions = [v if k == "alice_unsharp" else v < cfg.tolerance for k, v in checks.items()]
+    return {"theta": cfg.theta, "phi": cfg.phi, **extra}, rows, checks, conditions
 
 
-def _section_wigner(name: str, cfg: RunConfig) -> dict:
+def _section_wigner(name: str, cfg: RunConfig) -> tuple:
     report = run_wigner_undo(cfg.theta, cfg.phi)
     outcome = report.outcome
     expected = closed_form_measures(cfg.theta, report.effective_bob_angle)
@@ -315,12 +292,11 @@ def _section_wigner(name: str, cfg: RunConfig) -> dict:
     }
     for (b, a), value in sorted(report.conditional_bob_given_alice.items()):
         checks[f"p_bob{b}_given_alice{a}"] = "undefined" if value is None else value
-    ok = _rows_pass(rows, cfg.tolerance) and checks["reconstruction_residual"] < cfg.tolerance
-    return {"experiment": name, "parameters": {"theta": cfg.theta, "phi": cfg.phi},
-            "rows": rows, "checks": checks, "pass": ok}
+    conditions = [outcome.reconstruction_residual < cfg.tolerance]
+    return {"theta": cfg.theta, "phi": cfg.phi}, rows, checks, conditions
 
 
-def _section_chsh(name: str, cfg: RunConfig) -> dict:
+def _section_chsh(name: str, cfg: RunConfig) -> tuple:
     outcomes = {(x, y): quantum_distribution(x, y) for x, y in INPUT_PAIRS}
     rate = win_rate({pair: o.branch_measures for pair, o in outcomes.items()})
     expected_rate = math.cos(math.pi / 8) ** 2
@@ -330,20 +306,12 @@ def _section_chsh(name: str, cfg: RunConfig) -> dict:
     for (x, y), outcome in outcomes.items():
         expected = closed_form_measures(ALICE_ANGLES[x], BOB_ANGLES[y])
         rows += _rows(outcome.network, outcome.branch_measures, expected, f"x{x}y{y}:")
-    return {
-        "experiment": name,
-        "parameters": {
-            "alice_angles": list(ALICE_ANGLES),
-            "bob_angles": list(BOB_ANGLES),
-        },
-        "rows": rows,
-        "checks": {"classical_best_wins": best, "win_rate": rate,
-                   "classical_bound": bound},
-        "pass": _rows_pass(rows, cfg.tolerance) and best == 3,
-    }
+    params = {"alice_angles": list(ALICE_ANGLES), "bob_angles": list(BOB_ANGLES)}
+    checks = {"classical_best_wins": best, "win_rate": rate, "classical_bound": bound}
+    return params, rows, checks, [best == 3]
 
 
-def _section_nonisomorphism(name: str, cfg: RunConfig) -> dict:
+def _section_nonisomorphism(name: str, cfg: RunConfig) -> tuple:
     report = nonisomorphism_witness()
     exact_gap = 2 * math.sqrt(2)  # the controlled-not turns q1x into a two-qubit product
     rows = [
@@ -351,17 +319,8 @@ def _section_nonisomorphism(name: str, cfg: RunConfig) -> dict:
         _row("descriptor_distance", report.descriptor_distance, exact_gap),
         _row("marginal_expectation_gap", report.marginal_expectation_gap, 0.0),
     ]
-    ok = report.states_match and report.descriptors_differ and _rows_pass(rows, cfg.tolerance)
-    return {
-        "experiment": name,
-        "parameters": {},
-        "rows": rows,
-        "checks": {
-            "states_match": report.states_match,
-            "descriptors_differ": report.descriptors_differ,
-        },
-        "pass": ok,
-    }
+    checks = {"states_match": report.states_match, "descriptors_differ": report.descriptors_differ}
+    return {}, rows, checks, list(checks.values())
 
 
 _SECTIONS = {
@@ -372,12 +331,26 @@ _SECTIONS = {
     "wigner": _section_wigner,
     "nonisomorphism": _section_nonisomorphism,
 }
+EXPERIMENTS = (*_SECTIONS, "all")
+
+
+def _section(name: str, cfg: RunConfig) -> dict:
+    """Run experiment ``name``, whose builder returns its parameters, rows,
+    checks and further conditions.  It passes when every row's residual
+    and oracle residual is below the tolerance and every condition holds."""
+    parameters, rows, checks, conditions = _SECTIONS[name](name, cfg)
+    ok = all(
+        r["residual"] < cfg.tolerance and r.get("oracle_residual", 0.0) < cfg.tolerance
+        for r in rows
+    ) and all(conditions)
+    return {"experiment": name, "parameters": parameters, "rows": rows, "checks": checks,
+            "pass": ok}
 
 
 def _render_json(sections: list[dict], cfg: RunConfig) -> str:
     def clean(value):
         if isinstance(value, float):
-            return _round10(value)
+            return float(_fmt(value))
         if isinstance(value, dict):
             return {k: clean(v) for k, v in value.items()}
         if isinstance(value, list):
@@ -385,7 +358,7 @@ def _render_json(sections: list[dict], cfg: RunConfig) -> str:
         return value
 
     doc = {
-        "tolerance": _round10(cfg.tolerance),
+        "tolerance": float(_fmt(cfg.tolerance)),
         "experiments": clean(sections),
         "pass": all(s["pass"] for s in sections),
     }
@@ -437,8 +410,8 @@ def _render_table(sections: list[dict], cfg: RunConfig) -> str:
 
 def execute_and_report(cfg: RunConfig) -> tuple[int, str]:
     """Run the configured experiment(s); returns (exit code, report text)."""
-    names = [e for e in EXPERIMENTS if e != "all"] if cfg.experiment == "all" else [cfg.experiment]
-    sections = [_SECTIONS[name](name, cfg) for name in names]
+    names = list(_SECTIONS) if cfg.experiment == "all" else [cfg.experiment]
+    sections = [_section(name, cfg) for name in names]
     render = {"json": _render_json, "csv": _render_csv, "table": _render_table}[cfg.format]
     text = render(sections, cfg)
     code = 0 if all(s["pass"] for s in sections) else 1

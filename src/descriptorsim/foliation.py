@@ -8,7 +8,8 @@ conditioned unitary (expressed in the base: the foliated descriptor, a
 tuple of components, which is where every later gate polynomial must be
 expressed as well).  The branch's relative descriptor is projector *
 W^dag(base component)W, component by component, and the branch measure
-is the reference expectation of the projector.
+is the reference expectation of the projector.  :meth:`Foliation.branch_sum`
+adds every branch's relative part of a component in one merge.
 
 :func:`foliate` is the first split, a :meth:`Foliation.refine` of a root
 foliation whose one branch has the empty key, measure 1 and the identity
@@ -19,14 +20,13 @@ unchecked.
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 
 from .operators import (
     DEFAULT_TOLERANCE,
     AlgebraError,
     Operator,
+    combination,
     half_sum,
 )
 
@@ -56,7 +56,7 @@ class Foliation:
         """Componentwise sum of all relative descriptors; reconstructs the
         evolved descriptor."""
         relative = [self.relative_components(b) for b in self.branches]
-        return tuple(functools.reduce(operator.add, comps) for comps in zip(*relative))
+        return tuple(combination(comps, [1] * len(comps)) for comps in zip(*relative))
 
     def measures(self) -> dict[str, float]:
         return {b.key: b.measure for b in self.branches}

@@ -54,10 +54,15 @@ def as_index(value, what: str, error: type[ValueError]) -> int:
 
 
 def as_real(value, what: str, error: type[ValueError]):
-    """``value`` itself if it is a real number, raising ``error`` for a
-    bool, a string, None or any other non-real, rather than failing later."""
+    """``value`` itself if it is a real number a float can hold, raising
+    ``error`` for a bool, a string, None, any other non-real, or a real too
+    large for a float, rather than failing later."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{what} {value!r} is not a real number")
+    try:
+        float(value)
+    except OverflowError:
+        raise error(f"{what} is too large for a float") from None
     return value
 
 
@@ -219,11 +224,7 @@ class Operator:
 
     def __add__(self, other: "Operator") -> "Operator":
         self._same_layout(other)
-        return _merged(
-            self.layout,
-            np.concatenate((self.exponents, other.exponents)),
-            np.concatenate((self.coefficients, other.coefficients)),
-        )
+        return combination([self, other], [1, 1])
 
     def __mul__(self, scalar: complex) -> "Operator":
         return _pruned(self.layout, self.exponents, self.coefficients * complex(scalar))
@@ -255,7 +256,8 @@ class Operator:
 
     def distance(self, other: "Operator") -> float:
         """Frobenius norm of the difference, sqrt(N sum |c|^2)."""
-        diff = self + other * -1
+        self._same_layout(other)
+        diff = combination([self, other], [1, -1])
         return float(np.sqrt(self.layout.total_dim) * np.linalg.norm(diff.coefficients))
 
     def isclose(self, other: "Operator", tol: float = DEFAULT_TOLERANCE) -> bool:
@@ -349,7 +351,7 @@ def embed_matrix(
 
 def half_sum(q: Operator, sign: int) -> Operator:
     """(1 + sign*q)/2 without checks; callers guarantee q is an involution."""
-    return (Operator.identity(q.layout) + q * sign) * 0.5
+    return combination([Operator.identity(q.layout), q], [0.5, 0.5 * sign])
 
 
 @functools.lru_cache(maxsize=16)

@@ -42,9 +42,8 @@ def joint_outcome_distribution(
         raise LayoutError(f"repeated subsystem in {subsystems}")
     keep = [network.layout.index_of(sid) for sid in subsystems]
     probs = np.abs(simulate_statevector(network)) ** 2
-    drop = tuple(i for i in range(probs.ndim) if i not in keep)
-    # the kept axes stay in layout order; move each to its requested place
-    marginal = np.moveaxis(probs.sum(axis=drop), np.argsort(np.argsort(keep)), range(len(keep)))
+    # sums the other axes and puts the kept ones in the requested order
+    marginal = np.einsum(probs, range(probs.ndim), keep)
     return {
         tuple(int(v) for v in idx): float(marginal[idx])
         for idx in np.ndindex(marginal.shape)

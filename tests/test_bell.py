@@ -123,6 +123,11 @@ class TestPlainNetwork:
     def test_infinite_angle_rejected(self):
         with pytest.raises(ValueError):
             BellConfig(math.inf, 0.0)
+        # an int a float cannot hold is rejected, not an OverflowError
+        with pytest.raises(ValueError, match="theta is too large for a float"):
+            BellConfig(10**400, 0.0)
+        with pytest.raises(ValueError, match="phi is too large for a float"):
+            BellConfig(0.0, -(10**400))
         # an angle is a real number, not a string parsed later
         with pytest.raises(ValueError, match="theta '0.3' is not a real number"):
             BellConfig("0.3", 0)

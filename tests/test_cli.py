@@ -21,8 +21,14 @@ from descriptorsim.cli import (
 from conftest import child_env
 
 
-# stands for the path of a config file that is not valid UTF-8
-NOT_UTF8 = "<latin-1 config>"
+# each stands for the path of a config file with these bytes: not valid
+# UTF-8, JSON nested past the recursion limit, and an int past the
+# interpreter's int-to-string digit limit
+CONFIG_FILES = {
+    "<latin-1 config>": "theta=0.5\n# café\n".encode("latin-1"),
+    "<deep JSON config>": ('{"theta": ' + "[" * 100_000 + "]" * 100_000 + "}").encode(),
+    "<long-int JSON config>": ('{"seed": ' + "1" * 5000 + "}").encode(),
+}
 
 
 def run_main(capsys, *argv):
@@ -317,14 +323,23 @@ class TestShellLevel:
             ["run", "bell", "--theta", "inf"],
             ["run", "bell", "--output", "/nonexistent/dir/x"],
             ["run", "bell", "--output", ""],
-            ["run", "bell", "--config", NOT_UTF8],
+            ["run", "bell", "--config", "<latin-1 config>"],
             ["run", "chain", "--chain-alice", "600"],
+            ["run", "decoherence", "--config", "<deep JSON config>"],
+            pytest.param(
+                ["run", "decoherence", "--config", "<long-int JSON config>"],
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter has no int-to-string digit limit",
+                ),
+            ),
         ],
     )
     def test_bad_inputs_exit_2_without_traceback(self, args, tmp_path):
-        config = tmp_path / "latin1.txt"
-        config.write_bytes("theta=0.5\n# café\n".encode("latin-1"))
-        args = [str(config) if arg == NOT_UTF8 else arg for arg in args]
+        config = tmp_path / "config"
+        if args[-1] in CONFIG_FILES:
+            config.write_bytes(CONFIG_FILES[args[-1]])
+            args = [*args[:-1], str(config)]
         proc = run_process(args, text=True)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
@@ -345,6 +360,35 @@ class TestShellLevel:
         shown = re.findall(r"p_bob\d_given_alice\d = (\S+)", proc.stdout)
         assert len(shown) == 4
         assert sorted(float(value) for value in shown) == pytest.approx([0, 0, 1, 1], abs=1e-9)
+
+
+class TestSectionConditions:
+    """At tolerance 1e300 every residual passes, so only a section's own
+    conditions can fail it: Alice unsharp, the classical best at 3 of 4,
+    and the witness's states matching."""
+
+    MUTANTS = {
+        "bell": ("run_bell", lambda out: dataclasses.replace(
+            out, alice_sharpness=dict.fromkeys(out.alice_sharpness, True))),
+        "chsh": ("enumerate_classical", lambda result: (4, result[1])),
+        "nonisomorphism": ("nonisomorphism_witness",
+                           lambda report: dataclasses.replace(report, states_match=False)),
+    }
+
+    @pytest.mark.parametrize("experiment", sorted(MUTANTS))
+    def test_holding_conditions_pass(self, experiment):
+        code, text = execute_and_report(RunConfig(experiment, tolerance=1e300))
+        assert code == 0
+        assert "result: PASS" in text
+
+    @pytest.mark.parametrize("experiment", sorted(MUTANTS))
+    def test_failed_condition_fails_the_section(self, monkeypatch, experiment):
+        name, mutate = self.MUTANTS[experiment]
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args: mutate(original(*args)))
+        code, text = execute_and_report(RunConfig(experiment, tolerance=1e300))
+        assert code == 1
+        assert "result: FAIL" in text
 
 
 class TestExecuteAndReport:
@@ -375,6 +419,9 @@ class TestExecuteAndReport:
             {"theta": True},
             {"chain_alice": True},
             {"seed": True},
+            # an int too large for a float
+            {"theta": 10**400},
+            {"tolerance": 10**400},
         ):
             with pytest.raises(ConfigError):
                 RunConfig(experiment="bell", **bad)

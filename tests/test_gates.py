@@ -65,6 +65,8 @@ def test_custom_gate_must_be_unitary():
         RotationY(np.nan)
     with pytest.raises(NetworkError):
         RotationY(np.inf)
+    with pytest.raises(NetworkError, match="Ry angle is too large for a float"):
+        RotationY(10**400)
     with pytest.raises(NetworkError, match="Ry angle '0.3' is not a real number"):
         RotationY("0.3")
     # a shift is an integer power of the shift generator

@@ -29,11 +29,9 @@ from .gates import (
 from .engine import (
     EngineError,
     NetworkEvolution,
-    algebra_residual,
     functional_form,
     initial_descriptors,
     is_sharp,
-    locality_residual,
 )
 from .foliation import Branch, Foliation, FoliationError, foliate
 from .oracle import (

@@ -7,12 +7,12 @@ The time belongs to the evolution, not to the descriptors.  A gate G on
 subsystems J maps each generator g of J to its image G^dag g G, a fixed
 polynomial in the generators of J (a controlled-not sends x_c to x_c x_t
 and z_t to z_c z_t); the step law evaluates it on the current descriptors
-of J.  Those outside J commute with G and are left untouched, which
-:func:`locality_residual` verifies.  The same evaluator gives a gate's
-functional form, its expansion evaluated on the current descriptors; on
-a qubit control a controlled gate's form is P0 + P1 V, the split a
-foliation makes.  The tests cross-check this one evolution path against
-dense cumulative conjugation, which shares no term arithmetic with it.
+of J.  Those outside J commute with G and are left untouched.  The same
+evaluator gives a gate's functional form, its expansion evaluated on the
+current descriptors; on a qubit control a controlled gate's form is
+P0 + P1 V, the split a foliation makes.  The tests cross-check this one
+evolution path against dense cumulative conjugation, which shares no term
+arithmetic with it, and conjugate the untouched descriptors anyway.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .operators import (
     _product,
     as_index,
     combination,
-    qudit_shift_clock,
 )
 
 
@@ -117,7 +116,7 @@ class NetworkEvolution:
         """Apply every gate of the current slice (disjoint, so order-free)
         and return them: each acted component becomes its generator's
         image evaluated on the acted descriptors; the rest commute with
-        the gate and stay, as :func:`locality_residual` checks."""
+        the gate and stay."""
         if self.time >= len(self._slices):
             raise EngineError(f"network exhausted at time {self.time}")
         descriptors = dict(self.descriptors)
@@ -154,42 +153,3 @@ def is_sharp(o: Operator) -> tuple[bool, float | None]:
     second = (o @ o).expectation()
     sharp = abs(second - mean**2) < DEFAULT_TOLERANCE
     return (True, float(mean.real)) if sharp else (False, None)
-
-
-def locality_residual(network: Network) -> float:
-    """Max Frobenius change a gate's conjugation would inflict on the
-    descriptors of subsystems it does not act on.
-
-    The step engine relies on that change being zero; this performs the
-    conjugation anyway, for every gate and every non-acted component.
-    """
-    evo = NetworkEvolution(network)
-    worst = 0.0
-    for _ in network.slices:
-        before = evo.descriptors
-        for app in evo.advance():
-            unitary = functional_form(app, before)
-            u_dag = unitary.H
-            for sid in before.keys() - set(app.subsystems):
-                for comp in before[sid]:
-                    worst = max(worst, (u_dag @ comp @ unitary).distance(comp))
-    return worst
-
-
-def algebra_residual(descriptors: Mapping[str, tuple[Operator, ...]]) -> float:
-    """Worst violation of the preserved algebraic relations: per subsystem,
-    unitarity, x^d = z^d = I and z x = omega x z; across subsystems,
-    commutation."""
-    worst = 0.0
-    for sid, (x, z) in descriptors.items():
-        d = x.layout.dim_of(sid)
-        eye = Operator.identity(x.layout)
-        for c in (x, z):
-            worst = max(worst, (c.H @ c).distance(eye), c.matpow(d).distance(eye))
-        omega = qudit_shift_clock(d)[1][1, 1]  # the clock's second entry
-        worst = max(worst, (z @ x).distance(omega * (x @ z)))
-    comps = [(sid, c) for sid, desc in descriptors.items() for c in desc]
-    for (s1, c1), (s2, c2) in itertools.combinations(comps, 2):
-        if s1 != s2:
-            worst = max(worst, (c1 @ c2).distance(c2 @ c1))
-    return worst

@@ -19,13 +19,14 @@ import numpy as np
 
 from .operators import (
     DEFAULT_TOLERANCE,
-    HADAMARD,
     SpaceLayout,
     as_index,
     as_real,
     embed_matrix,
     qudit_shift_clock,
 )
+
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 class NetworkError(ValueError):
@@ -89,6 +90,8 @@ class Controlled:
             raise NetworkError(f"Controlled needs a gate, got {self.gate!r}")
 
     def matrix(self, dims: tuple[int, ...]) -> np.ndarray:
+        if not dims:
+            raise NetworkError(f"Controlled expects subsystem dims (control, *targets), got {dims}")
         g = self.gate.matrix(dims[1:])
         n = len(g)
         m = np.zeros((dims[0] * n, dims[0] * n), dtype=complex)
@@ -108,8 +111,10 @@ class CustomGate:
         u = np.array(self.unitary, dtype=complex)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise NetworkError(f"custom gate matrix must be square, got {u.shape}")
-        # written so that a NaN entry fails it
-        if not np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) <= DEFAULT_TOLERANCE:
+        # a unitary's entries have modulus at most 1, which a NaN, infinite or
+        # huge entry fails before the product could overflow on it
+        bounded = (np.abs(u) <= 1 + DEFAULT_TOLERANCE).all()
+        if not (bounded and np.linalg.norm(u.conj().T @ u - np.eye(len(u))) <= DEFAULT_TOLERANCE):
             raise NetworkError(f"custom gate {self.name!r} is not unitary")
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)

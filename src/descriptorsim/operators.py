@@ -30,8 +30,6 @@ DESCRIPTOR_BUDGET_BYTES = 2**30
 # without this the residue of cancelled terms fills every operator in
 PRUNE = 1e-14
 
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
 
 class LayoutError(ValueError):
     """Malformed space layout, unknown subsystem id, or dimension mismatch."""

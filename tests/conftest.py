@@ -1,6 +1,8 @@
+import itertools
 import os
 from math import prod
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -11,9 +13,13 @@ from descriptorsim import (
     GateApplication,
     Hadamard,
     Network,
+    NetworkEvolution,
+    Operator,
     Plus,
     RotationY,
     SpaceLayout,
+    functional_form,
+    qudit_shift_clock,
 )
 
 
@@ -96,6 +102,45 @@ def dense_distance(descriptor, reference) -> float:
         float(np.linalg.norm(op.matrix - ref))
         for op, ref in zip(descriptor, reference, strict=True)
     )
+
+
+def locality_residual(network: Network) -> float:
+    """Max Frobenius change a gate's conjugation would inflict on the
+    descriptors of subsystems it does not act on.
+
+    The step engine relies on that change being zero; this performs the
+    conjugation anyway, for every gate and every non-acted component.
+    """
+    evo = NetworkEvolution(network)
+    worst = 0.0
+    for _ in network.slices:
+        before = evo.descriptors
+        for app in evo.advance():
+            unitary = functional_form(app, before)
+            u_dag = unitary.H
+            for sid in before.keys() - set(app.subsystems):
+                for comp in before[sid]:
+                    worst = max(worst, (u_dag @ comp @ unitary).distance(comp))
+    return worst
+
+
+def algebra_residual(descriptors: Mapping[str, tuple[Operator, ...]]) -> float:
+    """Worst violation of the preserved algebraic relations: per subsystem,
+    unitarity, x^d = z^d = I and z x = omega x z; across subsystems,
+    commutation."""
+    worst = 0.0
+    for sid, (x, z) in descriptors.items():
+        d = x.layout.dim_of(sid)
+        eye = Operator.identity(x.layout)
+        for c in (x, z):
+            worst = max(worst, (c.H @ c).distance(eye), c.matpow(d).distance(eye))
+        omega = qudit_shift_clock(d)[1][1, 1]  # the clock's second entry
+        worst = max(worst, (z @ x).distance(omega * (x @ z)))
+    comps = [(sid, c) for sid, desc in descriptors.items() for c in desc]
+    for (s1, c1), (s2, c2) in itertools.combinations(comps, 2):
+        if s1 != s2:
+            worst = max(worst, (c1 @ c2).distance(c2 @ c1))
+    return worst
 
 
 @pytest.fixture

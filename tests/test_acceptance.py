@@ -27,14 +27,13 @@ from descriptorsim import (
     foliate,
     functional_form,
     joint_outcome_distribution,
-    locality_residual,
     nonisomorphism_witness,
     quantum_distribution,
     reduced_density_matrix,
     run_bell,
     run_wigner_undo,
 )
-from conftest import dense_distance, random_network
+from conftest import dense_distance, locality_residual, random_network
 from reference import cumulative_evolve
 
 COS8 = math.cos(math.pi / 8) ** 2

@@ -1,17 +1,29 @@
+import contextlib
+import csv
 import dataclasses
+import io
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from descriptorsim import bell, chsh, cli
 from descriptorsim.bell import run_bell
 from descriptorsim.cli import (
+    ENV_TOLERANCE,
+    EXPERIMENTS,
+    FORMATS,
+    PRESETS,
     ConfigError,
     RunConfig,
     execute_and_report,
@@ -465,3 +477,140 @@ class TestExecuteAndReport:
         code, _ = execute_and_report(cfg)
         assert code == 0
         assert len(built) == networks
+
+
+# the exit-code contract on generated command lines: every flag whole or
+# abbreviated, in the "=" or the space form, odd numeric tokens, config
+# files of both kinds, the tolerance's environment variable, and chains of
+# at most 1/1; "<output>" and "<config>" stand for paths in a fresh directory
+ODD_NUMBERS = ["nan", "inf", "-inf", "1e309", "-0", "0x10", "1" * 5000]
+ANGLES = ["0", "0.3", "-1e-3", "1e308", "-1e308"]
+FLAG_VALUES = {
+    "--theta": ANGLES,
+    "--phi": ANGLES,
+    "--seed": ["0", "3", "-1", "1.5"],
+    "--chain-alice": ["0", "1"],
+    "--chain-bob": ["0", "1"],
+    "--tolerance": ["1e-20", "1e-9", "1e300", "0"],
+    "--format": [*FORMATS, "xml"],
+    "--output": ["", "<output>"],
+    "--preset": [*PRESETS, "chsh-22"],
+    "--config": ["<config>"],
+}
+NUMERIC = {"--theta", "--phi", "--seed", "--chain-alice", "--chain-bob", "--tolerance"}
+CONFIG_VALUES = {
+    "experiment": [*EXPERIMENTS, "bogus"],
+    "volume": ["11"],
+    **{
+        flag[2:].replace("-", "_"): values + ODD_NUMBERS * (flag in NUMERIC)
+        for flag, values in FLAG_VALUES.items() if flag != "--config"
+    },
+}
+
+
+def unique_prefix(flag: str) -> str:
+    """The shortest abbreviation of ``flag`` that names no other flag."""
+    return next(
+        flag[:k] for k in range(3, len(flag) + 1)
+        if not any(f != flag and f.startswith(flag[:k]) for f in FLAG_VALUES)
+    )
+
+
+@st.composite
+def config_files(draw):
+    """A config file's text, or a key of ``CONFIG_FILES`` naming its bytes."""
+    kind = draw(st.sampled_from(["key=value", "JSON", *CONFIG_FILES]))
+    if kind in CONFIG_FILES:
+        return kind
+    keys = draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)), unique=True, max_size=4))
+    pairs = [(key, draw(st.sampled_from(CONFIG_VALUES[key]))) for key in keys]
+    if kind == "key=value":
+        return "".join(f"{key}={value}\n" for key, value in pairs)
+    # a value as a bare JSON token (not always valid JSON) or as a string
+    tokens = [draw(st.sampled_from([value, json.dumps(value)])) for _, value in pairs]
+    return "{" + ", ".join(f'"{key}": {t}' for (key, _), t in zip(pairs, tokens)) + "}"
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, config file text or None, the tolerance variable or None)."""
+    experiment = draw(st.sampled_from([*EXPERIMENTS, "bogus"]))
+    # --output and --config, each on every other command line
+    others = sorted(FLAG_VALUES.keys() - {"--output", "--config"})
+    flags = draw(st.lists(st.sampled_from(others), unique=True, max_size=3))
+    if experiment in ("chain", "all"):  # the default chain is 2/2
+        flags += [f for f in ("--chain-alice", "--chain-bob") if f not in flags]
+    config = draw(st.none() | config_files())
+    for flag, present in (("--output", draw(st.booleans())), ("--config", config is not None)):
+        if present:
+            flags.insert(draw(st.integers(0, len(flags))), flag)
+    argv = ["run", experiment]
+    for flag in flags:
+        # whole, abbreviated, or now and then cut to three characters, which
+        # leaves some ambiguous; the fair coins keep most command lines valid
+        spelled = flag
+        if draw(st.booleans()):
+            cut = draw(st.booleans()) and draw(st.booleans())
+            spelled = flag[:3] if cut else unique_prefix(flag)
+        odd = flag in NUMERIC and all(draw(st.booleans()) for _ in range(3))
+        value = draw(st.sampled_from(ODD_NUMBERS if odd else FLAG_VALUES[flag]))
+        argv += [f"{spelled}={value}"] if draw(st.booleans()) else [spelled, value]
+    env = draw(st.none() | st.sampled_from(["1e-5", "1e-20", "soft", "nan", "", "1" * 5000]))
+    return argv, config, env
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(command_lines())
+def test_exit_code_contract_on_generated_inputs(case):
+    argv, config, env = case
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        output, config_path = Path(tmp, "report"), Path(tmp, "config")
+        if config in CONFIG_FILES:
+            config_path.write_bytes(CONFIG_FILES[config])
+        elif config is not None:
+            config_path.write_text(config.replace("<output>", str(output)))
+        argv = [a.replace("<output>", str(output)).replace("<config>", str(config_path))
+                for a in argv]
+        os.environ.pop(ENV_TOLERANCE, None)
+        if env is not None:
+            os.environ[ENV_TOLERANCE] = env
+        runs = []
+        for _ in range(2):
+            code, out, err = run_captured(argv)
+            runs.append((code, out, err, output.read_bytes() if output.exists() else None))
+            output.unlink(missing_ok=True)
+        assert runs[0] == runs[1], argv
+        code, out, err, written = runs[0]
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert out == "", argv
+            lines = err.splitlines()
+            usage = err.startswith("usage: ") and ": error: " in lines[-1]
+            assert usage or (len(lines) == 1 and err.startswith("error: ")), (argv, err)
+            return
+        cfg = parse_config(argv)
+    assert err == "", argv
+    if cfg.output is not None:
+        assert out == "", argv
+        text = written.decode()
+    else:
+        assert written is None, argv
+        text = out
+    if cfg.format == "json":
+        assert json.loads(text)["pass"] is (code == 0)
+    elif cfg.format == "csv":
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0][-4:] == ["branch", "measure", "expected", "residual"]
+        for row in rows[1:]:
+            assert len(row) == len(rows[0])
+            list(map(float, row[-3:]))
+    else:
+        verdict = "PASS" if code == 0 else "FAIL"
+        assert text.splitlines()[-1].startswith(f"overall: {verdict} (tolerance ")

@@ -35,17 +35,15 @@ from descriptorsim import (
     RotationY,
     SpaceLayout,
     WignerUndo,
-    algebra_residual,
     build_bell_network,
     foliate,
     functional_form,
     haar_random_unitary,
     initial_descriptors,
     joint_outcome_distribution,
-    locality_residual,
     simulate_statevector,
 )
-from conftest import dense_distance, kron_embedding
+from conftest import algebra_residual, dense_distance, kron_embedding, locality_residual
 from reference import cumulative_evolve
 
 TOL = 1e-10

@@ -19,16 +19,15 @@ from descriptorsim import (
     Plus,
     RotationY,
     SpaceLayout,
-    algebra_residual,
     build_bell_network,
     functional_form,
     initial_descriptors,
     is_sharp,
-    locality_residual,
 )
 from descriptorsim import engine
 from descriptorsim.operators import haar_random_unitary, qudit_shift_clock
-from conftest import dense_distance, random_network
+import conftest
+from conftest import algebra_residual, dense_distance, locality_residual, random_network
 from reference import cumulative_evolve, cumulative_unitary
 
 ONE_QUBIT = SpaceLayout((("Q1", 2),))
@@ -405,13 +404,13 @@ class TestInvariants:
         # locality_residual builds each gate's form once, from the
         # descriptors before its slice
         calls = []
-        form = engine.functional_form
+        form = conftest.functional_form
 
         def counting_form(app, descriptors):
             calls.append(app)
             return form(app, descriptors)
 
-        monkeypatch.setattr(engine, "functional_form", counting_form)
+        monkeypatch.setattr(conftest, "functional_form", counting_form)
         network = build_bell_network(BellConfig(0.4, 1.2, Decohered(3)))
         assert locality_residual(network) < 1e-12
         assert len(calls) == sum(map(len, network.slices)) == 10

@@ -14,13 +14,12 @@ from descriptorsim import (
     RotationY,
     SpaceLayout,
 )
-from descriptorsim.operators import HADAMARD
 
 LAYOUT = SpaceLayout((("Q1", 2), ("Q2", 2), ("SC", 4)))
 
 
 def test_gate_matrices():
-    assert np.allclose(Hadamard().matrix((2,)), HADAMARD)
+    assert np.allclose(Hadamard().matrix((2,)), np.array([[1, 1], [1, -1]]) / np.sqrt(2))
     theta = 0.81
     ry = RotationY(theta).matrix((2,))
     c, s = np.cos(theta / 2), np.sin(theta / 2)
@@ -33,6 +32,8 @@ def test_gate_matrices():
     toffoli = np.eye(8)
     toffoli[6:, 6:] = [[0, 1], [1, 0]]
     assert np.array_equal(Controlled(Controlled(Plus(1))).matrix((2, 2, 2)), toffoli)
+    # a controlled one-dimensional gate is a controlled phase, here of 1
+    assert np.array_equal(Controlled(CustomGate(np.eye(1))).matrix((2,)), np.eye(2))
 
 
 def test_plus_gate_cycles_basis():
@@ -59,8 +60,10 @@ def test_controlled_plus_blocks():
 def test_custom_gate_must_be_unitary():
     with pytest.raises(NetworkError):
         CustomGate(np.diag([1.0, 2.0]))
-    with pytest.raises(NetworkError):
-        CustomGate(np.diag([1.0, np.nan]))
+    # NaN, infinite and huge entries fail without a warning from the product
+    for entry in (np.nan, np.inf, 1e200):
+        with pytest.raises(NetworkError, match="is not unitary"):
+            CustomGate(np.diag([1.0, entry]))
     with pytest.raises(NetworkError):
         RotationY(np.nan)
     with pytest.raises(NetworkError):
@@ -146,6 +149,11 @@ def test_upto_is_a_prefix_within_range():
         GateApplication(Plus(1), ("Q1", "SC")),
         GateApplication(Controlled(Hadamard()), ("Q1", "SC")),
         GateApplication(CustomGate(np.eye(2)), ("Q1", "Q2")),
+        # the inner controlled gate is left no control subsystem
+        pytest.param(
+            GateApplication(Controlled(Controlled(CustomGate(np.eye(1)))), ("Q1",)),
+            id="Controlled-Controlled-Q1",
+        ),
     ],
     ids=lambda app: "-".join((type(app.gate).__name__, *app.subsystems)),
 )

@@ -2,11 +2,13 @@
 
 ``reference.cumulative_unitary`` and ``reference.cumulative_evolve`` are
 the independent reference path for cross-checks, and they live beside the
-tests: no module of the package imports ``reference`` or ``conftest``, or
-names either function.  So each Bell variant, the non-isomorphism witness
-and every CLI experiment get their results from the step law alone.  So
-does a network with a custom gate after time 0, whose functional form is
-its expansion on the current descriptors, not a cumulative frame.
+tests with ``conftest``'s locality and algebra checkers: no module of the
+package imports ``reference`` or ``conftest``, or names any of these four
+functions, not even in a re-export.  So each Bell variant, the
+non-isomorphism witness and every CLI experiment get their results from
+the step law alone.  So does a network with a custom gate after time 0,
+whose functional form is its expansion on the current descriptors, not a
+cumulative frame.
 
 ``Operator.matrix`` builds the dense N x N matrix for the tests.  No
 production module reads it, and with it made to raise each Bell variant
@@ -42,18 +44,17 @@ from descriptorsim import (
     build_bell_network,
     haar_random_unitary,
     initial_descriptors,
-    locality_residual,
     nonisomorphism_witness,
     run_bell,
     simulate_statevector,
 )
 from descriptorsim.cli import EXPERIMENTS, RunConfig, execute_and_report
-from conftest import dense_distance
+from conftest import dense_distance, locality_residual
 from reference import cumulative_evolve
 
 PACKAGE = Path(sys.modules["descriptorsim"].__file__).parent
 TEST_SIDE = ("reference", "conftest")
-REFERENCE = ("cumulative_unitary", "cumulative_evolve")
+REFERENCE = ("cumulative_unitary", "cumulative_evolve", "locality_residual", "algebra_residual")
 
 
 @pytest.fixture
@@ -133,7 +134,7 @@ def test_no_production_module_imports_the_reference():
                 found += [
                     (node.lineno, m) for m in modules if m and m.split(".")[0] in TEST_SIDE
                 ]
-            for attr in ("id", "attr", "name"):
+            for attr in ("id", "attr", "name", "asname"):
                 if getattr(node, attr, None) in REFERENCE:
                     found.append((node.lineno, getattr(node, attr)))
         assert found == [], f"{path.name} reaches the test-side reference: {found}"

@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .gates import Gate, GateApplication, Network
+from .gates import Gate, GateApplication, Network, gate_matrix
 from .operators import (
     DEFAULT_TOLERANCE,
     AlgebraError,
@@ -50,6 +50,13 @@ def initial_descriptors(layout: SpaceLayout) -> dict[str, tuple[Operator, ...]]:
     }
 
 
+@functools.lru_cache(maxsize=16)
+def _generators(dims: tuple[int, ...]) -> tuple[SpaceLayout, tuple[Operator, ...]]:
+    """The acted subsystems' own layout and time-0 generators, per dims."""
+    layout = SpaceLayout(tuple((str(i), d) for i, d in enumerate(dims)))
+    return layout, tuple(itertools.chain(*initial_descriptors(layout).values()))
+
+
 @functools.lru_cache(maxsize=256)
 def _weyl_terms(gate: Gate, dims: tuple[int, ...], images: bool = False) -> tuple:
     """The gate's nonzero expansion G = sum c X^a Z^b over the acted
@@ -60,9 +67,8 @@ def _weyl_terms(gate: Gate, dims: tuple[int, ...], images: bool = False) -> tupl
     the shift a times, then the clock b times, position by position; no
     factors is the identity."""
     m = len(dims)
-    layout = SpaceLayout(tuple((str(i), d) for i, d in enumerate(dims)))
-    g = Operator.from_matrix(layout, gate.matrix(dims))
-    generators = itertools.chain(*initial_descriptors(layout).values())
+    layout, generators = _generators(dims)
+    g = Operator.from_matrix(layout, gate_matrix(gate, dims))
     # _product, not @: the traced product count must not depend on this cache
     return tuple(
         tuple(
@@ -80,10 +86,12 @@ def _evaluate(app: GateApplication, descriptors: Mapping, images: bool) -> list[
     args = [descriptors[sid] for sid in app.subsystems]
     layout = args[0][0].layout
     polynomials = _weyl_terms(app.gate, tuple(layout.dim_of(sid) for sid in app.subsystems), images)
-    monomials = {(): Operator.identity(layout)}
+    monomials = {}
     # a loop, not a recursive closure: the closure's reference cycle would
     # hold every monomial until the cyclic garbage collector happened to run
     for factors in (f for p in polynomials for f, _ in p):
+        if not factors:
+            monomials[()] = Operator.identity(layout)
         for k, (i, j) in enumerate(factors, 1):
             if factors[:k] not in monomials:
                 head = factors[:k - 1]

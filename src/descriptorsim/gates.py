@@ -6,12 +6,13 @@ position of its slice.  Gate kinds know their matrix form only; the
 engine derives their functional (operator-valued) forms from it.
 ``matrix(dims)`` is also the one check that a gate fits the dims, and so
 the number, of the subsystems it acts on: the network, its embedding and
-the functional form all call it before they use an application.  A
-controlled gate is a control and a gate, ``Controlled(gate)``.
+the functional form all read it, once per (gate, dims), through
+:func:`gate_matrix`.  A controlled gate is ``Controlled(gate)``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from math import isfinite, prod
 
@@ -176,7 +177,7 @@ class Network:
                 if not isinstance(app, GateApplication):
                     raise NetworkError(f"slice {t} holds {app!r}, not a GateApplication")
                 dims = tuple(self.layout.dim_of(sid) for sid in app.subsystems)
-                app.gate.matrix(dims)  # the check that the gate fits these dims
+                gate_matrix(app.gate, dims)  # the check that the gate fits these dims
                 overlap = acted & set(app.subsystems)
                 if overlap:
                     raise NetworkError(f"slice {t}: subsystems {sorted(overlap)} acted twice")
@@ -193,4 +194,13 @@ class Network:
         """The gate's dense matrix tensored into the full space, for the
         state-vector oracle and the tests' dense reference."""
         dims = tuple(self.layout.dim_of(sid) for sid in app.subsystems)
-        return embed_matrix(app.gate.matrix(dims), app.subsystems, self.layout)
+        return embed_matrix(gate_matrix(app.gate, dims), app.subsystems, self.layout)
+
+
+@functools.lru_cache(maxsize=64)
+def gate_matrix(gate: Gate, dims: tuple[int, ...]) -> np.ndarray:
+    """``gate.matrix(dims)``, computed once per (gate, dims), read-only: the
+    fit check, the embeddings and the engine's expansion all read it."""
+    matrix = gate.matrix(dims)
+    matrix.setflags(write=False)
+    return matrix

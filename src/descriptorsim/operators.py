@@ -11,6 +11,7 @@ which never evolves; all dynamics act on operators.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import numbers
 import operator
@@ -188,10 +189,9 @@ class Operator:
             )
         if not np.isfinite(matrix).all():
             raise ValueError("operator matrix has non-finite entries")
-        dims, (digits, rows) = layout.dims, _row_shift(layout.dims)
+        dims, (digits, rows, dfts) = layout.dims, _dense_tables(layout.dims)
         coeffs = np.take_along_axis(matrix, rows, axis=0)
-        for i, d in enumerate(dims):  # the forward FFT over digit k_i, as a matrix
-            dft = np.fft.fft(np.eye(d), norm="forward")
+        for i, (d, dft) in enumerate(zip(dims, dfts)):  # the forward FFT over digit k_i
             shaped = coeffs.reshape(-1, d, prod(dims[i + 1:]))
             coeffs = np.einsum("akb,kc->acb", shaped, dft).reshape(n, n)
         a, b = np.nonzero(coeffs)
@@ -203,7 +203,7 @@ class Operator:
         X^a Z^b sends |k> to omega^(b.k) |k + a>, so each term fills one
         phased permutation."""
         w, n, m = self.layout.weyl, self.layout.total_dim, len(self.layout.dims)
-        digits, shifted = _row_shift(self.layout.dims)
+        digits, shifted, _ = _dense_tables(self.layout.dims)
         a, b = np.split(self.exponents, 2, axis=1)
         rows = shifted[a @ w.keys[m:]]  # each term's row for every column k
         phase = (b * w.weights) @ digits % len(w.table)
@@ -225,11 +225,13 @@ class Operator:
         return combination([self, other], [1, 1])
 
     def __mul__(self, scalar: complex) -> "Operator":
-        return _pruned(self.layout, self.exponents, self.coefficients * complex(scalar))
+        if not cmath.isfinite(scalar := complex(scalar)):  # NaN or inf would prune every term
+            raise ValueError(f"operator scalar {scalar} is not finite")
+        return _pruned(self.layout, self.exponents, self.coefficients * scalar)
 
     __rmul__ = __mul__
 
-    @property
+    @functools.cached_property
     def H(self) -> "Operator":
         """Adjoint: (c X^a Z^b)^dag = conj(c) omega^(a.b) X^-a Z^-b."""
         w, m = self.layout.weyl, len(self.layout.dims)
@@ -265,26 +267,28 @@ class Operator:
         return self.distance(self.H) < tol
 
     def is_unitary(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        return _product(self.H, self).distance(Operator.identity(self.layout)) < tol
+        return _defect(self.H, self) < tol
 
     def is_involution(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        return _product(self, self).distance(Operator.identity(self.layout)) < tol
+        return _defect(self, self) < tol
 
     def is_projector(self, tol: float = DEFAULT_TOLERANCE) -> bool:
         return _product(self, self).distance(self) < tol and self.is_hermitian(tol)
 
     def commutes_with(self, other: "Operator", tol: float = DEFAULT_TOLERANCE) -> bool:
         self._same_layout(other)
-        return _product(self, other).distance(_product(other, self)) < tol
+        return _defect(self, other, commutator=True) < tol
 
 
 @functools.lru_cache(maxsize=4)
-def _row_shift(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Every index's digits, and at [a, k] the index of k + a, digit by
-    digit: the index tables of the dense edges, kept per dims."""
+def _dense_tables(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Every index's digits, at [a, k] the index of k + a, digit by digit,
+    and each digit's forward DFT as a matrix: the tables of the dense
+    edges, kept per dims."""
     digits = np.indices(dims).reshape(len(dims), -1)
     strides = np.cumprod((1,) + dims[:0:-1])[::-1]
-    return digits, sum((k[:, None] + k) % d * s for k, d, s in zip(digits, dims, strides))
+    shifted = sum((k[:, None] + k) % d * s for k, d, s in zip(digits, dims, strides))
+    return digits, shifted, tuple(np.fft.fft(np.eye(d), norm="forward") for d in dims)
 
 
 def _merged(layout: SpaceLayout, exps: np.ndarray, coeffs: np.ndarray) -> Operator:
@@ -293,14 +297,17 @@ def _merged(layout: SpaceLayout, exps: np.ndarray, coeffs: np.ndarray) -> Operat
     keys = exps @ layout.weyl.keys
     order = np.argsort(keys, kind="stable")
     s = keys[order]
-    first = np.flatnonzero(np.concatenate((s[:1] >= 0, s[1:] != s[:-1])))  # keys are >= 0
-    return _pruned(layout, exps[order[first]], np.add.reduceat(coeffs[order], first))
+    first = np.concatenate((s[:1] >= 0, s[1:] != s[:-1])).nonzero()[0]  # keys are >= 0
+    summed = coeffs[order] if len(first) == len(s) else np.add.reduceat(coeffs[order], first)
+    return _pruned(layout, exps[order[first]], summed)
 
 
 def combination(ops: list[Operator], coeffs: list[complex]) -> Operator:
     """sum_k coeffs[k] ops[k] on one layout, merged once."""
     if len(ops) == 1:  # a single term keeps its term order
-        return ops[0] * coeffs[0]
+        return ops[0] if coeffs[0] == 1 else ops[0] * coeffs[0]
+    if not all(map(cmath.isfinite, coeffs)):
+        raise ValueError(f"combination coefficients {coeffs} are not all finite")
     parts = [(o.exponents, o.coefficients * c) for o, c in zip(ops, coeffs)]
     return _merged(ops[0].layout, *map(np.concatenate, zip(*parts)))
 
@@ -309,18 +316,42 @@ def _pruned(layout: SpaceLayout, exps: np.ndarray, coeffs: np.ndarray) -> Operat
     """Drop the roundoff terms, |c| <= PRUNE * max |c|."""
     magnitude = np.abs(coeffs)
     keep = magnitude > PRUNE * magnitude.max(initial=0.0)
+    if keep.all():
+        return Operator(layout, exps, coeffs)
     return Operator(layout, exps[keep], coeffs[keep])
+
+
+def _phases(a: Operator, b: Operator) -> np.ndarray:
+    """omega^(b.c) at [i, j], for term i of ``a``, X^a Z^b, and j of ``b``, X^c Z^d."""
+    w, m = a.layout.weyl, len(a.layout.dims)
+    return w.table[(a.exponents[:, m:] * w.weights) @ b.exponents[:, :m].T % len(w.table)]
+
+
+def _pair_rows(a: Operator, b: Operator) -> np.ndarray:
+    """The row a + c of term pair (i, j)'s product, at i * len(b) + j."""
+    w, m = a.layout.weyl, len(a.layout.dims)
+    return ((a.exponents[:, None] + b.exponents[None]) % w.mods).reshape(-1, 2 * m)
 
 
 def _product(a: Operator, b: Operator) -> Operator:
     """(X^a Z^b)(X^c Z^d) = omega^(b.c) X^(a+c) Z^(b+d), term by term."""
-    w, m = a.layout.weyl, len(a.layout.dims)
-    exps = ((a.exponents[:, None] + b.exponents[None]) % w.mods).reshape(-1, 2 * m)
-    phase = w.table[(a.exponents[:, m:] * w.weights) @ b.exponents[:, :m].T % len(w.table)]
-    coeffs = (a.coefficients[:, None] * b.coefficients * phase).ravel()
+    exps = _pair_rows(a, b)
+    coeffs = (a.coefficients[:, None] * b.coefficients * _phases(a, b)).ravel()
     if min(len(a.coefficients), len(b.coefficients)) == 1:
         return Operator(a.layout, exps, coeffs)  # a monomial factor: rows stay distinct
     return _merged(a.layout, exps, coeffs)
+
+
+def _defect(a: Operator, b: Operator, commutator: bool = False) -> float:
+    """||ab - I||_F, or with ``commutator`` ||ab - ba||_F, from one merge:
+    ab and ba share each term pair's row and differ only in its phase."""
+    phase = _phases(a, b) - _phases(b, a).T if commutator else _phases(a, b)
+    coeffs = (a.coefficients[:, None] * b.coefficients * phase).ravel()
+    exps = _pair_rows(a, b)
+    if not commutator:  # minus I, the all-zero row
+        exps, coeffs = np.vstack((exps, np.zeros(exps.shape[1], np.int64))), np.append(coeffs, -1)
+    diff = _merged(a.layout, exps, coeffs)
+    return float(np.sqrt(a.layout.total_dim) * np.linalg.norm(diff.coefficients))
 
 
 def embed_matrix(

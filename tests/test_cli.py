@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -30,6 +31,7 @@ from descriptorsim.cli import (
     main,
     parse_config,
 )
+from descriptorsim.operators import Operator
 from conftest import child_env
 
 
@@ -477,6 +479,33 @@ class TestExecuteAndReport:
         code, _ = execute_and_report(cfg)
         assert code == 0
         assert len(built) == networks
+
+    def test_counted_work_does_not_depend_on_cache_warmth(self, monkeypatch):
+        # the benchmark's traced counts repeat exactly only if no counted
+        # product or check is done once per cache fill: run cold, every
+        # cache of the package emptied, then warm, and count the same
+        counted = ("__matmul__", "is_hermitian", "is_unitary", "is_involution",
+                   "is_projector", "commutes_with")
+        calls = Counter()
+        for name in counted:
+            def counting(self, *args, _name=name, _method=getattr(Operator, name), **kwargs):
+                calls[_name] += 1
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(Operator, name, counting)
+        for module in [m for n, m in sys.modules.items() if n.startswith("descriptorsim")]:
+            for value in vars(module).values():
+                getattr(value, "cache_clear", lambda: None)()
+        configs = [RunConfig("bell", theta=0.3), RunConfig("chsh"),
+                   RunConfig("chain", chain_alice=1, chain_bob=1),
+                   RunConfig("decoherence", seed=5)]
+        runs = []
+        for _ in ("cold", "warm"):
+            calls.clear()
+            reports = [execute_and_report(cfg) for cfg in configs]
+            runs.append((dict(calls), reports))
+        assert runs[0] == runs[1]
+        assert set(counted) - {"is_projector"} <= set(runs[0][0])
 
 
 # the exit-code contract on generated command lines: every flag whole or

@@ -14,6 +14,7 @@ from descriptorsim import (
     RotationY,
     SpaceLayout,
 )
+from descriptorsim.gates import gate_matrix
 
 LAYOUT = SpaceLayout((("Q1", 2), ("Q2", 2), ("SC", 4)))
 
@@ -160,6 +161,23 @@ def test_upto_is_a_prefix_within_range():
 def test_network_gate_dims_checked(app):
     with pytest.raises(NetworkError):
         Network(LAYOUT, [[app]])
+
+
+def test_gate_matrix_cache_is_keyed_by_dims():
+    # a network's fit check reads the cached matrix: a fit on (2, 2) must
+    # not let the same gate through on other dims
+    cnot = Controlled(Plus(1))
+    layout = SpaceLayout((("a", 2), ("b", 2), ("c", 3)))
+    Network(layout, [[GateApplication(cnot, ("a", "b"))]])
+    for sids in (("a",), ("a", "c", "b")):
+        with pytest.raises(NetworkError):
+            Network(layout, [[GateApplication(cnot, sids)]])
+    cached = gate_matrix(Hadamard(), (2,))
+    with pytest.raises(ValueError):
+        cached[0, 0] = 5
+    public = Hadamard().matrix((2,))
+    public[0, 0] = 5  # still a writable copy
+    assert np.array_equal(gate_matrix(Hadamard(), (2,)), Hadamard().matrix((2,)))
 
 
 def test_embedded_respects_target_order():

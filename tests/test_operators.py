@@ -14,7 +14,7 @@ from descriptorsim import (
     initial_descriptors,
     qudit_shift_clock,
 )
-from descriptorsim.operators import half_sum, haar_random_unitary
+from descriptorsim.operators import combination, half_sum, haar_random_unitary
 
 TWO_QUBITS = SpaceLayout((("Q1", 2), ("Q2", 2)))
 # each qubit's time-0 (sigma_x, sigma_z), embedded
@@ -243,6 +243,20 @@ class TestOperator:
             u = haar_random_unitary(dim, rng)
             assert np.allclose(u.conj().T @ u, np.eye(dim), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "scalar", [math.nan, math.inf, -math.inf, complex(0, math.nan), complex(math.inf, 1)],
+        ids=repr,
+    )
+    def test_non_finite_scalars_rejected(self, scalar):
+        # a NaN fails every prune comparison and an infinite max prunes
+        # every term: either would silently give the zero operator
+        op = Operator.identity(SpaceLayout((("a", 2),)))
+        for scaled in (lambda: op * scalar, lambda: scalar * op,
+                       lambda: combination([op], [scalar]),
+                       lambda: combination([op, GENERATORS["Q1"][0]], [1, scalar])):
+            with pytest.raises(ValueError, match="not .*finite"):
+                scaled()
+
     def test_mixed_layout_arithmetic_rejected(self):
         other = SpaceLayout((("A", 4),))
         with pytest.raises(LayoutError):
@@ -288,3 +302,49 @@ def test_weyl_term_algebra_matches_dense(case):
     assert dense_gap(op_a.H, a.conj().T) < 1e-12
     assert abs(op_a.expectation() - a[0, 0]) < 1e-12
     assert abs(op_a.distance(op_b) - np.linalg.norm(a - b)) < 1e-12
+
+
+@st.composite
+def weyl_operators(draw):
+    """A layout of one to three subsystems of dims 2, 3 or 4 with N <= 24,
+    and two operators on it, each the zero operator, a monomial of unit
+    modulus (a phased permutation, unitary; an involution when its square
+    is I) or a sum of two to six terms: what the one-merge checks meet."""
+    dims = draw(
+        st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=3)
+        .filter(lambda dims: math.prod(dims) <= 24)
+    )
+    layout = SpaceLayout(tuple((f"S{i}", d) for i, d in enumerate(dims)))
+    row = st.tuples(*(st.integers(0, d - 1) for d in dims * 2))
+    phase = st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(0, 2)
+    ops = []
+    for _ in range(2):
+        size = draw(st.sampled_from([0, 1, 1, 2, 6]))
+        rows = sorted(draw(st.sets(row, min_size=size, max_size=size)))
+        if size == 1:
+            coeffs = [np.exp(1j * math.pi * draw(phase))]
+        else:
+            coeffs = [complex(*draw(st.tuples(st.floats(-1, 1), st.floats(-1, 1))))
+                      for _ in rows]
+        exps = np.array(rows, dtype=np.int64).reshape(size, 2 * len(dims))
+        ops.append(Operator(layout, exps, np.array(coeffs, dtype=complex)))
+    return ops
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(weyl_operators())
+def test_one_merge_checks_match_dense_norms(ops):
+    a, b = ops
+    dense_a, dense_b = a.matrix, b.matrix
+    eye = np.eye(a.layout.total_dim)
+    # each check's defect lies within 1e-12 of the dense norm it stands for,
+    # so its predicate holds at that norm + 1e-12 and fails at norm - 1e-12
+    for check, gap in (
+        (lambda tol: a.commutes_with(b, tol), dense_a @ dense_b - dense_b @ dense_a),
+        (a.is_involution, dense_a @ dense_a - eye),
+        (a.is_unitary, dense_a.conj().T @ dense_a - eye),
+    ):
+        norm = np.linalg.norm(gap)
+        assert check(norm + 1e-12) and not check(norm - 1e-12)
+    assert a.H is a.H
+    assert np.abs(a.H.matrix - dense_a.conj().T).max(initial=0.0) < 1e-12

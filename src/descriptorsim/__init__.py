@@ -33,7 +33,7 @@ from .engine import (
     initial_descriptors,
     is_sharp,
 )
-from .foliation import Branch, Foliation, FoliationError, foliate
+from .foliation import Branch, Foliation, FoliationError, foliate, foliate_along
 from .oracle import (
     joint_outcome_distribution,
     reduced_density_matrix,

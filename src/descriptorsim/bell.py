@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import NetworkEvolution, functional_form, is_sharp
-from .foliation import foliate
+from .engine import NetworkEvolution, is_sharp
+from .foliation import foliate_along
 from .gates import (
     Controlled,
     CustomGate,
@@ -209,15 +209,9 @@ def _marginal(control: Operator) -> tuple[float, float]:
 
 
 def run_bell(cfg: BellConfig) -> BellOutcome:
-    """Run the configured experiment and report the record's branch measures.
-
-    One evolution, in one pass: the environment diagnostics just after the
-    gate that copies Q1 onto the environment, then the record foliated by
-    Alice's and refined by Bob's record gate (each splits by its control's
-    clock and conditions by its inner gate, evaluated on the foliated
-    record), then the final record for the reconstruction check and
-    Alice's sharpness.
-    """
+    """Run the configured experiment and report the record's branch measures,
+    foliated along the network, with the environment diagnostics just after
+    Q1's copy onto the environment, the reconstruction and Alice's sharpness."""
     network = build_bell_network(cfg)
     evo = NetworkEvolution(network)
     timed = [(t, app) for t, sl in enumerate(network.slices) for app in sl]
@@ -229,28 +223,12 @@ def run_bell(cfg: BellConfig) -> BellOutcome:
             rho = reduced_density_matrix(network.upto(t + 1), "Q1")
             env_diagnostics["q1_offdiagonal"] = float(abs(rho[0, 1]))
 
-    (t_alice, alice), (t_bob, bob) = (
-        (t, app) for t, app in timed
-        if isinstance(app.gate, Controlled) and app.subsystems[1:] == (RECORD,)
-    )
-    evo.run_to(t_alice)
-    base = {RECORD: evo.descriptors[RECORD]}
-    poly_a, poly_b = (
-        functional_form(GateApplication(app.gate.gate, (RECORD,)), base) for app in (alice, bob)
-    )
-    control_a = evo.descriptors[alice.subsystems[0]][1]
-    fol = foliate(base[RECORD], control_a, poly_a)
-    evo.run_to(t_bob)
-    control_b = evo.descriptors[bob.subsystems[0]][1]
-    fol = fol.refine(control_b, poly_b)
+    fol = foliate_along(evo, RECORD)
+    final = evo.descriptors
+    residual = max(got.distance(want) for got, want in zip(fol.branch_sum(), final[RECORD]))
 
-    evo.run()
-    residual = max(
-        got.distance(want)
-        for got, want in zip(fol.branch_sum(), evo.descriptors[RECORD])
-    )
-
-    qx, qz = evo.descriptors[alice.subsystems[0]]
+    # a controlled gate leaves its control's clock as it was, so the final clocks split the record
+    (qx, qz), bob = (final[a.subsystems[0]] for _, a in timed if a.subsystems[1:] == (RECORD,))
     qy = 1j * (qx @ qz)
     sharpness = {"x": is_sharp(qx)[0], "z": is_sharp(qz)[0], "y": is_sharp(qy)[0]}
 
@@ -258,8 +236,8 @@ def run_bell(cfg: BellConfig) -> BellOutcome:
     return BellOutcome(
         config=cfg,
         branch_measures={k: measures[k] for k in BRANCH_KEYS},
-        alice_marginal=_marginal(control_a),
-        bob_marginal=_marginal(control_b),
+        alice_marginal=_marginal(qz),
+        bob_marginal=_marginal(bob[1]),
         reconstruction_residual=residual,
         alice_sharpness=sharpness,
         network=network,

@@ -103,7 +103,7 @@ def _load_config_file(path: str) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     raw: dict = {}
-    if text.lstrip().startswith("{"):
+    if is_json := text.lstrip().startswith("{"):
         try:
             raw = json.loads(text)
         except (ValueError, RecursionError) as exc:  # also over-deep nesting, over-long ints
@@ -124,10 +124,10 @@ def _load_config_file(path: str) -> dict:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         kind = _CONFIG_KEYS[key]
-        # JSON values keep their kind: true is no number, 1.7 no int, null no path
+        # JSON values keep their kind: true is no number, 1.7 no int, null no path, "7" no number
         if (
             isinstance(value, bool)
-            or kind is str and not isinstance(value, str)
+            or is_json and (kind is str) != isinstance(value, str)
             or kind is int and isinstance(value, float) and not value.is_integer()
         ):
             raise ConfigError(f"bad value for {key!r}: {value!r}")

@@ -116,7 +116,7 @@ class NetworkEvolution:
     """Iterates the step law slice by slice through a network."""
 
     def __init__(self, network: Network):
-        self._slices = network.slices
+        self.network = network
         self.descriptors = initial_descriptors(network.layout)
         self.time = 0
 
@@ -125,10 +125,10 @@ class NetworkEvolution:
         and return them: each acted component becomes its generator's
         image evaluated on the acted descriptors; the rest commute with
         the gate and stay."""
-        if self.time >= len(self._slices):
+        if self.time >= len(self.network.slices):
             raise EngineError(f"network exhausted at time {self.time}")
         descriptors = dict(self.descriptors)
-        applied = self._slices[self.time]
+        applied = self.network.slices[self.time]
         for app in applied:
             images = _evaluate(app, descriptors, images=True)
             descriptors.update(zip(app.subsystems, zip(images[::2], images[1::2])))
@@ -138,8 +138,8 @@ class NetworkEvolution:
 
     def run_to(self, t: int) -> "NetworkEvolution":
         t = as_index(t, "time", EngineError)
-        if not 0 <= t <= len(self._slices):
-            raise EngineError(f"time {t} outside network range 0..{len(self._slices)}")
+        if not 0 <= t <= len(self.network.slices):
+            raise EngineError(f"time {t} outside network range 0..{len(self.network.slices)}")
         if t < self.time:
             raise EngineError(f"cannot rewind from {self.time} to {t}")
         while self.time < t:
@@ -147,7 +147,7 @@ class NetworkEvolution:
         return self
 
     def run(self) -> "NetworkEvolution":
-        return self.run_to(len(self._slices))
+        return self.run_to(len(self.network.slices))
 
 
 def is_sharp(o: Operator) -> tuple[bool, float | None]:

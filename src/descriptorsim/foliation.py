@@ -15,13 +15,17 @@ adds every branch's relative part of a component in one merge.
 foliation whose one branch has the empty key, measure 1 and the identity
 as both projector and conditional: the unit of the descriptor algebra.
 Each split checks its control once, then builds its two projectors
-unchecked.
+unchecked.  :func:`foliate_along` places the splits: it walks an
+evolution through its network and splits a target at each controlled
+gate onto it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .engine import NetworkEvolution, functional_form
+from .gates import Controlled, GateApplication
 from .operators import (
     DEFAULT_TOLERANCE,
     AlgebraError,
@@ -107,6 +111,40 @@ def foliate(
     identity = Operator.identity(target[0].layout)
     root = Foliation(target, (Branch("", identity, identity, 1.0),))
     return root.refine(control, gate_poly)
+
+
+def foliate_along(evolution: NetworkEvolution, target: str) -> Foliation:
+    """Run ``evolution`` to its network's end, foliating ``target``: gates
+    on it evolve it until the first controlled gate on (control, target),
+    where :func:`foliate` splits its descriptor, the base; each later one
+    refines.  Each split is by the control's clock, which must commute with
+    the earlier splits' clocks, and the inner gate's functional form on the
+    base.  A later gate on ``target`` alone evolves every branch; any other
+    gate on it after the first split, or no split at all, raises."""
+    fol, base, controls = None, {}, []
+    for t, applications in enumerate(evolution.network.slices[evolution.time:], evolution.time):
+        now = evolution.descriptors
+        for app in (a for a in applications if target in a.subsystems):
+            split = isinstance(app.gate, Controlled) and app.subsystems[1:] == (target,)
+            if fol is not None and not split and app.subsystems != (target,):
+                raise FoliationError(f"{app.gate!r} on {app.subsystems} at time {t} "
+                                     f"touches the foliated {target!r}")
+            if split:
+                base = base or {target: now[target]}
+                clock = now[app.subsystems[0]][1]
+                # an earlier clock no gate has replaced is a descriptor now: it commutes
+                if any(now[sid][1] is not c and not clock.commutes_with(c) for sid, c in controls):
+                    raise FoliationError(f"{app.gate!r} on {app.subsystems} at time {t} splits "
+                                         "by a control that does not commute with an earlier one")
+                controls.append((app.subsystems[0], clock))
+                poly = functional_form(GateApplication(app.gate.gate, (target,)), base)
+                fol = foliate(base[target], clock, poly) if fol is None else fol.refine(clock, poly)
+            elif fol is not None:
+                fol = fol.evolve_branches(functional_form(app, base))
+        evolution.advance()
+    if fol is None:
+        raise FoliationError(f"no controlled gate onto {target!r}")
+    return fol
 
 
 def _check_interaction(

@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from descriptorsim import (
     run_bell,
     run_wigner_undo,
 )
-from descriptorsim import bell
+from descriptorsim import bell, engine, foliation
 from descriptorsim.operators import Operator
 
 COS8 = math.cos(math.pi / 8) ** 2 / 2  # 0.4267766952966369
@@ -450,3 +452,28 @@ def test_evolved_components_stay_short_weyl_sums(variant, bound, angles):
         for sid, desc in evo.descriptors.items():
             for component in desc:
                 assert len(component.coefficients) <= bound, (t, sid)
+
+
+def test_run_bell_splits_through_the_traced_functions(monkeypatch):
+    # perfbench's tracer wraps these three by name, in every module that
+    # binds them, and its trace check requires their spans on the copy
+    # chains: an inlined split would leave them silent
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in (("foliate", foliation.foliate), ("functional_form", engine.functional_form)):
+        wrapper = counting(name, fn)
+        for module in [m for key, m in sys.modules.items() if key.startswith("descriptorsim")]:
+            for binding, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, binding, wrapper)
+    refine = foliation.Foliation.refine
+    monkeypatch.setattr(foliation.Foliation, "refine", counting("refine", refine))
+    run_bell(BellConfig(0.3, 0.9, Chained(1, 1)))
+    # foliate is a refine of the root foliation, so Bob's split is the second refine
+    assert calls == {"foliate": 1, "refine": 2, "functional_form": 2}

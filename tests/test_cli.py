@@ -100,9 +100,10 @@ class TestParseConfig:
 
     def test_config_file_key_value(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("theta=0.5\nphi=0.25\nformat=csv\n# comment\n")
+        # every value of a key=value line is text, parsed as its field's kind
+        path.write_text("theta=0.5\nphi=0.25\nseed=7\nformat=csv\n# comment\n")
         cfg = parse_config(["run", "bell", "--config", str(path)])
-        assert (cfg.theta, cfg.phi, cfg.format) == (0.5, 0.25, "csv")
+        assert (cfg.theta, cfg.phi, cfg.seed, cfg.format) == (0.5, 0.25, 7, "csv")
 
     def test_config_file_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -156,15 +157,20 @@ class TestParseConfig:
             ({"theta": False}, None),
             ({"output": None}, None),
             ({"theta": 10**400}, None),
+            ({"seed": "7"}, None),
+            ({"theta": "0.3"}, None),
+            ({"tolerance": "1e-9"}, None),
+            ({"chain_alice": "1"}, None),
             ({"seed": 2.0}, {"seed": 2}),
             ({"theta": 1, "tolerance": 1}, {"theta": 1.0, "tolerance": 1.0}),
         ],
         ids=["seed-1.7", "seed-true", "seed-inf", "chain-true", "tolerance-true",
-             "theta-false", "output-null", "theta-10**400", "seed-2.0", "int-for-float"],
+             "theta-false", "output-null", "theta-10**400", "seed-string", "theta-string",
+             "tolerance-string", "chain-string", "seed-2.0", "int-for-float"],
     )
     def test_json_values_keep_their_kind(self, tmp_path, values, expected):
-        # a JSON boolean is no number, a fractional number no int and null
-        # no path; a JSON integer still serves a float field
+        # a JSON boolean is no number, a fractional number no int, null no
+        # path and a string no number; a JSON integer still serves a float field
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(values))
         argv = ["run", "chain", "--config", str(path)]

@@ -7,8 +7,9 @@ slice) and checks the production step law against the two independent
 references: cumulative conjugation and the state-vector oracle.  The
 residual checks of the engine must stay at double-precision scale on every
 such network, each gate's generator images must agree with conjugation by
-its functional form, and every controlled gate with a qubit control must
-be a foliation of its target.  The oracle's dense gate embedding is checked
+its functional form, every controlled gate with a qubit control must
+be a foliation of its target, and the walk along each such target must
+rebuild it or refuse.  The oracle's dense gate embedding is checked
 entry for entry against the Kronecker-product formula it replaced.
 """
 
@@ -37,6 +38,7 @@ from descriptorsim import (
     WignerUndo,
     build_bell_network,
     foliate,
+    foliate_along,
     functional_form,
     haar_random_unitary,
     initial_descriptors,
@@ -165,6 +167,33 @@ def test_every_controlled_gate_is_a_foliation(network):
             measures = fol.measures()
             for bit in (0, 1):
                 assert abs(measures[str(bit)] - born[(bit,)]) < 1e-12
+
+
+@SETTINGS
+@given(networks())
+def test_foliate_along_rebuilds_or_refuses(network):
+    # one walk per target of a qubit-controlled gate: it refuses, or each
+    # of its k splits doubles the branches, whose measures lie in [0, 1]
+    # and sum to 1, and whose relative descriptors add up to the evolved
+    # target
+    splits = [
+        app.subsystems for sl in network.slices for app in sl
+        if isinstance(app.gate, Controlled) and network.layout.dim_of(app.subsystems[0]) == 2
+    ]
+    for target in sorted({target for _, target in splits}):
+        evo = NetworkEvolution(network)
+        try:
+            fol = foliate_along(evo, target)
+        except FoliationError:
+            continue
+        assert evo.time == len(network.slices)
+        k = sum(1 for sl in network.slices for app in sl
+                if isinstance(app.gate, Controlled) and app.subsystems[1:] == (target,))
+        assert len(fol.branches) == 2**k
+        assert all(-TOL < value < 1 + TOL for value in fol.measures().values())
+        assert abs(sum(fol.measures().values()) - 1) < TOL
+        for got, want in zip(fol.branch_sum(), evo.descriptors[target], strict=True):
+            assert got.distance(want) < TOL
 
 
 @SETTINGS

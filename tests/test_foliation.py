@@ -5,16 +5,23 @@ import pytest
 
 from descriptorsim import (
     BellConfig,
+    Chained,
+    Controlled,
+    Decohered,
     FoliationError,
     GateApplication,
+    Hadamard,
     NetworkEvolution,
     Network,
+    Plus,
     RotationY,
     SpaceLayout,
     build_bell_network,
     foliate,
+    foliate_along,
     functional_form,
     initial_descriptors,
+    joint_outcome_distribution,
 )
 from descriptorsim.foliation import Branch, Foliation
 from descriptorsim.operators import Operator
@@ -199,3 +206,79 @@ class TestBranchMeasure:
         assert sorted(measures) == ["00", "01", "10", "11"]
         for value in measures.values():
             assert -1e-12 <= value <= 1 + 1e-12
+
+
+def marginal(network, sid):
+    """The oracle's Born probabilities of ``sid``'s z outcome, keyed as
+    branch keys are."""
+    return {str(bit): p for (bit,), p in joint_outcome_distribution(network, (sid,)).items()}
+
+
+class TestFoliateAlong:
+    def test_environment_splits_by_particle_one(self):
+        network = build_bell_network(BellConfig(0.3, 0.9, Decohered(3)))
+        (t,) = (t for t, sl in enumerate(network.slices) for app in sl
+                if app.subsystems == ("Q1", "QE"))
+        fol = foliate_along(NetworkEvolution(network), "QE")
+        assert fol.measures() == pytest.approx(marginal(network.upto(t), "Q1"), abs=1e-12)
+
+    def test_chain_link_splits_until_it_controls_the_record(self):
+        network = build_bell_network(BellConfig(0.3, 0.9, Chained(2, 2)))
+        (t,) = (t for t, sl in enumerate(network.slices) for app in sl
+                if app.subsystems == ("QA2", "SC"))
+        cut = network.upto(t)
+        evo = NetworkEvolution(cut)
+        fol = foliate_along(evo, "QA2")
+        assert fol.measures() == pytest.approx(marginal(cut, "QA2"), abs=1e-12)
+        for got, want in zip(fol.branch_sum(), evo.descriptors["QA2"], strict=True):
+            assert got.distance(want) < 1e-12
+        # on the whole network the link goes on to control the record
+        with pytest.raises(FoliationError, match=rf"Controlled.* on \('QA2', 'SC'\) at time {t} "):
+            foliate_along(NetworkEvolution(network), "QA2")
+
+    def test_no_controlled_gate_onto_the_target_raises(self):
+        # Q1 takes a Hadamard and controls two gates, but no gate controls it
+        network, evo = bell_evolution()
+        with pytest.raises(FoliationError, match="no controlled gate onto 'Q1'"):
+            foliate_along(evo, "Q1")
+
+    def test_later_gate_on_the_target_evolves_every_branch(self):
+        # acceptance criterion 08's network: Alice's copy, then Ry on QA
+        network = build_bell_network(BellConfig(0.6, -0.9))
+        angle = float(np.random.default_rng(8).uniform(-math.pi, math.pi))
+        follow = GateApplication(RotationY(angle), ("QA",))
+        extended = Network(network.layout, network.slices[:4] + ((follow,),))
+        fol = foliate_along(NetworkEvolution(extended), "QA")
+        assert len(fol.branches) == 2
+        direct = NetworkEvolution(extended).run().descriptors["QA"]
+        for got, want in zip(fol.branch_sum(), direct, strict=True):
+            assert got.isclose(want, 1e-9)
+
+    def test_split_by_a_control_that_does_not_commute_with_an_earlier_one_raises(self):
+        # A and B copy onto T; then A's and B's Hadamards and a copy from A
+        # to B leave B's clock x_A x_B, which commutes with T's base and
+        # with z_A z_B but not with A's clock z_A, the first split's
+        # control.  Unchecked, the third split made measures negative.
+        layout = SpaceLayout((("A", 2), ("B", 2), ("T", 2)))
+        copy = Controlled(Plus(1))
+        network = Network(layout, [
+            [GateApplication(Hadamard(), ("A",)), GateApplication(RotationY(0.7), ("B",))],
+            [GateApplication(copy, ("A", "T"))],
+            [GateApplication(copy, ("B", "T"))],
+            [GateApplication(Hadamard(), ("A",)), GateApplication(Hadamard(), ("B",))],
+            [GateApplication(copy, ("A", "B"))],
+            [GateApplication(copy, ("B", "T"))],
+        ])
+        with pytest.raises(FoliationError, match=r"\('B', 'T'\) at time 5 splits by a control"):
+            foliate_along(NetworkEvolution(network), "T")
+        # cut before the third split, the two commuting splits stand
+        fol = foliate_along(NetworkEvolution(network.upto(5)), "T")
+        assert all(value > 0 for value in fol.measures().values())
+
+    @pytest.mark.parametrize("theta, phi", [(0.0, math.pi / 4), (1.2, -2.0), (0.25, 0.8)])
+    def test_record_walk_equals_the_hand_placed_splits(self, theta, phi):
+        # record_split builds its polynomials with matpow, not functional_form
+        want = record_split(bell_evolution(theta, phi)[1], ALICE_SPLIT, BOB_SPLIT).measures()
+        got = foliate_along(bell_evolution(theta, phi)[1], "SC").measures()
+        assert list(got) == list(want)
+        assert got == pytest.approx(want, abs=1e-12)

@@ -17,6 +17,10 @@ and every CLI experiment still run.
 The reference in turn shares no term arithmetic with the step law: it
 returns dense components, and with ``Operator.from_matrix`` (the term
 expansion behind every functional form) made to raise, it still runs.
+
+The foliation walk reads descriptors only: ``foliation.py`` imports
+neither the oracle nor the Bell and CLI layers above it, so the oracle
+stays an independent cross-check of every branch measure.
 """
 
 import ast
@@ -151,3 +155,15 @@ def test_no_production_module_reads_the_dense_matrix():
             and id(node) not in called
         ]
         assert reads == [], f"{path.name} reads .matrix at lines {reads}"
+
+
+def test_foliation_imports_neither_the_oracle_nor_the_layers_above():
+    # every dotted part of every module an import names, absolute or relative
+    tree = ast.parse((PACKAGE / "foliation.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for name in [getattr(node, "module", None)] + [a.name for a in node.names]:
+                imported |= set((name or "").split("."))
+    assert "engine" in imported  # the guard sees the imports it looks for
+    assert imported.isdisjoint({"oracle", "bell", "cli"})

@@ -174,9 +174,10 @@ RECORD = "SC"
 
 
 def closed_form_measures(theta: float, phi: float) -> dict[str, float]:
-    """The four record measures as closed trigonometric forms of theta - phi."""
-    half = theta / 2 - phi / 2  # theta - phi overflows for angles near 1e308
-    c, s = math.cos(half) ** 2 / 2, math.sin(half) ** 2 / 2
+    """The four record measures as closed trigonometric forms of theta - phi, in half
+    angles: theta - phi overflows near 1e308, theta/2 - phi/2 loses phi at large |theta|."""
+    (ct, st), (cp, sp) = ((math.cos(a / 2), math.sin(a / 2)) for a in (theta, phi))
+    c, s = (ct * cp + st * sp) ** 2 / 2, (st * cp - ct * sp) ** 2 / 2
     return {"00": c, "01": s, "10": s, "11": c}
 
 

@@ -29,6 +29,9 @@ from .operators import (
     AlgebraError,
     Operator,
     SpaceLayout,
+    _merged,
+    _pair_rows,
+    _phases,
     _product,
     as_index,
     combination,
@@ -57,46 +60,57 @@ def _generators(dims: tuple[int, ...]) -> tuple[SpaceLayout, tuple[Operator, ...
     return layout, tuple(itertools.chain(*initial_descriptors(layout).values()))
 
 
+@functools.lru_cache(maxsize=4096)
+def _factors(row: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """A Weyl row's factors ``(position, component)``, shift a then clock b times per position."""
+    m = len(row) // 2
+    return tuple((i, j) for i in range(m) for j in (0, 1) for _ in range(row[i + j * m]))
+
+
 @functools.lru_cache(maxsize=256)
 def _weyl_terms(gate: Gate, dims: tuple[int, ...], images: bool = False) -> tuple:
     """The gate's nonzero expansion G = sum c X^a Z^b over the acted
     subsystems' shift/clock pairs, as a one-element tuple, or with
     ``images`` the images G^dag g G of those generators, shift then clock,
-    position by position.  Each polynomial is ``((factors, c), ...)``: a
-    monomial's factors list ``(position, component)`` in product order,
-    the shift a times, then the clock b times, position by position; no
-    factors is the identity."""
-    m = len(dims)
+    position by position.  Each polynomial is ``(terms, factors)``: its
+    Weyl terms on the acted subsystems' own layout, and per term its
+    :func:`_factors`; no factors is the identity."""
     layout, generators = _generators(dims)
     g = Operator.from_matrix(layout, gate_matrix(gate, dims))
     # _product, not @: the traced product count must not depend on this cache
-    return tuple(
-        tuple(
-            (tuple((i, j) for i in range(m) for j in (0, 1) for _ in range(row[i + j * m])), c)
-            for row, c in zip(terms.exponents.tolist(), terms.coefficients.tolist())
-        )
-        for terms in ([_product(_product(g.H, x), g) for x in generators] if images else [g])
-    )
+    polynomials = [_product(_product(g.H, x), g) for x in generators] if images else [g]
+    return tuple((p, tuple(map(_factors, map(tuple, p.exponents.tolist())))) for p in polynomials)
 
 
-def _evaluate(app: GateApplication, descriptors: Mapping, images: bool) -> list[Operator]:
+def _evaluate(app: GateApplication, descriptors: Mapping, images: bool,
+              fresh: bool = False) -> list[Operator]:
     """The gate's expansion, or its generators' images, evaluated on the
     acted subsystems' descriptors, each monomial and each prefix of one
-    multiplied out once."""
+    multiplied out once.  On ``fresh`` subsystems, which no gate has acted
+    on, the descriptors are the generators: each polynomial's own terms move
+    to the acted columns, each coefficient made as the products make it (the
+    monomial's, omega^0 per further factor, times c) and merged once."""
     args = [descriptors[sid] for sid in app.subsystems]
     layout = args[0][0].layout
     polynomials = _weyl_terms(app.gate, tuple(layout.dim_of(sid) for sid in app.subsystems), images)
+    if fresh:
+        m, acted = len(layout.dims), [layout.index_of(sid) for sid in app.subsystems]
+        place = np.eye(2 * m, dtype=np.int64)[acted + [m + i for i in acted]]  # column moves
+        omega0 = layout.weyl.table[0]  # 1 but for roundoff at a few lcm(dims)
+        return [_merged(layout, p.exponents @ place, p.coefficients if omega0 == 1 else
+                        p.coefficients * omega0 ** np.maximum(p.exponents.sum(axis=1) - 1, 0))
+                for p, _ in polynomials]
     monomials = {}
     # a loop, not a recursive closure: the closure's reference cycle would
     # hold every monomial until the cyclic garbage collector happened to run
-    for factors in (f for p in polynomials for f, _ in p):
+    for factors in (f for _, fs in polynomials for f in fs):
         if not factors:
             monomials[()] = Operator.identity(layout)
         for k, (i, j) in enumerate(factors, 1):
             if factors[:k] not in monomials:
                 head = factors[:k - 1]
                 monomials[factors[:k]] = monomials[head] @ args[i][j] if head else args[i][j]
-    return [combination([monomials[f] for f, _ in p], [c for _, c in p]) for p in polynomials]
+    return [combination([monomials[f] for f in fs], p.coefficients) for p, fs in polynomials]
 
 
 def functional_form(
@@ -119,18 +133,20 @@ class NetworkEvolution:
         self.network = network
         self.descriptors = initial_descriptors(network.layout)
         self.time = 0
+        self._fresh = set(network.layout.ids)  # the subsystems no gate has acted on yet
 
     def advance(self) -> tuple[GateApplication, ...]:
         """Apply every gate of the current slice (disjoint, so order-free)
         and return them: each acted component becomes its generator's
-        image evaluated on the acted descriptors; the rest commute with
-        the gate and stay."""
+        image evaluated on the acted descriptors, or, on fresh subsystems,
+        the image itself; the rest commute with the gate and stay."""
         if self.time >= len(self.network.slices):
             raise EngineError(f"network exhausted at time {self.time}")
         descriptors = dict(self.descriptors)
         applied = self.network.slices[self.time]
         for app in applied:
-            images = _evaluate(app, descriptors, images=True)
+            images = _evaluate(app, descriptors, True, self._fresh.issuperset(app.subsystems))
+            self._fresh.difference_update(app.subsystems)
             descriptors.update(zip(app.subsystems, zip(images[::2], images[1::2])))
         self.time += 1
         self.descriptors = descriptors
@@ -158,6 +174,8 @@ def is_sharp(o: Operator) -> tuple[bool, float | None]:
     mean = o.expectation()
     if abs(mean.imag) > DEFAULT_TOLERANCE:
         raise AlgebraError(f"hermitian expectation has imaginary part {mean.imag}")
-    second = (o @ o).expectation()
+    # <o o>: the sum over the term pairs whose shifts cancel
+    pairs = (o.coefficients[:, None] * o.coefficients * _phases(o, o)).ravel()
+    second = pairs[~_pair_rows(o, o)[:, :len(o.layout.dims)].any(axis=1)].sum()
     sharp = abs(second - mean**2) < DEFAULT_TOLERANCE
     return (True, float(mean.real)) if sharp else (False, None)

@@ -14,15 +14,15 @@ adds every branch's relative part of a component in one merge.
 :func:`foliate` is the first split, a :meth:`Foliation.refine` of a root
 foliation whose one branch has the empty key, measure 1 and the identity
 as both projector and conditional: the unit of the descriptor algebra.
-Each split checks its control once, then builds its two projectors
-unchecked.  :func:`foliate_along` places the splits: it walks an
-evolution through its network and splits a target at each controlled
-gate onto it.
+Each split checks its control once, and against the earlier splits'
+controls, then builds its two projectors unchecked.  :func:`foliate_along`
+places the splits: it walks an evolution through its network and splits a
+target at each controlled gate onto it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .engine import NetworkEvolution, functional_form
 from .gates import Controlled, GateApplication
@@ -51,10 +51,11 @@ class Branch:
 class Foliation:
     base: tuple[Operator, ...]  # the foliated descriptor's components
     branches: tuple[Branch, ...]
+    controls: tuple[Operator, ...] = ()  # each split's control, in split order
 
     def relative_components(self, branch: Branch) -> tuple[Operator, ...]:
         p, w = branch.projector, branch.conditional
-        return tuple(p @ (w.H @ c @ w) for c in self.base)
+        return tuple(_times(p, _times(_times(w.H, c), w)) for c in self.base)
 
     def branch_sum(self) -> tuple[Operator, ...]:
         """Componentwise sum of all relative descriptors; reconstructs the
@@ -73,28 +74,28 @@ class Foliation:
         conditional from the left.
         """
         _check_interaction(control, gate_poly, self.base)
+        if not all(control.commutes_with(c) for c in self.controls):
+            raise FoliationError("control does not commute with an earlier split's control")
         proj = {s: half_sum(control, s) for s in (+1, -1)}
         new_branches = []
         for branch in self.branches:
             for sign, bit in ((+1, "0"), (-1, "1")):
-                projector = branch.projector @ proj[sign]
-                conditional = gate_poly @ branch.conditional if sign == -1 else branch.conditional
+                projector = _times(branch.projector, proj[sign])
+                conditional = branch.conditional
+                conditional = _times(gate_poly, conditional) if sign == -1 else conditional
                 new_branches.append(
                     Branch(branch.key + bit, projector, conditional, _real_measure(projector))
                 )
-        return Foliation(self.base, tuple(new_branches))
+        return replace(self, branches=tuple(new_branches), controls=self.controls + (control,))
 
     def evolve_branches(self, gate_poly: Operator) -> "Foliation":
         """Follow-up unitary on the foliated system alone: every branch
         evolves independently, no splitting.  ``gate_poly`` again in base
         components."""
-        return Foliation(
-            self.base,
-            tuple(
-                Branch(b.key, b.projector, gate_poly @ b.conditional, b.measure)
-                for b in self.branches
-            ),
-        )
+        return replace(self, branches=tuple(
+            Branch(b.key, b.projector, _times(gate_poly, b.conditional), b.measure)
+            for b in self.branches
+        ))
 
 
 def foliate(
@@ -117,11 +118,12 @@ def foliate_along(evolution: NetworkEvolution, target: str) -> Foliation:
     """Run ``evolution`` to its network's end, foliating ``target``: gates
     on it evolve it until the first controlled gate on (control, target),
     where :func:`foliate` splits its descriptor, the base; each later one
-    refines.  Each split is by the control's clock, which must commute with
-    the earlier splits' clocks, and the inner gate's functional form on the
-    base.  A later gate on ``target`` alone evolves every branch; any other
-    gate on it after the first split, or no split at all, raises."""
-    fol, base, controls = None, {}, []
+    refines.  Each split is by the control's clock and the inner gate's
+    functional form on the base; a split that fails its checks raises,
+    naming the gate.  A later gate on ``target`` alone evolves every
+    branch; any other gate on it after the first split, or no split at all,
+    raises."""
+    fol, base = None, {}
     for t, applications in enumerate(evolution.network.slices[evolution.time:], evolution.time):
         now = evolution.descriptors
         for app in (a for a in applications if target in a.subsystems):
@@ -132,13 +134,12 @@ def foliate_along(evolution: NetworkEvolution, target: str) -> Foliation:
             if split:
                 base = base or {target: now[target]}
                 clock = now[app.subsystems[0]][1]
-                # an earlier clock no gate has replaced is a descriptor now: it commutes
-                if any(now[sid][1] is not c and not clock.commutes_with(c) for sid, c in controls):
-                    raise FoliationError(f"{app.gate!r} on {app.subsystems} at time {t} splits "
-                                         "by a control that does not commute with an earlier one")
-                controls.append((app.subsystems[0], clock))
                 poly = functional_form(GateApplication(app.gate.gate, (target,)), base)
-                fol = foliate(base[target], clock, poly) if fol is None else fol.refine(clock, poly)
+                try:
+                    fol = foliate(base[target], clock, poly) if fol is None else fol.refine(clock, poly)
+                except FoliationError as e:
+                    raise FoliationError(f"{app.gate!r} on {app.subsystems} at time {t} "
+                                         f"splits by a control: {e}") from e
             elif fol is not None:
                 fol = fol.evolve_branches(functional_form(app, base))
         evolution.advance()
@@ -161,6 +162,15 @@ def _check_interaction(
             )
     if not gate_poly.is_unitary():
         raise FoliationError("conditioned gate polynomial is not unitary")
+
+
+def _times(a: Operator, b: Operator) -> Operator:
+    """a @ b, skipping an identity factor, as a root branch's projector and
+    conditional are: the product would return the other factor's terms."""
+    for unit, other in ((a, b), (b, a)):
+        if len(unit.coefficients) == 1 and unit.coefficients[0] == 1 and not unit.exponents.any():
+            return other
+    return a @ b
 
 
 def _real_measure(projector: Operator) -> float:

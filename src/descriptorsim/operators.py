@@ -294,6 +294,8 @@ def _dense_tables(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, tuple]
 def _merged(layout: SpaceLayout, exps: np.ndarray, coeffs: np.ndarray) -> Operator:
     """Sum the terms that share an exponent row, keyed by its int64 key,
     then prune."""
+    if len(exps) < 2:  # nothing to sum
+        return _pruned(layout, exps, coeffs)
     keys = exps @ layout.weyl.keys
     order = np.argsort(keys, kind="stable")
     s = keys[order]
@@ -302,7 +304,7 @@ def _merged(layout: SpaceLayout, exps: np.ndarray, coeffs: np.ndarray) -> Operat
     return _pruned(layout, exps[order[first]], summed)
 
 
-def combination(ops: list[Operator], coeffs: list[complex]) -> Operator:
+def combination(ops: list[Operator], coeffs: list[complex] | np.ndarray) -> Operator:
     """sum_k coeffs[k] ops[k] on one layout, merged once."""
     if len(ops) == 1:  # a single term keeps its term order
         return ops[0] if coeffs[0] == 1 else ops[0] * coeffs[0]
@@ -344,14 +346,16 @@ def _product(a: Operator, b: Operator) -> Operator:
 
 def _defect(a: Operator, b: Operator, commutator: bool = False) -> float:
     """||ab - I||_F, or with ``commutator`` ||ab - ba||_F, from one merge:
-    ab and ba share each term pair's row and differ only in its phase."""
+    ab and ba share each term pair's row and differ only in its phase.  A
+    commutator with a monomial factor needs none: its rows stay distinct."""
     phase = _phases(a, b) - _phases(b, a).T if commutator else _phases(a, b)
     coeffs = (a.coefficients[:, None] * b.coefficients * phase).ravel()
-    exps = _pair_rows(a, b)
-    if not commutator:  # minus I, the all-zero row
-        exps, coeffs = np.vstack((exps, np.zeros(exps.shape[1], np.int64))), np.append(coeffs, -1)
-    diff = _merged(a.layout, exps, coeffs)
-    return float(np.sqrt(a.layout.total_dim) * np.linalg.norm(diff.coefficients))
+    if not commutator or min(len(a.coefficients), len(b.coefficients)) > 1:
+        exps = _pair_rows(a, b)
+        if not commutator:  # minus I, the all-zero row
+            exps, coeffs = np.vstack((exps, np.zeros(exps.shape[1], np.int64))), np.append(coeffs, -1)
+        coeffs = _merged(a.layout, exps, coeffs).coefficients
+    return float(np.sqrt(a.layout.total_dim) * np.linalg.norm(coeffs))
 
 
 def embed_matrix(

@@ -5,7 +5,11 @@ produces Born-rule outcome distributions.  Every reading takes the network
 it reads, so how the oracle holds a state stays inside this module.  It
 deliberately shares only the layout and gate-matrix construction with the
 operator modules, never the descriptor evolution path, so cross-checks are
-independent at the algorithm level.
+independent at the algorithm level.  It keeps the state after each slice
+of the last network it simulated, and resumes a network after the longest
+prefix of those slices (the same objects, on an equal layout) that it
+shares: a network resumes after its ``upto(t)``, and one built anew starts
+from |0...0> whatever ran before.
 """
 
 from __future__ import annotations
@@ -16,18 +20,31 @@ from .gates import Network
 from .operators import LayoutError
 
 
+# the last network's layout and slices, and at k the state after k slices;
+# replaced whole, never changed in place, so a racing call loses a resume at
+# most, and emptied while a network runs, so two networks' states never coexist
+_last: tuple = (None, (), [])
+
+
 def simulate_statevector(network: Network) -> np.ndarray:
     """Apply the network's embedded gate matrices to |0...0>: read-only
     amplitudes with one axis per subsystem (shape ``layout.dims``);
     ``network.upto(t)`` gives the state after the first t slices."""
-    amp = np.zeros(network.layout.total_dim, dtype=complex)
-    amp[0] = 1.0
-    for sl in network.slices:
+    global _last
+    start = (network.layout, (), [np.eye(1, network.layout.total_dim, dtype=complex)[0]])
+    _, slices, states = _last if _last[0] == network.layout else start
+    k = 0
+    while k < min(len(slices), len(network.slices)) and slices[k] is network.slices[k]:
+        k += 1
+    states, _last = states[:k + 1], (None, (), [])
+    for sl in network.slices[k:]:
+        amp = states[-1]
         for app in sl:
             amp = network.embedded(app) @ amp
-    amp = amp.reshape(network.layout.dims)
-    amp.setflags(write=False)
-    return amp
+        states.append(amp)
+    _last = (network.layout, network.slices, states)
+    states[-1].setflags(write=False)  # so no caller can change a kept state
+    return states[-1].reshape(network.layout.dims)
 
 
 def joint_outcome_distribution(

@@ -328,6 +328,8 @@ class TestShellLevel:
             # theta - phi overflows to inf; each angle is finite
             (["run", "all", "--theta", "1e308", "--phi=-1e308",
               "--chain-alice", "1", "--chain-bob", "1"], 0),
+            # theta/2 - phi/2 rounds phi away; the closed form keeps it
+            (["run", "bell", "--theta=1e308"], 0),
         ],
     )
     def test_exit_codes_from_a_real_process(self, args, expected):

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from descriptorsim import engine
 from descriptorsim import (
     BellConfig,
     Chained,
@@ -42,6 +43,7 @@ from descriptorsim import (
     functional_form,
     haar_random_unitary,
     initial_descriptors,
+    is_sharp,
     joint_outcome_distribution,
     simulate_statevector,
 )
@@ -253,3 +255,64 @@ def test_bell_step_law_matches_cumulative_conjugation(variant):
         evo.run_to(t)
         for sid, want in cumulative_evolve(network.upto(t)).items():
             assert dense_distance(evo.descriptors[sid], want) < TOL
+
+
+@SETTINGS
+@given(networks())
+# a 49-level target: its layout's clock table holds omega^0 = 1 - 1.1e-16,
+# which the product path multiplies into every two-factor monomial
+@example(Network(SpaceLayout((("S0", 2), ("S1", 49))),
+                 [[GateApplication(Controlled(Plus(1)), ("S0", "S1"))]]))
+def test_fresh_subsystem_gates_take_their_images_bit_for_bit(network):
+    # a gate on subsystems no gate has acted on takes its images as its
+    # new descriptors: the same exponents, coefficients and term order as
+    # the product path that evaluates them on the untouched generators
+    evo, acted, checked = NetworkEvolution(network), set(), 0
+    for _ in network.slices:
+        before, fresh = evo.descriptors, set(network.layout.ids) - acted
+        for app in evo.advance():
+            acted |= set(app.subsystems)
+            if not fresh.issuperset(app.subsystems):
+                continue
+            images = engine._evaluate(app, before, images=True)
+            got = [c for sid in app.subsystems for c in evo.descriptors[sid]]
+            for g, want in zip(got, images, strict=True):
+                assert np.array_equal(g.exponents, want.exponents)
+                assert np.array_equal(g.coefficients, want.coefficients)
+            checked += 1
+    assert checked  # every gate at time 0 acts on fresh subsystems
+
+
+@SETTINGS
+@given(networks())
+def test_oracle_resumed_from_a_prefix_equals_a_cold_run(network):
+    # the oracle resumes the full network after the prefix upto(t) shares
+    # with it, bit for bit as a run from |0...0> through every gate
+    amp = np.zeros(network.layout.total_dim, dtype=complex)
+    amp[0] = 1.0
+    for sl in network.slices:
+        for app in sl:
+            amp = network.embedded(app) @ amp
+    for t in range(len(network.slices) + 1):
+        simulate_statevector(network.upto(t))
+        assert np.array_equal(simulate_statevector(network).ravel(), amp)
+
+
+@SETTINGS
+@given(networks())
+def test_sharpness_matches_the_dense_variance(network):
+    # is_sharp reads <o o> from the term pairs whose shifts cancel; the
+    # dense <0|o o|0> - <0|o|0>^2 of each qubit's x, y and z decides the same
+    evo = NetworkEvolution(network)
+    for t in range(len(network.slices) + 1):
+        for sid, (x, z) in evo.run_to(t).descriptors.items():
+            if network.layout.dim_of(sid) != 2:
+                continue
+            for o in (x, 1j * (x @ z), z):
+                dense = o.matrix
+                variance = abs((dense @ dense)[0, 0] - dense[0, 0] ** 2)
+                if abs(variance - 1e-9) < 1e-12:  # too close to the threshold to tell
+                    continue
+                sharp, value = is_sharp(o)
+                assert sharp == (variance < 1e-9)
+                assert value is None if not sharp else abs(value - dense[0, 0].real) < 1e-12

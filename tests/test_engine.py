@@ -200,8 +200,8 @@ class TestFunctionalForm:
         # expansions, with no roundoff-scale terms beside them
         app = GateApplication(gate, sids)
         dims = tuple(MIXED.dim_of(sid) for sid in sids)
-        (expansion,) = engine._weyl_terms(gate, dims)
-        coeffs = [c for _, c in expansion]
+        ((expansion, _),) = engine._weyl_terms(gate, dims)
+        coeffs = expansion.coefficients.tolist()
         assert len(coeffs) == terms
         assert {abs(c) for c in coeffs} <= {
             0.5, 1.0, 1 / np.sqrt(2), abs(np.cos(0.35)), abs(np.sin(0.35))
@@ -227,8 +227,8 @@ class TestFunctionalForm:
         # fixes z_c and x_t; each is one monomial of modulus 1, with no
         # roundoff-scale terms beside it
         got = engine._weyl_terms(gate, dims, images=True)
-        assert [[f for f, _ in poly] for poly in got] == [[f] for f in images]
-        assert all(abs(abs(c) - 1) < 1e-15 for poly in got for _, c in poly)
+        assert [list(factors) for _, factors in got] == [[f] for f in images]
+        assert all(abs(abs(c) - 1) < 1e-15 for terms, _ in got for c in terms.coefficients)
 
 
 class TestStepEvolve:

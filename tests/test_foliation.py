@@ -190,6 +190,17 @@ class TestBranchMeasure:
         with pytest.raises(FoliationError):
             fol.refine(control, fol.base[0])
 
+    def test_refine_by_a_control_that_does_not_commute_with_an_earlier_one_raises(self):
+        # the three splits of three_copies made by hand, without the walk
+        evo = NetworkEvolution(three_copies()).run_to(1)
+        base = evo.descriptors["T"]
+        poly = functional_form(GateApplication(Plus(1), ("T",)), {"T": base})
+        fol = foliate(base, evo.descriptors["A"][1], poly)
+        fol = fol.refine(evo.run_to(2).descriptors["B"][1], poly)
+        assert len(fol.controls) == 2
+        with pytest.raises(FoliationError, match="does not commute with an earlier split's control"):
+            fol.refine(evo.run_to(5).descriptors["B"][1], poly)
+
     def test_non_commuting_rejected(self):
         network, evo = bell_evolution(0.7, 0.1)
         fol = record_split(evo, ALICE_SPLIT)
@@ -212,6 +223,23 @@ def marginal(network, sid):
     """The oracle's Born probabilities of ``sid``'s z outcome, keyed as
     branch keys are."""
     return {str(bit): p for (bit,), p in joint_outcome_distribution(network, (sid,)).items()}
+
+
+def three_copies():
+    """A and B copy onto T; then A's and B's Hadamards and a copy from A to
+    B leave B's clock x_A x_B, which commutes with T's base and with z_A z_B
+    but not with A's clock z_A, the first split's control.  Unchecked, the
+    third split made measures negative."""
+    layout = SpaceLayout((("A", 2), ("B", 2), ("T", 2)))
+    copy = Controlled(Plus(1))
+    return Network(layout, [
+        [GateApplication(Hadamard(), ("A",)), GateApplication(RotationY(0.7), ("B",))],
+        [GateApplication(copy, ("A", "T"))],
+        [GateApplication(copy, ("B", "T"))],
+        [GateApplication(Hadamard(), ("A",)), GateApplication(Hadamard(), ("B",))],
+        [GateApplication(copy, ("A", "B"))],
+        [GateApplication(copy, ("B", "T"))],
+    ])
 
 
 class TestFoliateAlong:
@@ -255,20 +283,7 @@ class TestFoliateAlong:
             assert got.isclose(want, 1e-9)
 
     def test_split_by_a_control_that_does_not_commute_with_an_earlier_one_raises(self):
-        # A and B copy onto T; then A's and B's Hadamards and a copy from A
-        # to B leave B's clock x_A x_B, which commutes with T's base and
-        # with z_A z_B but not with A's clock z_A, the first split's
-        # control.  Unchecked, the third split made measures negative.
-        layout = SpaceLayout((("A", 2), ("B", 2), ("T", 2)))
-        copy = Controlled(Plus(1))
-        network = Network(layout, [
-            [GateApplication(Hadamard(), ("A",)), GateApplication(RotationY(0.7), ("B",))],
-            [GateApplication(copy, ("A", "T"))],
-            [GateApplication(copy, ("B", "T"))],
-            [GateApplication(Hadamard(), ("A",)), GateApplication(Hadamard(), ("B",))],
-            [GateApplication(copy, ("A", "B"))],
-            [GateApplication(copy, ("B", "T"))],
-        ])
+        network = three_copies()
         with pytest.raises(FoliationError, match=r"\('B', 'T'\) at time 5 splits by a control"):
             foliate_along(NetworkEvolution(network), "T")
         # cut before the third split, the two commuting splits stand

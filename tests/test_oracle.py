@@ -109,3 +109,41 @@ def test_reduced_density_diagonal_is_the_marginal(rng):
                 [dist[(j,)] for j in range(len(rho))], abs=1e-12
             )
             assert abs(np.trace(rho) - 1.0) < 1e-12
+
+
+def counting_embeddings(monkeypatch):
+    """The number of gate embeddings the oracle asks for, counted live."""
+    calls, embedded = [], Network.embedded
+
+    def counted(self, app):
+        calls.append(app)
+        return embedded(self, app)
+
+    monkeypatch.setattr(Network, "embedded", counted)
+    return calls
+
+
+def test_resumes_from_a_prefix_of_the_same_slices(monkeypatch):
+    calls = counting_embeddings(monkeypatch)
+    net = Network(TWO_QUBITS, [*BELL_PAIR.slices, [GateApplication(Hadamard(), ("Q2",))]])
+    cold = simulate_statevector(Network(TWO_QUBITS, [list(sl) for sl in net.slices]))
+    calls.clear()
+    simulate_statevector(net.upto(2))
+    assert np.array_equal(simulate_statevector(net), cold)
+    assert len(calls) == 3  # two for the prefix, one to finish
+    calls.clear()
+    assert np.array_equal(simulate_statevector(net), cold)
+    assert not calls
+
+
+def test_same_slices_on_another_layout_start_afresh(monkeypatch):
+    calls = counting_embeddings(monkeypatch)
+    swapped = Network(SpaceLayout((("Q2", 2), ("Q1", 2))), BELL_PAIR.slices)
+    assert swapped.slices[0] is BELL_PAIR.slices[0]
+    simulate_statevector(BELL_PAIR)
+    calls.clear()
+    state = simulate_statevector(swapped)
+    assert len(calls) == 2
+    # (|00> + |11>)/sqrt(2) has the same amplitudes in either order
+    assert np.allclose(state.ravel(), np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-15)
+    assert not state.flags.writeable

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import get_args, get_type_hints
 
 from .bell import (
@@ -88,12 +88,8 @@ class RunConfig:
 
 # a config-file key is a RunConfig field, parsed as the field's type (an
 # optional field as the type it holds when set), or the extra key preset
-_FIELD_TYPES = get_type_hints(RunConfig)
-_CONFIG_KEYS = {
-    f.name: (get_args(_FIELD_TYPES[f.name]) or (_FIELD_TYPES[f.name],))[0]
-    for f in fields(RunConfig)
-}
-_CONFIG_KEYS["preset"] = str
+_CONFIG_KEYS = {key: (get_args(kind) or (kind,))[0]
+                for key, kind in get_type_hints(RunConfig).items()} | {"preset": str}
 
 
 def _load_config_file(path: str) -> dict:
@@ -166,8 +162,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # argparse reads "-1e-3" as a flag (only -1 and -.5 pass as numbers), so a
-# number that follows a numeric flag is attached to it, as in "--phi=-1e-3"
-_NUMERIC_FLAGS = ("--theta", "--phi", "--tolerance", "--seed", "--chain-alice", "--chain-bob")
+# number that follows a numeric flag, one per int or float config key, is
+# attached to it, as in "--phi=-1e-3"
+_NUMERIC_FLAGS = tuple("--" + key.replace("_", "-")
+                       for key, kind in _CONFIG_KEYS.items() if kind in (int, float))
 
 
 def _takes_number(flag: str, token: str) -> bool:
@@ -192,39 +190,28 @@ def parse_config(argv: list[str]) -> RunConfig:
         else:
             args.append(token)
     ns = _build_parser().parse_args(args)
-    file_vals = _load_config_file(ns.config) if ns.config else {}
-
-    def pick(key):
-        cli = getattr(ns, key, None)
-        return cli if cli is not None else file_vals.get(key)
-
-    experiment = ns.experiment
-    if "experiment" in file_vals and file_vals["experiment"] != experiment:
+    values = _load_config_file(ns.config) if ns.config else {}
+    if values.get("experiment", ns.experiment) != ns.experiment:
         raise ConfigError(
-            f"config file experiment {file_vals['experiment']!r} conflicts "
-            f"with command line {experiment!r}"
+            f"config file experiment {values['experiment']!r} conflicts "
+            f"with command line {ns.experiment!r}"
         )
+    values.update((k, v) for k, v in vars(ns).items() if k in _CONFIG_KEYS and v is not None)
 
-    theta, phi = pick("theta"), pick("phi")
-    preset = pick("preset")
-    if preset is not None:
+    if (preset := values.pop("preset", None)) is not None:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}")
-        if theta is not None or phi is not None:
+        if "theta" in values or "phi" in values:
             raise ConfigError("--preset conflicts with explicit --theta/--phi")
         x, y = PRESETS[preset]
-        theta, phi = ALICE_ANGLES[x], BOB_ANGLES[y]
+        values.update(theta=ALICE_ANGLES[x], phi=BOB_ANGLES[y])
 
-    tolerance = pick("tolerance")
-    if tolerance is None and ENV_TOLERANCE in os.environ:
+    if "tolerance" not in values and ENV_TOLERANCE in os.environ:
         try:
-            tolerance = float(os.environ[ENV_TOLERANCE])
+            values["tolerance"] = float(os.environ[ENV_TOLERANCE])
         except ValueError as exc:
             raise ConfigError(f"bad {ENV_TOLERANCE}: {os.environ[ENV_TOLERANCE]!r}") from exc
-
-    values = {key: pick(key) for key in ("seed", "chain_alice", "chain_bob", "format", "output")}
-    values.update(theta=theta, phi=phi, tolerance=tolerance)
-    return RunConfig(experiment, **{k: v for k, v in values.items() if v is not None})
+    return RunConfig(**values)
 
 
 def _fmt(x: float) -> str:

@@ -88,18 +88,14 @@ def _evaluate(app: GateApplication, descriptors: Mapping, images: bool,
     acted subsystems' descriptors, each monomial and each prefix of one
     multiplied out once.  On ``fresh`` subsystems, which no gate has acted
     on, the descriptors are the generators: each polynomial's own terms move
-    to the acted columns, each coefficient made as the products make it (the
-    monomial's, omega^0 per further factor, times c) and merged once."""
+    to the acted columns, merged once, as the products (all phases 1) make them."""
     args = [descriptors[sid] for sid in app.subsystems]
     layout = args[0][0].layout
     polynomials = _weyl_terms(app.gate, tuple(layout.dim_of(sid) for sid in app.subsystems), images)
     if fresh:
         m, acted = len(layout.dims), [layout.index_of(sid) for sid in app.subsystems]
         place = np.eye(2 * m, dtype=np.int64)[acted + [m + i for i in acted]]  # column moves
-        omega0 = layout.weyl.table[0]  # 1 but for roundoff at a few lcm(dims)
-        return [_merged(layout, p.exponents @ place, p.coefficients if omega0 == 1 else
-                        p.coefficients * omega0 ** np.maximum(p.exponents.sum(axis=1) - 1, 0))
-                for p, _ in polynomials]
+        return [_merged(layout, p.exponents @ place, p.coefficients) for p, _ in polynomials]
     monomials = {}
     # a loop, not a recursive closure: the closure's reference cycle would
     # hold every monomial until the cyclic garbage collector happened to run
@@ -131,22 +127,22 @@ class NetworkEvolution:
 
     def __init__(self, network: Network):
         self.network = network
-        self.descriptors = initial_descriptors(network.layout)
+        self.descriptors = self._initial = initial_descriptors(network.layout)
         self.time = 0
-        self._fresh = set(network.layout.ids)  # the subsystems no gate has acted on yet
 
     def advance(self) -> tuple[GateApplication, ...]:
         """Apply every gate of the current slice (disjoint, so order-free)
         and return them: each acted component becomes its generator's
         image evaluated on the acted descriptors, or, on fresh subsystems,
-        the image itself; the rest commute with the gate and stay."""
+        whose descriptors are still the time-0 tuples, the image itself; the
+        rest commute with the gate and stay."""
         if self.time >= len(self.network.slices):
             raise EngineError(f"network exhausted at time {self.time}")
         descriptors = dict(self.descriptors)
         applied = self.network.slices[self.time]
         for app in applied:
-            images = _evaluate(app, descriptors, True, self._fresh.issuperset(app.subsystems))
-            self._fresh.difference_update(app.subsystems)
+            fresh = all(descriptors[sid] is self._initial[sid] for sid in app.subsystems)
+            images = _evaluate(app, descriptors, True, fresh)
             descriptors.update(zip(app.subsystems, zip(images[::2], images[1::2])))
         self.time += 1
         self.descriptors = descriptors
@@ -175,7 +171,8 @@ def is_sharp(o: Operator) -> tuple[bool, float | None]:
     if abs(mean.imag) > DEFAULT_TOLERANCE:
         raise AlgebraError(f"hermitian expectation has imaginary part {mean.imag}")
     # <o o>: the sum over the term pairs whose shifts cancel
-    pairs = (o.coefficients[:, None] * o.coefficients * _phases(o, o)).ravel()
+    phases = _phases(o, o)  # first: it refuses pairs over the budget
+    pairs = (o.coefficients[:, None] * o.coefficients * phases).ravel()
     second = pairs[~_pair_rows(o, o)[:, :len(o.layout.dims)].any(axis=1)].sum()
     sharp = abs(second - mean**2) < DEFAULT_TOLERANCE
     return (True, float(mean.real)) if sharp else (False, None)

@@ -55,7 +55,7 @@ class Foliation:
 
     def relative_components(self, branch: Branch) -> tuple[Operator, ...]:
         p, w = branch.projector, branch.conditional
-        return tuple(_times(p, _times(_times(w.H, c), w)) for c in self.base)
+        return tuple(p @ (w.H @ c @ w) for c in self.base)
 
     def branch_sum(self) -> tuple[Operator, ...]:
         """Componentwise sum of all relative descriptors; reconstructs the
@@ -80,9 +80,8 @@ class Foliation:
         new_branches = []
         for branch in self.branches:
             for sign, bit in ((+1, "0"), (-1, "1")):
-                projector = _times(branch.projector, proj[sign])
-                conditional = branch.conditional
-                conditional = _times(gate_poly, conditional) if sign == -1 else conditional
+                projector = branch.projector @ proj[sign]
+                conditional = gate_poly @ branch.conditional if sign == -1 else branch.conditional
                 new_branches.append(
                     Branch(branch.key + bit, projector, conditional, _real_measure(projector))
                 )
@@ -93,7 +92,7 @@ class Foliation:
         evolves independently, no splitting.  ``gate_poly`` again in base
         components."""
         return replace(self, branches=tuple(
-            Branch(b.key, b.projector, _times(gate_poly, b.conditional), b.measure)
+            Branch(b.key, b.projector, gate_poly @ b.conditional, b.measure)
             for b in self.branches
         ))
 
@@ -162,15 +161,6 @@ def _check_interaction(
             )
     if not gate_poly.is_unitary():
         raise FoliationError("conditioned gate polynomial is not unitary")
-
-
-def _times(a: Operator, b: Operator) -> Operator:
-    """a @ b, skipping an identity factor, as a root branch's projector and
-    conditional are: the product would return the other factor's terms."""
-    for unit, other in ((a, b), (b, a)):
-        if len(unit.coefficients) == 1 and unit.coefficients[0] == 1 and not unit.exponents.any():
-            return other
-    return a @ b
 
 
 def _real_measure(projector: Operator) -> float:

@@ -91,7 +91,8 @@ class WeylConstants(NamedTuple):
     mods: np.ndarray  # each column's dimension
     keys: np.ndarray  # mixed-radix weights: a row's int64 key is exps @ keys
     weights: np.ndarray  # omega_i^k = table[weights_i * k mod len(table)]
-    table: np.ndarray  # the clock diagonal of dimension lcm(dims)
+    table: np.ndarray  # omega^k for k < lcm(dims), exactly 1 at k = 0
+    identity: "Operator"  # the one identity, which products skip; its own adjoint
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,9 @@ class SpaceLayout:
         keys = np.cumprod(np.r_[1, mods[:0:-1]])[::-1].copy()
         order = lcm(*self.dims)
         weights = order // mods[: len(self.dims)]
-        return WeylConstants(mods, keys, weights, np.diag(qudit_shift_clock(order)[1]))
+        unit = Operator(self, np.zeros((1, len(mods)), np.int64), np.ones(1, complex))
+        unit.__dict__["H"] = unit
+        return WeylConstants(mods, keys, weights, _roots_of_unity(order), unit)
 
     def index_of(self, sid: str) -> int:
         for i, (name, _) in enumerate(self.subsystems):
@@ -174,7 +177,7 @@ class Operator:
 
     @classmethod
     def identity(cls, layout: SpaceLayout) -> "Operator":
-        return cls(layout, np.zeros((1, 2 * len(layout.dims)), np.int64), np.ones(1, complex))
+        return layout.weyl.identity
 
     @classmethod
     def from_matrix(cls, layout: SpaceLayout, matrix: np.ndarray) -> "Operator":
@@ -324,8 +327,14 @@ def _pruned(layout: SpaceLayout, exps: np.ndarray, coeffs: np.ndarray) -> Operat
 
 
 def _phases(a: Operator, b: Operator) -> np.ndarray:
-    """omega^(b.c) at [i, j], for term i of ``a``, X^a Z^b, and j of ``b``, X^c Z^d."""
+    """omega^(b.c) at [i, j], for term i of ``a``, X^a Z^b, and j of ``b``, X^c Z^d.
+    Every term-pair product makes these first, so one whose int64 rows and
+    complex phases and coefficients would pass the budget is refused unbuilt."""
     w, m = a.layout.weyl, len(a.layout.dims)
+    pairs = len(a.coefficients) * len(b.coefficients)
+    if pairs * (16 * m + 32) > DESCRIPTOR_BUDGET_BYTES:
+        raise LayoutError(f"{pairs} term pairs need {pairs * (16 * m + 32) / 2**30:.3g} GiB, "
+                          f"over the {DESCRIPTOR_BUDGET_BYTES / 2**30:g} GiB budget")
     return w.table[(a.exponents[:, m:] * w.weights) @ b.exponents[:, :m].T % len(w.table)]
 
 
@@ -336,9 +345,13 @@ def _pair_rows(a: Operator, b: Operator) -> np.ndarray:
 
 
 def _product(a: Operator, b: Operator) -> Operator:
-    """(X^a Z^b)(X^c Z^d) = omega^(b.c) X^(a+c) Z^(b+d), term by term."""
+    """(X^a Z^b)(X^c Z^d) = omega^(b.c) X^(a+c) Z^(b+d), term by term; the
+    layout's identity returns the other factor."""
+    if a is a.layout.weyl.identity or b is b.layout.weyl.identity:
+        return b if a is a.layout.weyl.identity else a
+    phases = _phases(a, b)  # first: it refuses pairs over the budget
+    coeffs = (a.coefficients[:, None] * b.coefficients * phases).ravel()
     exps = _pair_rows(a, b)
-    coeffs = (a.coefficients[:, None] * b.coefficients * _phases(a, b)).ravel()
     if min(len(a.coefficients), len(b.coefficients)) == 1:
         return Operator(a.layout, exps, coeffs)  # a monomial factor: rows stay distinct
     return _merged(a.layout, exps, coeffs)
@@ -392,18 +405,27 @@ def qudit_shift_clock(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The read-only generators of every d-level subsystem: shift
     (|j> -> |j+1 mod d>) and clock (diag of omega^j, omega = exp(2 pi i/d)).
 
-    Their monomials shift^a clock^b form an operator basis.  The clock is
-    the inverse FFT of the shift's first column, the convention that
-    :meth:`Operator.from_matrix` inverts with the forward FFT, and is exact
-    at d = 2, (sigma_x, sigma_z), and d = 4, diag(1, i, -1, -i).
+    Their monomials shift^a clock^b form an operator basis.  The clock's
+    diagonal is :func:`_roots_of_unity`, so d = 2 gives (sigma_x, sigma_z).
     """
     if dim < 2:
         raise ValueError(f"shift/clock need dim >= 2, got {dim}")
     shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
-    clock = np.diag(dim * np.fft.ifft(shift[:, 0]))
+    clock = np.diag(_roots_of_unity(dim))
     for generator in (shift, clock):
         generator.setflags(write=False)
     return shift, clock
+
+
+@functools.lru_cache(maxsize=16)
+def _roots_of_unity(dim: int) -> np.ndarray:
+    """omega^k for k < dim, read-only: the inverse FFT of the shift's first
+    column, which :meth:`Operator.from_matrix` inverts, but exactly 1 at
+    k = 0, where the FFT leaves 1 - 1.1e-16 at some dims (49, 89, 98, ...)."""
+    roots = dim * np.fft.ifft(np.eye(1, dim, 1)[0])
+    roots[0] = 1
+    roots.setflags(write=False)
+    return roots
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -349,9 +349,10 @@ class TestWignerUndo:
     ],
 )
 def test_run_bell_never_multiplies_by_the_identity(variant, angles):
-    # the foliation's root branch holds I as projector and conditional, and
-    # at theta = 0 the engine conjugates by Ry(0) = I; products with I are
-    # exact, so the branches still rebuild the evolved record
+    # the foliation's root branch holds the layout's identity as projector
+    # and conditional, whose products return the other factor, and at
+    # theta = 0 Alice's Ry(0) = I leaves the rotated descriptor as it was; the
+    # branches still rebuild the evolved record
     out = run_bell(BellConfig(*angles, variant))
     assert out.reconstruction_residual < 1e-12
 

@@ -134,12 +134,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(["run", "bell", "--config", str(path)])
 
-    def test_env_var_tolerance_fallback(self, monkeypatch):
+    def test_env_var_tolerance_fallback(self, monkeypatch, tmp_path):
         monkeypatch.setenv("DESCRIPTOR_SIM_TOLERANCE", "1e-5")
         assert parse_config(["run", "bell"]).tolerance == 1e-5
         assert (
             parse_config(["run", "bell", "--tolerance", "1e-7"]).tolerance == 1e-7
         )
+        # a config file's tolerance beats the variable too
+        path = tmp_path / "cfg.txt"
+        path.write_text("tolerance=1e-3\n")
+        assert parse_config(["run", "bell", "--config", str(path)]).tolerance == 1e-3
 
     def test_bad_env_var_rejected(self, monkeypatch):
         monkeypatch.setenv("DESCRIPTOR_SIM_TOLERANCE", "soft")
@@ -204,6 +208,9 @@ class TestExitCodes:
         [
             ("--phi", "-1e-3", 0), ("--theta", "-2E-1", 0), ("--ph", "-1e-3", 0),
             ("--phi", "-inf", 2),
+            # int flags take no float notation, and no tolerance is negative
+            ("--seed", "-1e0", 2), ("--chain-alice", "-1e0", 2), ("--chain-bob", "-2e0", 2),
+            ("--tolerance", "-1e-9", 2),
         ],
     )
     def test_negative_number_after_a_space_is_a_value(self, capsys, flag, value, expected):

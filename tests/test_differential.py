@@ -259,8 +259,8 @@ def test_bell_step_law_matches_cumulative_conjugation(variant):
 
 @SETTINGS
 @given(networks())
-# a 49-level target: its layout's clock table holds omega^0 = 1 - 1.1e-16,
-# which the product path multiplies into every two-factor monomial
+# a 49-level target, where the inverse FFT gives omega^0 = 1 - 1.1e-16: the
+# clock table holds an exact 1 there, so the product path's phases are exact
 @example(Network(SpaceLayout((("S0", 2), ("S1", 49))),
                  [[GateApplication(Controlled(Plus(1)), ("S0", "S1"))]]))
 def test_fresh_subsystem_gates_take_their_images_bit_for_bit(network):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from descriptorsim import (
     EngineError,
     GateApplication,
     Hadamard,
+    LayoutError,
     Network,
     NetworkError,
     NetworkEvolution,
@@ -285,6 +287,23 @@ class TestStepEvolve:
             for b, a in zip(desc, after[sid], strict=True):
                 assert np.array_equal(a.exponents, b.exponents)
                 assert np.array_equal(a.coefficients, b.coefficients)
+
+    @pytest.mark.parametrize("qubits", [6, 7])
+    def test_gate_whose_image_products_cannot_fit_is_refused_before_allocating(self, qubits):
+        # a Haar gate on n qubits has 4^n Weyl terms; its images' second
+        # product pairs them all: 4^14 rows of 14 int64 columns at n = 7
+        # (28 GiB), 2 GiB of pair arrays at n = 6
+        layout = SpaceLayout(tuple((f"q{i}", 2) for i in range(qubits)))
+        gate = CustomGate(haar_random_unitary(2**qubits, np.random.default_rng(qubits)))
+        evo = NetworkEvolution(Network(layout, [[GateApplication(gate, layout.ids)]]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(LayoutError, match="term pairs need"):
+                evo.advance()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_non_acted_descriptor_passed_through_unchanged(self):
         descs = initial_descriptors(TWO_QUBITS)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,24 @@ class TestSpaceLayout:
     def test_unknown_id(self):
         with pytest.raises(LayoutError):
             TWO_QUBITS.index_of("nope")
+
+    def test_clock_table_is_one_at_zero_and_the_inverse_fft_elsewhere(self):
+        # the FFT leaves 1 - 1.1e-16 at k = 0 for some d (49, 89, 98, ...)
+        for d in range(2, 301):
+            table = SpaceLayout((("a", d),)).weyl.table
+            assert table[0] == 1
+            assert table[1:].tobytes() == (d * np.fft.ifft(np.eye(1, d, 1)[0]))[1:].tobytes()
+
+    def test_weyl_constants_build_no_dense_clock(self):
+        # lcm(5, 7, 8, 9) = 2520: a dense clock of that dimension holds 97 MiB
+        layout = SpaceLayout((("a", 5), ("b", 7), ("c", 8), ("d", 9)))
+        tracemalloc.start()
+        try:
+            layout.weyl
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("subsystems", [(("Q1", 2, 3),), (5,), (("Q1",),), 5], ids=repr)
     def test_entries_that_are_not_pairs_rejected(self, subsystems):
@@ -256,6 +275,19 @@ class TestOperator:
                        lambda: combination([op, GENERATORS["Q1"][0]], [1, scalar])):
             with pytest.raises(ValueError, match="not .*finite"):
                 scaled()
+
+    def test_one_identity_per_layout_is_its_own_adjoint(self):
+        layout = SpaceLayout((("a", 2), ("b", 3)))
+        assert Operator.identity(layout) is Operator.identity(layout)
+        assert Operator.identity(layout).H is Operator.identity(layout)
+
+    def test_products_by_the_identity_return_the_other_factor(self, rng):
+        layout = SpaceLayout((("a", 2), ("b", 3)))
+        unit = Operator.identity(layout)
+        for _ in range(5):
+            dense = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+            a = Operator.from_matrix(layout, dense)
+            assert unit @ a is a and a @ unit is a
 
     def test_mixed_layout_arithmetic_rejected(self):
         other = SpaceLayout((("A", 4),))

@@ -52,6 +52,7 @@ from .bell import (
     closed_form_measures,
     nonisomorphism_witness,
     run_bell,
+    run_bells,
     run_wigner_undo,
 )
 from .chsh import (

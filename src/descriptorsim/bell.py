@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .gates import (
 )
 from .operators import (
     DEFAULT_TOLERANCE,
-    Operator,
     SpaceLayout,
     as_index,
     as_real,
@@ -135,10 +135,9 @@ class BellConfig:
     variant: Variant = field(default_factory=Plain)
 
     def __post_init__(self) -> None:
-        if not (
-            math.isfinite(as_real(self.theta, "theta", ValueError))
-            and math.isfinite(as_real(self.phi, "phi", ValueError))
-        ):
+        for name in ("theta", "phi"):  # stored as floats: a Fraction or numpy real reads as one
+            object.__setattr__(self, name, float(as_real(getattr(self, name), name, ValueError)))
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError("angles must be finite")
 
 
@@ -202,48 +201,81 @@ def build_bell_network(cfg: BellConfig) -> Network:
     return Network(layout, [[GateApplication(g, sids) for g, sids in sl] for sl in slices])
 
 
-def _marginal(control: Operator) -> tuple[float, float]:
+def _marginal(expectation: complex) -> tuple[float, float]:
     """<(1 +- q)/2>, read off <q>: the expectations of ``half_sum(q, +-1)``,
     the combination of I and q with coefficients 1/2 and +-1/2."""
-    q = control.expectation().real
+    q = float(expectation.real)
     return ((1 + q) / 2, (1 - q) / 2)
 
 
-def run_bell(cfg: BellConfig) -> BellOutcome:
-    """Run the configured experiment and report the record's branch measures,
-    foliated along the network, with the environment diagnostics just after
-    Q1's copy onto the environment, the reconstruction and Alice's sharpness."""
-    network = build_bell_network(cfg)
+def _swept(networks: list[Network]) -> Network:
+    """The members' networks as one: a RotationY whose angle differs
+    between the members holds each member's angle, in member order."""
+    def gate(apps):
+        angles = tuple(a.gate.theta for a in apps) if isinstance(apps[0].gate, RotationY) else ()
+        return RotationY(angles) if len(set(angles)) > 1 else apps[0].gate
+
+    return Network(networks[0].layout, [[GateApplication(gate(apps), apps[0].subsystems) for apps in zip(*sls)]
+                                        for sls in zip(*(n.slices for n in networks))])
+
+
+def _each(reading, count: int) -> list:
+    """A sweep's reading, one per member; one that no swept gate reached is every member's."""
+    return list(reading) if isinstance(reading, (list, np.ndarray)) else [reading] * count
+
+
+def run_bells(cfgs: Sequence[BellConfig]) -> list[BellOutcome]:
+    """Run configurations that share a variant and report each one's record
+    branch measures, foliated along the network, with the environment
+    diagnostics just after Q1's copy onto the environment, the
+    reconstruction and Alice's sharpness.  They run as one sweep: one
+    evolution with a column of coefficients per member.  Each member's own
+    network is built as a single run builds it; its oracle diagnostics and
+    its outcome read that one."""
+    if not cfgs or any(cfg.variant != cfgs[0].variant for cfg in cfgs):
+        raise ValueError("a sweep needs one or more configurations that share their variant")
+    networks = [build_bell_network(cfg) for cfg in cfgs]
+    n = len(networks)
+    network = networks[0] if n == 1 else _swept(networks)
     evo = NetworkEvolution(network)
     timed = [(t, app) for t, sl in enumerate(network.slices) for app in sl]
-    env_diagnostics: dict[str, float] = {}
+    env_diagnostics: list[dict[str, float]] = [{} for _ in cfgs]
     for t, app in timed:
         if app.subsystems == ("Q1", "QE"):
-            q1x_after = evo.run_to(t + 1).descriptors["Q1"][0]
-            env_diagnostics["q1_x_expectation"] = abs(q1x_after.expectation())
-            rho = reduced_density_matrix(network.upto(t + 1), "Q1")
-            env_diagnostics["q1_offdiagonal"] = float(abs(rho[0, 1]))
+            q1x_after = _each(evo.run_to(t + 1).descriptors["Q1"][0].expectation(), n)
+            for diagnostics, q1x, member in zip(env_diagnostics, q1x_after, networks):
+                diagnostics["q1_x_expectation"] = float(abs(q1x))
+                rho = reduced_density_matrix(member.upto(t + 1), "Q1")
+                diagnostics["q1_offdiagonal"] = float(abs(rho[0, 1]))
 
     fol = foliate_along(evo, RECORD)
     final = evo.descriptors
-    residual = max(got.distance(want) for got, want in zip(fol.branch_sum(), final[RECORD]))
+    residuals = zip(*(_each(got.distance(want), n) for got, want in zip(fol.branch_sum(), final[RECORD])))
 
     # a controlled gate leaves its control's clock as it was, so the final clocks split the record
-    (qx, qz), bob = (final[a.subsystems[0]] for _, a in timed if a.subsystems[1:] == (RECORD,))
-    qy = 1j * (qx @ qz)
-    sharpness = {"x": is_sharp(qx)[0], "z": is_sharp(qz)[0], "y": is_sharp(qy)[0]}
+    (qx, qz), (_, bz) = (final[a.subsystems[0]] for _, a in timed if a.subsystems[1:] == (RECORD,))
+    sharpness = zip(*(_each(is_sharp(q), n) for q in (qx, qz, 1j * (qx @ qz))))
+    marginals = zip(_each(qz.expectation(), n), _each(bz.expectation(), n))
+    measures = {k: _each(m, n) for k, m in fol.measures().items()}
+    return [
+        BellOutcome(
+            config=cfg,
+            branch_measures={k: float(measures[k][i]) for k in BRANCH_KEYS},
+            alice_marginal=_marginal(alice),
+            bob_marginal=_marginal(bob),
+            reconstruction_residual=float(max(residual)),
+            alice_sharpness={k: sharp for k, (sharp, _) in zip("xzy", member_sharpness)},
+            network=networks[i],
+            diagnostics=env_diagnostics[i],
+        )
+        for i, (cfg, residual, member_sharpness, (alice, bob))
+        in enumerate(zip(cfgs, residuals, sharpness, marginals))
+    ]
 
-    measures = fol.measures()
-    return BellOutcome(
-        config=cfg,
-        branch_measures={k: measures[k] for k in BRANCH_KEYS},
-        alice_marginal=_marginal(qz),
-        bob_marginal=_marginal(bob[1]),
-        reconstruction_residual=residual,
-        alice_sharpness=sharpness,
-        network=network,
-        diagnostics=env_diagnostics,
-    )
+
+def run_bell(cfg: BellConfig) -> BellOutcome:
+    """The configured experiment's outcome: the one-member sweep."""
+    return run_bells([cfg])[0]
 
 
 def run_wigner_undo(

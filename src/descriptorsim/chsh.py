@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bell import BellConfig, BellOutcome, run_bell
+from .bell import BellConfig, BellOutcome, run_bells
 
 ALICE_ANGLES = (0.0, math.pi / 2)
 BOB_ANGLES = (math.pi / 4, -math.pi / 4)
@@ -69,13 +69,22 @@ def expected_win_rate(strategies: list[DeterministicStrategy]) -> Fraction:
     return Fraction(sum(s.wins() for s in strategies), 4 * len(strategies))
 
 
-def quantum_distribution(x: int, y: int) -> BellOutcome:
+def quantum_distribution(
+    x: int | Sequence[int], y: int | Sequence[int]
+) -> BellOutcome | list[BellOutcome]:
     """The entangled strategy's Bell run for one input pair, at the
     strategy's angles: its ``branch_measures`` are the outcome
-    distribution, and its ``network`` the network they came from."""
-    if x not in (0, 1) or y not in (0, 1):
-        raise ValueError(f"inputs must be bits, got ({x}, {y})")
-    return run_bell(BellConfig(ALICE_ANGLES[x], BOB_ANGLES[y]))
+    distribution, and its ``network`` the network they came from.  Two
+    equal-length bit sequences give each pair's run, from one sweep."""
+    sweep = isinstance(x, Sequence) or isinstance(y, Sequence)
+    try:
+        pairs = list(zip(x, y, strict=True)) if sweep else [(x, y)]
+    except (TypeError, ValueError):  # a bit beside a sequence, or unequal lengths
+        pairs = []
+    if not pairs or any(a not in (0, 1) or b not in (0, 1) for a, b in pairs):
+        raise ValueError(f"inputs must be bits or equal-length bit sequences, got ({x}, {y})")
+    outcomes = run_bells([BellConfig(ALICE_ANGLES[a], BOB_ANGLES[b]) for a, b in pairs])
+    return outcomes if sweep else outcomes[0]
 
 
 def win_rate(distributions: Mapping[tuple[int, int], Mapping[str, float]]) -> float:
@@ -95,12 +104,13 @@ def chsh_win_rate(
     alice_angles: tuple[float, float] = ALICE_ANGLES,
     bob_angles: tuple[float, float] = BOB_ANGLES,
 ) -> float:
-    """Expected win rate of the rotation strategy over uniform inputs;
-    defaults to the optimal angle table."""
-    return win_rate({
-        (x, y): run_bell(BellConfig(alice_angles[x], bob_angles[y])).branch_measures
-        for x, y in INPUT_PAIRS
-    })
+    """Expected win rate of the rotation strategy over uniform inputs, from
+    one sweep of the four input pairs; defaults to the optimal angle table."""
+    for player, angles in (("alice", alice_angles), ("bob", bob_angles)):
+        if len(angles) != 2:
+            raise ValueError(f"{player}_angles {angles!r} needs one angle per input bit, not {len(angles)}")
+    outcomes = run_bells([BellConfig(alice_angles[x], bob_angles[y]) for x, y in INPUT_PAIRS])
+    return win_rate({pair: o.branch_measures for pair, o in zip(INPUT_PAIRS, outcomes)})
 
 
 def referee_demo(seed: int, rounds: int = 1000) -> float:
@@ -109,7 +119,8 @@ def referee_demo(seed: int, rounds: int = 1000) -> float:
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     rng = np.random.default_rng(seed)
-    rows = {(x, y): quantum_distribution(x, y).branch_measures for x, y in INPUT_PAIRS}
+    outcomes = quantum_distribution(*zip(*INPUT_PAIRS))
+    rows = {pair: o.branch_measures for pair, o in zip(INPUT_PAIRS, outcomes)}
     wins = 0
     for _ in range(rounds):
         x, y = INPUT_PAIRS[rng.integers(4)]

@@ -284,7 +284,7 @@ def _section_wigner(name: str, cfg: RunConfig) -> tuple:
 
 
 def _section_chsh(name: str, cfg: RunConfig) -> tuple:
-    outcomes = {(x, y): quantum_distribution(x, y) for x, y in INPUT_PAIRS}
+    outcomes = dict(zip(INPUT_PAIRS, quantum_distribution(*zip(*INPUT_PAIRS))))  # one sweep
     rate = win_rate({pair: o.branch_measures for pair, o in outcomes.items()})
     expected_rate = math.cos(math.pi / 8) ** 2
     best, _ = enumerate_classical()

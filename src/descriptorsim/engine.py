@@ -29,7 +29,9 @@ from .operators import (
     AlgebraError,
     Operator,
     SpaceLayout,
+    _below,
     _merged,
+    _pair_coefficients,
     _pair_rows,
     _phases,
     _product,
@@ -162,17 +164,19 @@ class NetworkEvolution:
         return self.run_to(len(self.network.slices))
 
 
-def is_sharp(o: Operator) -> tuple[bool, float | None]:
+def is_sharp(o: Operator) -> tuple[bool, float | None] | list:
     """Whether the observable has a definite value (null variance) with
-    respect to the reference vector; returns the value when it does."""
+    respect to the reference vector; returns the value when it does.  A
+    sweep gives one such pair per member."""
     if not o.is_hermitian():
         raise AlgebraError("sharpness is defined for hermitian observables")
     mean = o.expectation()
-    if abs(mean.imag) > DEFAULT_TOLERANCE:
+    if not _below(abs(mean.imag), DEFAULT_TOLERANCE):
         raise AlgebraError(f"hermitian expectation has imaginary part {mean.imag}")
     # <o o>: the sum over the term pairs whose shifts cancel
-    phases = _phases(o, o)  # first: it refuses pairs over the budget
-    pairs = (o.coefficients[:, None] * o.coefficients * phases).ravel()
-    second = pairs[~_pair_rows(o, o)[:, :len(o.layout.dims)].any(axis=1)].sum()
+    pairs = _pair_coefficients(o, o, _phases(o, o))  # phases first: they refuse pairs over the budget
+    second = pairs[~_pair_rows(o, o)[:, :len(o.layout.dims)].any(axis=1)].sum(axis=0)
     sharp = abs(second - mean**2) < DEFAULT_TOLERANCE
-    return (True, float(mean.real)) if sharp else (False, None)
+    if isinstance(mean, complex):
+        return (True, float(mean.real)) if sharp else (False, None)
+    return [(True, float(m.real)) if s else (False, None) for s, m in zip(sharp, mean)]

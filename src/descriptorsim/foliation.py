@@ -24,12 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .engine import NetworkEvolution, functional_form
 from .gates import Controlled, GateApplication
 from .operators import (
     DEFAULT_TOLERANCE,
     AlgebraError,
     Operator,
+    _below,
     combination,
     half_sum,
 )
@@ -44,7 +47,7 @@ class Branch:
     key: str  # one bit per split, in foliation order; eigenvalue +1 is 0
     projector: Operator  # the product of the split projectors; I at the root
     conditional: Operator  # the conditioned gates, latest on the left; I if none
-    measure: float
+    measure: float  # or one per member of a sweep
 
 
 @dataclass(frozen=True)
@@ -163,8 +166,10 @@ def _check_interaction(
         raise FoliationError("conditioned gate polynomial is not unitary")
 
 
-def _real_measure(projector: Operator) -> float:
+def _real_measure(projector: Operator) -> float | np.ndarray:
+    """The projector's reference expectation, which must be real; one per
+    member of a sweep."""
     value = projector.expectation()
-    if abs(value.imag) > DEFAULT_TOLERANCE:
+    if not _below(abs(value.imag), DEFAULT_TOLERANCE):
         raise AlgebraError(f"branch measure has imaginary part {value.imag}")
-    return float(value.real)
+    return value.real

@@ -48,18 +48,23 @@ class Hadamard:
 
 @dataclass(frozen=True)
 class RotationY:
-    """Bloch-sphere rotation around the y axis by ``theta`` radians."""
+    """Bloch-sphere rotation around the y axis by ``theta`` radians, or, for
+    a tuple of angles, a sweep: one rotation per member, stacked."""
 
-    theta: float
+    theta: float | tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not isfinite(as_real(self.theta, "Ry angle", NetworkError)):
-            raise NetworkError(f"Ry angle {self.theta} is not finite")
+        # each angle of a sweep; an empty one is refused as the angle ()
+        for angle in self.theta if isinstance(self.theta, tuple) and self.theta else (self.theta,):
+            if not isfinite(as_real(angle, "Ry angle", NetworkError)):
+                raise NetworkError(f"Ry angle {angle} is not finite")
 
     def matrix(self, dims: tuple[int, ...]) -> np.ndarray:
         _require_dims("Ry", dims, (2,))
-        c, s = np.cos(self.theta / 2), np.sin(self.theta / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
+        half = np.divide(self.theta, 2) if isinstance(self.theta, tuple) else self.theta / 2
+        c, s = np.cos(half), np.sin(half)
+        m = np.array([[c, -s], [s, c]], dtype=complex)
+        return m if m.ndim == 2 else m.transpose(2, 0, 1)  # a sweep's members lead
 
 
 @dataclass(frozen=True)

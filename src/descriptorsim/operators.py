@@ -163,13 +163,17 @@ class Operator:
     """sum_t coefficients[t] X^exponents[t, :m] Z^exponents[t, m:] on a
     layout of m subsystems, with distinct exponent rows.
 
+    A sweep's B members share the rows, with a column of coefficients each
+    (0 where a member lacks a term); one column counts for every member.
+    Its readings are per member, as if each ran alone; predicates, for all.
+
     Immutable; arithmetic returns new instances.  Equality is numeric,
     via :meth:`distance` / :meth:`isclose`, never ``==``.
     """
 
     layout: SpaceLayout
     exponents: np.ndarray  # (terms, 2m) int64
-    coefficients: np.ndarray  # (terms,) complex
+    coefficients: np.ndarray  # (terms,) complex, or (terms, B) for a sweep
 
     def __post_init__(self) -> None:
         self.exponents.setflags(write=False)
@@ -183,22 +187,23 @@ class Operator:
     def from_matrix(cls, layout: SpaceLayout, matrix: np.ndarray) -> "Operator":
         """The Weyl terms of a dense matrix.  Per subsystem, M[k + a, k] =
         sum_b c_ab omega^(b k), so shifting each row index by a and taking
-        the forward FFT over k gives c_ab."""
+        the forward FFT over k gives c_ab.  A (B, N, N) stack of matrices
+        gives a sweep of B members, on the union of their terms."""
         matrix = np.asarray(matrix, dtype=complex)
         n = layout.total_dim
-        if matrix.shape != (n, n):
+        if matrix.shape[-2:] != (n, n) or matrix.ndim > 3:
             raise LayoutError(
                 f"operator shape {matrix.shape} does not match layout dim {n}"
             )
         if not np.isfinite(matrix).all():
             raise ValueError("operator matrix has non-finite entries")
         dims, (digits, rows, dfts) = layout.dims, _dense_tables(layout.dims)
-        coeffs = np.take_along_axis(matrix, rows, axis=0)
+        coeffs = matrix[..., rows, np.arange(n)]
         for i, (d, dft) in enumerate(zip(dims, dfts)):  # the forward FFT over digit k_i
             shaped = coeffs.reshape(-1, d, prod(dims[i + 1:]))
-            coeffs = np.einsum("akb,kc->acb", shaped, dft).reshape(n, n)
-        a, b = np.nonzero(coeffs)
-        return _pruned(layout, np.concatenate((digits[:, a], digits[:, b])).T, coeffs[a, b])
+            coeffs = np.einsum("akb,kc->acb", shaped, dft).reshape(matrix.shape)
+        a, b = np.nonzero(coeffs.reshape(-1, n, n).any(axis=0))
+        return _pruned(layout, np.concatenate((digits[:, a], digits[:, b])).T, coeffs[..., a, b].T)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -215,17 +220,19 @@ class Operator:
         out.setflags(write=False)
         return out
 
-    def _same_layout(self, other: "Operator") -> None:
+    def _same_layout(self, other: "Operator") -> bool:
+        """Whether ``other`` is an operator; one on another layout raises."""
+        if not isinstance(other, Operator):
+            return False
         if self.layout != other.layout:
             raise LayoutError("operators live on different layouts")
+        return True
 
     def __matmul__(self, other: "Operator") -> "Operator":
-        self._same_layout(other)
-        return _product(self, other)
+        return _product(self, other) if self._same_layout(other) else NotImplemented
 
     def __add__(self, other: "Operator") -> "Operator":
-        self._same_layout(other)
-        return combination([self, other], [1, 1])
+        return combination([self, other], [1, 1]) if self._same_layout(other) else NotImplemented
 
     def __mul__(self, scalar: complex) -> "Operator":
         if not cmath.isfinite(scalar := complex(scalar)):  # NaN or inf would prune every term
@@ -240,7 +247,7 @@ class Operator:
         w, m = self.layout.weyl, len(self.layout.dims)
         a, b = self.exponents[:, :m], self.exponents[:, m:]
         phase = w.table[(a * b) @ w.weights % len(w.table)]
-        return Operator(self.layout, -self.exponents % w.mods, self.coefficients.conj() * phase)
+        return Operator(self.layout, -self.exponents % w.mods, (self.coefficients.T.conj() * phase).T)
 
     def matpow(self, k: int) -> "Operator":
         """self^k, k >= 0, by squaring."""
@@ -252,22 +259,29 @@ class Operator:
         half = self.matpow(k // 2)
         return half @ half @ self if k % 2 else half @ half
 
-    def expectation(self) -> complex:
+    def expectation(self) -> complex | np.ndarray:
         """<0...0| self |0...0>: the terms with no shift."""
         m = len(self.layout.dims)
-        return complex(self.coefficients[~self.exponents[:, :m].any(axis=1)].sum())
+        shift_free = self.coefficients[~self.exponents[:, :m].any(axis=1)]
+        if shift_free.ndim > 1:  # each member's own terms, summed as if it ran alone
+            return np.array([c[c != 0].sum() for c in shift_free.T])
+        return complex(shift_free.sum())
 
-    def distance(self, other: "Operator") -> float:
+    def distance(self, other: "Operator") -> float | np.ndarray:
         """Frobenius norm of the difference, sqrt(N sum |c|^2)."""
-        self._same_layout(other)
+        if not self._same_layout(other):
+            raise TypeError(f"expected an Operator, got {type(other).__name__}")
         diff = combination([self, other], [1, -1])
+        if diff.coefficients.ndim > 1:  # each member's own terms, as if it ran alone
+            return np.array([np.sqrt(self.layout.total_dim) * np.linalg.norm(c[c != 0])
+                             for c in diff.coefficients.T])
         return float(np.sqrt(self.layout.total_dim) * np.linalg.norm(diff.coefficients))
 
     def isclose(self, other: "Operator", tol: float = DEFAULT_TOLERANCE) -> bool:
-        return self.distance(other) < tol
+        return _below(self.distance(other), tol)
 
     def is_hermitian(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        return self.distance(self.H) < tol
+        return _below(self.distance(self.H), tol)
 
     def is_unitary(self, tol: float = DEFAULT_TOLERANCE) -> bool:
         return _defect(self.H, self) < tol
@@ -276,10 +290,11 @@ class Operator:
         return _defect(self, self) < tol
 
     def is_projector(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        return _product(self, self).distance(self) < tol and self.is_hermitian(tol)
+        return _below(_product(self, self).distance(self), tol) and self.is_hermitian(tol)
 
     def commutes_with(self, other: "Operator", tol: float = DEFAULT_TOLERANCE) -> bool:
-        self._same_layout(other)
+        if not self._same_layout(other):
+            raise TypeError(f"expected an Operator, got {type(other).__name__}")
         return _defect(self, other, commutator=True) < tol
 
 
@@ -308,34 +323,67 @@ def _merged(layout: SpaceLayout, exps: np.ndarray, coeffs: np.ndarray) -> Operat
 
 
 def combination(ops: list[Operator], coeffs: list[complex] | np.ndarray) -> Operator:
-    """sum_k coeffs[k] ops[k] on one layout, merged once."""
-    if len(ops) == 1:  # a single term keeps its term order
+    """sum_k coeffs[k] ops[k] on one layout, merged once.  ``coeffs`` may be
+    (k, B), a value per op and member: a swept polynomial's terms."""
+    if getattr(coeffs, "ndim", 1) > 1:  # the member axis leads in each product, then goes last
+        parts = [(o.coefficients.T * c[:, None]).T for o, c in zip(ops, coeffs)]
+        if len(ops) == 1:  # a single term keeps its term order
+            return _pruned(ops[0].layout, ops[0].exponents, parts[0])
+    elif len(ops) == 1:  # a single term keeps its term order
         return ops[0] if coeffs[0] == 1 else ops[0] * coeffs[0]
-    if not all(map(cmath.isfinite, coeffs)):
+    elif not all(map(cmath.isfinite, coeffs)):
         raise ValueError(f"combination coefficients {coeffs} are not all finite")
-    parts = [(o.exponents, o.coefficients * c) for o, c in zip(ops, coeffs)]
-    return _merged(ops[0].layout, *map(np.concatenate, zip(*parts)))
+    else:
+        parts = [o.coefficients * c for o, c in zip(ops, coeffs)]
+    try:
+        summed = np.concatenate(parts)
+    except ValueError:  # a sweep's parts beside single ones, which count for every member
+        width = max(p.shape[1:] for p in parts)
+        summed = np.concatenate([np.broadcast_to(p.reshape(len(p), -1), (len(p), *width)) for p in parts])
+    return _merged(ops[0].layout, np.concatenate([o.exponents for o in ops]), summed)
 
 
 def _pruned(layout: SpaceLayout, exps: np.ndarray, coeffs: np.ndarray) -> Operator:
-    """Drop the roundoff terms, |c| <= PRUNE * max |c|."""
+    """Drop the roundoff terms, |c| <= PRUNE * max |c|.  A sweep's members
+    prune alone: to an exact 0, the row going when every member drops it."""
     magnitude = np.abs(coeffs)
-    keep = magnitude > PRUNE * magnitude.max(initial=0.0)
+    keep = magnitude > PRUNE * magnitude.max(axis=0, initial=0.0)
     if keep.all():
         return Operator(layout, exps, coeffs)
+    if keep.ndim > 1:
+        coeffs, keep = np.where(keep, coeffs, 0), keep.any(axis=1)
     return Operator(layout, exps[keep], coeffs[keep])
+
+
+def _below(value: float | np.ndarray, tol: float) -> bool:
+    """Whether a reading, or every member's, is below ``tol``."""
+    return value < tol if isinstance(value, float) else bool((value < tol).all())
 
 
 def _phases(a: Operator, b: Operator) -> np.ndarray:
     """omega^(b.c) at [i, j], for term i of ``a``, X^a Z^b, and j of ``b``, X^c Z^d.
-    Every term-pair product makes these first, so one whose int64 rows and
-    complex phases and coefficients would pass the budget is refused unbuilt."""
-    w, m = a.layout.weyl, len(a.layout.dims)
-    pairs = len(a.coefficients) * len(b.coefficients)
-    if pairs * (16 * m + 32) > DESCRIPTOR_BUDGET_BYTES:
-        raise LayoutError(f"{pairs} term pairs need {pairs * (16 * m + 32) / 2**30:.3g} GiB, "
+    Every term-pair product makes these first, so one whose arrays, merge
+    copies and coefficients (per pair and member) would pass the budget is refused unbuilt."""
+    w, m, x, y = a.layout.weyl, len(a.layout.dims), a.coefficients, b.coefficients
+    pairs = len(x) * len(y)
+    # a pair's row and merged row (32m); phase, key, order, sorted key (40); 3 coefficient arrays (48)
+    need = pairs * (32 * m + 88)
+    if x.ndim + y.ndim > 2:  # a sweep: 48 more bytes a pair for each further member
+        need += 48 * (max(x.size * len(y), len(x) * y.size) - pairs)
+    if need > DESCRIPTOR_BUDGET_BYTES:
+        raise LayoutError(f"{pairs} term pairs need {need / 2**30:.3g} GiB, "
                           f"over the {DESCRIPTOR_BUDGET_BYTES / 2**30:g} GiB budget")
     return w.table[(a.exponents[:, m:] * w.weights) @ b.exponents[:, :m].T % len(w.table)]
+
+
+def _pair_coefficients(a: Operator, b: Operator, phases: np.ndarray) -> np.ndarray:
+    """c_i d_j phases[i, j] at row i * len(b) + j, for term i of ``a`` and j
+    of ``b``; a sweep's members broadcast over a single operator's terms."""
+    x, y = a.coefficients, b.coefficients
+    if x.ndim == y.ndim == 1:
+        return (x[:, None] * y * phases).ravel()
+    pairs = np.atleast_2d(x.T)[:, :, None] * np.atleast_2d(y.T)[:, None] * phases
+    return pairs.reshape(len(pairs), -1).T
 
 
 def _pair_rows(a: Operator, b: Operator) -> np.ndarray:
@@ -349,8 +397,7 @@ def _product(a: Operator, b: Operator) -> Operator:
     layout's identity returns the other factor."""
     if a is a.layout.weyl.identity or b is b.layout.weyl.identity:
         return b if a is a.layout.weyl.identity else a
-    phases = _phases(a, b)  # first: it refuses pairs over the budget
-    coeffs = (a.coefficients[:, None] * b.coefficients * phases).ravel()
+    coeffs = _pair_coefficients(a, b, _phases(a, b))  # phases first: they refuse pairs over the budget
     exps = _pair_rows(a, b)
     if min(len(a.coefficients), len(b.coefficients)) == 1:
         return Operator(a.layout, exps, coeffs)  # a monomial factor: rows stay distinct
@@ -362,13 +409,15 @@ def _defect(a: Operator, b: Operator, commutator: bool = False) -> float:
     ab and ba share each term pair's row and differ only in its phase.  A
     commutator with a monomial factor needs none: its rows stay distinct."""
     phase = _phases(a, b) - _phases(b, a).T if commutator else _phases(a, b)
-    coeffs = (a.coefficients[:, None] * b.coefficients * phase).ravel()
+    coeffs = _pair_coefficients(a, b, phase)
     if not commutator or min(len(a.coefficients), len(b.coefficients)) > 1:
         exps = _pair_rows(a, b)
-        if not commutator:  # minus I, the all-zero row
-            exps, coeffs = np.vstack((exps, np.zeros(exps.shape[1], np.int64))), np.append(coeffs, -1)
+        if not commutator:  # minus I, the all-zero row, from every member
+            exps, coeffs = (np.vstack((exps, np.zeros(exps.shape[1], np.int64))),
+                            np.concatenate((coeffs, np.full((1, *coeffs.shape[1:]), -1))))
         coeffs = _merged(a.layout, exps, coeffs).coefficients
-    return float(np.sqrt(a.layout.total_dim) * np.linalg.norm(coeffs))
+    norm = np.linalg.norm(coeffs) if coeffs.ndim == 1 else np.linalg.norm(coeffs, axis=0).max()
+    return float(np.sqrt(a.layout.total_dim) * norm)  # a sweep's worst member
 
 
 def embed_matrix(

@@ -31,6 +31,7 @@ from descriptorsim import (
     quantum_distribution,
     reduced_density_matrix,
     run_bell,
+    run_bells,
     run_wigner_undo,
 )
 from conftest import dense_distance, locality_residual, random_network
@@ -53,18 +54,22 @@ def report(criterion: int, description: str, ok: bool, detail: str = "") -> None
 
 
 def oracle_record_distribution(cfg: BellConfig) -> dict[str, float]:
-    network = build_bell_network(cfg)
+    return record_distribution(build_bell_network(cfg))
+
+
+def record_distribution(network: Network) -> dict[str, float]:
     dist = joint_outcome_distribution(network, ("SC",))
     return {format(value[0], "02b"): p for value, p in dist.items()}
 
 
 @pytest.fixture(scope="module")
 def angle_grid():
-    results = []
-    for theta, phi in GRID:
-        cfg = BellConfig(theta, phi)
-        results.append((theta, phi, run_bell(cfg), oracle_record_distribution(cfg)))
-    return results
+    # one sweep of the 400 configurations; the oracle reads each member's network
+    outcomes = run_bells([BellConfig(theta, phi) for theta, phi in GRID])
+    return [
+        (theta, phi, outcome, record_distribution(outcome.network))
+        for (theta, phi), outcome in zip(GRID, outcomes, strict=True)
+    ]
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ import inspect
 
 import pytest
 
+import descriptorsim
 from descriptorsim import bell, chsh, engine, foliation
 
 TOLERANCE_NAMES = {"tol", "tolerance"}
@@ -37,6 +38,7 @@ def public_callables(module):
     "module, known",
     [
         (bell, "run_bell"),
+        (bell, "run_bells"),
         (chsh, "chsh_win_rate"),
         (engine, "is_sharp"),
         (foliation, "Foliation.refine"),
@@ -57,3 +59,7 @@ def test_no_public_callable_takes_a_tolerance(module, known):
 def test_bell_config_has_no_tolerance_field():
     names = {f.name for f in dataclasses.fields(bell.BellConfig)}
     assert names == {"theta", "phi", "variant"}
+
+
+def test_package_exports_the_sweep_runner():
+    assert descriptorsim.run_bells is bell.run_bells

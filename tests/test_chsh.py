@@ -17,6 +17,7 @@ from descriptorsim import (
     quantum_distribution,
     referee_demo,
     run_bell,
+    run_bells,
     win_predicate,
 )
 from descriptorsim.chsh import INPUT_PAIRS, win_rate
@@ -132,7 +133,8 @@ def test_no_angle_table_beats_tsirelson():
     # angles: every table of two Alice and two Bob angles from it, each
     # distribution checked against the oracle's record
     grid = [k * math.pi / 4 for k in range(-4, 4)]
-    runs = {(a, b): run_bell(BellConfig(a, b)) for a in grid for b in grid}
+    runs = dict(zip(itertools.product(grid, grid),
+                    run_bells([BellConfig(a, b) for a, b in itertools.product(grid, grid)])))
     for out in runs.values():
         for (value,), p in joint_outcome_distribution(out.network, ("SC",)).items():
             assert abs(out.branch_measures[format(value, "02b")] - p) < 1e-12

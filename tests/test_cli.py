@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descriptorsim import bell, chsh, cli
-from descriptorsim.bell import run_bell
 from descriptorsim.cli import (
     ENV_TOLERANCE,
     EXPERIMENTS,
@@ -456,17 +455,26 @@ class TestExecuteAndReport:
                 RunConfig(experiment="bell", **bad)
 
     def test_chsh_runs_each_input_pair_once(self, monkeypatch):
-        calls = []
+        # one sweep of the four input pairs, which evolves one network
+        sweeps, evolutions = [], []
+        run_bells, evolution = bell.run_bells, bell.NetworkEvolution
 
-        def counting_run_bell(cfg):
-            calls.append(cfg)
-            return run_bell(cfg)
+        def counting_run_bells(cfgs):
+            sweeps.append([(cfg.theta, cfg.phi) for cfg in cfgs])
+            return run_bells(cfgs)
+
+        def counting_evolution(network):
+            evolutions.append(network)
+            return evolution(network)
 
         for module in (bell, chsh, cli):
-            monkeypatch.setattr(module, "run_bell", counting_run_bell)
+            if hasattr(module, "run_bells"):
+                monkeypatch.setattr(module, "run_bells", counting_run_bells)
+        monkeypatch.setattr(bell, "NetworkEvolution", counting_evolution)
         code, _ = execute_and_report(RunConfig("chsh"))
         assert code == 0
-        assert len(calls) == 4
+        assert sweeps == [[(chsh.ALICE_ANGLES[x], chsh.BOB_ANGLES[y]) for x, y in chsh.INPUT_PAIRS]]
+        assert len(evolutions) == 1
 
     @pytest.mark.parametrize(
         "cfg, networks",
@@ -475,7 +483,7 @@ class TestExecuteAndReport:
             (RunConfig("decoherence"), 1),
             (RunConfig("chain", chain_alice=1, chain_bob=1), 1),
             (RunConfig("wigner"), 1),
-            (RunConfig("chsh"), 4),  # one per input pair
+            (RunConfig("chsh"), 4),  # one per input pair; the sweep is made from them
         ],
         ids=["bell", "decoherence", "chain", "wigner", "chsh"],
     )

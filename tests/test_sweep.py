@@ -1,0 +1,261 @@
+"""A sweep of Bell configurations: one evolution with a member axis.
+
+``run_bells`` evolves configurations that share a variant as one network
+whose RotationY gates hold every member's angle, and each of its outcomes
+must be ``==``, bit for bit, to the single run of that configuration: the
+members prune, sum and read as if each ran alone.
+"""
+
+import itertools
+import math
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from descriptorsim import (
+    ALICE_ANGLES,
+    BOB_ANGLES,
+    BellConfig,
+    Chained,
+    Decohered,
+    LayoutError,
+    NetworkError,
+    Operator,
+    Plain,
+    RotationY,
+    SpaceLayout,
+    WignerUndo,
+    chsh_win_rate,
+    quantum_distribution,
+    run_bell,
+    run_bells,
+)
+from descriptorsim import cli, oracle
+from descriptorsim.chsh import INPUT_PAIRS
+from descriptorsim.gates import gate_matrix
+from descriptorsim.operators import _phases
+
+SPECIAL = (0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi)
+ANGLE = st.one_of(st.sampled_from(SPECIAL), st.floats(-4, 4, allow_nan=False))
+ANGLE_PAIRS = st.lists(st.tuples(ANGLE, ANGLE), min_size=2, max_size=6)
+VARIANTS = {
+    "plain": st.just(Plain()),
+    "chained": st.builds(Chained, st.integers(0, 2), st.integers(0, 2)),
+    "decohered": st.builds(Decohered, st.one_of(st.none(), st.integers(0, 2**31))),
+    "wigner": st.builds(WignerUndo, st.one_of(st.none(), ANGLE)),
+}
+
+
+def fields(outcome):
+    """Everything an outcome reports, network aside."""
+    return (outcome.config, outcome.branch_measures, outcome.alice_marginal,
+            outcome.bob_marginal, outcome.reconstruction_residual,
+            outcome.alice_sharpness, outcome.diagnostics)
+
+
+def swept_angles(network):
+    """The RotationY gates of ``network`` that hold a sweep of angles."""
+    return [app for sl in network.slices for app in sl
+            if isinstance(app.gate, RotationY) and isinstance(app.gate.theta, tuple)]
+
+
+@pytest.mark.parametrize("family", sorted(VARIANTS))
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_every_member_equals_its_single_run(family, data):
+    variant = data.draw(VARIANTS[family])
+    angles = data.draw(ANGLE_PAIRS)
+    cfgs = [BellConfig(theta, phi, variant) for theta, phi in angles]
+    for member, cfg in zip(run_bells(cfgs), cfgs, strict=True):
+        single = run_bell(cfg)
+        assert fields(member) == fields(single)
+        # the oracle diagnostics and the CLI's oracle column read the member's own network
+        assert swept_angles(member.network) == []
+        # each Decohered build makes its own CustomGate, which compares by identity
+        assert family == "decohered" or member.network.slices == single.network.slices
+
+
+@pytest.mark.parametrize("variant", [Plain(), Chained(2, 2), Decohered(3), WignerUndo(0.7)],
+                         ids=repr)
+def test_members_on_the_special_angles_equal_single_runs(variant):
+    cfgs = [BellConfig(theta, phi, variant) for theta in SPECIAL for phi in SPECIAL[:3]]
+    for member, cfg in zip(run_bells(cfgs), cfgs, strict=True):
+        assert fields(member) == fields(run_bell(cfg))
+
+
+def test_chsh_table_sweep_equals_single_runs():
+    cfgs = [BellConfig(ALICE_ANGLES[x], BOB_ANGLES[y]) for x, y in INPUT_PAIRS]
+    assert [fields(o) for o in run_bells(cfgs)] == [fields(run_bell(cfg)) for cfg in cfgs]
+
+
+def test_the_oracle_never_sees_a_swept_network(monkeypatch):
+    seen = []
+    simulate = oracle.simulate_statevector
+
+    def recording(network):
+        seen.append(swept_angles(network))
+        return simulate(network)
+
+    monkeypatch.setattr(oracle, "simulate_statevector", recording)
+    run_bells([BellConfig(t, 0.3, Decohered(4)) for t in (0.0, 1.0, 2.0)])
+    cli.execute_and_report(cli.RunConfig("chsh"))
+    assert len(seen) == 7 and not any(seen)
+
+
+def test_changing_one_member_changes_only_its_outcome():
+    angles = [(0.1, 0.7), (-1.2, 2.0), (math.pi, 0.0), (0.4, -0.4)]
+    before = run_bells([BellConfig(t, p, Chained(1, 1)) for t, p in angles])
+    angles[2] = (0.9, 0.0)
+    after = run_bells([BellConfig(t, p, Chained(1, 1)) for t, p in angles])
+    for i, (b, a) in enumerate(zip(before, after)):
+        if i == 2:
+            assert a.branch_measures != b.branch_measures
+        else:
+            assert fields(a) == fields(b)
+
+
+def test_members_sharing_every_angle_equal_their_single_run():
+    cfg = BellConfig(0.3, 1.1, Decohered(5))
+    twice = run_bells([cfg, cfg])
+    assert fields(twice[0]) == fields(twice[1]) == fields(run_bell(cfg))
+
+
+def test_sweep_needs_one_shared_variant():
+    with pytest.raises(ValueError, match="one or more configurations"):
+        run_bells([])
+    with pytest.raises(ValueError, match="share their variant"):
+        run_bells([BellConfig(0.0, 0.5), BellConfig(0.0, 0.5, Chained(1, 1))])
+    with pytest.raises(ValueError, match="share their variant"):
+        run_bells([BellConfig(0.0, 0.5, Decohered(1)), BellConfig(0.0, 0.5, Decohered(2))])
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_chsh_report_is_the_report_of_four_single_runs(monkeypatch, fmt):
+    swept = cli.execute_and_report(cli.RunConfig("chsh", format=fmt))
+
+    def four_single_runs(xs, ys):
+        return [run_bell(BellConfig(ALICE_ANGLES[x], BOB_ANGLES[y])) for x, y in zip(xs, ys)]
+
+    monkeypatch.setattr(cli, "quantum_distribution", four_single_runs)
+    assert cli.execute_and_report(cli.RunConfig("chsh", format=fmt)) == swept
+
+
+def test_quantum_distribution_takes_equal_length_bit_sequences():
+    xs, ys = zip(*INPUT_PAIRS)
+    swept = quantum_distribution(xs, ys)
+    assert [o.branch_measures for o in swept] == [
+        quantum_distribution(x, y).branch_measures for x, y in INPUT_PAIRS
+    ]
+    for bad in (((0, 1), (0,)), ((0, 1), 1), ((), ()), ((0, 2), (1, 1))):
+        with pytest.raises(ValueError, match="bits"):
+            quantum_distribution(*bad)
+
+
+def test_win_rate_refuses_a_short_angle_table():
+    with pytest.raises(ValueError, match=r"alice_angles \(0,\)"):
+        chsh_win_rate((0,), (0, 0))
+    with pytest.raises(ValueError, match=r"bob_angles"):
+        chsh_win_rate((0, 1), (0.5, 0.5, 0.5))
+
+
+def test_bell_config_stores_its_angles_as_floats():
+    cfg = BellConfig(Fraction(1, 3), np.float64(0.2))
+    assert (type(cfg.theta), type(cfg.phi)) == (float, float)
+    assert cfg == BellConfig(1 / 3, 0.2)
+    assert fields(run_bell(cfg)) == fields(run_bell(BellConfig(1 / 3, 0.2)))
+
+
+class TestRotationSweep:
+    def test_stacked_matrix_holds_each_members_rotation(self):
+        stack = gate_matrix(RotationY((0.0, 1.3, -2.0)), (2,))
+        assert stack.shape == (3, 2, 2)
+        for member, theta in zip(stack, (0.0, 1.3, -2.0)):
+            assert np.array_equal(member, RotationY(theta).matrix((2,)))
+
+    @pytest.mark.parametrize("angles", [(), (0.1, math.inf), (0.1, "0.2")], ids=repr)
+    def test_every_member_angle_is_checked(self, angles):
+        with pytest.raises(NetworkError, match="Ry"):
+            RotationY(angles)
+
+    def test_members_of_a_stacked_operator_are_each_matrixs_own_terms(self):
+        layout = SpaceLayout((("q", 2),))
+        angles = (0.0, math.pi / 2, math.pi, 0.4)
+        sweep = Operator.from_matrix(layout, gate_matrix(RotationY(angles), (2,)))
+        assert sweep.coefficients.shape == (2, 4)
+        for column, theta in zip(sweep.coefficients.T, angles):
+            single = Operator.from_matrix(layout, RotationY(theta).matrix((2,)))
+            kept = column != 0
+            assert np.array_equal(sweep.exponents[kept], single.exponents)
+            assert np.array_equal(column[kept], single.coefficients)
+
+
+class TestMemberAxis:
+    """An operator with a column of coefficients per member: readings per
+    member, predicates over all of them."""
+
+    LAYOUT = SpaceLayout((("q", 2),))
+    X = np.array([[1, 0]])  # the row of X
+
+    def sweep(self, *columns):
+        return Operator(self.LAYOUT, self.X, np.array([columns], dtype=complex))
+
+    def test_readings_are_per_member(self):
+        op = self.sweep(1, -2, 0.5j)
+        assert np.array_equal(op.expectation(), [0, 0, 0])
+        assert np.array_equal((op @ op).expectation(), [1, 4, -0.25])
+        assert op.distance(self.sweep(1, 1, 1)) == pytest.approx([0, 3 * 2**0.5, abs(0.5j - 1) * 2**0.5])
+
+    def test_a_predicate_holds_only_when_every_member_meets_it(self):
+        assert self.sweep(1, -1).is_hermitian() and self.sweep(1, -1).is_unitary()
+        assert not self.sweep(1, 1j).is_hermitian()
+        assert self.sweep(1, 1j).is_unitary()
+        assert not self.sweep(1, 2).is_unitary()
+        assert not self.sweep(1, 2).is_involution()
+        assert self.sweep(1, -1).is_involution()
+
+    def test_members_broadcast_over_a_single_operator(self):
+        single = Operator(self.LAYOUT, np.array([[0, 1]]), np.ones(1, complex))  # Z
+        summed = self.sweep(1, 2) + single
+        assert summed.coefficients.shape == (2, 2)
+        assert np.array_equal((summed @ summed).expectation(), [2, 5])
+
+
+class TestCleanFailures:
+    """Library inputs of the wrong kind raise TypeError, not AttributeError."""
+
+    OP = Operator.identity(SpaceLayout((("q", 2),)))
+
+    def test_adding_a_number(self):
+        with pytest.raises(TypeError):
+            self.OP + 1
+
+    def test_multiplying_by_a_number_as_a_matrix(self):
+        with pytest.raises(TypeError):
+            self.OP @ 1
+
+    def test_distance_to_a_number(self):
+        with pytest.raises(TypeError, match="Operator"):
+            self.OP.distance(3)
+
+
+def test_sweep_product_over_budget_only_by_its_members_is_refused_before_allocating():
+    # all 1024 Weyl rows of five qubits pair into 2^20 term pairs: one
+    # member's product passes the budget, 32 members' do not
+    layout = SpaceLayout(tuple((f"q{i}", 2) for i in range(5)))
+    rows = np.array(list(itertools.product((0, 1), repeat=10)), dtype=np.int64)
+    rng = np.random.default_rng(0)
+    wide = Operator(layout, rows, rng.standard_normal((1024, 32)) + 0j)
+    narrow = Operator(layout, rows, wide.coefficients[:, 0].copy())
+    assert _phases(narrow, narrow).shape == (1024, 1024)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LayoutError, match="term pairs need"):
+            wide @ wide
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

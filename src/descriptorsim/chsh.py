@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bell import BellConfig, BellOutcome, run_bells
+from .operators import as_index
 
 ALICE_ANGLES = (0.0, math.pi / 2)
 BOB_ANGLES = (math.pi / 4, -math.pi / 4)
@@ -116,9 +117,9 @@ def chsh_win_rate(
 def referee_demo(seed: int, rounds: int = 1000) -> float:
     """Monte-Carlo referee sampling inputs and outcomes; demonstration
     only, the analytic rate is :func:`chsh_win_rate`."""
-    if rounds < 1:
+    if as_index(rounds, "referee_demo rounds", ValueError) < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_index(seed, "referee_demo seed", ValueError))
     outcomes = quantum_distribution(*zip(*INPUT_PAIRS))
     rows = {pair: o.branch_measures for pair, o in zip(INPUT_PAIRS, outcomes)}
     wins = 0

@@ -32,8 +32,7 @@ from .operators import (
     _below,
     _merged,
     _pair_coefficients,
-    _pair_rows,
-    _phases,
+    _plan,
     _product,
     as_index,
     combination,
@@ -174,8 +173,8 @@ def is_sharp(o: Operator) -> tuple[bool, float | None] | list:
     if not _below(abs(mean.imag), DEFAULT_TOLERANCE):
         raise AlgebraError(f"hermitian expectation has imaginary part {mean.imag}")
     # <o o>: the sum over the term pairs whose shifts cancel
-    pairs = _pair_coefficients(o, o, _phases(o, o))  # phases first: they refuse pairs over the budget
-    second = pairs[~_pair_rows(o, o)[:, :len(o.layout.dims)].any(axis=1)].sum(axis=0)
+    plan = _plan(o, o)  # first: it refuses pairs over the budget
+    second = _pair_coefficients(o, o, plan.phases)[plan.shift_free].sum(axis=0)
     sharp = abs(second - mean**2) < DEFAULT_TOLERANCE
     if isinstance(mean, complex):
         return (True, float(mean.real)) if sharp else (False, None)

@@ -5,6 +5,8 @@ An operator is a short sum of monomials c X^a Z^b, the tensor product
 Each monomial is a phased permutation, so products, adjoints, norms and
 expectations are sums over terms; dense N x N matrices appear only at the
 edges: the state-vector oracle and the tests.
+A product's plan (its phases, pair rows and merge) is built once per
+layout dims and operand rows, so each call computes only coefficients.
 Expectation values are taken against the fixed reference vector |0...0>,
 which never evolves; all dynamics act on operators.
 """
@@ -30,6 +32,9 @@ DESCRIPTOR_BUDGET_BYTES = 2**30
 # a merged term with |c| <= PRUNE * max |c| is roundoff and is dropped;
 # without this the residue of cancelled terms fills every operator in
 PRUNE = 1e-14
+# a cached plan has at most PLAN_PAIRS term pairs (16 x 16, the workloads' largest); PLAN_ENTRIES are kept
+PLAN_PAIRS = 256
+PLAN_ENTRIES = 1024
 
 
 class LayoutError(ValueError):
@@ -140,13 +145,9 @@ class SpaceLayout:
 
     @functools.cached_property
     def weyl(self) -> WeylConstants:
-        mods = np.array(self.dims * 2, dtype=np.int64)
-        keys = np.cumprod(np.r_[1, mods[:0:-1]])[::-1].copy()
-        order = lcm(*self.dims)
-        weights = order // mods[: len(self.dims)]
-        unit = Operator(self, np.zeros((1, len(mods)), np.int64), np.ones(1, complex))
+        unit = Operator(self, np.zeros((1, 2 * len(self.dims)), np.int64), np.ones(1, complex))
         unit.__dict__["H"] = unit
-        return WeylConstants(mods, keys, weights, _roots_of_unity(order), unit)
+        return WeylConstants(*_weyl_tables(self.dims), unit)
 
     def index_of(self, sid: str) -> int:
         for i, (name, _) in enumerate(self.subsystems):
@@ -176,6 +177,8 @@ class Operator:
     coefficients: np.ndarray  # (terms,) complex, or (terms, B) for a sweep
 
     def __post_init__(self) -> None:
+        if self.exponents.dtype != np.int64:  # products key rows by their int64 bytes
+            object.__setattr__(self, "exponents", self.exponents.astype(np.int64))
         self.exponents.setflags(write=False)
         self.coefficients.setflags(write=False)
 
@@ -309,17 +312,64 @@ def _dense_tables(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, tuple]
     return digits, shifted, tuple(np.fft.fft(np.eye(d), norm="forward") for d in dims)
 
 
+@functools.lru_cache(maxsize=16)
+def _weyl_tables(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The read-only mods, keys, weights and table of :class:`WeylConstants`, per dims."""
+    mods, order = np.array(dims * 2, dtype=np.int64), lcm(*dims)
+    keys = np.cumprod(np.r_[1, mods[:0:-1]])[::-1].copy()
+    return *_read_only(mods, keys, order // mods[: len(dims)]), _roots_of_unity(order)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:  # the caches share them
+        a.setflags(write=False)
+    return arrays
+
+
+class _Plan(NamedTuple):
+    """What the dims and rows alone fix: a merge's stable sort by key (none keeps the rows, unpruned),
+    each key's first place in it and the merged rows; a product's pair phases and shift-free pairs."""
+
+    order: np.ndarray | None
+    first: np.ndarray | None
+    rows: np.ndarray
+    phases: np.ndarray | None = None
+    shift_free: np.ndarray | None = None
+
+    def apply(self, layout: SpaceLayout, coeffs: np.ndarray) -> Operator:
+        if self.order is None:
+            return Operator(layout, self.rows, coeffs)
+        distinct = len(self.first) == len(self.order)
+        summed = coeffs[self.order] if distinct else np.add.reduceat(coeffs[self.order], self.first)
+        return _pruned(layout, self.rows, summed)
+
+
+@functools.lru_cache(maxsize=PLAN_ENTRIES)
+def _cached_plan(dims: tuple[int, ...], x: bytes | memoryview, y: bytes | None, unit: bool = False) -> _Plan:
+    """The merge of int64 rows ``x`` or, given ``y``, the product of terms with rows ``x`` by terms
+    with rows ``y``, minus I (the zero row, last) with ``unit``; a monomial factor's rows stay distinct."""
+    (mods, keys, weights, table), m = _weyl_tables(dims), len(dims)
+    a, b = (np.frombuffer(r, np.int64).reshape(-1, 2 * m) for r in (x, x if y is None else y))
+    if y is None:
+        order = np.argsort(k := a @ keys, kind="stable")
+        s = k[order]
+        first = np.concatenate((s[:1] >= 0, s[1:] != s[:-1])).nonzero()[0]  # keys are >= 0
+        return _Plan(*_read_only(order, first, a[order[first]]))
+    rows = ((a[:, None] + b[None]) % mods).reshape(-1, 2 * m)
+    if unit or min(len(a), len(b)) != 1:  # with unit, I's zero row last
+        merged = np.vstack((rows, np.zeros((1, 2 * m), np.int64))) if unit else rows
+        plan = _cached_plan.__wrapped__(dims, merged.data, None)
+    else:
+        plan = _Plan(None, None, *_read_only(rows))
+    phases = table[(a[:, m:] * weights) @ b[:, :m].T % len(table)]
+    free = (-a[:, :m] % mods[:m] @ keys[:m])[:, None] == b[:, :m] % mods[:m] @ keys[:m]  # c undoes a's shift
+    return _Plan(*plan[:3], *_read_only(phases, free.ravel()))
+
+
 def _merged(layout: SpaceLayout, exps: np.ndarray, coeffs: np.ndarray) -> Operator:
-    """Sum the terms that share an exponent row, keyed by its int64 key,
-    then prune."""
-    if len(exps) < 2:  # nothing to sum
-        return _pruned(layout, exps, coeffs)
-    keys = exps @ layout.weyl.keys
-    order = np.argsort(keys, kind="stable")
-    s = keys[order]
-    first = np.concatenate((s[:1] >= 0, s[1:] != s[:-1])).nonzero()[0]  # keys are >= 0
-    summed = coeffs[order] if len(first) == len(s) else np.add.reduceat(coeffs[order], first)
-    return _pruned(layout, exps[order[first]], summed)
+    """Sum the terms that share an exponent row, then prune."""
+    build = _cached_plan if len(exps) <= PLAN_PAIRS else _cached_plan.__wrapped__
+    return build(layout.dims, exps.tobytes(), None).apply(layout, coeffs)
 
 
 def combination(ops: list[Operator], coeffs: list[complex] | np.ndarray) -> Operator:
@@ -360,11 +410,11 @@ def _below(value: float | np.ndarray, tol: float) -> bool:
     return value < tol if isinstance(value, float) else bool((value < tol).all())
 
 
-def _phases(a: Operator, b: Operator) -> np.ndarray:
-    """omega^(b.c) at [i, j], for term i of ``a``, X^a Z^b, and j of ``b``, X^c Z^d.
-    Every term-pair product makes these first, so one whose arrays, merge
-    copies and coefficients (per pair and member) would pass the budget is refused unbuilt."""
-    w, m, x, y = a.layout.weyl, len(a.layout.dims), a.coefficients, b.coefficients
+def _plan(a: Operator, b: Operator, unit: bool = False) -> _Plan:
+    """The plan of ``a @ b`` (minus I with ``unit``), which every term-pair product takes first: over the
+    byte budget, counting the members a cached plan does not know, it is refused unbuilt.  Of the plans
+    of at most PLAN_PAIRS pairs (a merge's: rows), the PLAN_ENTRIES last used are kept; others are dropped."""
+    m, x, y = len(a.layout.dims), a.coefficients, b.coefficients
     pairs = len(x) * len(y)
     # a pair's row and merged row (32m); phase, key, order, sorted key (40); 3 coefficient arrays (48)
     need = pairs * (32 * m + 88)
@@ -373,7 +423,13 @@ def _phases(a: Operator, b: Operator) -> np.ndarray:
     if need > DESCRIPTOR_BUDGET_BYTES:
         raise LayoutError(f"{pairs} term pairs need {need / 2**30:.3g} GiB, "
                           f"over the {DESCRIPTOR_BUDGET_BYTES / 2**30:g} GiB budget")
-    return w.table[(a.exponents[:, m:] * w.weights) @ b.exponents[:, :m].T % len(w.table)]
+    build = _cached_plan if pairs <= PLAN_PAIRS else _cached_plan.__wrapped__
+    return build(a.layout.dims, a.exponents.tobytes(), b.exponents.tobytes(), unit)
+
+
+def _phases(a: Operator, b: Operator) -> np.ndarray:
+    """omega^(b.c) at [i, j], for term i of ``a``, X^a Z^b, and j of ``b``, X^c Z^d."""
+    return _plan(a, b).phases
 
 
 def _pair_coefficients(a: Operator, b: Operator, phases: np.ndarray) -> np.ndarray:
@@ -386,36 +442,23 @@ def _pair_coefficients(a: Operator, b: Operator, phases: np.ndarray) -> np.ndarr
     return pairs.reshape(len(pairs), -1).T
 
 
-def _pair_rows(a: Operator, b: Operator) -> np.ndarray:
-    """The row a + c of term pair (i, j)'s product, at i * len(b) + j."""
-    w, m = a.layout.weyl, len(a.layout.dims)
-    return ((a.exponents[:, None] + b.exponents[None]) % w.mods).reshape(-1, 2 * m)
-
-
 def _product(a: Operator, b: Operator) -> Operator:
     """(X^a Z^b)(X^c Z^d) = omega^(b.c) X^(a+c) Z^(b+d), term by term; the
     layout's identity returns the other factor."""
     if a is a.layout.weyl.identity or b is b.layout.weyl.identity:
         return b if a is a.layout.weyl.identity else a
-    coeffs = _pair_coefficients(a, b, _phases(a, b))  # phases first: they refuse pairs over the budget
-    exps = _pair_rows(a, b)
-    if min(len(a.coefficients), len(b.coefficients)) == 1:
-        return Operator(a.layout, exps, coeffs)  # a monomial factor: rows stay distinct
-    return _merged(a.layout, exps, coeffs)
+    plan = _plan(a, b)  # first: it refuses pairs over the budget
+    return plan.apply(a.layout, _pair_coefficients(a, b, plan.phases))
 
 
 def _defect(a: Operator, b: Operator, commutator: bool = False) -> float:
     """||ab - I||_F, or with ``commutator`` ||ab - ba||_F, from one merge:
-    ab and ba share each term pair's row and differ only in its phase.  A
-    commutator with a monomial factor needs none: its rows stay distinct."""
-    phase = _phases(a, b) - _phases(b, a).T if commutator else _phases(a, b)
-    coeffs = _pair_coefficients(a, b, phase)
-    if not commutator or min(len(a.coefficients), len(b.coefficients)) > 1:
-        exps = _pair_rows(a, b)
-        if not commutator:  # minus I, the all-zero row, from every member
-            exps, coeffs = (np.vstack((exps, np.zeros(exps.shape[1], np.int64))),
-                            np.concatenate((coeffs, np.full((1, *coeffs.shape[1:]), -1))))
-        coeffs = _merged(a.layout, exps, coeffs).coefficients
+    ab and ba share each term pair's row and differ only in its phase."""
+    plan = _plan(a, b, unit=not commutator)
+    coeffs = _pair_coefficients(a, b, plan.phases - _phases(b, a).T if commutator else plan.phases)
+    if not commutator:  # minus I, the all-zero row, from every member
+        coeffs = np.concatenate((coeffs, np.full((1, *coeffs.shape[1:]), -1)))
+    coeffs = plan.apply(a.layout, coeffs).coefficients
     norm = np.linalg.norm(coeffs) if coeffs.ndim == 1 else np.linalg.norm(coeffs, axis=0).max()
     return float(np.sqrt(a.layout.total_dim) * norm)  # a sweep's worst member
 
@@ -449,7 +492,7 @@ def half_sum(q: Operator, sign: int) -> Operator:
     return combination([Operator.identity(q.layout), q], [0.5, 0.5 * sign])
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16, typed=True)  # 2.0 and True must not reach 2's and 1's entries
 def qudit_shift_clock(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The read-only generators of every d-level subsystem: shift
     (|j> -> |j+1 mod d>) and clock (diag of omega^j, omega = exp(2 pi i/d)).
@@ -457,7 +500,7 @@ def qudit_shift_clock(dim: int) -> tuple[np.ndarray, np.ndarray]:
     Their monomials shift^a clock^b form an operator basis.  The clock's
     diagonal is :func:`_roots_of_unity`, so d = 2 gives (sigma_x, sigma_z).
     """
-    if dim < 2:
+    if as_index(dim, "shift/clock dim", ValueError) < 2:
         raise ValueError(f"shift/clock need dim >= 2, got {dim}")
     shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
     clock = np.diag(_roots_of_unity(dim))

@@ -121,6 +121,14 @@ class TestWinRate:
         assert a == b
         assert 0.78 < a < 0.92
 
+    def test_referee_demo_refuses_a_float_count_of_rounds_by_name(self):
+        with pytest.raises(ValueError, match="referee_demo rounds 2.5 is not an integer"):
+            referee_demo(1, 2.5)
+
+    def test_referee_demo_refuses_a_float_seed_by_name(self):
+        with pytest.raises(ValueError, match="referee_demo seed 1.5 is not an integer"):
+            referee_demo(1.5)
+
     @pytest.mark.parametrize("rounds", [0, -5])
     def test_referee_demo_needs_a_round(self, rounds):
         # a rate needs a round: 0 would divide by zero, -5 would read -0.0

@@ -208,6 +208,15 @@ class TestShiftClock:
             e[j] = 1
             assert np.allclose(shift @ e, np.eye(4)[:, (j + 1) % 4])
 
+    def test_a_float_dim_is_refused_by_name(self):
+        qudit_shift_clock(2)  # a cached entry for 2 does not serve 2.0
+        with pytest.raises(ValueError, match="shift/clock dim 2.0 is not an integer"):
+            qudit_shift_clock(2.0)
+
+    def test_a_bool_dim_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="shift/clock dim True is not an integer"):
+            qudit_shift_clock(True)
+
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_monomials_span_operator_space(self, dim):
         shift, clock = qudit_shift_clock(dim)

@@ -16,6 +16,7 @@ decoherence diagnostics, never for the measures themselves.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -170,6 +171,8 @@ class NonIsomorphismReport:
 
 
 RECORD = "SC"
+# one layout object per shape: a run's angle-free operators are then the ones its last run kept
+_layout = functools.lru_cache(maxsize=32)(SpaceLayout)
 
 
 def closed_form_measures(theta: float, phi: float) -> dict[str, float]:
@@ -196,7 +199,7 @@ def build_bell_network(cfg: BellConfig) -> Network:
                    [(Controlled(Plus(1)), ("QB", RECORD))]],
     }
     cfg.variant.edit(cfg, qubits, stages)
-    layout = SpaceLayout(tuple((sid, 2) for sid in qubits) + ((RECORD, 4),))
+    layout = _layout(tuple((sid, 2) for sid in qubits) + ((RECORD, 4),))
     slices = (sl for stage in stages.values() for sl in stage)
     return Network(layout, [[GateApplication(g, sids) for g, sids in sl] for sl in slices])
 
@@ -303,7 +306,7 @@ def nonisomorphism_witness() -> NonIsomorphismReport:
     state at |00>, yet the controlled-not rewrites Q1's x component into a
     two-qubit product; descriptors carry strictly more structure than the state.
     """
-    layout = SpaceLayout((("Q1", 2), ("Q2", 2)))
+    layout = _layout((("Q1", 2), ("Q2", 2)))
     empty = Network(layout, ())
     cnot = Network(layout, [[GateApplication(Controlled(Plus(1)), ("Q1", "Q2"))]])
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .operators import (
     _merged,
     _pair_coefficients,
     _plan,
-    _product,
+    _term_product,
     as_index,
     combination,
 )
@@ -45,20 +45,15 @@ class EngineError(ValueError):
 
 def initial_descriptors(layout: SpaceLayout) -> dict[str, tuple[Operator, ...]]:
     """Every subsystem's time-0 descriptor: its shift/clock pair, embedded:
-    the single terms X_i and Z_i."""
-    m = len(layout.dims)
-    unit = np.eye(2 * m, dtype=np.int64)
-    return {
-        sid: tuple(Operator(layout, unit[[j]], np.ones(1, complex)) for j in (i, m + i))
-        for i, sid in enumerate(layout.ids)
-    }
+    the single terms X_i and Z_i, built once per layout, in a new dict."""
+    return dict(zip(layout.ids, layout.weyl.generators))
 
 
 @functools.lru_cache(maxsize=16)
 def _generators(dims: tuple[int, ...]) -> tuple[SpaceLayout, tuple[Operator, ...]]:
     """The acted subsystems' own layout and time-0 generators, per dims."""
     layout = SpaceLayout(tuple((str(i), d) for i, d in enumerate(dims)))
-    return layout, tuple(itertools.chain(*initial_descriptors(layout).values()))
+    return layout, tuple(itertools.chain(*layout.weyl.generators))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -78,25 +73,23 @@ def _weyl_terms(gate: Gate, dims: tuple[int, ...], images: bool = False) -> tupl
     :func:`_factors`; no factors is the identity."""
     layout, generators = _generators(dims)
     g = Operator.from_matrix(layout, gate_matrix(gate, dims))
-    # _product, not @: the traced product count must not depend on this cache
-    polynomials = [_product(_product(g.H, x), g) for x in generators] if images else [g]
+    # not @: the traced product count must not depend on this cache, nor is the kept one needed
+    product = _term_product.__wrapped__
+    polynomials = [product(product(g.H, x), g) for x in generators] if images else [g]
     return tuple((p, tuple(map(_factors, map(tuple, p.exponents.tolist())))) for p in polynomials)
 
 
 def _evaluate(app: GateApplication, descriptors: Mapping, images: bool,
-              fresh: bool = False) -> list[Operator]:
+              fresh: bool = False) -> Sequence[Operator]:
     """The gate's expansion, or its generators' images, evaluated on the
     acted subsystems' descriptors, each monomial and each prefix of one
     multiplied out once.  On ``fresh`` subsystems, which no gate has acted
-    on, the descriptors are the generators: each polynomial's own terms move
-    to the acted columns, merged once, as the products (all phases 1) make them."""
+    on, the descriptors are the generators: the images are :func:`_placed`."""
     args = [descriptors[sid] for sid in app.subsystems]
     layout = args[0][0].layout
-    polynomials = _weyl_terms(app.gate, tuple(layout.dim_of(sid) for sid in app.subsystems), images)
     if fresh:
-        m, acted = len(layout.dims), [layout.index_of(sid) for sid in app.subsystems]
-        place = np.eye(2 * m, dtype=np.int64)[acted + [m + i for i in acted]]  # column moves
-        return [_merged(layout, p.exponents @ place, p.coefficients) for p, _ in polynomials]
+        return _placed(app.gate, layout, tuple(map(layout.index_of, app.subsystems)))
+    polynomials = _weyl_terms(app.gate, tuple(layout.dim_of(sid) for sid in app.subsystems), images)
     monomials = {}
     # a loop, not a recursive closure: the closure's reference cycle would
     # hold every monomial until the cyclic garbage collector happened to run
@@ -108,6 +101,17 @@ def _evaluate(app: GateApplication, descriptors: Mapping, images: bool,
                 head = factors[:k - 1]
                 monomials[factors[:k]] = monomials[head] @ args[i][j] if head else args[i][j]
     return [combination([monomials[f] for f in fs], p.coefficients) for p, fs in polynomials]
+
+
+@functools.lru_cache(maxsize=256)
+def _placed(gate: Gate, layout: SpaceLayout, acted: tuple[int, ...]) -> tuple[Operator, ...]:
+    """The gate's generator images on fresh subsystems at positions ``acted``
+    of ``layout``, kept: each polynomial's own terms move to the acted
+    columns, merged once, as the products (all phases 1) make them."""
+    m = len(layout.dims)
+    place = np.eye(2 * m, dtype=np.int64)[[*acted, *(m + i for i in acted)]]  # column moves
+    polynomials = _weyl_terms(gate, tuple(layout.dims[i] for i in acted), True)
+    return tuple(_merged(layout, p.exponents @ place, p.coefficients) for p, _ in polynomials)
 
 
 def functional_form(
@@ -128,7 +132,8 @@ class NetworkEvolution:
 
     def __init__(self, network: Network):
         self.network = network
-        self.descriptors = self._initial = initial_descriptors(network.layout)
+        self._initial = initial_descriptors(network.layout)
+        self.descriptors = dict(self._initial)
         self.time = 0
 
     def advance(self) -> tuple[GateApplication, ...]:

@@ -6,7 +6,9 @@ Each monomial is a phased permutation, so products, adjoints, norms and
 expectations are sums over terms; dense N x N matrices appear only at the
 edges: the state-vector oracle and the tests.
 A product's plan (its phases, pair rows and merge) is built once per
-layout dims and operand rows, so each call computes only coefficients.
+layout dims and operand rows, so each call computes only coefficients;
+within that bound, a product or check of two single-member operators is
+kept by operand identity, which holds because operators are immutable.
 Expectation values are taken against the fixed reference vector |0...0>,
 which never evolves; all dynamics act on operators.
 """
@@ -98,6 +100,7 @@ class WeylConstants(NamedTuple):
     weights: np.ndarray  # omega_i^k = table[weights_i * k mod len(table)]
     table: np.ndarray  # omega^k for k < lcm(dims), exactly 1 at k = 0
     identity: "Operator"  # the one identity, which products skip; its own adjoint
+    generators: tuple  # each subsystem's time-0 (X_i, Z_i), which every evolution shares
 
 
 @dataclass(frozen=True)
@@ -145,9 +148,12 @@ class SpaceLayout:
 
     @functools.cached_property
     def weyl(self) -> WeylConstants:
-        unit = Operator(self, np.zeros((1, 2 * len(self.dims)), np.int64), np.ones(1, complex))
+        m, one = len(self.dims), np.ones(1, complex)
+        unit = Operator(self, np.zeros((1, 2 * m), np.int64), one)
         unit.__dict__["H"] = unit
-        return WeylConstants(*_weyl_tables(self.dims), unit)
+        rows = np.eye(2 * m, dtype=np.int64)
+        pairs = tuple(tuple(Operator(self, rows[[j]], one) for j in (i, m + i)) for i in range(m))
+        return WeylConstants(*_weyl_tables(self.dims), unit, pairs)
 
     def index_of(self, sid: str) -> int:
         for i, (name, _) in enumerate(self.subsystems):
@@ -179,8 +185,13 @@ class Operator:
     def __post_init__(self) -> None:
         if self.exponents.dtype != np.int64:  # products key rows by their int64 bytes
             object.__setattr__(self, "exponents", self.exponents.astype(np.int64))
-        self.exponents.setflags(write=False)
-        self.coefficients.setflags(write=False)
+        for name in ("exponents", "coefficients"):  # kept products need operands that cannot change
+            array = base = getattr(self, name)
+            while (base := base.base) is not None:  # a view is copied if an array above it can write
+                if not isinstance(base, np.ndarray) or base.flags.writeable:
+                    object.__setattr__(self, name, array := array.copy())
+                    break
+            array.setflags(write=False)
 
     @classmethod
     def identity(cls, layout: SpaceLayout) -> "Operator":
@@ -250,7 +261,8 @@ class Operator:
         w, m = self.layout.weyl, len(self.layout.dims)
         a, b = self.exponents[:, :m], self.exponents[:, m:]
         phase = w.table[(a * b) @ w.weights % len(w.table)]
-        return Operator(self.layout, -self.exponents % w.mods, (self.coefficients.T.conj() * phase).T)
+        coeffs = _read_only(self.coefficients.T.conj() * phase)[0]  # so its .T is not copied
+        return Operator(self.layout, -self.exponents % w.mods, coeffs.T)
 
     def matpow(self, k: int) -> "Operator":
         """self^k, k >= 0, by squaring."""
@@ -355,7 +367,7 @@ def _cached_plan(dims: tuple[int, ...], x: bytes | memoryview, y: bytes | None, 
         s = k[order]
         first = np.concatenate((s[:1] >= 0, s[1:] != s[:-1])).nonzero()[0]  # keys are >= 0
         return _Plan(*_read_only(order, first, a[order[first]]))
-    rows = ((a[:, None] + b[None]) % mods).reshape(-1, 2 * m)
+    rows = (a[:, None] + b[None]).reshape(-1, 2 * m) % mods
     if unit or min(len(a), len(b)) != 1:  # with unit, I's zero row last
         merged = np.vstack((rows, np.zeros((1, 2 * m), np.int64))) if unit else rows
         plan = _cached_plan.__wrapped__(dims, merged.data, None)
@@ -436,21 +448,40 @@ def _pair_coefficients(a: Operator, b: Operator, phases: np.ndarray) -> np.ndarr
     """c_i d_j phases[i, j] at row i * len(b) + j, for term i of ``a`` and j
     of ``b``; a sweep's members broadcast over a single operator's terms."""
     x, y = a.coefficients, b.coefficients
-    if x.ndim == y.ndim == 1:
-        return (x[:, None] * y * phases).ravel()
+    if x.ndim == y.ndim == 1:  # read-only, so that an operator on a view of it takes no copy
+        return _read_only(x[:, None] * y * phases)[0].ravel()
     pairs = np.atleast_2d(x.T)[:, :, None] * np.atleast_2d(y.T)[:, None] * phases
-    return pairs.reshape(len(pairs), -1).T
+    return _read_only(pairs)[0].reshape(len(pairs), -1).T
+
+
+def _kept(compute):
+    """``compute(a, b, **options)``, kept per operand pair by identity (operators are immutable, and the
+    cache holds its keys, so no id is reused) for single-member operands whose plan is kept, the
+    PLAN_ENTRIES last used; the rest are computed each time, as by ``__wrapped__``."""
+    kept = functools.lru_cache(maxsize=PLAN_ENTRIES)(compute)
+
+    def call(a: Operator, b: Operator, **kwargs):
+        x, y = a.coefficients, b.coefficients
+        return (kept if x.ndim == y.ndim == 1 and len(x) * len(y) <= PLAN_PAIRS else compute)(a, b, **kwargs)
+    call.cache_info, call.cache_clear = kept.cache_info, kept.cache_clear
+    return functools.update_wrapper(call, compute)
 
 
 def _product(a: Operator, b: Operator) -> Operator:
     """(X^a Z^b)(X^c Z^d) = omega^(b.c) X^(a+c) Z^(b+d), term by term; the
-    layout's identity returns the other factor."""
+    layout's identity returns the other factor, before any lookup."""
     if a is a.layout.weyl.identity or b is b.layout.weyl.identity:
         return b if a is a.layout.weyl.identity else a
+    return _term_product(a, b)
+
+
+@_kept
+def _term_product(a: Operator, b: Operator) -> Operator:
     plan = _plan(a, b)  # first: it refuses pairs over the budget
     return plan.apply(a.layout, _pair_coefficients(a, b, plan.phases))
 
 
+@_kept
 def _defect(a: Operator, b: Operator, commutator: bool = False) -> float:
     """||ab - I||_F, or with ``commutator`` ||ab - ba||_F, from one merge:
     ab and ba share each term pair's row and differ only in its phase."""

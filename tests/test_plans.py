@@ -36,6 +36,7 @@ from descriptorsim.operators import (
     _defect,
     _plan,
     _product,
+    _term_product,
     combination,
     haar_random_unitary,
 )
@@ -84,11 +85,19 @@ def test_a_cached_plan_is_the_computation_it_replaces(sweep, network, data):
     first = readings(a, b)
     empty_every_cache()
     cold = readings(a, b)
-    hits = _cached_plan.cache_info().hits
+    hits, kept = _cached_plan.cache_info().hits, [f.cache_info() for f in (_term_product, _defect)]
     warm = readings(a, b)
+    # a kept product or check is only ever a single member's, on at most PLAN_PAIRS term pairs
+    now = [f.cache_info() for f in (_term_product, _defect)]
+    if sweep:
+        assert [info.currsize for info in now] == [0, 0]
+    elif len(a.coefficients) ** 2 <= PLAN_PAIRS:  # _defect(a, a) at least is kept
+        assert now[1].hits > kept[1].hits
+    # equal operands that are other objects find nothing kept, but the plans cached
+    computed = readings(*(Operator(o.layout, o.exponents, o.coefficients) for o in (a, b)))
     assert _cached_plan.cache_info().hits > hits
-    for f, c, w in zip(first, cold, warm, strict=True):
-        assert same(c, w) and same(f, c)
+    for f, c, w, x in zip(first, cold, warm, computed, strict=True):
+        assert same(c, w) and same(f, c) and same(w, x)
 
 
 def test_plans_are_kept_per_dims():
@@ -133,8 +142,9 @@ def test_a_sweep_over_the_budget_by_its_members_alone_is_refused_with_its_plan_c
     rows = np.array(list(itertools.product((0, 1), repeat=4)))
     narrow = Operator(layout, rows, np.ones(16, complex))
     narrow @ narrow
+    # a second product is kept whole and never reaches _plan: look the plan up itself
     hits = _cached_plan.cache_info().hits
-    narrow @ narrow
+    _plan(narrow, narrow)
     assert _cached_plan.cache_info().hits == hits + 1
     wide = Operator(layout, rows, np.ones((16, 2**17), complex))
     tracemalloc.start()

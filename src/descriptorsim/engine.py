@@ -18,7 +18,7 @@ arithmetic with it, and conjugate the untouched descriptors anyway.
 from __future__ import annotations
 
 import functools
-import itertools
+from math import prod
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,14 +26,17 @@ import numpy as np
 from .gates import Gate, GateApplication, Network, gate_matrix
 from .operators import (
     DEFAULT_TOLERANCE,
+    DESCRIPTOR_BUDGET_BYTES,
     AlgebraError,
+    LayoutError,
     Operator,
     SpaceLayout,
     _below,
     _merged,
     _pair_coefficients,
     _plan,
-    _term_product,
+    _read_only,
+    _roots_of_unity,
     as_index,
     combination,
 )
@@ -49,34 +52,51 @@ def initial_descriptors(layout: SpaceLayout) -> dict[str, tuple[Operator, ...]]:
     return dict(zip(layout.ids, layout.weyl.generators))
 
 
+@functools.lru_cache(maxsize=256)
+def _factors(polynomial: Operator) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per term of a kept polynomial, its factors ``(position, component)``: shift a then clock b times."""
+    m = polynomial.exponents.shape[1] // 2
+    return tuple(tuple((i, j) for i in range(m) for j in (0, 1) for _ in range(row[i + j * m]))
+                 for row in polynomial.exponents.tolist())
+
+
 @functools.lru_cache(maxsize=16)
-def _generators(dims: tuple[int, ...]) -> tuple[SpaceLayout, tuple[Operator, ...]]:
-    """The acted subsystems' own layout and time-0 generators, per dims."""
+def _moves(dims: tuple[int, ...]) -> tuple[SpaceLayout, np.ndarray, np.ndarray]:
+    """The acted subsystems' own layout and, per generator g, shift then clock
+    per position, the rows of U that g U takes and their exact phases (N, 1):
+    on digit i, row k_i + 1 takes row k_i, or row k_i gains omega^k_i."""
+    n, digits, rows, phases = prod(dims), np.indices(dims).reshape(len(dims), -1), [], []
+    for i, d in enumerate(dims):  # digit i less 1, wrapped: the row that row k_i + 1 takes
+        rows += [np.ravel_multi_index(digits - np.eye(len(dims), 1, -i, int), dims, mode="wrap"), np.arange(n)]
+        phases += [np.ones(n), _roots_of_unity(d)[digits[i]]]
     layout = SpaceLayout(tuple((str(i), d) for i, d in enumerate(dims)))
-    return layout, tuple(itertools.chain(*layout.weyl.generators))
-
-
-@functools.lru_cache(maxsize=4096)
-def _factors(row: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """A Weyl row's factors ``(position, component)``, shift a then clock b times per position."""
-    m = len(row) // 2
-    return tuple((i, j) for i in range(m) for j in (0, 1) for _ in range(row[i + j * m]))
+    return layout, *_read_only(np.array(rows), np.array(phases)[..., None])
 
 
 @functools.lru_cache(maxsize=256)
-def _weyl_terms(gate: Gate, dims: tuple[int, ...], images: bool = False) -> tuple:
-    """The gate's nonzero expansion G = sum c X^a Z^b over the acted
-    subsystems' shift/clock pairs, as a one-element tuple, or with
-    ``images`` the images G^dag g G of those generators, shift then clock,
-    position by position.  Each polynomial is ``(terms, factors)``: its
-    Weyl terms on the acted subsystems' own layout, and per term its
-    :func:`_factors`; no factors is the identity."""
-    layout, generators = _generators(dims)
-    g = Operator.from_matrix(layout, gate_matrix(gate, dims))
-    # not @: the traced product count must not depend on this cache, nor is the kept one needed
-    product = _term_product.__wrapped__
-    polynomials = [product(product(g.H, x), g) for x in generators] if images else [g]
-    return tuple((p, tuple(map(_factors, map(tuple, p.exponents.tolist())))) for p in polynomials)
+def _weyl_terms(gate: Gate, dims: tuple[int, ...], images: bool = False) -> tuple[Operator, ...]:
+    """The gate's nonzero expansion G = sum c X^a Z^b over the acted subsystems'
+    shift/clock pairs, as a one-element tuple, or with ``images`` the images
+    G^dag g G of those generators, in :func:`_moves`' order, on their own layout:
+    each the dense U^dag (g U), expanded with as many others as the budget holds."""
+    (layout, rows, phases), u = _moves(dims), gate_matrix(gate, dims)
+    if not images:
+        return (Operator.from_matrix(layout, u),)
+    n, members = len(u.T), u.reshape(-1, len(u.T), len(u.T))
+    need = 8 * 16 * members.size  # per generator and member: g U, U^dag g U and six working copies
+    if need > DESCRIPTOR_BUDGET_BYTES:
+        raise LayoutError(f"a generator's images need {need / 2**30:.3g} GiB, over the byte budget")
+    chunk, adjoint, out = DESCRIPTOR_BUDGET_BYTES // need, members.conj().swapaxes(1, 2)[:, None], []
+    for k in range(0, len(rows), chunk):
+        moved = members[:, rows[k:k + chunk]] * phases[k:k + chunk]
+        # to 8 rows each product is rounded alone, as terms are: BLAS's fused multiply-add moves cos^2 - sin^2
+        products = np.einsum("...ij,...jk->...ik", adjoint, moved) if n <= 8 else adjoint @ moved
+        terms = Operator.from_matrix(layout, products.reshape(-1, n, n))
+        coeffs = terms.coefficients.reshape(len(terms.exponents), len(members), -1)
+        for j, keep in enumerate(coeffs.any(axis=1).T):  # each image's own terms, a column per member
+            exponents = terms.exponents if keep.all() else terms.exponents[keep]
+            out.append(Operator(layout, exponents, coeffs[keep, :, j] if u.ndim == 3 else coeffs[keep, 0, j]))
+    return tuple(out)
 
 
 def _evaluate(app: GateApplication, descriptors: Mapping, images: bool,
@@ -93,25 +113,24 @@ def _evaluate(app: GateApplication, descriptors: Mapping, images: bool,
     monomials = {}
     # a loop, not a recursive closure: the closure's reference cycle would
     # hold every monomial until the cyclic garbage collector happened to run
-    for factors in (f for _, fs in polynomials for f in fs):
+    for factors in (f for p in polynomials for f in _factors(p)):
         if not factors:
             monomials[()] = Operator.identity(layout)
         for k, (i, j) in enumerate(factors, 1):
             if factors[:k] not in monomials:
                 head = factors[:k - 1]
                 monomials[factors[:k]] = monomials[head] @ args[i][j] if head else args[i][j]
-    return [combination([monomials[f] for f in fs], p.coefficients) for p, fs in polynomials]
+    return [combination([monomials[f] for f in _factors(p)], p.coefficients) for p in polynomials]
 
 
 @functools.lru_cache(maxsize=256)
 def _placed(gate: Gate, layout: SpaceLayout, acted: tuple[int, ...]) -> tuple[Operator, ...]:
     """The gate's generator images on fresh subsystems at positions ``acted``
-    of ``layout``, kept: each polynomial's own terms move to the acted
-    columns, merged once, as the products (all phases 1) make them."""
+    of ``layout``, kept: each image's own terms move to the acted columns."""
     m = len(layout.dims)
     place = np.eye(2 * m, dtype=np.int64)[[*acted, *(m + i for i in acted)]]  # column moves
     polynomials = _weyl_terms(gate, tuple(layout.dims[i] for i in acted), True)
-    return tuple(_merged(layout, p.exponents @ place, p.coefficients) for p, _ in polynomials)
+    return tuple(_merged(layout, p.exponents @ place, p.coefficients) for p in polynomials)
 
 
 def functional_form(

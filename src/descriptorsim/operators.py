@@ -129,9 +129,10 @@ class SpaceLayout:
                 raise LayoutError(f"subsystem id {sid!r} is not a string")
             if dim < 2:
                 raise LayoutError(f"subsystem {sid!r} has dim {dim} < 2")
-        ids = [sid for sid, _ in subsystems]
-        if len(set(ids)) != len(ids):
-            raise LayoutError(f"duplicate subsystem ids in {ids}")
+        positions = {sid: i for i, (sid, _) in enumerate(subsystems)}
+        if len(positions) != len(subsystems):
+            raise LayoutError(f"duplicate subsystem ids in {[sid for sid, _ in subsystems]}")
+        object.__setattr__(self, "_positions", positions)  # index_of's lookup, outside eq and hash
         check_descriptor_budget(Counter(self.dims))
 
     @property
@@ -156,13 +157,12 @@ class SpaceLayout:
         return WeylConstants(*_weyl_tables(self.dims), unit, pairs)
 
     def index_of(self, sid: str) -> int:
-        for i, (name, _) in enumerate(self.subsystems):
-            if name == sid:
-                return i
+        if isinstance(sid, str) and sid in self._positions:  # a list, say, is not looked up
+            return self._positions[sid]
         raise LayoutError(f"unknown subsystem id {sid!r}")
 
     def dim_of(self, sid: str) -> int:
-        return self.subsystems[self.index_of(sid)][1]
+        return self.dims[self.index_of(sid)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +238,7 @@ class Operator:
         """Whether ``other`` is an operator; one on another layout raises."""
         if not isinstance(other, Operator):
             return False
-        if self.layout != other.layout:
+        if self.layout is not other.layout and self.layout != other.layout:
             raise LayoutError("operators live on different layouts")
         return True
 
@@ -367,10 +367,10 @@ def _cached_plan(dims: tuple[int, ...], x: bytes | memoryview, y: bytes | None, 
         s = k[order]
         first = np.concatenate((s[:1] >= 0, s[1:] != s[:-1])).nonzero()[0]  # keys are >= 0
         return _Plan(*_read_only(order, first, a[order[first]]))
-    rows = (a[:, None] + b[None]).reshape(-1, 2 * m) % mods
-    if unit or min(len(a), len(b)) != 1:  # with unit, I's zero row last
-        merged = np.vstack((rows, np.zeros((1, 2 * m), np.int64))) if unit else rows
-        plan = _cached_plan.__wrapped__(dims, merged.data, None)
+    rows = np.zeros((len(a) * len(b) + unit, 2 * m), np.int64)  # with unit, I's zero row last
+    np.remainder(a[:, None] + b[None], mods, out=rows[:len(a) * len(b)].reshape(len(a), len(b), 2 * m))
+    if unit or min(len(a), len(b)) != 1:  # the merge's input is its one copy of the pair rows
+        plan = _cached_plan.__wrapped__(dims, rows.data, None)
     else:
         plan = _Plan(None, None, *_read_only(rows))
     phases = table[(a[:, m:] * weights) @ b[:, :m].T % len(table)]
@@ -428,10 +428,11 @@ def _plan(a: Operator, b: Operator, unit: bool = False) -> _Plan:
     of at most PLAN_PAIRS pairs (a merge's: rows), the PLAN_ENTRIES last used are kept; others are dropped."""
     m, x, y = len(a.layout.dims), a.coefficients, b.coefficients
     pairs = len(x) * len(y)
-    # a pair's row and merged row (32m); phase, key, order, sorted key (40); 3 coefficient arrays (48)
-    need = pairs * (32 * m + 88)
-    if x.ndim + y.ndim > 2:  # a sweep: 48 more bytes a pair for each further member
-        need += 48 * (max(x.size * len(y), len(x) * y.size) - pairs)
+    # pair and merged rows (32m); merge key, order, sort buffer, firsts (48); phase (24); 4 coefficients (64);
+    # and per operand term, the exponent sums and remainders that phases and shifts take (16m)
+    need = pairs * (32 * m + 136) + 16 * m * (len(x) + len(y))
+    if x.ndim + y.ndim > 2:  # a sweep: 64 more bytes a pair for each further member
+        need += 64 * (max(x.size * len(y), len(x) * y.size) - pairs)
     if need > DESCRIPTOR_BUDGET_BYTES:
         raise LayoutError(f"{pairs} term pairs need {need / 2**30:.3g} GiB, "
                           f"over the {DESCRIPTOR_BUDGET_BYTES / 2**30:g} GiB budget")

@@ -1,16 +1,22 @@
-"""The dense reference engine: Schrödinger-picture cumulative conjugation.
+"""The reference routes the tests cross-check production against.
 
-It cross-checks the library's step law on dense N x N components and
-shares no term arithmetic with it.  It lives beside the tests, so no
-module of the package can call it: the production path is the step law
+The dense reference engine, Schrödinger-picture cumulative conjugation,
+cross-checks the library's step law on dense N x N components and shares
+no term arithmetic with it.  The term route to a gate's generator images,
+G^dag g G as two term-pair products of its expansion, cross-checks the
+dense conjugation that builds them.  Both live beside the tests, so no
+module of the package can call them: the production path is the step law
 alone.
 """
 
+import itertools
 from math import prod
 
 import numpy as np
 
-from descriptorsim import Network, qudit_shift_clock
+from descriptorsim import Network, Operator, SpaceLayout, qudit_shift_clock
+from descriptorsim.gates import gate_matrix
+from descriptorsim.operators import _term_product
 
 
 def cumulative_unitary(network: Network) -> np.ndarray:
@@ -37,3 +43,13 @@ def cumulative_evolve(network: Network) -> dict[str, tuple[np.ndarray, ...]]:
             for g in qudit_shift_clock(dim)
         )
     return out
+
+
+def term_images(gate, dims: tuple[int, ...]) -> list[Operator]:
+    """The images G^dag g G of the acted generators, shift then clock per
+    position, on the acted subsystems' own layout, as term-pair products of
+    the gate's expansion: two per image, none of them kept."""
+    layout = SpaceLayout(tuple((str(i), d) for i, d in enumerate(dims)))
+    g = Operator.from_matrix(layout, gate_matrix(gate, dims))
+    product = _term_product.__wrapped__
+    return [product(product(g.H, x), g) for x in itertools.chain(*layout.weyl.generators)]

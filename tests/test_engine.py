@@ -202,7 +202,7 @@ class TestFunctionalForm:
         # expansions, with no roundoff-scale terms beside them
         app = GateApplication(gate, sids)
         dims = tuple(MIXED.dim_of(sid) for sid in sids)
-        ((expansion, _),) = engine._weyl_terms(gate, dims)
+        (expansion,) = engine._weyl_terms(gate, dims)
         coeffs = expansion.coefficients.tolist()
         assert len(coeffs) == terms
         assert {abs(c) for c in coeffs} <= {
@@ -229,8 +229,8 @@ class TestFunctionalForm:
         # fixes z_c and x_t; each is one monomial of modulus 1, with no
         # roundoff-scale terms beside it
         got = engine._weyl_terms(gate, dims, images=True)
-        assert [list(factors) for _, factors in got] == [[f] for f in images]
-        assert all(abs(abs(c) - 1) < 1e-15 for terms, _ in got for c in terms.coefficients)
+        assert [list(engine._factors(terms)) for terms in got] == [[f] for f in images]
+        assert all(abs(abs(c) - 1) < 1e-15 for terms in got for c in terms.coefficients)
 
 
 class TestStepEvolve:
@@ -289,21 +289,35 @@ class TestStepEvolve:
                 assert np.array_equal(a.coefficients, b.coefficients)
 
     @pytest.mark.parametrize("qubits", [6, 7])
-    def test_gate_whose_image_products_cannot_fit_is_refused_before_allocating(self, qubits):
-        # a Haar gate on n qubits has 4^n Weyl terms; its images' second
-        # product pairs them all: 4^14 rows of 14 int64 columns at n = 7
-        # (28 GiB), 2 GiB of pair arrays at n = 6
+    def test_six_and_seven_qubit_gates_evolve_to_their_dense_images(self, qubits):
+        # a Haar gate on n qubits has 4^n Weyl terms, whose term-pair images
+        # once needed 2 GiB of pair arrays at n = 6; dense conjugation needs
+        # a few dense 2^n x 2^n copies per generator
         layout = SpaceLayout(tuple((f"q{i}", 2) for i in range(qubits)))
-        gate = CustomGate(haar_random_unitary(2**qubits, np.random.default_rng(qubits)))
+        u = haar_random_unitary(2**qubits, np.random.default_rng(qubits))
+        evo = NetworkEvolution(Network(layout, [[GateApplication(CustomGate(u), layout.ids)]]))
+        evo.advance()
+        initial = initial_descriptors(layout)
+        for sid in ("q0", f"q{qubits - 1}"):  # the outermost and innermost digit of U's rows
+            for image, g in zip(evo.descriptors[sid], initial[sid], strict=True):
+                assert np.abs(image.matrix - u.conj().T @ g.matrix @ u).max() < 1e-12
+
+    def test_gate_whose_image_products_cannot_fit_is_refused_before_allocating(self, monkeypatch):
+        # one generator's images of a 9-qubit gate take 8 dense 512 x 512
+        # complex copies (32 MiB): under a 16 MiB budget the gate is refused
+        # before the first copy (4 MiB) is made
+        layout = SpaceLayout(tuple((f"q{i}", 2) for i in range(9)))
+        gate = CustomGate(haar_random_unitary(512, np.random.default_rng(9)))
         evo = NetworkEvolution(Network(layout, [[GateApplication(gate, layout.ids)]]))
+        monkeypatch.setattr(engine, "DESCRIPTOR_BUDGET_BYTES", 16 * 2**20)
         tracemalloc.start()
         try:
-            with pytest.raises(LayoutError, match="term pairs need"):
+            with pytest.raises(LayoutError, match="a generator's images need 0.0312 GiB"):
                 evo.advance()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 512 * 512 * 16
 
     def test_non_acted_descriptor_passed_through_unchanged(self):
         descs = initial_descriptors(TWO_QUBITS)

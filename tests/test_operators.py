@@ -65,6 +65,21 @@ class TestSpaceLayout:
         with pytest.raises(LayoutError):
             TWO_QUBITS.index_of("nope")
 
+    @pytest.mark.parametrize("sid", ["nope", ["Q1"], {"Q1": 2}, 3, None, ("Q1",)], ids=repr)
+    def test_unknown_or_unhashable_id_raises_layout_error(self, sid):
+        # ids are looked up in a per-layout dict, which cannot hash a list:
+        # such an id is unknown too, in both lookups
+        for lookup in (TWO_QUBITS.index_of, TWO_QUBITS.dim_of):
+            with pytest.raises(LayoutError, match="unknown subsystem id"):
+                lookup(sid)
+
+    def test_operators_on_equal_layouts_that_are_other_objects_combine(self):
+        first, second = (SpaceLayout((("A", 2), ("B", 3))) for _ in range(2))
+        assert first is not second and first.index_of("B") == second.index_of("B") == 1
+        x, z = first.weyl.generators[0][0], second.weyl.generators[1][1]
+        assert np.allclose((x @ z).matrix, x.matrix @ z.matrix)
+        assert np.allclose((x + z).matrix, x.matrix + z.matrix)
+
     def test_clock_table_is_one_at_zero_and_the_inverse_fft_elsewhere(self):
         # the FFT leaves 1 - 1.1e-16 at k = 0 for some d (49, 89, 98, ...)
         for d in range(2, 301):

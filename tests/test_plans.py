@@ -8,6 +8,7 @@ and never lets a sweep past the byte budget that its members alone break.
 """
 
 import itertools
+import re
 import sys
 import tracemalloc
 
@@ -17,7 +18,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from descriptorsim import (
-    CustomGate,
     GateApplication,
     LayoutError,
     Network,
@@ -27,8 +27,8 @@ from descriptorsim import (
     SpaceLayout,
     is_sharp,
 )
+from descriptorsim import operators
 from descriptorsim.cli import EXPERIMENTS, FORMATS, RunConfig, execute_and_report
-from descriptorsim.engine import _weyl_terms
 from descriptorsim.operators import (
     PLAN_ENTRIES,
     PLAN_PAIRS,
@@ -158,16 +158,46 @@ def test_a_sweep_over_the_budget_by_its_members_alone_is_refused_with_its_plan_c
 
 
 def test_a_product_over_the_bound_builds_its_plan_and_drops_it():
-    # a Haar gate on five qubits has 1024 Weyl terms: its images pair
-    # 1024 x 1 and then 1024 x 1024 terms, every product over PLAN_PAIRS
-    assert PLAN_PAIRS < 1024 and _cached_plan.cache_info().maxsize == PLAN_ENTRIES
-    gate = CustomGate(haar_random_unitary(32, np.random.default_rng(5)))
+    # a Haar gate on three qubits has 64 Weyl terms: its product with its
+    # adjoint pairs 64 x 64 terms, over PLAN_PAIRS
+    assert PLAN_PAIRS < 64 * 64 and _cached_plan.cache_info().maxsize == PLAN_ENTRIES
+    rng = np.random.default_rng(5)
+    layout = SpaceLayout((("p", 2), ("q", 2), ("r", 2)))
+    wide = Operator.from_matrix(layout, haar_random_unitary(8, rng))
+    assert len(wide.coefficients) == 64
     _cached_plan.cache_clear()
-    assert len(_weyl_terms(gate, (2,) * 5, images=True)) == 10
+    assert np.allclose((wide @ wide.H).matrix, np.eye(8), atol=1e-12)
     assert _cached_plan.cache_info().currsize == 0
     # a two-qubit one's 16 x 16 pairs are within the bound, and kept
-    _weyl_terms(CustomGate(haar_random_unitary(4, np.random.default_rng(5))), (2, 2), images=True)
+    narrow = Operator.from_matrix(SpaceLayout((("p", 2), ("q", 2))), haar_random_unitary(4, rng))
+    narrow @ narrow.H
     assert _cached_plan.cache_info().currsize > 0
+
+
+@pytest.mark.parametrize("check", ["product", "unit defect"])
+def test_an_admitted_product_peaks_under_its_byte_estimate(monkeypatch, check):
+    # 200 x 200 term pairs on ten qubits, over PLAN_PAIRS, so nothing is
+    # cached: the estimate is read off the refusal under a small budget, and
+    # under a budget just over it the product, or its merge with I's zero
+    # row, must be admitted and stay within it
+    layout = SpaceLayout(tuple((f"q{i}", 2) for i in range(10)))
+    rng = np.random.default_rng(11)
+    rows = np.unique(rng.integers(0, 2, (210, 20)), axis=0)[:200]
+    a = Operator(layout, rows, rng.standard_normal(200) + 1j * rng.standard_normal(200))
+    b = a.H
+    run = (lambda: a @ b) if check == "product" else (lambda: _defect(b, a))
+    monkeypatch.setattr(operators, "DESCRIPTOR_BUDGET_BYTES", 2**20)
+    with pytest.raises(LayoutError, match="40000 term pairs need") as refused:
+        run()
+    estimate = float(re.search(r"need ([0-9.e+-]+) GiB", str(refused.value)).group(1)) * 2**30
+    monkeypatch.setattr(operators, "DESCRIPTOR_BUDGET_BYTES", int(estimate * 1.01))
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < estimate
 
 
 def test_every_report_is_the_same_cold_and_warm():

@@ -2,8 +2,9 @@
 
 ``reference.cumulative_unitary`` and ``reference.cumulative_evolve`` are
 the independent reference path for cross-checks, and they live beside the
-tests with ``conftest``'s locality and algebra checkers: no module of the
-package imports ``reference`` or ``conftest``, or names any of these four
+tests with ``conftest``'s locality and algebra checkers and the term route
+to a gate's images, ``reference.term_images``: no module of the package
+imports ``reference`` or ``conftest``, or names any of these five
 functions, not even in a re-export.  So each Bell variant, the
 non-isomorphism witness and every CLI experiment get their results from
 the step law alone.  So does a network with a custom gate after time 0,
@@ -58,7 +59,7 @@ from reference import cumulative_evolve
 
 PACKAGE = Path(sys.modules["descriptorsim"].__file__).parent
 TEST_SIDE = ("reference", "conftest")
-REFERENCE = ("cumulative_unitary", "cumulative_evolve", "locality_residual", "algebra_residual")
+REFERENCE = ("cumulative_unitary", "cumulative_evolve", "locality_residual", "algebra_residual", "term_images")
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ experiments (or all of them), compares every reported measure against its
 closed form and against the independent state-vector oracle, and emits a
 table, CSV, or JSON report.  Exit code 0 means every residual stayed
 below the tolerance, 1 flags a residual violation, and 2 a configuration
-error or a layout too large for the dense oracle.  Identical
+error or a layout over the byte budget.  Identical
 configurations produce byte-identical reports.
 
 ``--tolerance`` is a reporting tolerance: it bounds the reported

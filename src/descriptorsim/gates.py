@@ -99,6 +99,8 @@ class Controlled:
         if not dims:
             raise NetworkError(f"Controlled expects subsystem dims (control, *targets), got {dims}")
         g = self.gate.matrix(dims[1:])
+        if g.ndim != 2:  # a sweep's stacked members, not one matrix to raise to each power
+            raise NetworkError(f"Controlled cannot hold the stacked {self.gate!r}")
         n = len(g)
         m = np.zeros((dims[0] * n, dims[0] * n), dtype=complex)
         for j in range(dims[0]):

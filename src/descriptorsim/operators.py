@@ -28,8 +28,8 @@ import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
 # the largest dense initial descriptors a layout may need (chain(2, 2) needs
-# 0.28 GiB); it guards the dense oracle and the tests' dense views, and keeps
-# N^2 below 2^63 for the int64 keys of Weyl terms
+# 0.28 GiB); it guards the tests' dense views, and keeps N^2 below 2^63 for
+# the int64 keys of Weyl terms
 DESCRIPTOR_BUDGET_BYTES = 2**30
 # a merged term with |c| <= PRUNE * max |c| is roundoff and is dropped;
 # without this the residue of cancelled terms fills every operator in
@@ -74,8 +74,8 @@ def as_real(value, what: str, error: type[ValueError]):
 
 def check_descriptor_budget(dims: dict[int, int]) -> None:
     """Refuse dense initial descriptors (two N x N complex components per
-    subsystem, the oracle's matrix size) over the budget.  ``dims`` counts
-    each dimension's subsystems; nothing is built."""
+    subsystem) over the budget.  ``dims`` counts each dimension's
+    subsystems; nothing is built."""
     budget = f"over the {DESCRIPTOR_BUDGET_BYTES / 2**30:g} GiB budget"
     # from N = 2^600 on, the estimate is over 1e308 GiB; N is not built
     if sum(m * (d.bit_length() - 1) for d, m in dims.items()) < 600:
@@ -223,14 +223,14 @@ class Operator:
     def matrix(self) -> np.ndarray:
         """The dense N x N matrix, for the tests to compare against:
         X^a Z^b sends |k> to omega^(b.k) |k + a>, so each term fills one
-        phased permutation."""
+        phased permutation, summed into each entry in term order."""
         w, n, m = self.layout.weyl, self.layout.total_dim, len(self.layout.dims)
         digits, shifted, _ = _dense_tables(self.layout.dims)
         a, b = np.split(self.exponents, 2, axis=1)
-        rows = shifted[a @ w.keys[m:]]  # each term's row for every column k
-        phase = (b * w.weights) @ digits % len(w.table)
-        out = np.zeros((n, n), dtype=complex)
-        np.add.at(out, (rows, np.arange(n)), self.coefficients[:, None] * w.table[phase])
+        flat = (shifted[a @ w.keys[m:]] * n + np.arange(n)).ravel()  # each term's entry in every column k
+        values = (self.coefficients[:, None] * w.table[(b * w.weights) @ digits % len(w.table)]).ravel()
+        out = np.empty((n, n), dtype=complex)  # bincount sums each entry's terms in input order
+        out.real.flat, out.imag.flat = (np.bincount(flat, v, n * n) for v in (values.real, values.imag))
         out.setflags(write=False)
         return out
 
@@ -422,10 +422,10 @@ def _below(value: float | np.ndarray, tol: float) -> bool:
     return value < tol if isinstance(value, float) else bool((value < tol).all())
 
 
-def _plan(a: Operator, b: Operator, unit: bool = False) -> _Plan:
+def _plan(a: Operator, b: Operator, unit: bool = False, held: int = 1) -> _Plan:
     """The plan of ``a @ b`` (minus I with ``unit``), which every term-pair product takes first: over the
-    byte budget, counting the members a cached plan does not know, it is refused unbuilt.  Of the plans
-    of at most PLAN_PAIRS pairs (a merge's: rows), the PLAN_ENTRIES last used are kept; others are dropped."""
+    byte budget, counting the members a cached plan does not know and the ``held`` plans of its size, it is
+    refused unbuilt.  Of plans of at most PLAN_PAIRS pairs (a merge's: rows), PLAN_ENTRIES are kept."""
     m, x, y = len(a.layout.dims), a.coefficients, b.coefficients
     pairs = len(x) * len(y)
     # pair and merged rows (32m); merge key, order, sort buffer, firsts (48); phase (24); 4 coefficients (64);
@@ -433,8 +433,9 @@ def _plan(a: Operator, b: Operator, unit: bool = False) -> _Plan:
     need = pairs * (32 * m + 136) + 16 * m * (len(x) + len(y))
     if x.ndim + y.ndim > 2:  # a sweep: 64 more bytes a pair for each further member
         need += 64 * (max(x.size * len(y), len(x) * y.size) - pairs)
-    if need > DESCRIPTOR_BUDGET_BYTES:
-        raise LayoutError(f"{pairs} term pairs need {need / 2**30:.3g} GiB, "
+    if (need := held * need) > DESCRIPTOR_BUDGET_BYTES:
+        plans = f"{held} plans of " if held > 1 else ""
+        raise LayoutError(f"{plans}{pairs} term pairs need {need / 2**30:.3g} GiB, "
                           f"over the {DESCRIPTOR_BUDGET_BYTES / 2**30:g} GiB budget")
     build = _cached_plan if pairs <= PLAN_PAIRS else _cached_plan.__wrapped__
     return build(a.layout.dims, a.exponents.tobytes(), b.exponents.tobytes(), unit)
@@ -486,7 +487,7 @@ def _term_product(a: Operator, b: Operator) -> Operator:
 def _defect(a: Operator, b: Operator, commutator: bool = False) -> float:
     """||ab - I||_F, or with ``commutator`` ||ab - ba||_F, from one merge:
     ab and ba share each term pair's row and differ only in its phase."""
-    plan = _plan(a, b, unit=not commutator)
+    plan = _plan(a, b, unit=not commutator, held=2 if commutator else 1)  # ba's plan is as large
     coeffs = _pair_coefficients(a, b, plan.phases - _phases(b, a).T if commutator else plan.phases)
     if not commutator:  # minus I, the all-zero row, from every member
         coeffs = np.concatenate((coeffs, np.full((1, *coeffs.shape[1:]), -1)))

@@ -1,22 +1,23 @@
 """Independent state-vector simulator used as a brute-force oracle.
 
-Evolves |0...0> through a network by plain matrix-vector products and
-produces Born-rule outcome distributions.  Every reading takes the network
-it reads, so how the oracle holds a state stays inside this module.  It
-deliberately shares only the layout and gate-matrix construction with the
-operator modules, never the descriptor evolution path, so cross-checks are
-independent at the algorithm level.  It keeps the state after each slice
-of the last network it simulated, and resumes a network after the longest
-prefix of those slices (the same objects, on an equal layout) that it
-shares: a network resumes after its ``upto(t)``, and one built anew starts
-from |0...0> whatever ran before.
+Evolves |0...0> through a network, each gate by its dense embedding up to
+64 amplitudes and on its own axes above, and produces Born-rule outcome
+distributions.  Every reading takes the network it reads, so how the
+oracle holds a state stays inside this module.  It deliberately shares
+only the layout and gate-matrix construction with the operator modules,
+never the descriptor evolution path, so cross-checks are independent at
+the algorithm level.  It keeps the state after each slice of the last
+network it simulated, and resumes a network after the longest prefix of
+those slices (the same objects, on an equal layout) that it shares: a
+network resumes after its ``upto(t)``, and one built anew starts from
+|0...0> whatever ran before.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gates import Network
+from .gates import Network, gate_matrix
 from .operators import LayoutError
 
 
@@ -24,27 +25,37 @@ from .operators import LayoutError
 # replaced whole, never changed in place, so a racing call loses a resume at
 # most, and emptied while a network runs, so two networks' states never coexist
 _last: tuple = (None, (), [])
+# up to this N, a gate's dense embedding is faster than its matrix on its axes
+DENSE_MAX_DIM = 64
 
 
 def simulate_statevector(network: Network) -> np.ndarray:
-    """Apply the network's embedded gate matrices to |0...0>: read-only
+    """Apply each gate, embedded or on its own axes, to |0...0>: read-only
     amplitudes with one axis per subsystem (shape ``layout.dims``);
     ``network.upto(t)`` gives the state after the first t slices."""
     global _last
-    start = (network.layout, (), [np.eye(1, network.layout.total_dim, dtype=complex)[0]])
-    _, slices, states = _last if _last[0] == network.layout else start
+    layout = network.layout
+    start = (layout, (), [np.eye(1, layout.total_dim, dtype=complex)[0]])
+    _, slices, states = _last if _last[0] == layout else start
     k = 0
     while k < min(len(slices), len(network.slices)) and slices[k] is network.slices[k]:
         k += 1
     states, _last = states[:k + 1], (None, (), [])
+    dense = layout.total_dim <= DENSE_MAX_DIM
     for sl in network.slices[k:]:
-        amp = states[-1]
+        amp = states[-1] if dense else states[-1].reshape(layout.dims)
         for app in sl:
-            amp = network.embedded(app) @ amp
-        states.append(amp)
-    _last = (network.layout, network.slices, states)
+            if dense:
+                amp = network.embedded(app) @ amp
+                continue
+            axes = [layout.index_of(sid) for sid in app.subsystems]
+            n, dims = len(axes), tuple(layout.dims[i] for i in axes)
+            amp = np.tensordot(gate_matrix(app.gate, dims).reshape(dims * 2), amp, (range(n, 2 * n), axes))
+            amp = np.moveaxis(amp, range(n), axes)  # the gate's output axes back in their places
+        states.append(amp.reshape(-1))  # a moved view is copied in C order: the readers sum one order
+    _last = (layout, network.slices, states)
     states[-1].setflags(write=False)  # so no caller can change a kept state
-    return states[-1].reshape(network.layout.dims)
+    return states[-1].reshape(layout.dims)
 
 
 def joint_outcome_distribution(

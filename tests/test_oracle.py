@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given
 
 from descriptorsim import (
     Controlled,
@@ -14,7 +15,9 @@ from descriptorsim import (
     reduced_density_matrix,
     simulate_statevector,
 )
+from descriptorsim import oracle
 from conftest import random_network
+from test_differential import SETTINGS, networks
 
 TWO_QUBITS = SpaceLayout((("Q1", 2), ("Q2", 2)))
 BELL_PAIR = Network(
@@ -147,3 +150,73 @@ def test_same_slices_on_another_layout_start_afresh(monkeypatch):
     # (|00> + |11>)/sqrt(2) has the same amplitudes in either order
     assert np.allclose(state.ravel(), np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-15)
     assert not state.flags.writeable
+
+
+def dense_run(network):
+    """|0...0> through every gate's dense embedding: the route up to
+    ``oracle.DENSE_MAX_DIM``, as a reference for the axis-wise one."""
+    amp = np.eye(1, network.layout.total_dim, dtype=complex)[0]
+    for sl in network.slices:
+        for app in sl:
+            amp = network.embedded(app) @ amp
+    return amp.reshape(network.layout.dims)
+
+
+def fresh(network):
+    """An equal network on new slices, which the oracle starts from |0...0>."""
+    return Network(network.layout, [list(sl) for sl in network.slices])
+
+
+def large_networks(rng, count):
+    """Random networks of 5 or 6 qubits and the 4-level system, N = 128 or
+    256: above ``oracle.DENSE_MAX_DIM``, so gates act on their own axes."""
+    nets = []
+    while len(nets) < count:
+        net = random_network(rng, max_subsystems=7, max_gates=12, with_qudit=True)
+        if net.layout.total_dim >= 128:
+            nets.append(net)
+    assert oracle.DENSE_MAX_DIM < 128
+    return nets
+
+
+def check_axis_wise_route(network):
+    # Haar gates on two or three subsystems sum their terms in another order
+    # than the dense product, which moves amplitudes in the last bits
+    cold = simulate_statevector(fresh(network))
+    assert np.abs(cold - dense_run(network)).max() < 1e-14
+    assert cold.flags.c_contiguous and not cold.flags.writeable
+    for t in range(len(network.slices) + 1):  # resumed after each prefix, bit for bit
+        simulate_statevector(network.upto(t))
+        assert np.array_equal(simulate_statevector(network), cold)
+    for i, sid in enumerate(network.layout.ids):  # the readers see the cold state
+        want = (np.abs(cold) ** 2).sum(axis=tuple(j for j in range(cold.ndim) if j != i))
+        dist = joint_outcome_distribution(network, (sid,))
+        assert [dist[(j,)] for j in range(len(want))] == pytest.approx(want, abs=1e-14)
+
+
+def test_large_networks_take_the_axis_wise_route(rng):
+    for net in large_networks(rng, 8):
+        check_axis_wise_route(net)
+
+
+@SETTINGS
+@given(networks())
+def test_axis_wise_route_agrees_with_the_dense_one_on_generated_networks(network):
+    # the generated networks stop at N = 64; a cutoff of 1 sends them all,
+    # Haar gates on up to three subsystems included, along the axis-wise route
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "DENSE_MAX_DIM", 1)
+        check_axis_wise_route(network)
+
+
+def test_route_is_chosen_by_the_layout_size(monkeypatch, rng):
+    calls = counting_embeddings(monkeypatch)
+    for _ in range(5):
+        small = random_network(rng, max_subsystems=3)  # N <= 16
+        calls.clear()
+        simulate_statevector(fresh(small))
+        assert len(calls) == sum(map(len, small.slices))  # once per gate
+    calls.clear()
+    for net in large_networks(rng, 3):
+        simulate_statevector(fresh(net))
+    assert not calls

@@ -174,22 +174,32 @@ def test_a_product_over_the_bound_builds_its_plan_and_drops_it():
     assert _cached_plan.cache_info().currsize > 0
 
 
-@pytest.mark.parametrize("check", ["product", "unit defect"])
-def test_an_admitted_product_peaks_under_its_byte_estimate(monkeypatch, check):
-    # 200 x 200 term pairs on ten qubits, over PLAN_PAIRS, so nothing is
-    # cached: the estimate is read off the refusal under a small budget, and
-    # under a budget just over it the product, or its merge with I's zero
-    # row, must be admitted and stay within it
+def ten_qubit_operators():
+    """Two operators of 200 terms on ten qubits: 200 x 200 term pairs, over
+    PLAN_PAIRS, so no plan of theirs is cached."""
     layout = SpaceLayout(tuple((f"q{i}", 2) for i in range(10)))
     rng = np.random.default_rng(11)
     rows = np.unique(rng.integers(0, 2, (210, 20)), axis=0)[:200]
     a = Operator(layout, rows, rng.standard_normal(200) + 1j * rng.standard_normal(200))
-    b = a.H
-    run = (lambda: a @ b) if check == "product" else (lambda: _defect(b, a))
+    return a, a.H
+
+
+def refused_estimate(monkeypatch, run) -> float:
+    """The byte estimate of ``run``'s plans, read off its refusal under a small budget."""
     monkeypatch.setattr(operators, "DESCRIPTOR_BUDGET_BYTES", 2**20)
     with pytest.raises(LayoutError, match="40000 term pairs need") as refused:
         run()
-    estimate = float(re.search(r"need ([0-9.e+-]+) GiB", str(refused.value)).group(1)) * 2**30
+    return float(re.search(r"need ([0-9.e+-]+) GiB", str(refused.value)).group(1)) * 2**30
+
+
+@pytest.mark.parametrize("check", ["product", "unit defect", "commutator"])
+def test_an_admitted_product_peaks_under_its_byte_estimate(monkeypatch, check):
+    # under a budget just over the estimate the product, its merge with I's
+    # zero row, or a commutator's two plans must be admitted and stay within it
+    a, b = ten_qubit_operators()
+    run = {"product": lambda: a @ b, "unit defect": lambda: _defect(b, a),
+           "commutator": lambda: _defect(a, b, commutator=True)}[check]
+    estimate = refused_estimate(monkeypatch, run)
     monkeypatch.setattr(operators, "DESCRIPTOR_BUDGET_BYTES", int(estimate * 1.01))
     tracemalloc.start()
     try:
@@ -198,6 +208,23 @@ def test_an_admitted_product_peaks_under_its_byte_estimate(monkeypatch, check):
     finally:
         tracemalloc.stop()
     assert peak < estimate
+
+
+def test_a_commutator_check_admits_both_its_plans_before_building_either(monkeypatch):
+    # ab and ba each fit a budget of one plan's estimate, but a commutator
+    # check holds both: it is refused before either is built
+    a, b = ten_qubit_operators()
+    one = refused_estimate(monkeypatch, lambda: a @ b)
+    monkeypatch.setattr(operators, "DESCRIPTOR_BUDGET_BYTES", int(one * 1.01))
+    tracemalloc.start()
+    try:
+        with pytest.raises(LayoutError, match="2 plans of 40000 term pairs need"):
+            a.commutes_with(b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    a @ b  # one plan alone is still admitted
 
 
 def test_every_report_is_the_same_cold_and_warm():

@@ -33,6 +33,7 @@ from .gates import (
     Network,
     Plus,
     RotationY,
+    gate_matrix,
 )
 from .operators import (
     DEFAULT_TOLERANCE,
@@ -211,14 +212,19 @@ def _marginal(expectation: complex) -> tuple[float, float]:
     return ((1 + q) / 2, (1 - q) / 2)
 
 
-def _swept(networks: list[Network]) -> Network:
-    """The members' networks as one: a RotationY whose angle differs
-    between the members holds each member's angle, in member order."""
-    def gate(apps):
-        angles = tuple(a.gate.theta for a in apps) if isinstance(apps[0].gate, RotationY) else ()
-        return RotationY(angles) if len(set(angles)) > 1 else apps[0].gate
+@functools.lru_cache(maxsize=64)
+def _swept_app(apps: tuple[GateApplication, ...], layout: SpaceLayout) -> GateApplication:
+    """Differing member gates at one position as one: the first's if their matrices are equal
+    (each Decohered build's scramble), else their stack, kept so that a repeat finds its images."""
+    matrices = np.stack([gate_matrix(a.gate, tuple(map(layout.dim_of, a.subsystems))) for a in apps])
+    same = (matrices == matrices[0]).all()
+    return apps[0] if same else GateApplication(CustomGate(matrices, "sweep"), apps[0].subsystems)
 
-    return Network(networks[0].layout, [[GateApplication(gate(apps), apps[0].subsystems) for apps in zip(*sls)]
+
+def _swept(networks: list[Network]) -> Network:
+    """The members' networks as one, in member order; equal gates need no matrix read."""
+    return Network(networks[0].layout, [[apps[0] if all(a.gate == apps[0].gate for a in apps) else
+                                         _swept_app(apps, networks[0].layout) for apps in zip(*sls)]
                                         for sls in zip(*(n.slices for n in networks))])
 
 

@@ -48,23 +48,18 @@ class Hadamard:
 
 @dataclass(frozen=True)
 class RotationY:
-    """Bloch-sphere rotation around the y axis by ``theta`` radians, or, for
-    a tuple of angles, a sweep: one rotation per member, stacked."""
+    """Bloch-sphere rotation around the y axis by ``theta`` radians."""
 
-    theta: float | tuple[float, ...]
+    theta: float
 
     def __post_init__(self) -> None:
-        # each angle of a sweep; an empty one is refused as the angle ()
-        for angle in self.theta if isinstance(self.theta, tuple) and self.theta else (self.theta,):
-            if not isfinite(as_real(angle, "Ry angle", NetworkError)):
-                raise NetworkError(f"Ry angle {angle} is not finite")
+        if not isfinite(as_real(self.theta, "Ry angle", NetworkError)):
+            raise NetworkError(f"Ry angle {self.theta} is not finite")
 
     def matrix(self, dims: tuple[int, ...]) -> np.ndarray:
         _require_dims("Ry", dims, (2,))
-        half = np.divide(self.theta, 2) if isinstance(self.theta, tuple) else self.theta / 2
-        c, s = np.cos(half), np.sin(half)
-        m = np.array([[c, -s], [s, c]], dtype=complex)
-        return m if m.ndim == 2 else m.transpose(2, 0, 1)  # a sweep's members lead
+        c, s = np.cos(self.theta / 2), np.sin(self.theta / 2)
+        return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -99,7 +94,7 @@ class Controlled:
         if not dims:
             raise NetworkError(f"Controlled expects subsystem dims (control, *targets), got {dims}")
         g = self.gate.matrix(dims[1:])
-        if g.ndim != 2:  # a sweep's stacked members, not one matrix to raise to each power
+        if g.ndim != 2:  # a stack of a sweep's members, not one matrix to raise to each power
             raise NetworkError(f"Controlled cannot hold the stacked {self.gate!r}")
         n = len(g)
         m = np.zeros((dims[0] * n, dims[0] * n), dtype=complex)
@@ -110,29 +105,28 @@ class Controlled:
 
 @dataclass(frozen=True, eq=False)
 class CustomGate:
-    """An arbitrary unitary supplied as an explicit matrix."""
+    """An arbitrary unitary supplied as an explicit matrix, or a sweep's
+    members as a (B, D, D) stack of unitaries, one per member."""
 
     unitary: np.ndarray = field(repr=False)
     name: str = "custom"
 
     def __post_init__(self) -> None:
         u = np.array(self.unitary, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise NetworkError(f"custom gate matrix must be square, got {u.shape}")
+        if u.ndim not in (2, 3) or u.shape[-1] != u.shape[-2] or not u.size:
+            raise NetworkError(f"custom gate matrix must be square, or a stack of square ones, got {u.shape}")
         # a unitary's entries have modulus at most 1, which a NaN, infinite or
         # huge entry fails before the product could overflow on it
         bounded = (np.abs(u) <= 1 + DEFAULT_TOLERANCE).all()
-        if not (bounded and np.linalg.norm(u.conj().T @ u - np.eye(len(u))) <= DEFAULT_TOLERANCE):
+        if not (bounded and np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]),
+                                           axis=(-2, -1)).max() <= DEFAULT_TOLERANCE):  # every member's
             raise NetworkError(f"custom gate {self.name!r} is not unitary")
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
 
     def matrix(self, dims: tuple[int, ...]) -> np.ndarray:
-        if self.unitary.shape[0] != prod(dims):
-            raise NetworkError(
-                f"custom gate dim {self.unitary.shape[0]} does not match "
-                f"acted dims {dims}"
-            )
+        if self.unitary.shape[-1] != prod(dims):
+            raise NetworkError(f"custom gate dim {self.unitary.shape[-1]} does not match acted dims {dims}")
         return self.unitary
 
 

@@ -60,13 +60,14 @@ def test_controlled_plus_blocks():
 
 def test_controlled_refuses_a_stacked_inner_gate():
     # a swept rotation is a stack of matrices, not one gate to raise to powers
-    swept = Controlled(RotationY((0.3, 0.9)))
-    with pytest.raises(NetworkError, match=r"stacked RotationY\(theta=\(0.3, 0.9\)\)"):
+    stack = CustomGate(np.stack([RotationY(t).matrix((2,)) for t in (0.3, 0.9)]), "sweep")
+    swept = Controlled(stack)
+    with pytest.raises(NetworkError, match=r"stacked CustomGate\(name='sweep'\)"):
         swept.matrix((2, 2))
-    with pytest.raises(NetworkError, match="stacked RotationY"):
+    with pytest.raises(NetworkError, match="stacked CustomGate"):
         Network(SpaceLayout((("Q1", 2), ("Q2", 2))), [[GateApplication(swept, ("Q1", "Q2"))]])
-    with pytest.raises(NetworkError, match="stacked RotationY"):
-        Controlled(Controlled(RotationY((0.3, 0.9)))).matrix((2, 2, 2))
+    with pytest.raises(NetworkError, match="stacked CustomGate"):
+        Controlled(Controlled(stack)).matrix((2, 2, 2))
 
 
 def test_custom_gate_must_be_unitary():

@@ -66,7 +66,7 @@ def test_rotation_images_match_the_term_route(theta):
 @SETTINGS
 @given(thetas=st.tuples(angles(), angles(), angles()))
 def test_swept_rotation_images_match_the_term_route(thetas):
-    assert_same_images(RotationY(thetas), (2,))
+    assert_same_images(CustomGate(np.stack([RotationY(t).matrix((2,)) for t in thetas])), (2,))
 
 
 @pytest.mark.parametrize("dims", [(2, 4), (2, 2, 2)], ids=str)

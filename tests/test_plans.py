@@ -18,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from descriptorsim import (
+    CustomGate,
     GateApplication,
     LayoutError,
     Network,
@@ -53,7 +54,8 @@ def swept(network):
     """``network`` after a first slice that turns its first qubit by a sweep
     of three angles, so that its operators carry three members."""
     qubit = next(sid for sid, d in network.layout.subsystems if d == 2)
-    first = (GateApplication(RotationY((0.3, -1.1, 2.9)), (qubit,)),)
+    stack = CustomGate(np.stack([RotationY(t).matrix((2,)) for t in (0.3, -1.1, 2.9)]), "sweep")
+    first = (GateApplication(stack, (qubit,)),)
     return Network(network.layout, (first, *network.slices))
 
 

@@ -1,7 +1,8 @@
 """A sweep of Bell configurations: one evolution with a member axis.
 
 ``run_bells`` evolves configurations that share a variant as one network
-whose RotationY gates hold every member's angle, and each of its outcomes
+in which each gate whose matrix differs between the members is a
+``CustomGate`` stack of the members' matrices, and each of its outcomes
 must be ``==``, bit for bit, to the single run of that configuration: the
 members prune, sum and read as if each ran alone.
 """
@@ -21,6 +22,7 @@ from descriptorsim import (
     BOB_ANGLES,
     BellConfig,
     Chained,
+    CustomGate,
     Decohered,
     LayoutError,
     NetworkError,
@@ -30,11 +32,13 @@ from descriptorsim import (
     SpaceLayout,
     WignerUndo,
     chsh_win_rate,
+    closed_form_measures,
     quantum_distribution,
     run_bell,
     run_bells,
 )
-from descriptorsim import cli, oracle
+from descriptorsim import bell, cli, engine, oracle
+from descriptorsim.bell import BRANCH_KEYS
 from descriptorsim.chsh import INPUT_PAIRS
 from descriptorsim.gates import gate_matrix
 from descriptorsim.operators import _phases
@@ -57,10 +61,15 @@ def fields(outcome):
             outcome.alice_sharpness, outcome.diagnostics)
 
 
-def swept_angles(network):
-    """The RotationY gates of ``network`` that hold a sweep of angles."""
+def stacked(network):
+    """The gates of ``network`` that hold a sweep's members: a stack of matrices."""
     return [app for sl in network.slices for app in sl
-            if isinstance(app.gate, RotationY) and isinstance(app.gate.theta, tuple)]
+            if gate_matrix(app.gate, tuple(map(network.layout.dim_of, app.subsystems))).ndim == 3]
+
+
+def rotations(*thetas):
+    """The stack of the single-run rotation matrices at ``thetas``."""
+    return CustomGate(np.stack([RotationY(theta).matrix((2,)) for theta in thetas]), "sweep")
 
 
 @pytest.mark.parametrize("family", sorted(VARIANTS))
@@ -74,7 +83,7 @@ def test_every_member_equals_its_single_run(family, data):
         single = run_bell(cfg)
         assert fields(member) == fields(single)
         # the oracle diagnostics and the CLI's oracle column read the member's own network
-        assert swept_angles(member.network) == []
+        assert stacked(member.network) == []
         # each Decohered build makes its own CustomGate, which compares by identity
         assert family == "decohered" or member.network.slices == single.network.slices
 
@@ -97,13 +106,47 @@ def test_the_oracle_never_sees_a_swept_network(monkeypatch):
     simulate = oracle.simulate_statevector
 
     def recording(network):
-        seen.append(swept_angles(network))
+        # checked before the oracle runs, which would otherwise fail on a stack its own way
+        seen.append(stacked(network))
+        assert not seen[-1], "the oracle was handed a swept network"
         return simulate(network)
 
     monkeypatch.setattr(oracle, "simulate_statevector", recording)
     run_bells([BellConfig(t, 0.3, Decohered(4)) for t in (0.0, 1.0, 2.0)])
     cli.execute_and_report(cli.RunConfig("chsh"))
-    assert len(seen) == 7 and not any(seen)
+    assert len(seen) == 7
+
+
+@pytest.fixture
+def evolved(monkeypatch):
+    """The networks that ``run_bells`` evolves, in order."""
+    networks = []
+
+    class Recording(bell.NetworkEvolution):
+        def __init__(self, network):
+            networks.append(network)
+            super().__init__(network)
+
+    monkeypatch.setattr(bell, "NetworkEvolution", Recording)
+    return networks
+
+
+def test_a_repeated_sweep_evolves_the_stack_it_kept(evolved):
+    quantum_distribution(*zip(*INPUT_PAIRS))
+    misses = engine._weyl_terms.cache_info().misses
+    quantum_distribution(*zip(*INPUT_PAIRS))
+    assert engine._weyl_terms.cache_info().misses == misses
+    first, second = (stacked(network) for network in evolved)
+    assert [a.subsystems for a in first] == [("Q1",), ("Q2",)]
+    assert all(a.gate is b.gate for a, b in zip(first, second, strict=True))
+
+
+def test_a_decohered_sweep_stacks_its_rotation_and_not_its_scramble(evolved):
+    run_bells([BellConfig(theta, 1.1, Decohered(5)) for theta in (0.3, -0.7)])
+    (network,) = evolved
+    assert [a.subsystems for a in stacked(network)] == [("Q1",)]
+    scramble = network.slices[0][0]
+    assert (scramble.gate.name, scramble.subsystems) == ("env-scramble", ("QE", "QF"))
 
 
 def test_changing_one_member_changes_only_its_outcome():
@@ -169,22 +212,60 @@ def test_bell_config_stores_its_angles_as_floats():
     assert fields(run_bell(cfg)) == fields(run_bell(BellConfig(1 / 3, 0.2)))
 
 
+def spectrum(measures, shape):
+    """The 2-D DFT of measures on a grid of ``shape`` (theta, phi), a table per
+    branch key.  An angle that enters c gates makes a measure a trigonometric
+    polynomial of degree 2c in its half, which 4c + 1 equispaced samples on
+    [0, 4 pi) fix: the table is every one of its coefficients."""
+    return {k: np.fft.fft2(np.reshape([m[k] for m in measures], shape)) / len(measures) for k in BRANCH_KEYS}
+
+
+@pytest.mark.parametrize("variant", [Plain(), Chained(1, 1), Decohered(3), Decohered(None),
+                                     WignerUndo(None), WignerUndo(0.7)], ids=repr)
+def test_every_measure_is_the_closed_form_at_every_angle(variant):
+    # phi enters Bob's rotation, and with WignerUndo's default also his re-rotation pi - phi
+    shape = (5, 9 if variant == WignerUndo(None) else 5)
+    grid = list(itertools.product(*(np.arange(k) * 4 * np.pi / k for k in shape)))
+
+    def bob(phi, sign=1):  # the angle Bob's particle is last measured at, phi's sign flipped by -1
+        return sign * phi + (variant.angle(phi) if isinstance(variant, WignerUndo) else 0)
+
+    got = spectrum([o.branch_measures for o in run_bells([BellConfig(*a, variant) for a in grid])], shape)
+    want = spectrum([closed_form_measures(t, bob(p)) for t, p in grid], shape)
+    flipped = spectrum([closed_form_measures(t, bob(p, -1)) for t, p in grid], shape)
+    assert max(np.abs(got[k] - want[k]).max() for k in BRANCH_KEYS) <= 1e-15
+    assert max(np.abs(got[k] - flipped[k]).max() for k in BRANCH_KEYS) > 0.1
+
+
 class TestRotationSweep:
     def test_stacked_matrix_holds_each_members_rotation(self):
-        stack = gate_matrix(RotationY((0.0, 1.3, -2.0)), (2,))
+        stack = gate_matrix(rotations(0.0, 1.3, -2.0), (2,))
         assert stack.shape == (3, 2, 2)
         for member, theta in zip(stack, (0.0, 1.3, -2.0)):
             assert np.array_equal(member, RotationY(theta).matrix((2,)))
 
-    @pytest.mark.parametrize("angles", [(), (0.1, math.inf), (0.1, "0.2")], ids=repr)
-    def test_every_member_angle_is_checked(self, angles):
-        with pytest.raises(NetworkError, match="Ry"):
-            RotationY(angles)
+    def test_a_rotation_holds_one_angle(self):
+        with pytest.raises(NetworkError, match=r"Ry angle \(0.3, 0.9\) is not a real number"):
+            RotationY((0.3, 0.9))
+
+    @pytest.mark.parametrize("stack, message", [
+        # entries within modulus 1, so only the second member's own unitarity check refuses it
+        pytest.param([np.eye(2), np.diag([1.0, 0.5])], "is not unitary", id="non-unitary"),
+        pytest.param([np.eye(2), np.diag([1.0, np.nan])], "is not unitary", id="nan"),
+        pytest.param([np.eye(2), np.diag([1.0, np.inf])], "is not unitary", id="inf"),
+        pytest.param(np.zeros((0, 2, 2)), "must be square", id="empty"),
+        pytest.param(np.zeros((2, 2, 3)), "must be square", id="non-square"),
+        pytest.param(np.eye(2)[None, None], "must be square", id="4-d"),
+    ])
+    def test_every_member_of_a_stack_is_checked(self, stack, message):
+        # a NaN or infinite member fails before any product could warn on it, an error under -X dev
+        with pytest.raises(NetworkError, match=message):
+            CustomGate(stack)
 
     def test_members_of_a_stacked_operator_are_each_matrixs_own_terms(self):
         layout = SpaceLayout((("q", 2),))
         angles = (0.0, math.pi / 2, math.pi, 0.4)
-        sweep = Operator.from_matrix(layout, gate_matrix(RotationY(angles), (2,)))
+        sweep = Operator.from_matrix(layout, gate_matrix(rotations(*angles), (2,)))
         assert sweep.coefficients.shape == (2, 4)
         for column, theta in zip(sweep.coefficients.T, angles):
             single = Operator.from_matrix(layout, RotationY(theta).matrix((2,)))

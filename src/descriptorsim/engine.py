@@ -95,7 +95,8 @@ def _weyl_terms(gate: Gate, dims: tuple[int, ...], images: bool = False) -> tupl
         coeffs = terms.coefficients.reshape(len(terms.exponents), len(members), -1)
         for j, keep in enumerate(coeffs.any(axis=1).T):  # each image's own terms, a column per member
             exponents = terms.exponents if keep.all() else terms.exponents[keep]
-            out.append(Operator(layout, exponents, coeffs[keep, :, j] if u.ndim == 3 else coeffs[keep, 0, j]))
+            image = coeffs[keep, :, j] if u.ndim == 3 else coeffs[keep, 0, j]
+            out.append(Operator(layout, *_read_only(exponents, image)))  # built terms: read-only, unchecked
     return tuple(out)
 
 

@@ -191,11 +191,17 @@ class Network:
             raise NetworkError(f"time {t} outside network range 0..{len(self.slices)}")
         return Network(self.layout, self.slices[:t])
 
+    def matrix_of(self, app: GateApplication) -> np.ndarray:
+        """The gate's one matrix on its subsystems, for a state vector, which no sweep's stack fits."""
+        matrix = gate_matrix(app.gate, tuple(self.layout.dim_of(sid) for sid in app.subsystems))
+        if matrix.ndim != 2:
+            raise NetworkError(f"a state vector cannot take the stacked {app.gate!r}")
+        return matrix
+
     def embedded(self, app: GateApplication) -> np.ndarray:
         """The gate's dense matrix tensored into the full space, for the
         state-vector oracle and the tests' dense reference."""
-        dims = tuple(self.layout.dim_of(sid) for sid in app.subsystems)
-        return embed_matrix(gate_matrix(app.gate, dims), app.subsystems, self.layout)
+        return embed_matrix(self.matrix_of(app), app.subsystems, self.layout)
 
 
 @functools.lru_cache(maxsize=64)

@@ -7,7 +7,7 @@ expectations are sums over terms; dense N x N matrices appear only at the
 edges: the state-vector oracle and the tests.
 A product's plan (its phases, pair rows and merge) is built once per
 layout dims and operand rows, so each call computes only coefficients;
-within that bound, a product or check of two single-member operators is
+a product or check of two single terms, the only pairs that repeat, is
 kept by operand identity, which holds because operators are immutable.
 Expectation values are taken against the fixed reference vector |0...0>,
 which never evolves; all dynamics act on operators.
@@ -149,11 +149,11 @@ class SpaceLayout:
 
     @functools.cached_property
     def weyl(self) -> WeylConstants:
-        m, one = len(self.dims), np.ones(1, complex)
-        unit = Operator(self, np.zeros((1, 2 * m), np.int64), one)
+        m, one = len(self.dims), _read_only(np.ones(1, complex))[0]  # built terms: read-only, unchecked
+        unit = Operator(self, *_read_only(np.zeros((1, 2 * m), np.int64)), one)
         unit.__dict__["H"] = unit
-        rows = np.eye(2 * m, dtype=np.int64)
-        pairs = tuple(tuple(Operator(self, rows[[j]], one) for j in (i, m + i)) for i in range(m))
+        rows = _read_only(np.eye(2 * m, dtype=np.int64))[0]
+        pairs = tuple(tuple(Operator(self, rows[j:j + 1], one) for j in (i, m + i)) for i in range(m))
         return WeylConstants(*_weyl_tables(self.dims), unit, pairs)
 
     def index_of(self, sid: str) -> int:
@@ -174,8 +174,8 @@ class Operator:
     (0 where a member lacks a term); one column counts for every member.
     Its readings are per member, as if each ran alone; predicates, for all.
 
-    Immutable; arithmetic returns new instances.  Equality is numeric,
-    via :meth:`distance` / :meth:`isclose`, never ``==``.
+    Immutable; arithmetic returns new instances, whose terms arrive read-only, while writable rows and
+    coefficients are checked.  Equality is numeric, via :meth:`distance` / :meth:`isclose`, never ``==``.
     """
 
     layout: SpaceLayout
@@ -183,15 +183,22 @@ class Operator:
     coefficients: np.ndarray  # (terms,) complex, or (terms, B) for a sweep
 
     def __post_init__(self) -> None:
-        if self.exponents.dtype != np.int64:  # products key rows by their int64 bytes
-            object.__setattr__(self, "exponents", self.exponents.astype(np.int64))
+        rows, coeffs, dims = self.exponents, self.coefficients, self.layout.dims
+        if rows.flags.writeable or coeffs.flags.writeable or rows.dtype != np.int64:  # from outside
+            if rows.shape[1:] != (2 * len(dims),) or coeffs.shape[:1] != rows.shape[:1] or coeffs.ndim > 2:
+                raise LayoutError(f"rows {rows.shape} and coefficients {coeffs.shape} do not fit dims {dims}")
+            digits = rows.dtype.kind in "iu" and ((rows >= 0) & (rows < dims * 2)).all()
+            if not (digits and np.isfinite(coeffs).all()):
+                raise ValueError(f"rows need integer digits in [0, d) of dims {dims} and finite coefficients")
+            object.__setattr__(self, "exponents", rows.astype(np.int64, copy=False))  # plans key int64 bytes
         for name in ("exponents", "coefficients"):  # kept products need operands that cannot change
             array = base = getattr(self, name)
             while (base := base.base) is not None:  # a view is copied if an array above it can write
                 if not isinstance(base, np.ndarray) or base.flags.writeable:
                     object.__setattr__(self, name, array := array.copy())
                     break
-            array.setflags(write=False)
+            if array.flags.writeable:  # built terms arrive read-only
+                array.setflags(write=False)
 
     @classmethod
     def identity(cls, layout: SpaceLayout) -> "Operator":
@@ -262,7 +269,7 @@ class Operator:
         a, b = self.exponents[:, :m], self.exponents[:, m:]
         phase = w.table[(a * b) @ w.weights % len(w.table)]
         coeffs = _read_only(self.coefficients.T.conj() * phase)[0]  # so its .T is not copied
-        return Operator(self.layout, -self.exponents % w.mods, coeffs.T)
+        return Operator(self.layout, _read_only(-self.exponents % w.mods)[0], coeffs.T)
 
     def matpow(self, k: int) -> "Operator":
         """self^k, k >= 0, by squaring."""
@@ -410,11 +417,11 @@ def _pruned(layout: SpaceLayout, exps: np.ndarray, coeffs: np.ndarray) -> Operat
     prune alone: to an exact 0, the row going when every member drops it."""
     magnitude = np.abs(coeffs)
     keep = magnitude > PRUNE * magnitude.max(axis=0, initial=0.0)
-    if keep.all():
-        return Operator(layout, exps, coeffs)
+    if keep.all():  # built terms are read-only, which spares them the constructor's checks
+        return Operator(layout, *_read_only(exps, coeffs))
     if keep.ndim > 1:
         coeffs, keep = np.where(keep, coeffs, 0), keep.any(axis=1)
-    return Operator(layout, exps[keep], coeffs[keep])
+    return Operator(layout, *_read_only(exps[keep], coeffs[keep]))
 
 
 def _below(value: float | np.ndarray, tol: float) -> bool:
@@ -458,13 +465,12 @@ def _pair_coefficients(a: Operator, b: Operator, phases: np.ndarray) -> np.ndarr
 
 def _kept(compute):
     """``compute(a, b, **options)``, kept per operand pair by identity (operators are immutable, and the
-    cache holds its keys, so no id is reused) for single-member operands whose plan is kept, the
-    PLAN_ENTRIES last used; the rest are computed each time, as by ``__wrapped__``."""
+    cache holds its keys, so no id is reused) for two single terms of one member, the angle-free monomials
+    that repeat, the PLAN_ENTRIES last used; the rest are computed each time, as by ``__wrapped__``."""
     kept = functools.lru_cache(maxsize=PLAN_ENTRIES)(compute)
 
     def call(a: Operator, b: Operator, **kwargs):
-        x, y = a.coefficients, b.coefficients
-        return (kept if x.ndim == y.ndim == 1 and len(x) * len(y) <= PLAN_PAIRS else compute)(a, b, **kwargs)
+        return (kept if a.coefficients.shape == b.coefficients.shape == (1,) else compute)(a, b, **kwargs)
     call.cache_info, call.cache_clear = kept.cache_info, kept.cache_clear
     return functools.update_wrapper(call, compute)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gates import Network, gate_matrix
+from .gates import Network
 from .operators import LayoutError
 
 
@@ -30,9 +30,9 @@ DENSE_MAX_DIM = 64
 
 
 def simulate_statevector(network: Network) -> np.ndarray:
-    """Apply each gate, embedded or on its own axes, to |0...0>: read-only
-    amplitudes with one axis per subsystem (shape ``layout.dims``);
-    ``network.upto(t)`` gives the state after the first t slices."""
+    """Apply each gate, embedded or on its own axes, to |0...0>: read-only amplitudes with one axis per
+    subsystem (shape ``layout.dims``); ``network.upto(t)`` gives the state after the first t slices.  A
+    network holding a sweep's stacked gate is refused before any amplitude."""
     global _last
     layout = network.layout
     start = (layout, (), [np.eye(1, layout.total_dim, dtype=complex)[0]])
@@ -40,17 +40,18 @@ def simulate_statevector(network: Network) -> np.ndarray:
     k = 0
     while k < min(len(slices), len(network.slices)) and slices[k] is network.slices[k]:
         k += 1
+    matrices = [list(map(network.matrix_of, sl)) for sl in network.slices[k:]]  # every gate's, first
     states, _last = states[:k + 1], (None, (), [])
     dense = layout.total_dim <= DENSE_MAX_DIM
-    for sl in network.slices[k:]:
+    for sl, sl_matrices in zip(network.slices[k:], matrices):
         amp = states[-1] if dense else states[-1].reshape(layout.dims)
-        for app in sl:
+        for app, matrix in zip(sl, sl_matrices):
             if dense:
                 amp = network.embedded(app) @ amp
                 continue
             axes = [layout.index_of(sid) for sid in app.subsystems]
             n, dims = len(axes), tuple(layout.dims[i] for i in axes)
-            amp = np.tensordot(gate_matrix(app.gate, dims).reshape(dims * 2), amp, (range(n, 2 * n), axes))
+            amp = np.tensordot(matrix.reshape(dims * 2), amp, (range(n, 2 * n), axes))
             amp = np.moveaxis(amp, range(n), axes)  # the gate's output axes back in their places
         states.append(amp.reshape(-1))  # a moved view is copied in C order: the readers sum one order
     _last = (layout, network.slices, states)

@@ -2,7 +2,7 @@
 
 Each layout shape is one object with its time-0 generators built once, the
 fresh rule's images are kept per gate, layout and positions, and a product
-or check of two single-member operators whose plan is kept is kept too, by
+or check of two single terms, the only pairs that repeat, is kept, by
 operand identity.  Operators are immutable, which the identity key needs:
 one built on a view of a writable array takes its own copy.
 """
@@ -25,6 +25,8 @@ from descriptorsim import (
     WignerUndo,
     build_bell_network,
     initial_descriptors,
+    run_bell,
+    run_bells,
 )
 from descriptorsim.engine import _weyl_terms
 from descriptorsim.operators import PLAN_ENTRIES, PLAN_PAIRS, _defect, _term_product
@@ -62,9 +64,9 @@ def test_an_operator_copies_no_memory_that_no_array_can_write():
     assert Operator(QUBIT, rows, view).coefficients is view
 
 
-def test_products_and_checks_of_single_members_within_the_plan_bound_are_kept():
-    a, b = terms(16), terms(16)
-    assert len(a.coefficients) * len(b.coefficients) == PLAN_PAIRS
+def test_products_and_checks_of_single_terms_are_kept():
+    a, b = terms(1), Operator(PAIR, np.array([[0, 0, 1, 2]]), np.array([1j]))
+    assert a.coefficients.shape == b.coefficients.shape == (1,)
     assert a @ b is a @ b
     hits, misses, *_ = _defect.cache_info()
     assert a.commutes_with(b) == a.commutes_with(b)
@@ -73,10 +75,11 @@ def test_products_and_checks_of_single_members_within_the_plan_bound_are_kept():
 
 @pytest.mark.parametrize("a, b", [
     (terms(17), terms(16)),  # over PLAN_PAIRS term pairs
+    (terms(2), terms(2)),  # single members, but not single terms
     (terms(2, members=3), terms(2, members=3)),  # sweeps
     (terms(2), terms(2, members=3)),
     (terms(2, members=3), terms(2)),
-], ids=["over-the-bound", "sweep", "single-by-sweep", "sweep-by-single"])
+], ids=["over-the-bound", "two-by-two-terms", "sweep", "single-by-sweep", "sweep-by-single"])
 def test_products_and_checks_over_the_bound_or_of_sweeps_are_not_kept(a, b):
     lookups = [f.cache_info()[:2] for f in (_term_product, _defect)]  # hits and misses
     first, second = a @ b, a @ b
@@ -85,6 +88,23 @@ def test_products_and_checks_over_the_bound_or_of_sweeps_are_not_kept(a, b):
     assert np.array_equal(first.coefficients, second.coefficients)
     a.commutes_with(b), b.commutes_with(a)
     assert [f.cache_info()[:2] for f in (_term_product, _defect)] == lookups
+
+
+def test_every_operator_a_run_builds_arrives_read_only_so_skips_the_constructor_checks(monkeypatch):
+    # the constructor checks only rows and coefficients that arrive writable or as other dtypes
+    arrivals, post_init = [], Operator.__post_init__
+
+    def recorded(self):
+        rows, coeffs = self.exponents, self.coefficients
+        arrivals.append(rows.dtype != np.int64 or rows.flags.writeable or coeffs.flags.writeable)
+        post_init(self)
+
+    monkeypatch.setattr(Operator, "__post_init__", recorded)
+    SpaceLayout((("x", 3), ("y", 2))).weyl
+    for variant in (Plain(), Decohered(3), Chained(1, 2), WignerUndo()):
+        run_bell(BellConfig(0.3, -1.1, variant))
+        run_bells([BellConfig(t, 0.7, variant) for t in (0.2, 1.3)])
+    assert arrivals and not any(arrivals)
 
 
 def test_at_most_plan_entries_products_are_kept():

@@ -259,6 +259,25 @@ class TestOperator:
         with pytest.raises(ValueError):  # NaN terms would be pruned to 0
             Operator.from_matrix(TWO_QUBITS, np.diag([1.0, np.nan, 1.0, 1.0]))
 
+    @pytest.mark.parametrize("rows, coeffs, error", [
+        # 0.7 would be truncated to 0, the identity row
+        ([[0.7, 0, 0, 0]], [1], ValueError),
+        # X^-1 would read distance(X_a) as 2.0 where X^-1 = X_a is at 0
+        ([[-1, 0, 0, 0]], [1], ValueError),
+        # X^3 would share the int64 key 24 with [2, 2, 0, 0], so a merge would sum them
+        ([[3, 0, 0, 0]], [1], ValueError),
+        ([[1, 0, 0]], [1], LayoutError),
+        ([[1, 0, 0, 0], [0, 1, 0, 0]], [1], LayoutError),  # a raw IndexError later
+        ([[1, 0, 0, 0]], [[[1]]], LayoutError),
+        # a NaN would make bad @ (X + Z) the zero operator and bad.distance(bad) 0.0
+        ([[1, 0, 0, 0]], [np.nan], ValueError),
+        ([[1, 0, 0, 0]], [np.inf], ValueError),
+    ], ids=["fractional-row", "negative-digit", "digit-of-d", "three-columns",
+            "short-coefficients", "three-axis-coefficients", "nan-coefficient", "inf-coefficient"])
+    def test_malformed_rows_and_coefficients_are_refused(self, rows, coeffs, error):
+        with pytest.raises(error, match="do not fit" if error is LayoutError else "integer digits"):
+            Operator(TWO_QUBITS, np.array(rows), np.array(coeffs, complex))
+
     def test_adjoint_and_predicates(self):
         x, z = GENERATORS["Q1"]
         y = 1j * (x @ z)

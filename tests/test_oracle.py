@@ -4,12 +4,14 @@ from hypothesis import given
 
 from descriptorsim import (
     Controlled,
+    CustomGate,
     GateApplication,
     Hadamard,
     LayoutError,
     Network,
     NetworkError,
     Plus,
+    RotationY,
     SpaceLayout,
     joint_outcome_distribution,
     reduced_density_matrix,
@@ -220,3 +222,20 @@ def test_route_is_chosen_by_the_layout_size(monkeypatch, rng):
     for net in large_networks(rng, 3):
         simulate_statevector(fresh(net))
     assert not calls
+
+
+@pytest.mark.parametrize("qubits", [1, 7], ids=["dense", "axis-wise"])
+def test_a_stacked_gate_is_refused_before_any_amplitude(qubits):
+    # a sweep's members are a (B, D, D) stack of matrices, which one state
+    # vector cannot take: refused by name on either route, N = 2 or 128
+    layout = SpaceLayout(tuple((f"q{i}", 2) for i in range(qubits)))
+    stack = CustomGate(np.stack([RotationY(t).matrix((2,)) for t in (0.3, 0.9)]), "sweep")
+    network = Network(layout, [[GateApplication(Hadamard(), ("q0",))], [GateApplication(stack, ("q0",))]])
+    simulate_statevector(network.upto(1))
+    kept = oracle._last
+    for read in (simulate_statevector, lambda n: joint_outcome_distribution(n, ("q0",)),
+                 lambda n: reduced_density_matrix(n, "q0"), lambda n: n.embedded(n.slices[1][0])):
+        with pytest.raises(NetworkError, match=r"stacked CustomGate\(name='sweep'\)"):
+            read(network)
+    # refused before the oracle set out on the network: the prefix's state is still kept
+    assert oracle._last is kept

@@ -37,6 +37,7 @@ from .operators import (
     _plan,
     _read_only,
     _roots_of_unity,
+    _terms,
     as_index,
     combination,
 )
@@ -96,7 +97,7 @@ def _weyl_terms(gate: Gate, dims: tuple[int, ...], images: bool = False) -> tupl
         for j, keep in enumerate(coeffs.any(axis=1).T):  # each image's own terms, a column per member
             exponents = terms.exponents if keep.all() else terms.exponents[keep]
             image = coeffs[keep, :, j] if u.ndim == 3 else coeffs[keep, 0, j]
-            out.append(Operator(layout, *_read_only(exponents, image)))  # built terms: read-only, unchecked
+            out.append(_terms(layout, exponents, image))
     return tuple(out)
 
 

@@ -146,6 +146,8 @@ class GateApplication:
         if isinstance(self.subsystems, str):  # tuple() would split it into one-letter ids
             raise NetworkError(f"subsystems {self.subsystems!r} is a string, not a tuple of ids")
         object.__setattr__(self, "subsystems", tuple(self.subsystems))
+        if not all(isinstance(sid, str) for sid in self.subsystems):  # as in SpaceLayout: 3 is not "3"
+            raise NetworkError(f"subsystem ids {self.subsystems!r} are not all strings")
         if not self.subsystems:
             raise NetworkError(f"{type(self.gate).__name__} acts on no subsystems")
         if len(set(self.subsystems)) != len(self.subsystems):

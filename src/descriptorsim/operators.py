@@ -149,11 +149,11 @@ class SpaceLayout:
 
     @functools.cached_property
     def weyl(self) -> WeylConstants:
-        m, one = len(self.dims), _read_only(np.ones(1, complex))[0]  # built terms: read-only, unchecked
-        unit = Operator(self, *_read_only(np.zeros((1, 2 * m), np.int64)), one)
+        m, one = len(self.dims), np.ones(1, complex)
+        unit = _terms(self, np.zeros((1, 2 * m), np.int64), one)
         unit.__dict__["H"] = unit
-        rows = _read_only(np.eye(2 * m, dtype=np.int64))[0]
-        pairs = tuple(tuple(Operator(self, rows[j:j + 1], one) for j in (i, m + i)) for i in range(m))
+        pairs = tuple(tuple(_terms(self, np.eye(1, 2 * m, j, np.int64), one) for j in (i, m + i))
+                      for i in range(m))
         return WeylConstants(*_weyl_tables(self.dims), unit, pairs)
 
     def index_of(self, sid: str) -> int:
@@ -174,8 +174,8 @@ class Operator:
     (0 where a member lacks a term); one column counts for every member.
     Its readings are per member, as if each ran alone; predicates, for all.
 
-    Immutable; arithmetic returns new instances, whose terms arrive read-only, while writable rows and
-    coefficients are checked.  Equality is numeric, via :meth:`distance` / :meth:`isclose`, never ``==``.
+    Immutable: the constructor checks array-like rows and coefficients and keeps read-only copies, while
+    arithmetic builds its terms by :func:`_terms`.  Equality is numeric, by :meth:`isclose`, never ``==``.
     """
 
     layout: SpaceLayout
@@ -183,22 +183,16 @@ class Operator:
     coefficients: np.ndarray  # (terms,) complex, or (terms, B) for a sweep
 
     def __post_init__(self) -> None:
-        rows, coeffs, dims = self.exponents, self.coefficients, self.layout.dims
-        if rows.flags.writeable or coeffs.flags.writeable or rows.dtype != np.int64:  # from outside
-            if rows.shape[1:] != (2 * len(dims),) or coeffs.shape[:1] != rows.shape[:1] or coeffs.ndim > 2:
-                raise LayoutError(f"rows {rows.shape} and coefficients {coeffs.shape} do not fit dims {dims}")
-            digits = rows.dtype.kind in "iu" and ((rows >= 0) & (rows < dims * 2)).all()
-            if not (digits and np.isfinite(coeffs).all()):
-                raise ValueError(f"rows need integer digits in [0, d) of dims {dims} and finite coefficients")
-            object.__setattr__(self, "exponents", rows.astype(np.int64, copy=False))  # plans key int64 bytes
-        for name in ("exponents", "coefficients"):  # kept products need operands that cannot change
-            array = base = getattr(self, name)
-            while (base := base.base) is not None:  # a view is copied if an array above it can write
-                if not isinstance(base, np.ndarray) or base.flags.writeable:
-                    object.__setattr__(self, name, array := array.copy())
-                    break
-            if array.flags.writeable:  # built terms arrive read-only
-                array.setflags(write=False)
+        rows, coeffs, dims = np.array(self.exponents), np.array(self.coefficients, complex), self.layout.dims
+        if rows.shape[1:] != (2 * len(dims),) or coeffs.shape[:1] != rows.shape[:1] or coeffs.ndim > 2:
+            raise LayoutError(f"rows {rows.shape} and coefficients {coeffs.shape} do not fit dims {dims}")
+        digits = rows.dtype.kind in "iu" and ((rows >= 0) & (rows < dims * 2)).all()
+        if not (digits and np.isfinite(coeffs).all() and len(np.unique(rows, axis=0)) == len(rows)):
+            raise ValueError(f"rows need integer digits in [0, d) of dims {dims}, no row twice, "
+                             "and finite coefficients")
+        # private copies: kept products need operands that cannot change, and plans key int64 bytes
+        for name, array in zip(("exponents", "coefficients"), (rows.astype(np.int64, copy=False), coeffs)):
+            object.__setattr__(self, name, *_read_only(array))
 
     @classmethod
     def identity(cls, layout: SpaceLayout) -> "Operator":
@@ -268,8 +262,7 @@ class Operator:
         w, m = self.layout.weyl, len(self.layout.dims)
         a, b = self.exponents[:, :m], self.exponents[:, m:]
         phase = w.table[(a * b) @ w.weights % len(w.table)]
-        coeffs = _read_only(self.coefficients.T.conj() * phase)[0]  # so its .T is not copied
-        return Operator(self.layout, _read_only(-self.exponents % w.mods)[0], coeffs.T)
+        return _terms(self.layout, -self.exponents % w.mods, (self.coefficients.T.conj() * phase).T)
 
     def matpow(self, k: int) -> "Operator":
         """self^k, k >= 0, by squaring."""
@@ -357,7 +350,7 @@ class _Plan(NamedTuple):
 
     def apply(self, layout: SpaceLayout, coeffs: np.ndarray) -> Operator:
         if self.order is None:
-            return Operator(layout, self.rows, coeffs)
+            return _terms(layout, self.rows, coeffs)
         distinct = len(self.first) == len(self.order)
         summed = coeffs[self.order] if distinct else np.add.reduceat(coeffs[self.order], self.first)
         return _pruned(layout, self.rows, summed)
@@ -417,11 +410,20 @@ def _pruned(layout: SpaceLayout, exps: np.ndarray, coeffs: np.ndarray) -> Operat
     prune alone: to an exact 0, the row going when every member drops it."""
     magnitude = np.abs(coeffs)
     keep = magnitude > PRUNE * magnitude.max(axis=0, initial=0.0)
-    if keep.all():  # built terms are read-only, which spares them the constructor's checks
-        return Operator(layout, *_read_only(exps, coeffs))
+    if keep.all():
+        return _terms(layout, exps, coeffs)
     if keep.ndim > 1:
         coeffs, keep = np.where(keep, coeffs, 0), keep.any(axis=1)
-    return Operator(layout, *_read_only(exps[keep], coeffs[keep]))
+    return _terms(layout, exps[keep], coeffs[keep])
+
+
+def _terms(layout: SpaceLayout, exponents: np.ndarray, coefficients: np.ndarray) -> Operator:
+    """The module's own terms, unchecked (distinct int64 rows, coefficients that fit them), made read-only;
+    the fields are set one at a time, in field order, which keeps instance dicts sharing their keys."""
+    op, fields = object.__new__(Operator), (layout, *_read_only(exponents, coefficients))
+    for name, value in zip(("layout", "exponents", "coefficients"), fields):
+        object.__setattr__(op, name, value)
+    return op
 
 
 def _below(value: float | np.ndarray, tol: float) -> bool:
@@ -448,19 +450,14 @@ def _plan(a: Operator, b: Operator, unit: bool = False, held: int = 1) -> _Plan:
     return build(a.layout.dims, a.exponents.tobytes(), b.exponents.tobytes(), unit)
 
 
-def _phases(a: Operator, b: Operator) -> np.ndarray:
-    """omega^(b.c) at [i, j], for term i of ``a``, X^a Z^b, and j of ``b``, X^c Z^d."""
-    return _plan(a, b).phases
-
-
 def _pair_coefficients(a: Operator, b: Operator, phases: np.ndarray) -> np.ndarray:
     """c_i d_j phases[i, j] at row i * len(b) + j, for term i of ``a`` and j
     of ``b``; a sweep's members broadcast over a single operator's terms."""
     x, y = a.coefficients, b.coefficients
-    if x.ndim == y.ndim == 1:  # read-only, so that an operator on a view of it takes no copy
-        return _read_only(x[:, None] * y * phases)[0].ravel()
+    if x.ndim == y.ndim == 1:
+        return (x[:, None] * y * phases).ravel()
     pairs = np.atleast_2d(x.T)[:, :, None] * np.atleast_2d(y.T)[:, None] * phases
-    return _read_only(pairs)[0].reshape(len(pairs), -1).T
+    return pairs.reshape(len(pairs), -1).T
 
 
 def _kept(compute):
@@ -494,7 +491,7 @@ def _defect(a: Operator, b: Operator, commutator: bool = False) -> float:
     """||ab - I||_F, or with ``commutator`` ||ab - ba||_F, from one merge:
     ab and ba share each term pair's row and differ only in its phase."""
     plan = _plan(a, b, unit=not commutator, held=2 if commutator else 1)  # ba's plan is as large
-    coeffs = _pair_coefficients(a, b, plan.phases - _phases(b, a).T if commutator else plan.phases)
+    coeffs = _pair_coefficients(a, b, plan.phases - _plan(b, a).phases.T if commutator else plan.phases)
     if not commutator:  # minus I, the all-zero row, from every member
         coeffs = np.concatenate((coeffs, np.full((1, *coeffs.shape[1:]), -1)))
     coeffs = plan.apply(a.layout, coeffs).coefficients

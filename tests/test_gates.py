@@ -123,6 +123,13 @@ def test_application_arity_checked():
             GateApplication(not_gate, ("Q1",))
 
 
+def test_application_refuses_subsystem_ids_that_are_not_strings():
+    # as SpaceLayout does: a list is no id, and 3 is not renamed "3" to fail later in a Network
+    for ids in ((["Q1"],), (3,), ("Q1", 3)):
+        with pytest.raises(NetworkError, match="not all strings"):
+            GateApplication(Hadamard(), ids)
+
+
 def test_network_time_validation():
     # a gate's time is the index of its slice
     h = GateApplication(Hadamard(), ("Q1",))

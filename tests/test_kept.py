@@ -4,7 +4,8 @@ Each layout shape is one object with its time-0 generators built once, the
 fresh rule's images are kept per gate, layout and positions, and a product
 or check of two single terms, the only pairs that repeat, is kept, by
 operand identity.  Operators are immutable, which the identity key needs:
-one built on a view of a writable array takes its own copy.
+one built from outside keeps its own read-only copies, and those a run
+builds never pass through the constructor.
 """
 
 import itertools
@@ -56,12 +57,15 @@ def test_an_operator_on_views_of_writable_arrays_cannot_change():
     assert np.array_equal(op.coefficients, [1])
 
 
-def test_an_operator_copies_no_memory_that_no_array_can_write():
+@pytest.mark.parametrize("writable", [True, False], ids=["writable", "read-only"])
+def test_an_outside_operator_copies_its_inputs_and_leaves_their_flags(writable):
     rows, c = np.array([[1, 0]]), np.array([1.0 + 0j])
-    op = Operator(QUBIT, rows, c)
-    assert op.exponents is rows and op.coefficients is c and not c.flags.writeable
-    view = c[:]
-    assert Operator(QUBIT, rows, view).coefficients is view
+    for array in (rows, c):
+        array.setflags(write=writable)
+    for op in (Operator(QUBIT, rows, c), Operator(QUBIT, rows[:], c[:])):
+        assert not (np.shares_memory(op.exponents, rows) or np.shares_memory(op.coefficients, c))
+        assert not (op.exponents.flags.writeable or op.coefficients.flags.writeable)
+        assert rows.flags.writeable == c.flags.writeable == writable
 
 
 def test_products_and_checks_of_single_terms_are_kept():
@@ -90,13 +94,12 @@ def test_products_and_checks_over_the_bound_or_of_sweeps_are_not_kept(a, b):
     assert [f.cache_info()[:2] for f in (_term_product, _defect)] == lookups
 
 
-def test_every_operator_a_run_builds_arrives_read_only_so_skips_the_constructor_checks(monkeypatch):
-    # the constructor checks only rows and coefficients that arrive writable or as other dtypes
-    arrivals, post_init = [], Operator.__post_init__
+def test_no_operator_a_run_builds_passes_through_the_checking_constructor(monkeypatch):
+    # the constructor checks and copies operators from outside; the module builds its own by _terms
+    calls, post_init = [], Operator.__post_init__
 
     def recorded(self):
-        rows, coeffs = self.exponents, self.coefficients
-        arrivals.append(rows.dtype != np.int64 or rows.flags.writeable or coeffs.flags.writeable)
+        calls.append(self)
         post_init(self)
 
     monkeypatch.setattr(Operator, "__post_init__", recorded)
@@ -104,7 +107,8 @@ def test_every_operator_a_run_builds_arrives_read_only_so_skips_the_constructor_
     for variant in (Plain(), Decohered(3), Chained(1, 2), WignerUndo()):
         run_bell(BellConfig(0.3, -1.1, variant))
         run_bells([BellConfig(t, 0.7, variant) for t in (0.2, 1.3)])
-    assert arrivals and not any(arrivals)
+    Operator(QUBIT, np.array([[1, 0]]), np.ones(1))
+    assert len(calls) == 1
 
 
 def test_at_most_plan_entries_products_are_kept():

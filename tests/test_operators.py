@@ -272,11 +272,32 @@ class TestOperator:
         # a NaN would make bad @ (X + Z) the zero operator and bad.distance(bad) 0.0
         ([[1, 0, 0, 0]], [np.nan], ValueError),
         ([[1, 0, 0, 0]], [np.inf], ValueError),
-    ], ids=["fractional-row", "negative-digit", "digit-of-d", "three-columns",
-            "short-coefficients", "three-axis-coefficients", "nan-coefficient", "inf-coefficient"])
+        # Z - Z has a zero matrix, yet commutes_with(X) read False, and @ X kept both rows
+        ([[0, 0, 1, 0], [0, 0, 1, 0]], [1, -1], ValueError),
+    ], ids=["fractional-row", "negative-digit", "digit-of-d", "three-columns", "short-coefficients",
+            "three-axis-coefficients", "nan-coefficient", "inf-coefficient", "repeated-row"])
     def test_malformed_rows_and_coefficients_are_refused(self, rows, coeffs, error):
         with pytest.raises(error, match="do not fit" if error is LayoutError else "integer digits"):
             Operator(TWO_QUBITS, np.array(rows), np.array(coeffs, complex))
+
+    def test_read_only_terms_from_outside_are_checked_too(self):
+        # another operator's arrays, and a NaN made read-only, are no trusted terms
+        x = GENERATORS["Q1"][0]
+        with pytest.raises(LayoutError, match="do not fit"):
+            Operator(SpaceLayout((("a", 2), ("b", 2), ("c", 2))), x.exponents, x.coefficients)
+        nan = np.array([np.nan + 0j])
+        nan.setflags(write=False)
+        with pytest.raises(ValueError, match="finite coefficients"):
+            Operator(TWO_QUBITS, x.exponents, nan)
+
+    def test_lists_build_the_operator_equal_arrays_build(self):
+        rows, coeffs = [[1, 0, 0, 1], [0, 1, 1, 0]], [1, 0.5j]
+        want = Operator(TWO_QUBITS, np.array(rows), np.array(coeffs))
+        for args in [(rows, coeffs), (np.array(rows), coeffs), (rows, np.array(coeffs))]:
+            op = Operator(TWO_QUBITS, *args)
+            assert op.exponents.dtype == np.int64 and op.coefficients.dtype == complex
+            assert np.array_equal(op.exponents, want.exponents)
+            assert np.array_equal(op.coefficients, want.coefficients)
 
     def test_adjoint_and_predicates(self):
         x, z = GENERATORS["Q1"]

@@ -41,7 +41,7 @@ from descriptorsim import bell, cli, engine, oracle
 from descriptorsim.bell import BRANCH_KEYS
 from descriptorsim.chsh import INPUT_PAIRS
 from descriptorsim.gates import gate_matrix
-from descriptorsim.operators import _phases
+from descriptorsim.operators import _plan
 
 SPECIAL = (0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi)
 ANGLE = st.one_of(st.sampled_from(SPECIAL), st.floats(-4, 4, allow_nan=False))
@@ -331,7 +331,7 @@ def test_sweep_product_over_budget_only_by_its_members_is_refused_before_allocat
     rng = np.random.default_rng(0)
     wide = Operator(layout, rows, rng.standard_normal((1024, 32)) + 0j)
     narrow = Operator(layout, rows, wide.coefficients[:, 0].copy())
-    assert _phases(narrow, narrow).shape == (1024, 1024)
+    assert _plan(narrow, narrow).phases.shape == (1024, 1024)
     tracemalloc.start()
     try:
         with pytest.raises(LayoutError, match="term pairs need"):

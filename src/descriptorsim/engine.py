@@ -54,11 +54,20 @@ def initial_descriptors(layout: SpaceLayout) -> dict[str, tuple[Operator, ...]]:
 
 
 @functools.lru_cache(maxsize=256)
-def _factors(polynomial: Operator) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per term of a kept polynomial, its factors ``(position, component)``: shift a then clock b times."""
-    m = polynomial.exponents.shape[1] // 2
-    return tuple(tuple((i, j) for i in range(m) for j in (0, 1) for _ in range(row[i + j * m]))
-                 for row in polynomial.exponents.tolist())
+def _walk(m: int, *rows: bytes) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, ...], ...]]:
+    """Steps ``(head, position, component)``: step s + 1 is step ``head``'s monomial (0: I) times that factor;
+    they form each monomial and prefix of polynomials with these rows once; per polynomial, each term's step."""
+    steps, index, terms = [], {(): 0}, []
+    for polynomial in rows:
+        terms.append([])
+        for row in np.frombuffer(polynomial, np.int64).reshape(-1, 2 * m).tolist():
+            factors = tuple((i, j) for i in range(m) for j in (0, 1) for _ in range(row[i + j * m]))
+            for k in range(1, len(factors) + 1):
+                if factors[:k] not in index:
+                    steps.append((index[factors[:k - 1]], *factors[k - 1]))
+                    index[factors[:k]] = len(steps)
+            terms[-1].append(index[factors])
+    return tuple(steps), tuple(map(tuple, terms))
 
 
 @functools.lru_cache(maxsize=16)
@@ -95,9 +104,8 @@ def _weyl_terms(gate: Gate, dims: tuple[int, ...], images: bool = False) -> tupl
         terms = Operator.from_matrix(layout, products.reshape(-1, n, n))
         coeffs = terms.coefficients.reshape(len(terms.exponents), len(members), -1)
         for j, keep in enumerate(coeffs.any(axis=1).T):  # each image's own terms, a column per member
-            exponents = terms.exponents if keep.all() else terms.exponents[keep]
             image = coeffs[keep, :, j] if u.ndim == 3 else coeffs[keep, 0, j]
-            out.append(_terms(layout, exponents, image))
+            out.append(_terms(layout, terms.exponents if keep.all() else terms.exponents[keep], image))
     return tuple(out)
 
 
@@ -112,17 +120,11 @@ def _evaluate(app: GateApplication, descriptors: Mapping, images: bool,
     if fresh:
         return _placed(app.gate, layout, tuple(map(layout.index_of, app.subsystems)))
     polynomials = _weyl_terms(app.gate, tuple(layout.dim_of(sid) for sid in app.subsystems), images)
-    monomials = {}
-    # a loop, not a recursive closure: the closure's reference cycle would
-    # hold every monomial until the cyclic garbage collector happened to run
-    for factors in (f for p in polynomials for f in _factors(p)):
-        if not factors:
-            monomials[()] = Operator.identity(layout)
-        for k, (i, j) in enumerate(factors, 1):
-            if factors[:k] not in monomials:
-                head = factors[:k - 1]
-                monomials[factors[:k]] = monomials[head] @ args[i][j] if head else args[i][j]
-    return [combination([monomials[f] for f in _factors(p)], p.coefficients) for p in polynomials]
+    steps, terms = _walk(len(args), *[p.exponents.tobytes() for p in polynomials])  # kept per rows
+    monomials = [Operator.identity(layout)]
+    for head, i, j in steps:
+        monomials.append(monomials[head] @ args[i][j] if head else args[i][j])
+    return [combination([monomials[s] for s in t], p.coefficients) for p, t in zip(polynomials, terms)]
 
 
 @functools.lru_cache(maxsize=256)
@@ -132,7 +134,7 @@ def _placed(gate: Gate, layout: SpaceLayout, acted: tuple[int, ...]) -> tuple[Op
     m = len(layout.dims)
     place = np.eye(2 * m, dtype=np.int64)[[*acted, *(m + i for i in acted)]]  # column moves
     polynomials = _weyl_terms(gate, tuple(layout.dims[i] for i in acted), True)
-    return tuple(_merged(layout, p.exponents @ place, p.coefficients) for p in polynomials)
+    return tuple(_merged(layout, [p.exponents @ place], p.coefficients) for p in polynomials)
 
 
 def functional_form(

@@ -145,7 +145,10 @@ class GateApplication:
             raise NetworkError(f"GateApplication needs a gate, got {self.gate!r}")
         if isinstance(self.subsystems, str):  # tuple() would split it into one-letter ids
             raise NetworkError(f"subsystems {self.subsystems!r} is a string, not a tuple of ids")
-        object.__setattr__(self, "subsystems", tuple(self.subsystems))
+        try:
+            object.__setattr__(self, "subsystems", tuple(self.subsystems))
+        except TypeError:
+            raise NetworkError(f"subsystems {self.subsystems!r} are not a tuple of ids") from None
         if not all(isinstance(sid, str) for sid in self.subsystems):  # as in SpaceLayout: 3 is not "3"
             raise NetworkError(f"subsystem ids {self.subsystems!r} are not all strings")
         if not self.subsystems:

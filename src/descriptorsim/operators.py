@@ -5,10 +5,10 @@ An operator is a short sum of monomials c X^a Z^b, the tensor product
 Each monomial is a phased permutation, so products, adjoints, norms and
 expectations are sums over terms; dense N x N matrices appear only at the
 edges: the state-vector oracle and the tests.
-A product's plan (its phases, pair rows and merge) is built once per
-layout dims and operand rows, so each call computes only coefficients;
-a product or check of two single terms, the only pairs that repeat, is
-kept by operand identity, which holds because operators are immutable.
+Plans (a product's phases, pair rows and merge, or a merge's) and a row set's
+adjoint rows, phases and shift-free rows are built once per dims and rows, so
+each call computes only coefficients; a product or check of two single terms,
+the only pairs that repeat, is kept by identity, safe as operators are immutable.
 Expectation values are taken against the fixed reference vector |0...0>,
 which never evolves; all dynamics act on operators.
 """
@@ -183,7 +183,14 @@ class Operator:
     coefficients: np.ndarray  # (terms,) complex, or (terms, B) for a sweep
 
     def __post_init__(self) -> None:
-        rows, coeffs, dims = np.array(self.exponents), np.array(self.coefficients, complex), self.layout.dims
+        try:  # ragged rows and coefficients that are not numbers fail here, by name, not inside numpy
+            rows, dims = np.array(self.exponents), self.layout.dims
+        except ValueError:
+            raise LayoutError(f"rows {self.exponents!r} are ragged, not one row per term") from None
+        try:
+            coeffs = np.array(self.coefficients, complex)
+        except (TypeError, ValueError):
+            raise ValueError(f"coefficients {self.coefficients!r} are not complex numbers") from None
         if rows.shape[1:] != (2 * len(dims),) or coeffs.shape[:1] != rows.shape[:1] or coeffs.ndim > 2:
             raise LayoutError(f"rows {rows.shape} and coefficients {coeffs.shape} do not fit dims {dims}")
         digits = rows.dtype.kind in "iu" and ((rows >= 0) & (rows < dims * 2)).all()
@@ -207,9 +214,7 @@ class Operator:
         matrix = np.asarray(matrix, dtype=complex)
         n = layout.total_dim
         if matrix.shape[-2:] != (n, n) or matrix.ndim > 3:
-            raise LayoutError(
-                f"operator shape {matrix.shape} does not match layout dim {n}"
-            )
+            raise LayoutError(f"operator shape {matrix.shape} does not match layout dim {n}")
         if not np.isfinite(matrix).all():
             raise ValueError("operator matrix has non-finite entries")
         dims, (digits, rows, dfts) = layout.dims, _dense_tables(layout.dims)
@@ -232,8 +237,7 @@ class Operator:
         values = (self.coefficients[:, None] * w.table[(b * w.weights) @ digits % len(w.table)]).ravel()
         out = np.empty((n, n), dtype=complex)  # bincount sums each entry's terms in input order
         out.real.flat, out.imag.flat = (np.bincount(flat, v, n * n) for v in (values.real, values.imag))
-        out.setflags(write=False)
-        return out
+        return _read_only(out)[0]
 
     def _same_layout(self, other: "Operator") -> bool:
         """Whether ``other`` is an operator; one on another layout raises."""
@@ -259,10 +263,8 @@ class Operator:
     @functools.cached_property
     def H(self) -> "Operator":
         """Adjoint: (c X^a Z^b)^dag = conj(c) omega^(a.b) X^-a Z^-b."""
-        w, m = self.layout.weyl, len(self.layout.dims)
-        a, b = self.exponents[:, :m], self.exponents[:, m:]
-        phase = w.table[(a * b) @ w.weights % len(w.table)]
-        return _terms(self.layout, -self.exponents % w.mods, (self.coefficients.T.conj() * phase).T)
+        rows, phases, _ = self._rows()
+        return _terms(self.layout, rows, (self.coefficients.T.conj() * phases).T)
 
     def matpow(self, k: int) -> "Operator":
         """self^k, k >= 0, by squaring."""
@@ -276,11 +278,15 @@ class Operator:
 
     def expectation(self) -> complex | np.ndarray:
         """<0...0| self |0...0>: the terms with no shift."""
-        m = len(self.layout.dims)
-        shift_free = self.coefficients[~self.exponents[:, :m].any(axis=1)]
+        shift_free = self.coefficients[self._rows()[2]]
         if shift_free.ndim > 1:  # each member's own terms, summed as if it ran alone
             return np.array([c[c != 0].sum() for c in shift_free.T])
         return complex(shift_free.sum())
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The record of the rows (:func:`_cached_rows`), kept per dims and rows for at most PLAN_PAIRS."""
+        build = _cached_rows if len(self.exponents) <= PLAN_PAIRS else _cached_rows.__wrapped__
+        return build(self.layout.dims, self.exponents.tobytes())
 
     def distance(self, other: "Operator") -> float | np.ndarray:
         """Frobenius norm of the difference, sqrt(N sum |c|^2)."""
@@ -288,9 +294,8 @@ class Operator:
             raise TypeError(f"expected an Operator, got {type(other).__name__}")
         diff = combination([self, other], [1, -1])
         if diff.coefficients.ndim > 1:  # each member's own terms, as if it ran alone
-            return np.array([np.sqrt(self.layout.total_dim) * np.linalg.norm(c[c != 0])
-                             for c in diff.coefficients.T])
-        return float(np.sqrt(self.layout.total_dim) * np.linalg.norm(diff.coefficients))
+            return np.array([np.sqrt(self.layout.total_dim) * _norm(c[c != 0]) for c in diff.coefficients.T])
+        return float(np.sqrt(self.layout.total_dim) * _norm(diff.coefficients))
 
     def isclose(self, other: "Operator", tol: float = DEFAULT_TOLERANCE) -> bool:
         return _below(self.distance(other), tol)
@@ -357,6 +362,15 @@ class _Plan(NamedTuple):
 
 
 @functools.lru_cache(maxsize=PLAN_ENTRIES)
+def _cached_rows(dims: tuple[int, ...], x: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What int64 rows ``x`` alone fix: the adjoint's rows, their phases omega^(a.b), the shift-free rows."""
+    (mods, _, weights, table), m = _weyl_tables(dims), len(dims)
+    rows = np.frombuffer(x, np.int64).reshape(-1, 2 * m)
+    a, b = rows[:, :m], rows[:, m:]
+    return _read_only(-rows % mods, table[(a * b) @ weights % len(table)], ~a.any(axis=1))
+
+
+@functools.lru_cache(maxsize=PLAN_ENTRIES)
 def _cached_plan(dims: tuple[int, ...], x: bytes | memoryview, y: bytes | None, unit: bool = False) -> _Plan:
     """The merge of int64 rows ``x`` or, given ``y``, the product of terms with rows ``x`` by terms
     with rows ``y``, minus I (the zero row, last) with ``unit``; a monomial factor's rows stay distinct."""
@@ -378,10 +392,10 @@ def _cached_plan(dims: tuple[int, ...], x: bytes | memoryview, y: bytes | None, 
     return _Plan(*plan[:3], *_read_only(phases, free.ravel()))
 
 
-def _merged(layout: SpaceLayout, exps: np.ndarray, coeffs: np.ndarray) -> Operator:
-    """Sum the terms that share an exponent row, then prune."""
-    build = _cached_plan if len(exps) <= PLAN_PAIRS else _cached_plan.__wrapped__
-    return build(layout.dims, exps.tobytes(), None).apply(layout, coeffs)
+def _merged(layout: SpaceLayout, parts: list[np.ndarray], coeffs: np.ndarray) -> Operator:
+    """Sum the terms that share an exponent row, then prune: the rows are ``parts``', in turn, joined."""
+    build = _cached_plan if sum(map(len, parts)) <= PLAN_PAIRS else _cached_plan.__wrapped__
+    return build(layout.dims, b"".join([p.tobytes() for p in parts]), None).apply(layout, coeffs)
 
 
 def combination(ops: list[Operator], coeffs: list[complex] | np.ndarray) -> Operator:
@@ -402,7 +416,7 @@ def combination(ops: list[Operator], coeffs: list[complex] | np.ndarray) -> Oper
     except ValueError:  # a sweep's parts beside single ones, which count for every member
         width = max(p.shape[1:] for p in parts)
         summed = np.concatenate([np.broadcast_to(p.reshape(len(p), -1), (len(p), *width)) for p in parts])
-    return _merged(ops[0].layout, np.concatenate([o.exponents for o in ops]), summed)
+    return _merged(ops[0].layout, [o.exponents for o in ops], summed)
 
 
 def _pruned(layout: SpaceLayout, exps: np.ndarray, coeffs: np.ndarray) -> Operator:
@@ -410,7 +424,7 @@ def _pruned(layout: SpaceLayout, exps: np.ndarray, coeffs: np.ndarray) -> Operat
     prune alone: to an exact 0, the row going when every member drops it."""
     magnitude = np.abs(coeffs)
     keep = magnitude > PRUNE * magnitude.max(axis=0, initial=0.0)
-    if keep.all():
+    if np.count_nonzero(keep) == keep.size:
         return _terms(layout, exps, coeffs)
     if keep.ndim > 1:
         coeffs, keep = np.where(keep, coeffs, 0), keep.any(axis=1)
@@ -420,10 +434,16 @@ def _pruned(layout: SpaceLayout, exps: np.ndarray, coeffs: np.ndarray) -> Operat
 def _terms(layout: SpaceLayout, exponents: np.ndarray, coefficients: np.ndarray) -> Operator:
     """The module's own terms, unchecked (distinct int64 rows, coefficients that fit them), made read-only;
     the fields are set one at a time, in field order, which keeps instance dicts sharing their keys."""
-    op, fields = object.__new__(Operator), (layout, *_read_only(exponents, coefficients))
-    for name, value in zip(("layout", "exponents", "coefficients"), fields):
-        object.__setattr__(op, name, value)
+    op, _ = object.__new__(Operator), _read_only(exponents, coefficients)
+    object.__setattr__(op, "layout", layout)
+    object.__setattr__(op, "exponents", exponents)
+    object.__setattr__(op, "coefficients", coefficients)
     return op
+
+
+def _norm(c: np.ndarray) -> np.float64:
+    """``np.linalg.norm`` of a 1-D complex array, by its own formula, without its dispatch."""
+    return np.sqrt(c.real.dot(c.real) + c.imag.dot(c.imag))
 
 
 def _below(value: float | np.ndarray, tol: float) -> bool:
@@ -495,7 +515,7 @@ def _defect(a: Operator, b: Operator, commutator: bool = False) -> float:
     if not commutator:  # minus I, the all-zero row, from every member
         coeffs = np.concatenate((coeffs, np.full((1, *coeffs.shape[1:]), -1)))
     coeffs = plan.apply(a.layout, coeffs).coefficients
-    norm = np.linalg.norm(coeffs) if coeffs.ndim == 1 else np.linalg.norm(coeffs, axis=0).max()
+    norm = _norm(coeffs) if coeffs.ndim == 1 else np.linalg.norm(coeffs, axis=0).max()
     return float(np.sqrt(a.layout.total_dim) * norm)  # a sweep's worst member
 
 
@@ -538,11 +558,7 @@ def qudit_shift_clock(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if as_index(dim, "shift/clock dim", ValueError) < 2:
         raise ValueError(f"shift/clock need dim >= 2, got {dim}")
-    shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
-    clock = np.diag(_roots_of_unity(dim))
-    for generator in (shift, clock):
-        generator.setflags(write=False)
-    return shift, clock
+    return _read_only(np.roll(np.eye(dim, dtype=complex), 1, axis=0), np.diag(_roots_of_unity(dim)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -552,8 +568,7 @@ def _roots_of_unity(dim: int) -> np.ndarray:
     k = 0, where the FFT leaves 1 - 1.1e-16 at some dims (49, 89, 98, ...)."""
     roots = dim * np.fft.ifft(np.eye(1, dim, 1)[0])
     roots[0] = 1
-    roots.setflags(write=False)
-    return roots
+    return _read_only(roots)[0]
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

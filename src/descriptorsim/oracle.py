@@ -50,9 +50,9 @@ def simulate_statevector(network: Network) -> np.ndarray:
                 amp = network.embedded(app) @ amp
                 continue
             axes = [layout.index_of(sid) for sid in app.subsystems]
-            n, dims = len(axes), tuple(layout.dims[i] for i in axes)
-            amp = np.tensordot(matrix.reshape(dims * 2), amp, (range(n, 2 * n), axes))
-            amp = np.moveaxis(amp, range(n), axes)  # the gate's output axes back in their places
+            order = axes + [i for i in range(amp.ndim) if i not in axes]  # the gate's axes first
+            moved = amp.transpose(order)
+            amp = (matrix @ moved.reshape(len(matrix), -1)).reshape(moved.shape).transpose(np.argsort(order))
         states.append(amp.reshape(-1))  # a moved view is copied in C order: the readers sum one order
     _last = (layout, network.slices, states)
     states[-1].setflags(write=False)  # so no caller can change a kept state

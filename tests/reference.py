@@ -4,9 +4,11 @@ The dense reference engine, Schrödinger-picture cumulative conjugation,
 cross-checks the library's step law on dense N x N components and shares
 no term arithmetic with it.  The term route to a gate's generator images,
 G^dag g G as two term-pair products of its expansion, cross-checks the
-dense conjugation that builds them.  Both live beside the tests, so no
-module of the package can call them: the production path is the step law
-alone.
+dense conjugation that builds them.  The uncached adjoint, expectation and
+gate evaluation recompute on every call what the package keeps per row set
+and per gate's rows, and cross-check those records bit for bit.  All of
+them live beside the tests, so no module of the package can call them: the
+production path is the step law alone.
 """
 
 import itertools
@@ -15,8 +17,9 @@ from math import prod
 import numpy as np
 
 from descriptorsim import Network, Operator, SpaceLayout, qudit_shift_clock
+from descriptorsim.engine import _weyl_terms
 from descriptorsim.gates import gate_matrix
-from descriptorsim.operators import _term_product
+from descriptorsim.operators import _term_product, combination
 
 
 def cumulative_unitary(network: Network) -> np.ndarray:
@@ -53,3 +56,40 @@ def term_images(gate, dims: tuple[int, ...]) -> list[Operator]:
     g = Operator.from_matrix(layout, gate_matrix(gate, dims))
     product = _term_product.__wrapped__
     return [product(product(g.H, x), g) for x in itertools.chain(*layout.weyl.generators)]
+
+
+def adjoint(op: Operator) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and coefficients of op^dag, from op's rows on every call:
+    (c X^a Z^b)^dag = conj(c) omega^(a.b) X^-a Z^-b."""
+    w, m = op.layout.weyl, len(op.layout.dims)
+    a, b = op.exponents[:, :m], op.exponents[:, m:]
+    phase = w.table[(a * b) @ w.weights % len(w.table)]
+    return -op.exponents % w.mods, (op.coefficients.T.conj() * phase).T
+
+
+def expectation(op: Operator) -> complex | np.ndarray:
+    """<0...0| op |0...0>, the shift-free terms found on every call; a
+    sweep's members each sum their own terms."""
+    shift_free = op.coefficients[~op.exponents[:, :len(op.layout.dims)].any(axis=1)]
+    if shift_free.ndim > 1:
+        return np.array([c[c != 0].sum() for c in shift_free.T])
+    return complex(shift_free.sum())
+
+
+def evaluate(app, descriptors, images: bool) -> list[Operator]:
+    """The gate's expansion, or its generators' images, evaluated on the
+    acted descriptors with each monomial and each prefix of one multiplied
+    out once, in a table keyed by factor prefixes that every call rebuilds
+    from the polynomials' rows."""
+    args = [descriptors[sid] for sid in app.subsystems]
+    layout, m = args[0][0].layout, len(args)
+    polynomials = _weyl_terms(app.gate, tuple(layout.dim_of(sid) for sid in app.subsystems), images)
+    factors = [[tuple((i, j) for i in range(m) for j in (0, 1) for _ in range(row[i + j * m]))
+                for row in p.exponents.tolist()] for p in polynomials]
+    monomials = {(): Operator.identity(layout)}
+    for term in itertools.chain(*factors):
+        for k in range(1, len(term) + 1):
+            if term[:k] not in monomials:
+                i, j = term[k - 1]
+                monomials[term[:k]] = monomials[term[:k - 1]] @ args[i][j] if k > 1 else args[i][j]
+    return [combination([monomials[f] for f in terms], p.coefficients) for p, terms in zip(polynomials, factors)]

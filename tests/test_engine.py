@@ -229,7 +229,9 @@ class TestFunctionalForm:
         # fixes z_c and x_t; each is one monomial of modulus 1, with no
         # roundoff-scale terms beside it
         got = engine._weyl_terms(gate, dims, images=True)
-        assert [list(engine._factors(terms)) for terms in got] == [[f] for f in images]
+        m = len(dims)  # factor (i, j) raises column i of the shifts (j = 0) or of the clocks (j = 1)
+        rows = [[[sum(i + j * m == col for i, j in f) for col in range(2 * m)]] for f in images]
+        assert [terms.exponents.tolist() for terms in got] == rows
         assert all(abs(abs(c) - 1) < 1e-15 for terms in got for c in terms.coefficients)
 
 

@@ -130,6 +130,13 @@ def test_application_refuses_subsystem_ids_that_are_not_strings():
             GateApplication(Hadamard(), ids)
 
 
+def test_application_refuses_subsystems_that_are_not_a_sequence():
+    # tuple(3) raises Python's own TypeError ("'int' object is not iterable"), which names no value
+    for ids in (3, None, 2.5):
+        with pytest.raises(NetworkError, match=f"subsystems {ids!r} are not a tuple of ids"):
+            GateApplication(Hadamard(), ids)
+
+
 def test_network_time_validation():
     # a gate's time is the index of its slice
     h = GateApplication(Hadamard(), ("Q1",))

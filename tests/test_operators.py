@@ -280,6 +280,17 @@ class TestOperator:
         with pytest.raises(error, match="do not fit" if error is LayoutError else "integer digits"):
             Operator(TWO_QUBITS, np.array(rows), np.array(coeffs, complex))
 
+    @pytest.mark.parametrize("rows, coeffs, error, message", [
+        ([[1, 0, 0, 0], [1]], [1, 1], LayoutError, "are ragged"),
+        ([[1, 0, 0, 0]], ["one"], ValueError, "are not complex numbers"),
+        ([[1, 0, 0, 0]], [{}], ValueError, "are not complex numbers"),
+        ([[1, 0, 0, 0], [0, 1, 0, 0]], [[1], [1, 2]], ValueError, "are not complex numbers"),
+    ], ids=["ragged-rows", "string-coefficient", "dict-coefficient", "ragged-coefficients"])
+    def test_inputs_numpy_cannot_read_raise_the_constructors_own_errors(self, rows, coeffs, error, message):
+        # numpy's own errors ("inhomogeneous shape", "malformed string") name neither rows nor coefficients
+        with pytest.raises(error, match=message):
+            Operator(TWO_QUBITS, rows, coeffs)
+
     def test_read_only_terms_from_outside_are_checked_too(self):
         # another operator's arrays, and a NaN made read-only, are no trusted terms
         x = GENERATORS["Q1"][0]

@@ -3,16 +3,22 @@ import pytest
 from hypothesis import given
 
 from descriptorsim import (
+    BellConfig,
+    Chained,
     Controlled,
     CustomGate,
+    Decohered,
     GateApplication,
     Hadamard,
     LayoutError,
     Network,
     NetworkError,
+    Plain,
     Plus,
     RotationY,
     SpaceLayout,
+    WignerUndo,
+    build_bell_network,
     joint_outcome_distribution,
     reduced_density_matrix,
     simulate_statevector,
@@ -209,6 +215,22 @@ def test_axis_wise_route_agrees_with_the_dense_one_on_generated_networks(network
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "DENSE_MAX_DIM", 1)
         check_axis_wise_route(network)
+
+
+BELL_VARIANTS = [Plain(), WignerUndo(), *(Chained(a, b) for a in range(3) for b in range(3)),
+                 Decohered(None), Decohered(0), Decohered(3), Decohered(12345)]
+
+
+@pytest.mark.parametrize("variant", BELL_VARIANTS, ids=repr)
+def test_axis_wise_route_is_the_dense_one_bit_for_bit_on_every_bell_variant(variant, rng):
+    # JSON reports print oracle_residual down to 1e-17, so their bytes hold only
+    # if each gate's amplitudes are summed in the dense route's order; a cutoff
+    # of 1 sends the N = 64 networks along the axis-wise route too
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "DENSE_MAX_DIM", 1)
+        for theta, phi in rng.uniform(-4, 4, (5, 2)):
+            network = build_bell_network(BellConfig(theta, phi, variant))
+            assert np.array_equal(simulate_statevector(fresh(network)), dense_run(network))
 
 
 def test_route_is_chosen_by_the_layout_size(monkeypatch, rng):

@@ -38,6 +38,7 @@ from .gates import (
 from .operators import (
     DEFAULT_TOLERANCE,
     SpaceLayout,
+    Value,
     as_index,
     as_real,
     check_descriptor_budget,
@@ -48,14 +49,12 @@ from .oracle import reduced_density_matrix, simulate_statevector
 BRANCH_KEYS = ("00", "01", "10", "11")
 
 
-@dataclass(frozen=True)
-class Plain:
+class Plain(Value):
     def edit(self, cfg: BellConfig, qubits: list[str], stages: dict) -> None:
         """Leave the plain network as it is."""
 
 
-@dataclass(frozen=True)
-class Decohered:
+class Decohered(Value):
     """Environment qubit copies Particle 1's z basis before measurement.
 
     ``seed`` scrambles the environment (plus a hidden ancilla) with a
@@ -63,11 +62,12 @@ class Decohered:
     representation; ``seed=None`` leaves the environment fresh.
     """
 
-    seed: int | None = 0
+    _fields = ("seed",)
 
-    def __post_init__(self) -> None:
-        if self.seed is not None and as_index(self.seed, "seed", ValueError) < 0:
+    def __init__(self, seed: int | None = 0) -> None:
+        if seed is not None and as_index(seed, "seed", ValueError) < 0:
             raise ValueError("seed must be >= 0")
+        self._freeze(seed)
 
     def edit(self, cfg: BellConfig, qubits: list[str], stages: dict) -> None:
         """Add QE, QF (scrambled first if seeded); QE copies Q1 after the rotations."""
@@ -78,16 +78,15 @@ class Decohered:
         stages["rotate"].append([(Controlled(Plus(1)), ("Q1", "QE"))])
 
 
-@dataclass(frozen=True)
-class Chained:
+class Chained(Value):
     """Outcomes travel through copy chains before reaching the record."""
 
-    alice: int = 2
-    bob: int = 2
+    _fields = ("alice", "bob")
 
-    def __post_init__(self) -> None:
-        if min(as_index(n, "chain length", ValueError) for n in (self.alice, self.bob)) < 0:
+    def __init__(self, alice: int = 2, bob: int = 2) -> None:
+        if min(as_index(n, "chain length", ValueError) for n in (alice, bob)) < 0:
             raise ValueError("chain lengths must be >= 0")
+        self._freeze(alice, bob)
 
     def edit(self, cfg: BellConfig, qubits: list[str], stages: dict) -> None:
         """Copy QA and QB along their chains; the record reads each chain's end."""
@@ -106,15 +105,17 @@ class Chained:
             sl[:] = [(gate, (ids[-1], record)) for gate, (_, record) in sl]
 
 
-@dataclass(frozen=True)
-class WignerUndo:
+class WignerUndo(Value):
     """Undo Bob's measurement, rotate his particle again, re-measure.
 
     ``rerotation`` defaults to pi - phi, the angle that flips which Bob
     each Alice meets.
     """
 
-    rerotation: float | None = None
+    _fields = ("rerotation",)
+
+    def __init__(self, rerotation: float | None = None) -> None:
+        self._freeze(rerotation)
 
     def angle(self, phi: float) -> float:
         """The re-rotation applied to Bob's particle after rotation ``phi``."""
@@ -155,11 +156,12 @@ class BellOutcome:
     diagnostics: dict[str, float] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class WignerReport:
-    outcome: BellOutcome
-    effective_bob_angle: float
-    conditional_bob_given_alice: dict[tuple[int, int], float | None]
+class WignerReport(Value):
+    _fields = ("outcome", "effective_bob_angle", "conditional_bob_given_alice")
+
+    def __init__(self, outcome: BellOutcome, effective_bob_angle: float,
+                 conditional_bob_given_alice: dict[tuple[int, int], float | None]) -> None:
+        self._freeze(outcome, effective_bob_angle, conditional_bob_given_alice)
 
 
 @dataclass(frozen=True)

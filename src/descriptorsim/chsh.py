@@ -12,7 +12,6 @@ angle before measuring, and wins with rate cos^2(pi/8).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
@@ -20,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bell import BellConfig, BellOutcome, run_bells
-from .operators import as_index
+from .operators import Value, as_index
 
 ALICE_ANGLES = (0.0, math.pi / 2)
 BOB_ANGLES = (math.pi / 4, -math.pi / 4)
@@ -36,12 +35,13 @@ def win_predicate(x: int, y: int, a: int, b: int) -> bool:
     return (x & y) == (a ^ b)
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
+class DeterministicStrategy(Value):
     """Fixed answer functions; element i is the answer to question i."""
 
-    alice: tuple[int, int]
-    bob: tuple[int, int]
+    _fields = ("alice", "bob")
+
+    def __init__(self, alice: tuple[int, int], bob: tuple[int, int]) -> None:
+        self._freeze(alice, bob)
 
     def wins(self) -> int:
         """How many of the four input pairs this strategy wins (exact)."""

@@ -16,7 +16,6 @@ sharpness tests use the fixed ``operators.DEFAULT_TOLERANCE`` (1e-9).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -100,6 +99,7 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     raw: dict = {}
     if is_json := text.lstrip().startswith("{"):
+        import json  # here and in _render_json only: a table or CSV run never needs it
         try:
             raw = json.loads(text)
         except (ValueError, RecursionError) as exc:  # also over-deep nesting, over-long ints
@@ -344,6 +344,7 @@ def _render_json(sections: list[dict], cfg: RunConfig) -> str:
             return [clean(v) for v in value]
         return value
 
+    import json
     doc = {
         "tolerance": float(_fmt(cfg.tolerance)),
         "experiments": clean(sections),

@@ -22,8 +22,6 @@ target at each controlled gate onto it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .engine import NetworkEvolution, functional_form
@@ -32,6 +30,7 @@ from .operators import (
     DEFAULT_TOLERANCE,
     AlgebraError,
     Operator,
+    Value,
     _below,
     combination,
     half_sum,
@@ -42,19 +41,23 @@ class FoliationError(AlgebraError):
     """Control observable unsuitable for foliation."""
 
 
-@dataclass(frozen=True)
-class Branch:
-    key: str  # one bit per split, in foliation order; eigenvalue +1 is 0
-    projector: Operator  # the product of the split projectors; I at the root
-    conditional: Operator  # the conditioned gates, latest on the left; I if none
-    measure: float  # or one per member of a sweep
+class Branch(Value):
+    """``key``: a bit per split, in order, 0 for eigenvalue +1; ``projector``: the split projectors' product, I at
+    the root; ``conditional``: the conditioned gates, latest on the left, I if none; ``measure``, or one per member."""
+
+    _fields = ("key", "projector", "conditional", "measure")
+
+    def __init__(self, key: str, projector: Operator, conditional: Operator, measure: float) -> None:
+        self._freeze(key, projector, conditional, measure)
 
 
-@dataclass(frozen=True)
-class Foliation:
-    base: tuple[Operator, ...]  # the foliated descriptor's components
-    branches: tuple[Branch, ...]
-    controls: tuple[Operator, ...] = ()  # each split's control, in split order
+class Foliation(Value):
+    """The foliated descriptor's components ``base``, its ``branches``, and each split's control, in split order."""
+
+    _fields = ("base", "branches", "controls")
+
+    def __init__(self, base: tuple[Operator, ...], branches: tuple[Branch, ...], controls: tuple[Operator, ...] = ()):
+        self._freeze(base, branches, controls)
 
     def relative_components(self, branch: Branch) -> tuple[Operator, ...]:
         p, w = branch.projector, branch.conditional
@@ -85,19 +88,15 @@ class Foliation:
             for sign, bit in ((+1, "0"), (-1, "1")):
                 projector = branch.projector @ proj[sign]
                 conditional = gate_poly @ branch.conditional if sign == -1 else branch.conditional
-                new_branches.append(
-                    Branch(branch.key + bit, projector, conditional, _real_measure(projector))
-                )
-        return replace(self, branches=tuple(new_branches), controls=self.controls + (control,))
+                new_branches.append(Branch(branch.key + bit, projector, conditional, _real_measure(projector)))
+        return Foliation(self.base, tuple(new_branches), self.controls + (control,))
 
     def evolve_branches(self, gate_poly: Operator) -> "Foliation":
         """Follow-up unitary on the foliated system alone: every branch
         evolves independently, no splitting.  ``gate_poly`` again in base
         components."""
-        return replace(self, branches=tuple(
-            Branch(b.key, b.projector, gate_poly @ b.conditional, b.measure)
-            for b in self.branches
-        ))
+        branches = (Branch(b.key, b.projector, gate_poly @ b.conditional, b.measure) for b in self.branches)
+        return Foliation(self.base, tuple(branches), self.controls)
 
 
 def foliate(

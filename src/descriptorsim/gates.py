@@ -13,7 +13,6 @@ the functional form all read it, once per (gate, dims), through
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from math import isfinite, prod
 
 import numpy as np
@@ -21,6 +20,7 @@ import numpy as np
 from .operators import (
     DEFAULT_TOLERANCE,
     SpaceLayout,
+    Value,
     as_index,
     as_real,
     embed_matrix,
@@ -39,22 +39,21 @@ def _require_dims(name: str, dims: tuple[int, ...], expected: tuple[int, ...]) -
         raise NetworkError(f"{name} expects subsystem dims {expected}, got {dims}")
 
 
-@dataclass(frozen=True)
-class Hadamard:
+class Hadamard(Value):
     def matrix(self, dims: tuple[int, ...]) -> np.ndarray:
         _require_dims("H", dims, (2,))
         return HADAMARD.copy()
 
 
-@dataclass(frozen=True)
-class RotationY:
+class RotationY(Value):
     """Bloch-sphere rotation around the y axis by ``theta`` radians."""
 
-    theta: float
+    _fields = ("theta",)
 
-    def __post_init__(self) -> None:
-        if not isfinite(as_real(self.theta, "Ry angle", NetworkError)):
-            raise NetworkError(f"Ry angle {self.theta} is not finite")
+    def __init__(self, theta: float) -> None:
+        if not isfinite(as_real(theta, "Ry angle", NetworkError)):
+            raise NetworkError(f"Ry angle {theta} is not finite")
+        self._freeze(theta)
 
     def matrix(self, dims: tuple[int, ...]) -> np.ndarray:
         _require_dims("Ry", dims, (2,))
@@ -62,14 +61,14 @@ class RotationY:
         return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class Plus:
+class Plus(Value):
     """|j> -> |j + k mod d> on one qudit."""
 
-    k: int
+    _fields = ("k",)
 
-    def __post_init__(self) -> None:
-        as_index(self.k, "Plus shift", NetworkError)
+    def __init__(self, k: int) -> None:
+        as_index(k, "Plus shift", NetworkError)
+        self._freeze(k)
 
     def matrix(self, dims: tuple[int, ...]) -> np.ndarray:
         if len(dims) != 1:
@@ -78,17 +77,17 @@ class Plus:
         return np.linalg.matrix_power(shift, self.k % dims[0])
 
 
-@dataclass(frozen=True)
-class Controlled:
+class Controlled(Value):
     """``gate`` raised to the control's value: on (control, *targets), block
     j of the matrix is ``gate``'s to the power j.  The controlled-not is
     ``Controlled(Plus(1))``; a Toffoli, ``Controlled(Controlled(Plus(1)))``."""
 
-    gate: Gate
+    _fields = ("gate",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.gate, Gate):
-            raise NetworkError(f"Controlled needs a gate, got {self.gate!r}")
+    def __init__(self, gate: Gate) -> None:
+        if not isinstance(gate, Gate):
+            raise NetworkError(f"Controlled needs a gate, got {gate!r}")
+        self._freeze(gate)
 
     def matrix(self, dims: tuple[int, ...]) -> np.ndarray:
         if not dims:
@@ -103,16 +102,15 @@ class Controlled:
         return m
 
 
-@dataclass(frozen=True, eq=False)
-class CustomGate:
+class CustomGate(Value):
     """An arbitrary unitary supplied as an explicit matrix, or a sweep's
     members as a (B, D, D) stack of unitaries, one per member."""
 
-    unitary: np.ndarray = field(repr=False)
-    name: str = "custom"
+    _fields = ("name",)  # the unitary, set beside the name, is not shown
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
-        u = np.array(self.unitary, dtype=complex)
+    def __init__(self, unitary: np.ndarray, name: str = "custom") -> None:
+        u = np.array(unitary, dtype=complex)
         if u.ndim not in (2, 3) or u.shape[-1] != u.shape[-2] or not u.size:
             raise NetworkError(f"custom gate matrix must be square, or a stack of square ones, got {u.shape}")
         # a unitary's entries have modulus at most 1, which a NaN, infinite or
@@ -120,8 +118,9 @@ class CustomGate:
         bounded = (np.abs(u) <= 1 + DEFAULT_TOLERANCE).all()
         if not (bounded and np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]),
                                            axis=(-2, -1)).max() <= DEFAULT_TOLERANCE):  # every member's
-            raise NetworkError(f"custom gate {self.name!r} is not unitary")
+            raise NetworkError(f"custom gate {name!r} is not unitary")
         u.setflags(write=False)
+        self._freeze(name)
         object.__setattr__(self, "unitary", u)
 
     def matrix(self, dims: tuple[int, ...]) -> np.ndarray:
@@ -133,61 +132,59 @@ class CustomGate:
 Gate = Hadamard | RotationY | Plus | Controlled | CustomGate
 
 
-@dataclass(frozen=True)
-class GateApplication:
+class GateApplication(Value):
     """One gate applied to an ordered tuple of subsystem ids."""
 
-    gate: Gate
-    subsystems: tuple[str, ...]
+    _fields = ("gate", "subsystems")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.gate, Gate):
-            raise NetworkError(f"GateApplication needs a gate, got {self.gate!r}")
-        if isinstance(self.subsystems, str):  # tuple() would split it into one-letter ids
-            raise NetworkError(f"subsystems {self.subsystems!r} is a string, not a tuple of ids")
+    def __init__(self, gate: Gate, subsystems: tuple[str, ...]) -> None:
+        if not isinstance(gate, Gate):
+            raise NetworkError(f"GateApplication needs a gate, got {gate!r}")
+        if isinstance(subsystems, str):  # tuple() would split it into one-letter ids
+            raise NetworkError(f"subsystems {subsystems!r} is a string, not a tuple of ids")
         try:
-            object.__setattr__(self, "subsystems", tuple(self.subsystems))
+            subsystems = tuple(subsystems)
         except TypeError:
-            raise NetworkError(f"subsystems {self.subsystems!r} are not a tuple of ids") from None
-        if not all(isinstance(sid, str) for sid in self.subsystems):  # as in SpaceLayout: 3 is not "3"
-            raise NetworkError(f"subsystem ids {self.subsystems!r} are not all strings")
-        if not self.subsystems:
-            raise NetworkError(f"{type(self.gate).__name__} acts on no subsystems")
-        if len(set(self.subsystems)) != len(self.subsystems):
-            raise NetworkError(f"repeated subsystem in {self.subsystems}")
+            raise NetworkError(f"subsystems {subsystems!r} are not a tuple of ids") from None
+        if not all(isinstance(sid, str) for sid in subsystems):  # as in SpaceLayout: 3 is not "3"
+            raise NetworkError(f"subsystem ids {subsystems!r} are not all strings")
+        if not subsystems:
+            raise NetworkError(f"{type(gate).__name__} acts on no subsystems")
+        if len(set(subsystems)) != len(subsystems):
+            raise NetworkError(f"repeated subsystem in {subsystems}")
+        self._freeze(gate, subsystems)
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(Value):
     """Time slices of gate applications over a layout.
 
     A gate's time is the position of its slice; the gates of one slice
     act on disjoint subsystems, and every slice holds at least one gate.
     """
 
-    layout: SpaceLayout
-    slices: tuple[tuple[GateApplication, ...], ...] = ()
+    _fields = ("layout", "slices")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.layout, SpaceLayout):
-            raise NetworkError(f"Network needs a SpaceLayout, got {self.layout!r}")
+    def __init__(self, layout: SpaceLayout, slices: tuple[tuple[GateApplication, ...], ...] = ()) -> None:
+        if not isinstance(layout, SpaceLayout):
+            raise NetworkError(f"Network needs a SpaceLayout, got {layout!r}")
         try:
-            object.__setattr__(self, "slices", tuple(tuple(sl) for sl in self.slices))
+            slices = tuple(tuple(sl) for sl in slices)
         except TypeError:
-            raise NetworkError(f"slices {self.slices!r} are not sequences of gates") from None
-        for t, sl in enumerate(self.slices):
+            raise NetworkError(f"slices {slices!r} are not sequences of gates") from None
+        for t, sl in enumerate(slices):
             if not sl:
                 raise NetworkError(f"slice {t} holds no gates")
             acted: set[str] = set()
             for app in sl:
                 if not isinstance(app, GateApplication):
                     raise NetworkError(f"slice {t} holds {app!r}, not a GateApplication")
-                dims = tuple(self.layout.dim_of(sid) for sid in app.subsystems)
+                dims = tuple(layout.dim_of(sid) for sid in app.subsystems)
                 gate_matrix(app.gate, dims)  # the check that the gate fits these dims
                 overlap = acted & set(app.subsystems)
                 if overlap:
                     raise NetworkError(f"slice {t}: subsystems {sorted(overlap)} acted twice")
                 acted |= set(app.subsystems)
+        self._freeze(layout, slices)
 
     def upto(self, t: int) -> Network:
         """The prefix of the first ``t`` slices."""

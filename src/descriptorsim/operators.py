@@ -20,7 +20,7 @@ import functools
 import numbers
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from math import lcm, prod
 from typing import NamedTuple
 
@@ -103,25 +103,48 @@ class WeylConstants(NamedTuple):
     generators: tuple  # each subsystem's time-0 (X_i, Z_i), which every evolution shares
 
 
-@dataclass(frozen=True)
-class SpaceLayout:
+class Value:
+    """An immutable value of the fields ``_fields`` names, set once by :meth:`_freeze`: equal to an
+    instance of its own class with equal fields, hashed by them, and shown as ``Name(field=value, ...)``."""
+
+    _fields, _values = (), ()  # the fields' names; their values, which equality and the hash read
+
+    def _freeze(self, *values) -> None:
+        object.__setattr__(self, "_values", values)
+        for name, value in zip(self._fields, values):  # not by __dict__: that slows every later read
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return self._values == other._values if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class SpaceLayout(Value):
     """Ordered list of (id, dim) subsystems spanning one composite space.
 
     Tensor order equals declaration order.  The dense initial descriptors
     must fit in ``DESCRIPTOR_BUDGET_BYTES``, checked before any is built.
     """
 
-    subsystems: tuple[tuple[str, int], ...]
+    _fields = ("subsystems",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, subsystems: tuple[tuple[str, int], ...]) -> None:
         try:
-            pairs = [(sid, d) for sid, d in self.subsystems]
+            pairs = [(sid, d) for sid, d in subsystems]
         except (TypeError, ValueError):
-            raise LayoutError(f"{self.subsystems!r} are not (id, dim) pairs") from None
-        subsystems = tuple(
-            (sid, as_index(d, "subsystem dimension", LayoutError)) for sid, d in pairs
-        )
-        object.__setattr__(self, "subsystems", subsystems)
+            raise LayoutError(f"{subsystems!r} are not (id, dim) pairs") from None
+        subsystems = tuple((sid, as_index(d, "subsystem dimension", LayoutError)) for sid, d in pairs)
         if not subsystems:
             raise LayoutError("layout needs at least one subsystem")
         for sid, dim in subsystems:
@@ -132,6 +155,7 @@ class SpaceLayout:
         positions = {sid: i for i, (sid, _) in enumerate(subsystems)}
         if len(positions) != len(subsystems):
             raise LayoutError(f"duplicate subsystem ids in {[sid for sid, _ in subsystems]}")
+        self._freeze(subsystems)
         object.__setattr__(self, "_positions", positions)  # index_of's lookup, outside eq and hash
         check_descriptor_budget(Counter(self.dims))
 
@@ -165,8 +189,7 @@ class SpaceLayout:
         return self.dims[self.index_of(sid)]
 
 
-@dataclass(frozen=True, eq=False)
-class Operator:
+class Operator(Value):
     """sum_t coefficients[t] X^exponents[t, :m] Z^exponents[t, m:] on a
     layout of m subsystems, with distinct exponent rows.
 
@@ -178,9 +201,12 @@ class Operator:
     arithmetic builds its terms by :func:`_terms`.  Equality is numeric, by :meth:`isclose`, never ``==``.
     """
 
-    layout: SpaceLayout
-    exponents: np.ndarray  # (terms, 2m) int64
-    coefficients: np.ndarray  # (terms,) complex, or (terms, B) for a sweep
+    _fields = ("layout", "exponents", "coefficients")  # (terms, 2m) int64; (terms,) or, for a sweep, (terms, B) complex
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, layout: SpaceLayout, exponents: np.ndarray, coefficients: np.ndarray) -> None:
+        self.__dict__.update(layout=layout, exponents=exponents, coefficients=coefficients)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         try:  # ragged rows and coefficients that are not numbers fail here, by name, not inside numpy

@@ -74,8 +74,8 @@ class Decohered(Value):
         qubits[2:2] = ["QE", "QF"]
         if self.seed is not None:
             u = haar_random_unitary(4, np.random.default_rng(self.seed))
-            stages["prepare"][0].insert(0, (CustomGate(u, "env-scramble"), ("QE", "QF")))
-        stages["rotate"].append([(Controlled(Plus(1)), ("Q1", "QE"))])
+            stages["prepare"][0].insert(0, GateApplication(CustomGate(u, "env-scramble"), ("QE", "QF")))
+        stages["rotate"].append([_apply(_CNOT, ("Q1", "QE"))])
 
 
 class Chained(Value):
@@ -98,11 +98,10 @@ class Chained(Value):
         ]
         qubits[2:] = chains[0] + chains[1]
         for i in range(max(self.alice, self.bob)):
-            stages["measure"].append([
-                (Controlled(Plus(1)), (ids[i], ids[i + 1])) for ids in chains if i + 1 < len(ids)
-            ])
+            stages["measure"].append([_apply(_CNOT, (ids[i], ids[i + 1]))
+                                      for ids in chains if i + 1 < len(ids)])
         for sl, ids in zip(stages["record"], chains):
-            sl[:] = [(gate, (ids[-1], record)) for gate, (_, record) in sl]
+            sl[:] = [_apply(app.gate, (ids[-1], RECORD)) for app in sl]
 
 
 class WignerUndo(Value):
@@ -123,8 +122,8 @@ class WignerUndo(Value):
 
     def edit(self, cfg: BellConfig, qubits: list[str], stages: dict) -> None:
         """Undo Bob's measurement, re-rotate Q2 and measure it again."""
-        undo = (Controlled(Plus(1)), ("Q2", "QB"))  # the controlled-not is self-inverse
-        rerotate = (RotationY(self.angle(cfg.phi)), ("Q2",))
+        undo = _apply(_CNOT, ("Q2", "QB"))  # the controlled-not is self-inverse
+        rerotate = GateApplication(RotationY(self.angle(cfg.phi)), ("Q2",))
         stages["measure"] += [[undo], [rerotate], [undo]]
 
 
@@ -176,6 +175,10 @@ class NonIsomorphismReport:
 RECORD = "SC"
 # one layout object per shape: a run's angle-free operators are then the ones its last run kept
 _layout = functools.lru_cache(maxsize=32)(SpaceLayout)
+# the angle-free gates, and one application of each per subsystems: a build constructs only its
+# rotations (and a scramble), and the caches keyed by these gates find them by identity
+_H, _CNOT, _PLUS_2 = Hadamard(), Controlled(Plus(1)), Controlled(Plus(2))
+_apply = functools.lru_cache(maxsize=64)(GateApplication)
 
 
 def closed_form_measures(theta: float, phi: float) -> dict[str, float]:
@@ -188,23 +191,22 @@ def closed_form_measures(theta: float, phi: float) -> dict[str, float]:
 
 def build_bell_network(cfg: BellConfig) -> Network:
     """Assemble the network's slices: the plain network's qubits and its
-    named stages (each a list of slices of (gate, subsystems), in time
+    named stages (each a list of slices of gate applications, in time
     order), as the variant's ``edit`` changes them."""
     if not isinstance(cfg.variant, Variant):
         raise TypeError(f"unknown variant {type(cfg.variant).__name__}")
     qubits = ["Q1", "Q2", "QA", "QB"]
     stages = {
-        "prepare": [[(Hadamard(), ("Q1",))]],
-        "entangle": [[(Controlled(Plus(1)), ("Q1", "Q2"))]],
-        "rotate": [[(RotationY(cfg.theta), ("Q1",)), (RotationY(cfg.phi), ("Q2",))]],
-        "measure": [[(Controlled(Plus(1)), ("Q1", "QA")), (Controlled(Plus(1)), ("Q2", "QB"))]],
-        "record": [[(Controlled(Plus(2)), ("QA", RECORD))],
-                   [(Controlled(Plus(1)), ("QB", RECORD))]],
+        "prepare": [[_apply(_H, ("Q1",))]],
+        "entangle": [[_apply(_CNOT, ("Q1", "Q2"))]],
+        "rotate": [[GateApplication(RotationY(cfg.theta), ("Q1",)),
+                    GateApplication(RotationY(cfg.phi), ("Q2",))]],
+        "measure": [[_apply(_CNOT, ("Q1", "QA")), _apply(_CNOT, ("Q2", "QB"))]],
+        "record": [[_apply(_PLUS_2, ("QA", RECORD))], [_apply(_CNOT, ("QB", RECORD))]],
     }
     cfg.variant.edit(cfg, qubits, stages)
     layout = _layout(tuple((sid, 2) for sid in qubits) + ((RECORD, 4),))
-    slices = (sl for stage in stages.values() for sl in stage)
-    return Network(layout, [[GateApplication(g, sids) for g, sids in sl] for sl in slices])
+    return Network(layout, [sl for stage in stages.values() for sl in stage])
 
 
 def _marginal(expectation: complex) -> tuple[float, float]:
@@ -316,7 +318,7 @@ def nonisomorphism_witness() -> NonIsomorphismReport:
     """
     layout = _layout((("Q1", 2), ("Q2", 2)))
     empty = Network(layout, ())
-    cnot = Network(layout, [[GateApplication(Controlled(Plus(1)), ("Q1", "Q2"))]])
+    cnot = Network(layout, [[_apply(_CNOT, ("Q1", "Q2"))]])
 
     state_distance = float(
         np.linalg.norm(simulate_statevector(empty) - simulate_statevector(cnot))

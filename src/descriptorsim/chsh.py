@@ -58,9 +58,9 @@ def all_strategies() -> list[DeterministicStrategy]:
 def enumerate_classical() -> tuple[int, list[DeterministicStrategy]]:
     """Exhaustively score all 16 deterministic strategies; returns the best
     win count (out of 4) and every strategy achieving it."""
-    strategies = all_strategies()
-    best = max(s.wins() for s in strategies)
-    return best, [s for s in strategies if s.wins() == best]
+    scores = [(s.wins(), s) for s in all_strategies()]
+    best = max(wins for wins, _ in scores)
+    return best, [s for wins, s in scores if wins == best]
 
 
 def expected_win_rate(strategies: list[DeterministicStrategy]) -> Fraction:

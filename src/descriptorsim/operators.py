@@ -551,22 +551,32 @@ def embed_matrix(
     """Tensor a small matrix acting on ``targets`` (in that order) with the
     identity on every other subsystem, in layout order.  The result is zero
     except where row and column agree on every other subsystem: N D entries
-    for targets of total dim D, which a strided view of it holds and the
-    small matrix fills in one broadcast write.  Unchecked: the one caller,
-    ``Network.embedded``, passes distinct targets (checked by
-    ``GateApplication``) and a matrix that ``gate.matrix(dims)`` sized."""
-    dims, m = layout.dims, len(layout.dims)
-    t_idx = [layout.index_of(sid) for sid in targets]
-    rest = [i for i in range(m) if i not in t_idx]
+    for targets of total dim D, each a copy of one entry of the small matrix,
+    written in one indexed copy through the positions :func:`_embedding` keeps.
+    Unchecked: the one caller, ``Network.embedded``, passes distinct targets
+    (checked by ``GateApplication``) and a matrix that ``gate.matrix(dims)`` sized."""
     n = layout.total_dim
-    out = np.zeros((n, n), dtype=complex)
+    flat, source = _embedding(layout.dims, tuple(map(layout.index_of, targets)))
+    out = np.zeros(n * n, dtype=complex)
+    out[flat] = np.ravel(small)[source]
+    return out.reshape(n, n)
+
+
+@functools.lru_cache(maxsize=128)
+def _embedding(dims: tuple[int, ...], t_idx: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat positions in the N x N embedding of a matrix on axes ``t_idx``, and the flat
+    entry of the small matrix each one copies: a grid of flat indices seen through the strided view
+    of those entries, and the small matrix's indices broadcast along the other subsystems."""
+    m = len(dims)
+    rest = [i for i in range(m) if i not in t_idx]
     # axes 0..m-1 are the row digits and m..2m-1 the column digits; a rest
     # column axis takes its row axis's label, so einsum views their diagonal
     cols = [i if i in rest else m + i for i in range(m)]
-    block = np.einsum(out.reshape(dims * 2), list(range(m)) + cols,
-                      t_idx + [m + i for i in t_idx] + rest)
-    block[...] = np.reshape(small, [dims[i] for i in t_idx] * 2 + [1] * len(rest))
-    return out
+    block = np.einsum(np.arange(prod(dims) ** 2).reshape(dims * 2), list(range(m)) + cols,
+                      [*t_idx, *(m + i for i in t_idx), *rest])
+    acted = [dims[i] for i in t_idx]
+    source = np.arange(prod(acted) ** 2).reshape(acted * 2 + [1] * len(rest))
+    return _read_only(block.ravel(), np.broadcast_to(source, block.shape).ravel())
 
 
 def half_sum(q: Operator, sign: int) -> Operator:

@@ -25,7 +25,8 @@ from .operators import LayoutError
 # replaced whole, never changed in place, so a racing call loses a resume at
 # most, and emptied while a network runs, so two networks' states never coexist
 _last: tuple = (None, (), [])
-# up to this N, a gate's dense embedding is faster than its matrix on its axes
+# up to this N, a gate's dense embedding is faster than its matrix on its axes: a fresh Plain network
+# (N = 64) took 98-109 us dense against 107-119 us axis-wise (one BLAS thread, 2-core x86_64)
 DENSE_MAX_DIM = 64
 
 

@@ -8,7 +8,9 @@ dense conjugation that builds them.  The uncached adjoint, expectation and
 gate evaluation recompute on every call what the package keeps per row set
 and per gate's rows, and cross-check those records bit for bit.  All of
 them live beside the tests, so no module of the package can call them: the
-production path is the step law alone.
+production path is the step law alone.  The strided write of a gate's
+dense embedding cross-checks the indexed copy that the package keeps the
+positions of.
 """
 
 import itertools
@@ -20,6 +22,25 @@ from descriptorsim import Network, Operator, SpaceLayout, qudit_shift_clock
 from descriptorsim.engine import _weyl_terms
 from descriptorsim.gates import gate_matrix
 from descriptorsim.operators import _term_product, combination
+
+
+def embed_matrix(small: np.ndarray, targets: tuple[str, ...], layout: SpaceLayout) -> np.ndarray:
+    """``small`` on ``targets`` (in that order) tensored with the identity on
+    every other subsystem, in layout order, written on every call through a
+    strided view of the N x N result: the entries where row and column agree
+    on every other subsystem, which the small matrix fills in one broadcast."""
+    dims, m = layout.dims, len(layout.dims)
+    t_idx = [layout.index_of(sid) for sid in targets]
+    rest = [i for i in range(m) if i not in t_idx]
+    n = layout.total_dim
+    out = np.zeros((n, n), dtype=complex)
+    # axes 0..m-1 are the row digits and m..2m-1 the column digits; a rest
+    # column axis takes its row axis's label, so einsum views their diagonal
+    cols = [i if i in rest else m + i for i in range(m)]
+    block = np.einsum(out.reshape(dims * 2), list(range(m)) + cols,
+                      t_idx + [m + i for i in t_idx] + rest)
+    block[...] = np.reshape(small, [dims[i] for i in t_idx] * 2 + [1] * len(rest))
+    return out
 
 
 def cumulative_unitary(network: Network) -> np.ndarray:

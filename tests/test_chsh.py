@@ -60,6 +60,13 @@ class TestClassicalStrategies:
         assert all(s.wins() == 3 for s in maximizers)
         assert all(s.wins() <= 3 for s in all_strategies())
 
+    def test_each_strategy_is_scored_once(self, monkeypatch):
+        scored, wins = [], DeterministicStrategy.wins
+        monkeypatch.setattr(DeterministicStrategy, "wins", lambda s: scored.append(s) or wins(s))
+        best, maximizers = enumerate_classical()
+        assert sorted(scored, key=repr) == sorted(all_strategies(), key=repr)  # each of the 16 once
+        assert (best, maximizers) == (3, [s for s in all_strategies() if wins(s) == 3])
+
     def test_uniform_mixture_of_maximizers_hits_three_quarters(self):
         _, maximizers = enumerate_classical()
         assert expected_win_rate(maximizers) == Fraction(3, 4)

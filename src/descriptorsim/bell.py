@@ -75,7 +75,7 @@ class Decohered(Value):
         if self.seed is not None:
             u = haar_random_unitary(4, np.random.default_rng(self.seed))
             stages["prepare"][0].insert(0, GateApplication(CustomGate(u, "env-scramble"), ("QE", "QF")))
-        stages["rotate"].append([_apply(_CNOT, ("Q1", "QE"))])
+        stages["rotate"].append([GateApplication(_CNOT, ("Q1", "QE"))])
 
 
 class Chained(Value):
@@ -98,10 +98,10 @@ class Chained(Value):
         ]
         qubits[2:] = chains[0] + chains[1]
         for i in range(max(self.alice, self.bob)):
-            stages["measure"].append([_apply(_CNOT, (ids[i], ids[i + 1]))
+            stages["measure"].append([GateApplication(_CNOT, (ids[i], ids[i + 1]))
                                       for ids in chains if i + 1 < len(ids)])
         for sl, ids in zip(stages["record"], chains):
-            sl[:] = [_apply(app.gate, (ids[-1], RECORD)) for app in sl]
+            sl[:] = [GateApplication(app.gate, (ids[-1], RECORD)) for app in sl]
 
 
 class WignerUndo(Value):
@@ -122,7 +122,7 @@ class WignerUndo(Value):
 
     def edit(self, cfg: BellConfig, qubits: list[str], stages: dict) -> None:
         """Undo Bob's measurement, re-rotate Q2 and measure it again."""
-        undo = _apply(_CNOT, ("Q2", "QB"))  # the controlled-not is self-inverse
+        undo = GateApplication(_CNOT, ("Q2", "QB"))  # the controlled-not is self-inverse
         rerotate = GateApplication(RotationY(self.angle(cfg.phi)), ("Q2",))
         stages["measure"] += [[undo], [rerotate], [undo]]
 
@@ -175,10 +175,9 @@ class NonIsomorphismReport:
 RECORD = "SC"
 # one layout object per shape: a run's angle-free operators are then the ones its last run kept
 _layout = functools.lru_cache(maxsize=32)(SpaceLayout)
-# the angle-free gates, and one application of each per subsystems: a build constructs only its
-# rotations (and a scramble), and the caches keyed by these gates find them by identity
+# the angle-free gates, built once: the caches keyed by a gate (its matrix, the engine's images)
+# then find them by identity, and a build constructs only its rotations (and a scramble)
 _H, _CNOT, _PLUS_2 = Hadamard(), Controlled(Plus(1)), Controlled(Plus(2))
-_apply = functools.lru_cache(maxsize=64)(GateApplication)
 
 
 def closed_form_measures(theta: float, phi: float) -> dict[str, float]:
@@ -197,12 +196,12 @@ def build_bell_network(cfg: BellConfig) -> Network:
         raise TypeError(f"unknown variant {type(cfg.variant).__name__}")
     qubits = ["Q1", "Q2", "QA", "QB"]
     stages = {
-        "prepare": [[_apply(_H, ("Q1",))]],
-        "entangle": [[_apply(_CNOT, ("Q1", "Q2"))]],
+        "prepare": [[GateApplication(_H, ("Q1",))]],
+        "entangle": [[GateApplication(_CNOT, ("Q1", "Q2"))]],
         "rotate": [[GateApplication(RotationY(cfg.theta), ("Q1",)),
                     GateApplication(RotationY(cfg.phi), ("Q2",))]],
-        "measure": [[_apply(_CNOT, ("Q1", "QA")), _apply(_CNOT, ("Q2", "QB"))]],
-        "record": [[_apply(_PLUS_2, ("QA", RECORD))], [_apply(_CNOT, ("QB", RECORD))]],
+        "measure": [[GateApplication(_CNOT, ("Q1", "QA")), GateApplication(_CNOT, ("Q2", "QB"))]],
+        "record": [[GateApplication(_PLUS_2, ("QA", RECORD))], [GateApplication(_CNOT, ("QB", RECORD))]],
     }
     cfg.variant.edit(cfg, qubits, stages)
     layout = _layout(tuple((sid, 2) for sid in qubits) + ((RECORD, 4),))
@@ -318,7 +317,7 @@ def nonisomorphism_witness() -> NonIsomorphismReport:
     """
     layout = _layout((("Q1", 2), ("Q2", 2)))
     empty = Network(layout, ())
-    cnot = Network(layout, [[_apply(_CNOT, ("Q1", "Q2"))]])
+    cnot = Network(layout, [[GateApplication(_CNOT, ("Q1", "Q2"))]])
 
     state_distance = float(
         np.linalg.norm(simulate_statevector(empty) - simulate_statevector(cnot))

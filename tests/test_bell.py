@@ -12,6 +12,7 @@ from descriptorsim import (
     Controlled,
     CustomGate,
     Decohered,
+    GateApplication,
     LayoutError,
     NetworkError,
     NetworkEvolution,
@@ -264,16 +265,16 @@ class TestChain:
 
     def test_long_chain_refused_before_any_link_is_built(self, monkeypatch):
         # a million links: the budget is checked from the subsystem count,
-        # before the per-link gates (one controlled-not each) exist
+        # before the per-link applications (one controlled-not each) exist
         built = []
 
-        def bounded_controlled(gate):
+        def bounded_application(gate, subsystems):
             built.append(None)
             if len(built) > 300:
-                raise RuntimeError("per-link gates built before the budget check")
-            return Controlled(gate)
+                raise RuntimeError("per-link applications built before the budget check")
+            return GateApplication(gate, subsystems)
 
-        monkeypatch.setattr(bell, "Controlled", bounded_controlled)
+        monkeypatch.setattr(bell, "GateApplication", bounded_application)
         with pytest.raises(LayoutError, match=r"over 1e\+308 GiB"):
             build_bell_network(BellConfig(0, 0.7, Chained(10**6, 0)))
 

@@ -1,10 +1,10 @@
-"""A Bell build's angle-free gates and their applications, and each gate
-embedding's positions, are built once per process, while every experiment
-stays independent of the ones before it.
+"""A Bell build's angle-free gates, and each gate embedding's positions, are
+built once per process, while every experiment stays independent of the
+ones before it.
 
 The Hadamard, the controlled-not and the record's Controlled(Plus(2)) are
-module constants with one application per subsystems, so a build constructs
-only its rotations and a Decohered scramble; its slices are new, so the
+module constants, so a build constructs only its rotations, a Decohered
+scramble, the applications and the network; its slices are new, so the
 oracle, which resumes only after the same slice objects, runs every gate of
 each experiment.  The dense embedding copies the small matrix through flat
 positions kept per layout dims and target positions, and must write what the
@@ -62,7 +62,7 @@ def test_targets_out_of_layout_order_with_the_qudit_are_covered():
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=repr)
-def test_two_builds_share_every_angle_free_application_and_no_slice(variant, monkeypatch):
+def test_two_builds_share_every_angle_free_gate_and_no_slice(variant, monkeypatch):
     cfg = BellConfig(0.3, -1.1, variant)
     first = build_bell_network(cfg)
     built = []
@@ -71,11 +71,12 @@ def test_two_builds_share_every_angle_free_application_and_no_slice(variant, mon
     second = build_bell_network(cfg)
     monkeypatch.undo()
     first_apps, apps = ([app for sl in network.slices for app in sl] for network in (first, second))
-    fresh = [app for app in apps if isinstance(app.gate, (RotationY, CustomGate))]  # its rotations and scramble
-    assert [a is not b for a, b in zip(first_apps, apps)] == [any(a is f for f in fresh) for a in apps]
+    assert [a.subsystems for a in first_apps] == [b.subsystems for b in apps]
+    fresh = [app.gate for app in apps if isinstance(app.gate, (RotationY, CustomGate))]  # rotations, scramble
+    assert [a.gate is not b.gate for a, b in zip(first_apps, apps)] == [any(b.gate is f for f in fresh) for b in apps]
     assert not any(s is t for s in first.slices for t in second.slices)
-    # the build constructs its rotations and scramble, their applications and the network alone
-    assert Counter(built) == Counter([Network, *[GateApplication] * len(fresh), *(type(a.gate) for a in fresh)])
+    # besides the applications, the build constructs its rotations and scramble and the network alone
+    assert Counter(t for t in built if t is not GateApplication) == Counter([Network, *map(type, fresh)])
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=repr)

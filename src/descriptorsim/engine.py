@@ -109,16 +109,16 @@ def _weyl_terms(gate: Gate, dims: tuple[int, ...], images: bool = False) -> tupl
     return tuple(out)
 
 
-def _evaluate(app: GateApplication, descriptors: Mapping, images: bool,
-              fresh: bool = False) -> Sequence[Operator]:
+def _evaluate(app: GateApplication, descriptors: Mapping, images: bool) -> Sequence[Operator]:
     """The gate's expansion, or its generators' images, evaluated on the
     acted subsystems' descriptors, each monomial and each prefix of one
-    multiplied out once.  On ``fresh`` subsystems, which no gate has acted
-    on, the descriptors are the generators: the images are :func:`_placed`."""
+    multiplied out once.  On fresh subsystems, whose descriptors are still
+    the layout's own generator tuples, the images are :func:`_placed`."""
     args = [descriptors[sid] for sid in app.subsystems]
     layout = args[0][0].layout
-    if fresh:
-        return _placed(app.gate, layout, tuple(map(layout.index_of, app.subsystems)))
+    acted = tuple(map(layout.index_of, app.subsystems))
+    if images and all(arg is layout.weyl.generators[i] for arg, i in zip(args, acted)):
+        return _placed(app.gate, layout, acted)
     polynomials = _weyl_terms(app.gate, tuple(layout.dim_of(sid) for sid in app.subsystems), images)
     steps, terms = _walk(len(args), *[p.exponents.tobytes() for p in polynomials])  # kept per rows
     monomials = [Operator.identity(layout)]
@@ -155,8 +155,7 @@ class NetworkEvolution:
 
     def __init__(self, network: Network):
         self.network = network
-        self._initial = initial_descriptors(network.layout)
-        self.descriptors = dict(self._initial)
+        self.descriptors = initial_descriptors(network.layout)
         self.time = 0
 
     def advance(self) -> tuple[GateApplication, ...]:
@@ -170,8 +169,7 @@ class NetworkEvolution:
         descriptors = dict(self.descriptors)
         applied = self.network.slices[self.time]
         for app in applied:
-            fresh = all(descriptors[sid] is self._initial[sid] for sid in app.subsystems)
-            images = _evaluate(app, descriptors, True, fresh)
+            images = _evaluate(app, descriptors, True)
             descriptors.update(zip(app.subsystems, zip(images[::2], images[1::2])))
         self.time += 1
         self.descriptors = descriptors

@@ -205,18 +205,14 @@ class Operator(Value):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, layout: SpaceLayout, exponents: np.ndarray, coefficients: np.ndarray) -> None:
-        self.__dict__.update(layout=layout, exponents=exponents, coefficients=coefficients)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         try:  # ragged rows and coefficients that are not numbers fail here, by name, not inside numpy
-            rows, dims = np.array(self.exponents), self.layout.dims
+            rows, dims = np.array(exponents), layout.dims
         except ValueError:
-            raise LayoutError(f"rows {self.exponents!r} are ragged, not one row per term") from None
+            raise LayoutError(f"rows {exponents!r} are ragged, not one row per term") from None
         try:
-            coeffs = np.array(self.coefficients, complex)
+            coeffs = np.array(coefficients, complex)
         except (TypeError, ValueError):
-            raise ValueError(f"coefficients {self.coefficients!r} are not complex numbers") from None
+            raise ValueError(f"coefficients {coefficients!r} are not complex numbers") from None
         if rows.shape[1:] != (2 * len(dims),) or coeffs.shape[:1] != rows.shape[:1] or coeffs.ndim > 2:
             raise LayoutError(f"rows {rows.shape} and coefficients {coeffs.shape} do not fit dims {dims}")
         digits = rows.dtype.kind in "iu" and ((rows >= 0) & (rows < dims * 2)).all()
@@ -224,6 +220,7 @@ class Operator(Value):
             raise ValueError(f"rows need integer digits in [0, d) of dims {dims}, no row twice, "
                              "and finite coefficients")
         # private copies: kept products need operands that cannot change, and plans key int64 bytes
+        object.__setattr__(self, "layout", layout)
         for name, array in zip(("exponents", "coefficients"), (rows.astype(np.int64, copy=False), coeffs)):
             object.__setattr__(self, name, *_read_only(array))
 
@@ -584,7 +581,6 @@ def half_sum(q: Operator, sign: int) -> Operator:
     return combination([Operator.identity(q.layout), q], [0.5, 0.5 * sign])
 
 
-@functools.lru_cache(maxsize=16, typed=True)  # 2.0 and True must not reach 2's and 1's entries
 def qudit_shift_clock(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The read-only generators of every d-level subsystem: shift
     (|j> -> |j+1 mod d>) and clock (diag of omega^j, omega = exp(2 pi i/d)).
@@ -597,7 +593,6 @@ def qudit_shift_clock(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(np.roll(np.eye(dim, dtype=complex), 1, axis=0), np.diag(_roots_of_unity(dim)))
 
 
-@functools.lru_cache(maxsize=16)
 def _roots_of_unity(dim: int) -> np.ndarray:
     """omega^k for k < dim, read-only: the inverse FFT of the shift's first
     column, which :meth:`Operator.from_matrix` inverts, but exactly 1 at

@@ -4,9 +4,9 @@ ones before it.
 
 The Hadamard, the controlled-not and the record's Controlled(Plus(2)) are
 module constants, so a build constructs only its rotations, a Decohered
-scramble, the applications and the network; its slices are new, so the
-oracle, which resumes only after the same slice objects, runs every gate of
-each experiment.  The dense embedding copies the small matrix through flat
+scramble, the applications and the network; its slices are new, and the
+oracle, which keeps nothing between calls, runs every gate of each
+experiment.  The dense embedding copies the small matrix through flat
 positions kept per layout dims and target positions, and must write what the
 strided view of ``reference.embed_matrix`` writes, bit for bit.
 """
@@ -89,4 +89,4 @@ def test_the_oracle_embeds_every_gate_of_each_experiment(variant, monkeypatch):
     second = build_bell_network(cfg)
     assert second.layout.total_dim <= oracle.DENSE_MAX_DIM
     assert simulate_statevector(second).tobytes() == first.tobytes()
-    assert calls == [app for sl in second.slices for app in sl]  # no state resumed from the first
+    assert calls == [app for sl in second.slices for app in sl]  # nothing kept from the first

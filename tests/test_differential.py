@@ -20,7 +20,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from descriptorsim import engine
 from descriptorsim import (
     BellConfig,
     Chained,
@@ -48,7 +47,7 @@ from descriptorsim import (
     simulate_statevector,
 )
 from conftest import algebra_residual, dense_distance, kron_embedding, locality_residual
-from reference import cumulative_evolve
+from reference import cumulative_evolve, evaluate
 
 TOL = 1e-10
 SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
@@ -266,7 +265,8 @@ def test_bell_step_law_matches_cumulative_conjugation(variant):
 def test_fresh_subsystem_gates_take_their_images_bit_for_bit(network):
     # a gate on subsystems no gate has acted on takes its images as its
     # new descriptors: the same exponents, coefficients and term order as
-    # the product path that evaluates them on the untouched generators
+    # the reference's product path, which evaluates them on the untouched
+    # generators
     evo, acted, checked = NetworkEvolution(network), set(), 0
     for _ in network.slices:
         before, fresh = evo.descriptors, set(network.layout.ids) - acted
@@ -274,7 +274,7 @@ def test_fresh_subsystem_gates_take_their_images_bit_for_bit(network):
             acted |= set(app.subsystems)
             if not fresh.issuperset(app.subsystems):
                 continue
-            images = engine._evaluate(app, before, images=True)
+            images = evaluate(app, before, images=True)
             got = [c for sid in app.subsystems for c in evo.descriptors[sid]]
             for g, want in zip(got, images, strict=True):
                 assert np.array_equal(g.exponents, want.exponents)
@@ -286,8 +286,8 @@ def test_fresh_subsystem_gates_take_their_images_bit_for_bit(network):
 @SETTINGS
 @given(networks())
 def test_oracle_resumed_from_a_prefix_equals_a_cold_run(network):
-    # the oracle resumes the full network after the prefix upto(t) shares
-    # with it, bit for bit as a run from |0...0> through every gate
+    # the full network, run just after the prefix upto(t) that shares its
+    # slices, is bit for bit a run from |0...0> through every gate
     amp = np.zeros(network.layout.total_dim, dtype=complex)
     amp[0] = 1.0
     for sl in network.slices:

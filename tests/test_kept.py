@@ -96,13 +96,13 @@ def test_products_and_checks_over_the_bound_or_of_sweeps_are_not_kept(a, b):
 
 def test_no_operator_a_run_builds_passes_through_the_checking_constructor(monkeypatch):
     # the constructor checks and copies operators from outside; the module builds its own by _terms
-    calls, post_init = [], Operator.__post_init__
+    calls, init = [], Operator.__init__
 
-    def recorded(self):
+    def recorded(self, *args):
         calls.append(self)
-        post_init(self)
+        init(self, *args)
 
-    monkeypatch.setattr(Operator, "__post_init__", recorded)
+    monkeypatch.setattr(Operator, "__init__", recorded)
     SpaceLayout((("x", 3), ("y", 2))).weyl
     for variant in (Plain(), Decohered(3), Chained(1, 2), WignerUndo()):
         run_bell(BellConfig(0.3, -1.1, variant))

@@ -224,7 +224,7 @@ class TestShiftClock:
             assert np.allclose(shift @ e, np.eye(4)[:, (j + 1) % 4])
 
     def test_a_float_dim_is_refused_by_name(self):
-        qudit_shift_clock(2)  # a cached entry for 2 does not serve 2.0
+        qudit_shift_clock(2)  # 2 is a dim, 2.0 is not
         with pytest.raises(ValueError, match="shift/clock dim 2.0 is not an integer"):
             qudit_shift_clock(2.0)
 

@@ -134,17 +134,17 @@ def counting_embeddings(monkeypatch):
     return calls
 
 
-def test_resumes_from_a_prefix_of_the_same_slices(monkeypatch):
+def test_a_network_after_its_own_prefix_runs_every_gate_again(monkeypatch):
+    # the oracle keeps nothing between calls: a prefix of the same slice
+    # objects, run just before, saves the network none of its gates
     calls = counting_embeddings(monkeypatch)
     net = Network(TWO_QUBITS, [*BELL_PAIR.slices, [GateApplication(Hadamard(), ("Q2",))]])
     cold = simulate_statevector(Network(TWO_QUBITS, [list(sl) for sl in net.slices]))
-    calls.clear()
     simulate_statevector(net.upto(2))
-    assert np.array_equal(simulate_statevector(net), cold)
-    assert len(calls) == 3  # two for the prefix, one to finish
     calls.clear()
-    assert np.array_equal(simulate_statevector(net), cold)
-    assert not calls
+    state = simulate_statevector(net)
+    assert calls == [app for sl in net.slices for app in sl]
+    assert state.tobytes() == cold.tobytes()
 
 
 def test_same_slices_on_another_layout_start_afresh(monkeypatch):
@@ -170,11 +170,6 @@ def dense_run(network):
     return amp.reshape(network.layout.dims)
 
 
-def fresh(network):
-    """An equal network on new slices, which the oracle starts from |0...0>."""
-    return Network(network.layout, [list(sl) for sl in network.slices])
-
-
 def large_networks(rng, count):
     """Random networks of 5 or 6 qubits and the 4-level system, N = 128 or
     256: above ``oracle.DENSE_MAX_DIM``, so gates act on their own axes."""
@@ -190,10 +185,10 @@ def large_networks(rng, count):
 def check_axis_wise_route(network):
     # Haar gates on two or three subsystems sum their terms in another order
     # than the dense product, which moves amplitudes in the last bits
-    cold = simulate_statevector(fresh(network))
+    cold = simulate_statevector(network)
     assert np.abs(cold - dense_run(network)).max() < 1e-14
     assert cold.flags.c_contiguous and not cold.flags.writeable
-    for t in range(len(network.slices) + 1):  # resumed after each prefix, bit for bit
+    for t in range(len(network.slices) + 1):  # run after each prefix, bit for bit
         simulate_statevector(network.upto(t))
         assert np.array_equal(simulate_statevector(network), cold)
     for i, sid in enumerate(network.layout.ids):  # the readers see the cold state
@@ -230,7 +225,7 @@ def test_axis_wise_route_is_the_dense_one_bit_for_bit_on_every_bell_variant(vari
         patch.setattr(oracle, "DENSE_MAX_DIM", 1)
         for theta, phi in rng.uniform(-4, 4, (5, 2)):
             network = build_bell_network(BellConfig(theta, phi, variant))
-            assert np.array_equal(simulate_statevector(fresh(network)), dense_run(network))
+            assert np.array_equal(simulate_statevector(network), dense_run(network))
 
 
 def test_route_is_chosen_by_the_layout_size(monkeypatch, rng):
@@ -238,26 +233,38 @@ def test_route_is_chosen_by_the_layout_size(monkeypatch, rng):
     for _ in range(5):
         small = random_network(rng, max_subsystems=3)  # N <= 16
         calls.clear()
-        simulate_statevector(fresh(small))
+        simulate_statevector(small)
         assert len(calls) == sum(map(len, small.slices))  # once per gate
     calls.clear()
     for net in large_networks(rng, 3):
-        simulate_statevector(fresh(net))
+        simulate_statevector(net)
     assert not calls
 
 
+def test_every_call_reads_each_gate_matrix_once(monkeypatch, rng):
+    # dense: one embedding per gate, which reads the matrix; axis-wise: the
+    # matrix alone; the same again on a second call of the same network
+    reads, matrix_of = [], Network.matrix_of
+    monkeypatch.setattr(Network, "matrix_of", lambda self, app: reads.append(app) or matrix_of(self, app))
+    embeddings = counting_embeddings(monkeypatch)
+    for net in [random_network(rng, max_subsystems=3) for _ in range(3)] + large_networks(rng, 3):
+        gates = [app for sl in net.slices for app in sl]
+        for _ in range(2):
+            reads.clear(), embeddings.clear()
+            simulate_statevector(net)
+            assert reads == gates
+            assert embeddings == (gates if net.layout.total_dim <= oracle.DENSE_MAX_DIM else [])
+
+
 @pytest.mark.parametrize("qubits", [1, 7], ids=["dense", "axis-wise"])
-def test_a_stacked_gate_is_refused_before_any_amplitude(qubits):
+def test_a_stacked_gate_is_refused_by_name(qubits):
     # a sweep's members are a (B, D, D) stack of matrices, which one state
     # vector cannot take: refused by name on either route, N = 2 or 128
     layout = SpaceLayout(tuple((f"q{i}", 2) for i in range(qubits)))
     stack = CustomGate(np.stack([RotationY(t).matrix((2,)) for t in (0.3, 0.9)]), "sweep")
     network = Network(layout, [[GateApplication(Hadamard(), ("q0",))], [GateApplication(stack, ("q0",))]])
     simulate_statevector(network.upto(1))
-    kept = oracle._last
     for read in (simulate_statevector, lambda n: joint_outcome_distribution(n, ("q0",)),
                  lambda n: reduced_density_matrix(n, "q0"), lambda n: n.embedded(n.slices[1][0])):
         with pytest.raises(NetworkError, match=r"stacked CustomGate\(name='sweep'\)"):
             read(network)
-    # refused before the oracle set out on the network: the prefix's state is still kept
-    assert oracle._last is kept

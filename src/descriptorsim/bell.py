@@ -10,8 +10,8 @@ chains carry the outcomes to the record, or Bob's measurement is undone
 and redone after an extra rotation.
 
 All branch measures come from foliating the record's descriptor at the
-controlled gates onto it; the state-vector oracle is used only for
-decoherence diagnostics, never for the measures themselves.
+controlled gates onto it, a key bit per split, Alice's first; the oracle
+only checks them (``record_measures``) and reads the decoherence diagnostics.
 """
 
 from __future__ import annotations
@@ -44,9 +44,7 @@ from .operators import (
     check_descriptor_budget,
     haar_random_unitary,
 )
-from .oracle import reduced_density_matrix, simulate_statevector
-
-BRANCH_KEYS = ("00", "01", "10", "11")
+from .oracle import joint_outcome_distribution, reduced_density_matrix, simulate_statevector
 
 
 class Plain(Value):
@@ -180,6 +178,12 @@ _layout = functools.lru_cache(maxsize=32)(SpaceLayout)
 _H, _CNOT, _PLUS_2 = Hadamard(), Controlled(Plus(1)), Controlled(Plus(2))
 
 
+def record_measures(network: Network) -> dict[str, float]:
+    """The oracle's Born measure of each record value, labelled by its two binary digits,
+    Alice's first: her record gate adds 2 and Bob's 1, so value 2a + b is branch "ab"."""
+    return {format(value, "02b"): p for (value,), p in joint_outcome_distribution(network, (RECORD,)).items()}
+
+
 def closed_form_measures(theta: float, phi: float) -> dict[str, float]:
     """The four record measures as closed trigonometric forms of theta - phi, in half
     angles: theta - phi overflows near 1e308, theta/2 - phi/2 loses phi at large |theta|."""
@@ -272,7 +276,7 @@ def run_bells(cfgs: Sequence[BellConfig]) -> list[BellOutcome]:
     return [
         BellOutcome(
             config=cfg,
-            branch_measures={k: float(measures[k][i]) for k in BRANCH_KEYS},
+            branch_measures={k: float(m[i]) for k, m in measures.items()},
             alice_marginal=_marginal(alice),
             bob_marginal=_marginal(bob),
             reconstruction_residual=float(max(residual)),

@@ -30,7 +30,7 @@ INPUT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 def win_predicate(x: int, y: int, a: int, b: int) -> bool:
     """Product of the questions equals the parity of the answers."""
     for name, bit in (("x", x), ("y", y), ("a", a), ("b", b)):
-        if bit not in (0, 1):
+        if as_index(bit, name, ValueError) not in (0, 1):
             raise ValueError(f"{name} must be a bit, got {bit}")
     return (x & y) == (a ^ b)
 
@@ -82,7 +82,7 @@ def quantum_distribution(
         pairs = list(zip(x, y, strict=True)) if sweep else [(x, y)]
     except (TypeError, ValueError):  # a bit beside a sequence, or unequal lengths
         pairs = []
-    if not pairs or any(a not in (0, 1) or b not in (0, 1) for a, b in pairs):
+    if not pairs or any(as_index(bit, n, ValueError) not in (0, 1) for p in pairs for n, bit in zip("xy", p)):
         raise ValueError(f"inputs must be bits or equal-length bit sequences, got ({x}, {y})")
     outcomes = run_bells([BellConfig(ALICE_ANGLES[a], BOB_ANGLES[b]) for a, b in pairs])
     return outcomes if sweep else outcomes[0]
@@ -119,7 +119,9 @@ def referee_demo(seed: int, rounds: int = 1000) -> float:
     only, the analytic rate is :func:`chsh_win_rate`."""
     if as_index(rounds, "referee_demo rounds", ValueError) < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    rng = np.random.default_rng(as_index(seed, "referee_demo seed", ValueError))
+    if (seed := as_index(seed, "referee_demo seed", ValueError)) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
     outcomes = quantum_distribution(*zip(*INPUT_PAIRS))
     rows = {pair: o.branch_measures for pair, o in zip(INPUT_PAIRS, outcomes)}
     wins = 0

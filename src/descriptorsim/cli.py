@@ -23,14 +23,14 @@ from dataclasses import dataclass
 from typing import get_args, get_type_hints
 
 from .bell import (
-    BRANCH_KEYS,
-    RECORD,
     BellConfig,
+    BellOutcome,
     Chained,
     Decohered,
     Plain,
     closed_form_measures,
     nonisomorphism_witness,
+    record_measures,
     run_bell,
     run_wigner_undo,
 )
@@ -43,9 +43,7 @@ from .chsh import (
     quantum_distribution,
     win_rate,
 )
-from .gates import Network
 from .operators import DEFAULT_TOLERANCE, LayoutError, as_real
-from .oracle import joint_outcome_distribution
 
 FORMATS = ("table", "csv", "json")
 PRESETS = {f"chsh-{x}{y}": (x, y) for x, y in INPUT_PAIRS}
@@ -223,23 +221,14 @@ def _row(branch: str, measure: float, expected: float) -> dict:
             "residual": abs(measure - expected)}
 
 
-def _rows(
-    network: Network,
-    measures: dict[str, float],
-    expected: dict[str, float],
-    prefix: str = "",
-) -> list[dict]:
+def _rows(outcome: BellOutcome, expected: dict[str, float], prefix: str = "") -> list[dict]:
     """One row per record branch: measure, closed form, and the oracle's
     probability for the network the measures came from."""
-    dist = joint_outcome_distribution(network, (RECORD,))
-    oracle = {format(value[0], "02b"): p for value, p in dist.items()}
+    oracle = record_measures(outcome.network)
     return [
-        {
-            **_row(prefix + key, measures[key], expected[key]),
-            "oracle": oracle[key],
-            "oracle_residual": abs(measures[key] - oracle[key]),
-        }
-        for key in BRANCH_KEYS
+        {**_row(prefix + key, measure, expected[key]), "oracle": oracle[key],
+         "oracle_residual": abs(measure - oracle[key])}
+        for key, measure in outcome.branch_measures.items()
     ]
 
 
@@ -254,7 +243,7 @@ def _section_variant(name: str, cfg: RunConfig) -> tuple:
         extra = {"chain_alice": cfg.chain_alice, "chain_bob": cfg.chain_bob}
     outcome = run_bell(BellConfig(cfg.theta, cfg.phi, variant))
     expected = closed_form_measures(cfg.theta, cfg.phi)
-    rows = _rows(outcome.network, outcome.branch_measures, expected)
+    rows = _rows(outcome, expected)
     checks = {
         "measure_sum_residual": abs(sum(outcome.branch_measures.values()) - 1.0),
         "alice_marginal_residual": max(abs(m - 0.5) for m in outcome.alice_marginal),
@@ -272,7 +261,7 @@ def _section_wigner(name: str, cfg: RunConfig) -> tuple:
     report = run_wigner_undo(cfg.theta, cfg.phi)
     outcome = report.outcome
     expected = closed_form_measures(cfg.theta, report.effective_bob_angle)
-    rows = _rows(outcome.network, outcome.branch_measures, expected)
+    rows = _rows(outcome, expected)
     checks = {
         "effective_bob_angle": report.effective_bob_angle,
         "reconstruction_residual": outcome.reconstruction_residual,
@@ -292,7 +281,7 @@ def _section_chsh(name: str, cfg: RunConfig) -> tuple:
     rows = [_row("win_rate", rate, expected_rate), _row("classical_bound", best / 4, bound)]
     for (x, y), outcome in outcomes.items():
         expected = closed_form_measures(ALICE_ANGLES[x], BOB_ANGLES[y])
-        rows += _rows(outcome.network, outcome.branch_measures, expected, f"x{x}y{y}:")
+        rows += _rows(outcome, expected, f"x{x}y{y}:")
     params = {"alice_angles": list(ALICE_ANGLES), "bob_angles": list(BOB_ANGLES)}
     checks = {"classical_best_wins": best, "win_rate": rate, "classical_bound": bound}
     return params, rows, checks, [best == 3]

@@ -19,6 +19,7 @@ from descriptorsim import (
     RotationY,
     SpaceLayout,
     functional_form,
+    joint_outcome_distribution,
     qudit_shift_clock,
 )
 
@@ -85,6 +86,13 @@ def kron_embedding(small, targets, layout) -> np.ndarray:
     tensor = big.reshape([layout.dims[i] for i in order] * 2)
     tensor = tensor.transpose(perm + [len(order) + p for p in perm])
     return tensor.reshape(layout.total_dim, layout.total_dim)
+
+
+def record_distribution(network: Network) -> dict[str, float]:
+    """The oracle's Born measure of each value v of a Bell network's 4-level
+    record "SC", keyed by the bits of v: Alice's record gate adds 2, Bob's 1."""
+    dist = joint_outcome_distribution(network, ("SC",))
+    return {f"{value >> 1}{value & 1}": p for (value,), p in dist.items()}
 
 
 def child_env() -> dict[str, str]:

@@ -10,7 +10,9 @@ and per gate's rows, and cross-check those records bit for bit.  All of
 them live beside the tests, so no module of the package can call them: the
 production path is the step law alone.  The strided write of a gate's
 dense embedding cross-checks the indexed copy that the package keeps the
-positions of.
+positions of.  The branching oracle, a Schrödinger-picture split of the
+state at each controlled gate onto a target, cross-checks the measures
+of a walk along that target.
 """
 
 import itertools
@@ -18,7 +20,7 @@ from math import prod
 
 import numpy as np
 
-from descriptorsim import Network, Operator, SpaceLayout, qudit_shift_clock
+from descriptorsim import Controlled, Network, Operator, SpaceLayout, qudit_shift_clock
 from descriptorsim.engine import _weyl_terms
 from descriptorsim.gates import gate_matrix
 from descriptorsim.operators import _term_product, combination
@@ -67,6 +69,24 @@ def cumulative_evolve(network: Network) -> dict[str, tuple[np.ndarray, ...]]:
             for g in qudit_shift_clock(dim)
         )
     return out
+
+
+def branching_oracle(network: Network, target: str) -> dict[str, float]:
+    """The branches of ``target``'s walk in the Schrödinger picture: |0...0>
+    runs through the network, and at each controlled gate onto ``target``
+    every branch state is first split by the control's computational value
+    j, its key gaining str(j), and then the gate applies to each part.  A
+    branch's measure is its state's squared norm."""
+    layout = network.layout
+    states = {"": np.eye(1, layout.total_dim, dtype=complex)[0]}
+    for app in (app for sl in network.slices for app in sl):
+        if isinstance(app.gate, Controlled) and app.subsystems[1:] == (target,):
+            axis = layout.index_of(app.subsystems[0])
+            value = np.indices(layout.dims)[axis].reshape(-1)  # the control's value at each amplitude
+            states = {key + str(j): np.where(value == j, psi, 0)
+                      for key, psi in states.items() for j in range(layout.dims[axis])}
+        states = {key: network.embedded(app) @ psi for key, psi in states.items()}
+    return {key: float(np.vdot(psi, psi).real) for key, psi in states.items()}
 
 
 def term_images(gate, dims: tuple[int, ...]) -> list[Operator]:

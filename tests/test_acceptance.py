@@ -26,7 +26,6 @@ from descriptorsim import (
     enumerate_classical,
     foliate,
     functional_form,
-    joint_outcome_distribution,
     nonisomorphism_witness,
     quantum_distribution,
     reduced_density_matrix,
@@ -34,7 +33,7 @@ from descriptorsim import (
     run_bells,
     run_wigner_undo,
 )
-from conftest import dense_distance, locality_residual, random_network
+from conftest import dense_distance, locality_residual, random_network, record_distribution
 from reference import cumulative_evolve
 
 COS8 = math.cos(math.pi / 8) ** 2
@@ -55,11 +54,6 @@ def report(criterion: int, description: str, ok: bool, detail: str = "") -> None
 
 def oracle_record_distribution(cfg: BellConfig) -> dict[str, float]:
     return record_distribution(build_bell_network(cfg))
-
-
-def record_distribution(network: Network) -> dict[str, float]:
-    dist = joint_outcome_distribution(network, ("SC",))
-    return {format(value[0], "02b"): p for value, p in dist.items()}
 
 
 @pytest.fixture(scope="module")

@@ -23,13 +23,15 @@ from descriptorsim import (
     build_bell_network,
     closed_form_measures,
     initial_descriptors,
-    joint_outcome_distribution,
     nonisomorphism_witness,
+    quantum_distribution,
     run_bell,
     run_wigner_undo,
 )
 from descriptorsim import bell, engine, foliation
+from descriptorsim.chsh import INPUT_PAIRS
 from descriptorsim.operators import Operator
+from conftest import record_distribution
 
 COS8 = math.cos(math.pi / 8) ** 2 / 2  # 0.4267766952966369
 SIN8 = math.sin(math.pi / 8) ** 2 / 2  # 0.0732233047033631
@@ -85,9 +87,7 @@ class TestPlainNetwork:
         cfg = BellConfig(theta, phi)
         out = run_bell(cfg)
         assert_measures(out, closed_form_measures(theta, phi))
-        dist = joint_outcome_distribution(build_bell_network(cfg), ("SC",))
-        for value, prob in dist.items():
-            key = format(value[0], "02b")
+        for key, prob in record_distribution(build_bell_network(cfg)).items():
             assert out.branch_measures[key] == pytest.approx(prob, abs=1e-9)
 
     def test_marginals_and_diagnostics(self):
@@ -114,9 +114,7 @@ class TestPlainNetwork:
 
     def test_outcome_carries_its_network(self):
         out = run_bell(BellConfig(0.3, 1.1, Decohered(4)))
-        dist = joint_outcome_distribution(out.network, ("SC",))
-        for value, prob in dist.items():
-            key = format(value[0], "02b")
+        for key, prob in record_distribution(out.network).items():
             assert out.branch_measures[key] == pytest.approx(prob, abs=1e-9)
         # the network is bookkeeping: out of the repr and of equality
         assert "network" not in repr(out)
@@ -322,12 +320,8 @@ class TestWignerUndo:
     def test_oracle_agrees(self):
         report = run_wigner_undo(0.3, 0.5)
         network = build_bell_network(report.outcome.config)
-        dist = joint_outcome_distribution(network, ("SC",))
-        for value, prob in dist.items():
-            key = format(value[0], "02b")
-            assert report.outcome.branch_measures[key] == pytest.approx(
-                prob, abs=1e-9
-            )
+        for key, prob in record_distribution(network).items():
+            assert report.outcome.branch_measures[key] == pytest.approx(prob, abs=1e-9)
 
     def test_undefined_conditional_guard(self):
         # theta=phi keeps Alice/Bob perfectly correlated, and the undo makes
@@ -413,6 +407,19 @@ def test_every_variant_builds_its_whole_network(variant):
     assert [
         (t, kind(app.gate), app.subsystems) for t, app in timed(network)
     ] == gates
+
+
+@pytest.mark.parametrize("variant", NETWORKS, ids=repr)
+def test_record_measures_decode_the_register_as_the_tests_do(variant):
+    # bell reads the record's values as branch keys; the tests decode them on their own
+    out = run_bell(BellConfig(0.3, 0.9, variant))
+    assert bell.record_measures(out.network) == record_distribution(out.network)
+    assert list(bell.record_measures(out.network)) == list(out.branch_measures)
+
+
+def test_record_measures_decode_every_chsh_member_as_the_tests_do():
+    for out in quantum_distribution(*zip(*INPUT_PAIRS)):
+        assert bell.record_measures(out.network) == record_distribution(out.network)
 
 
 class TestLocalityWitness:

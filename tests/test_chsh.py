@@ -13,7 +13,6 @@ from descriptorsim import (
     chsh_win_rate,
     enumerate_classical,
     expected_win_rate,
-    joint_outcome_distribution,
     quantum_distribution,
     referee_demo,
     run_bell,
@@ -21,6 +20,7 @@ from descriptorsim import (
     win_predicate,
 )
 from descriptorsim.chsh import INPUT_PAIRS, win_rate
+from conftest import record_distribution
 
 COS8 = math.cos(math.pi / 8) ** 2 / 2
 SIN8 = math.sin(math.pi / 8) ** 2 / 2
@@ -44,6 +44,13 @@ class TestWinPredicate:
             win_predicate(2, 0, 0, 0)
         with pytest.raises(ValueError):
             win_predicate(0, 0, 0, -1)
+
+    @pytest.mark.parametrize("bits,name", [((1.0, 1, 0, 1), "x"), ((0, 0.0, 1, 1), "y"),
+                                           ((1, 1, True, 0), "a"), ((0, 1, 0, "1"), "b")])
+    def test_a_bit_that_is_no_integer_is_refused_by_name(self, bits, name):
+        # 1.0 == 1 and True == 1, so a test for membership in (0, 1) alone lets them through
+        with pytest.raises(ValueError, match=f"^{name} .* is not an integer$"):
+            win_predicate(*bits)
 
 
 class TestClassicalStrategies:
@@ -108,6 +115,12 @@ class TestQuantumStrategy:
         with pytest.raises(ValueError):
             quantum_distribution(2, 0)
 
+    @pytest.mark.parametrize("x,y,name", [(1.0, 0, "x"), (0, True, "y"), ((0, 1), (1, 0.0), "y")])
+    def test_an_input_that_is_no_integer_is_refused_by_name(self, x, y, name):
+        # an input indexes the angle tables, which take no float
+        with pytest.raises(ValueError, match=f"^{name} .* is not an integer$"):
+            quantum_distribution(x, y)
+
 
 class TestWinRate:
     def test_optimal_angles(self):
@@ -136,6 +149,10 @@ class TestWinRate:
         with pytest.raises(ValueError, match="referee_demo seed 1.5 is not an integer"):
             referee_demo(1.5)
 
+    def test_referee_demo_refuses_a_negative_seed_by_name(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            referee_demo(-1)
+
     @pytest.mark.parametrize("rounds", [0, -5])
     def test_referee_demo_needs_a_round(self, rounds):
         # a rate needs a round: 0 would divide by zero, -5 would read -0.0
@@ -151,8 +168,8 @@ def test_no_angle_table_beats_tsirelson():
     runs = dict(zip(itertools.product(grid, grid),
                     run_bells([BellConfig(a, b) for a, b in itertools.product(grid, grid)])))
     for out in runs.values():
-        for (value,), p in joint_outcome_distribution(out.network, ("SC",)).items():
-            assert abs(out.branch_measures[format(value, "02b")] - p) < 1e-12
+        for key, p in record_distribution(out.network).items():
+            assert abs(out.branch_measures[key] - p) < 1e-12
     pairs = list(itertools.product(grid, repeat=2))
     rates = {
         (alice, bob): win_rate({

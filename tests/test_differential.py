@@ -9,7 +9,9 @@ residual checks of the engine must stay at double-precision scale on every
 such network, each gate's generator images must agree with conjugation by
 its functional form, every controlled gate with a qubit control must
 be a foliation of its target, and the walk along each such target must
-rebuild it or refuse.  The oracle's dense gate embedding is checked
+rebuild it, with the branching oracle's measures, or refuse.  Neither one
+gate per slice nor the order the layout declares its subsystems in may
+change the outcome.  The oracle's dense gate embedding is checked
 entry for entry against the Kronecker-product formula it replaced.
 """
 
@@ -47,7 +49,7 @@ from descriptorsim import (
     simulate_statevector,
 )
 from conftest import algebra_residual, dense_distance, kron_embedding, locality_residual
-from reference import cumulative_evolve, evaluate
+from reference import branching_oracle, cumulative_evolve, evaluate
 
 TOL = 1e-10
 SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
@@ -195,6 +197,46 @@ def test_foliate_along_rebuilds_or_refuses(network):
         assert abs(sum(fol.measures().values()) - 1) < TOL
         for got, want in zip(fol.branch_sum(), evo.descriptors[target], strict=True):
             assert got.distance(want) < TOL
+        # each branch's measure is its share of the state split at the same gates
+        oracle = branching_oracle(network, target)
+        assert fol.measures().keys() == oracle.keys()
+        assert all(abs(m - oracle[key]) < 1e-12 for key, m in fol.measures().items())
+
+
+def walk(network, target):
+    """The measures of the walk along ``target``, or None if it refuses."""
+    try:
+        return foliate_along(NetworkEvolution(network), target).measures()
+    except FoliationError:
+        return None
+
+
+@SETTINGS
+@given(networks())
+def test_one_gate_per_slice_leaves_every_descriptor_bit_for_bit(network):
+    serial = Network(network.layout, [[app] for sl in network.slices for app in sl])
+    got, want = (NetworkEvolution(n).run().descriptors for n in (serial, network))
+    for sid in network.layout.ids:
+        for g, w in zip(got[sid], want[sid], strict=True):
+            assert np.array_equal(g.exponents, w.exponents)
+            assert np.array_equal(g.coefficients, w.coefficients)
+
+
+@SETTINGS
+@given(networks(), st.data())
+def test_the_layout_order_changes_no_walk(network, data):
+    # the subsystems declared reversed, and in a drawn order: a walk accepted
+    # in one order is accepted in the other, with the same measures
+    subsystems = network.layout.subsystems
+    for order in (subsystems[::-1], tuple(data.draw(st.permutations(subsystems)))):
+        declared = Network(SpaceLayout(order), network.slices)
+        for target in {app.subsystems[-1] for sl in network.slices for app in sl
+                       if isinstance(app.gate, Controlled)}:
+            want, got = walk(network, target), walk(declared, target)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.keys() == want.keys()
+                assert all(abs(got[key] - m) <= 1e-15 for key, m in want.items())
 
 
 @SETTINGS

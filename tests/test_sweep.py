@@ -38,7 +38,6 @@ from descriptorsim import (
     run_bells,
 )
 from descriptorsim import bell, cli, engine, oracle
-from descriptorsim.bell import BRANCH_KEYS
 from descriptorsim.chsh import INPUT_PAIRS
 from descriptorsim.gates import gate_matrix
 from descriptorsim.operators import _plan
@@ -217,7 +216,8 @@ def spectrum(measures, shape):
     branch key.  An angle that enters c gates makes a measure a trigonometric
     polynomial of degree 2c in its half, which 4c + 1 equispaced samples on
     [0, 4 pi) fix: the table is every one of its coefficients."""
-    return {k: np.fft.fft2(np.reshape([m[k] for m in measures], shape)) / len(measures) for k in BRANCH_KEYS}
+    return {k: np.fft.fft2(np.reshape([m[k] for m in measures], shape)) / len(measures)
+            for k in closed_form_measures(0.0, 0.0)}
 
 
 @pytest.mark.parametrize("variant", [Plain(), Chained(1, 1), Decohered(3), Decohered(None),
@@ -233,8 +233,8 @@ def test_every_measure_is_the_closed_form_at_every_angle(variant):
     got = spectrum([o.branch_measures for o in run_bells([BellConfig(*a, variant) for a in grid])], shape)
     want = spectrum([closed_form_measures(t, bob(p)) for t, p in grid], shape)
     flipped = spectrum([closed_form_measures(t, bob(p, -1)) for t, p in grid], shape)
-    assert max(np.abs(got[k] - want[k]).max() for k in BRANCH_KEYS) <= 1e-15
-    assert max(np.abs(got[k] - flipped[k]).max() for k in BRANCH_KEYS) > 0.1
+    assert max(np.abs(got[k] - want[k]).max() for k in want) <= 1e-15
+    assert max(np.abs(got[k] - flipped[k]).max() for k in want) > 0.1
 
 
 class TestRotationSweep:

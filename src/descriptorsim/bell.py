@@ -31,6 +31,7 @@ from .gates import (
     GateApplication,
     Hadamard,
     Network,
+    NetworkError,
     Plus,
     RotationY,
     gate_matrix,
@@ -112,6 +113,8 @@ class WignerUndo(Value):
     _fields = ("rerotation",)
 
     def __init__(self, rerotation: float | None = None) -> None:
+        if rerotation is not None and not math.isfinite(as_real(rerotation, "rerotation", NetworkError)):
+            raise NetworkError(f"rerotation {rerotation} is not finite")  # as its RotationY would
         self._freeze(rerotation)
 
     def angle(self, phi: float) -> float:
@@ -187,6 +190,9 @@ def record_measures(network: Network) -> dict[str, float]:
 def closed_form_measures(theta: float, phi: float) -> dict[str, float]:
     """The four record measures as closed trigonometric forms of theta - phi, in half
     angles: theta - phi overflows near 1e308, theta/2 - phi/2 loses phi at large |theta|."""
+    for name, angle in (("theta", theta), ("phi", phi)):
+        if not math.isfinite(as_real(angle, name, ValueError)):
+            raise ValueError(f"{name} {angle} is not finite")
     (ct, st), (cp, sp) = ((math.cos(a / 2), math.sin(a / 2)) for a in (theta, phi))
     c, s = (ct * cp + st * sp) ** 2 / 2, (st * cp - ct * sp) ** 2 / 2
     return {"00": c, "01": s, "10": s, "11": c}
@@ -248,7 +254,7 @@ def run_bells(cfgs: Sequence[BellConfig]) -> list[BellOutcome]:
     evolution with a column of coefficients per member.  Each member's own
     network is built as a single run builds it; its oracle diagnostics and
     its outcome read that one."""
-    if not cfgs or any(cfg.variant != cfgs[0].variant for cfg in cfgs):
+    if not cfgs or not all(isinstance(cfg, BellConfig) and cfg.variant == cfgs[0].variant for cfg in cfgs):
         raise ValueError("a sweep needs one or more configurations that share their variant")
     networks = [build_bell_network(cfg) for cfg in cfgs]
     n = len(networks)

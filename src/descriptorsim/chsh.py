@@ -41,7 +41,14 @@ class DeterministicStrategy(Value):
     _fields = ("alice", "bob")
 
     def __init__(self, alice: tuple[int, int], bob: tuple[int, int]) -> None:
-        self._freeze(alice, bob)
+        tables = []
+        for player, table in (("alice", alice), ("bob", bob)):  # an answer per question bit
+            what = f"{player}'s answer"
+            bits = tuple([as_index(b, what, ValueError) for b in table]) if hasattr(table, "__len__") else ()
+            if len(bits) != 2 or not set(bits) <= {0, 1}:
+                raise ValueError(f"{player}'s answers {table!r} are not two bits")
+            tables.append(bits)
+        self._freeze(*tables)
 
     def wins(self) -> int:
         """How many of the four input pairs this strategy wins (exact)."""
@@ -108,8 +115,8 @@ def chsh_win_rate(
     """Expected win rate of the rotation strategy over uniform inputs, from
     one sweep of the four input pairs; defaults to the optimal angle table."""
     for player, angles in (("alice", alice_angles), ("bob", bob_angles)):
-        if len(angles) != 2:
-            raise ValueError(f"{player}_angles {angles!r} needs one angle per input bit, not {len(angles)}")
+        if not hasattr(angles, "__len__") or len(angles) != 2:
+            raise ValueError(f"{player}_angles {angles!r} needs one angle per input bit")
     outcomes = run_bells([BellConfig(alice_angles[x], bob_angles[y]) for x, y in INPUT_PAIRS])
     return win_rate({pair: o.branch_measures for pair, o in zip(INPUT_PAIRS, outcomes)})
 

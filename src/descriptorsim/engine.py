@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .gates import Gate, GateApplication, Network, gate_matrix
+from .gates import Gate, GateApplication, Network, RotationY, gate_matrix
 from .operators import (
     DEFAULT_TOLERANCE,
     DESCRIPTOR_BUDGET_BYTES,
@@ -35,6 +35,7 @@ from .operators import (
     _merged,
     _pair_coefficients,
     _plan,
+    _pruned,
     _read_only,
     _roots_of_unity,
     _terms,
@@ -83,15 +84,24 @@ def _moves(dims: tuple[int, ...]) -> tuple[SpaceLayout, np.ndarray, np.ndarray]:
     return layout, *_read_only(np.array(rows), np.array(phases)[..., None])
 
 
+_ZX = _read_only(np.array([[0, 1], [1, 0]], dtype=np.int64))[0]  # a qubit's clock row, then its shift row
+
+
 @functools.lru_cache(maxsize=256)
 def _weyl_terms(gate: Gate, dims: tuple[int, ...], images: bool = False) -> tuple[Operator, ...]:
     """The gate's nonzero expansion G = sum c X^a Z^b over the acted subsystems'
     shift/clock pairs, as a one-element tuple, or with ``images`` the images
     G^dag g G of those generators, in :func:`_moves`' order, on their own layout:
-    each the dense U^dag (g U), expanded with as many others as the budget holds."""
+    each the dense U^dag (g U), expanded with as many others as the budget holds.
+    A rotation's images are built in closed form, x -> sin z + cos x and
+    z -> cos z - sin x, by the dense route's own float arithmetic, so to the bit."""
     (layout, rows, phases), u = _moves(dims), gate_matrix(gate, dims)
     if not images:
         return (Operator.from_matrix(layout, u),)
+    if isinstance(gate, RotationY):  # cos and sin of theta from theta / 2's, as U^dag g U multiplies them
+        c, s = u[0, 0].real, u[1, 0].real
+        cos, sin = c * c - s * s, c * s + s * c
+        return tuple(_pruned(layout, _ZX, np.array(image, dtype=complex)) for image in ((sin, cos), (cos, -sin)))
     n, members = len(u.T), u.reshape(-1, len(u.T), len(u.T))
     need = 8 * 16 * members.size  # per generator and member: g U, U^dag g U and six working copies
     if need > DESCRIPTOR_BUDGET_BYTES:

@@ -133,6 +133,14 @@ class TestPlainNetwork:
         with pytest.raises(ValueError, match="theta '0.3' is not a real number"):
             BellConfig("0.3", 0)
 
+    @pytest.mark.parametrize("theta,phi,message", [("a", 0.0, "theta 'a' is not a real number"),
+                                                   (0.0, None, "phi None is not a real number"),
+                                                   (math.inf, 0.0, "theta inf is not finite"),
+                                                   (0.0, -math.nan, "phi nan is not finite")])
+    def test_closed_form_refuses_a_bad_angle_by_name(self, theta, phi, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            closed_form_measures(theta, phi)
+
 
 class TestDecoherence:
     def test_measures_match_plain(self):
@@ -301,6 +309,14 @@ class TestWignerUndo:
             run_wigner_undo(0.0, 0.5, float("nan"))
         with pytest.raises(NetworkError):
             run_bell(BellConfig(0.0, 0.5, WignerUndo(math.inf)))
+
+    @pytest.mark.parametrize("rerotation,message", [
+        ("x", "'x' is not a real number"), (True, "True is not a real number"), (math.inf, "inf is not finite"),
+        (-math.inf, "-inf is not finite"), (math.nan, "nan is not finite")])
+    def test_a_bad_rerotation_is_refused_when_built(self, rerotation, message):
+        # not later, when a network is built from it
+        with pytest.raises(NetworkError, match=f"^rerotation {message}$"):
+            WignerUndo(rerotation)
 
     def test_identity_rerotation_restores_plain(self):
         report = run_wigner_undo(0.4, 0.9, rerotation=0.0)

@@ -74,6 +74,15 @@ class TestClassicalStrategies:
         assert sorted(scored, key=repr) == sorted(all_strategies(), key=repr)  # each of the 16 once
         assert (best, maximizers) == (3, [s for s in all_strategies() if wins(s) == 3])
 
+    @pytest.mark.parametrize("alice,bob,name", [((0,), (0, 0), "alice"), (0, (0, 0), "alice"),
+                                                (None, (0, 1), "alice"), ((0, 1), (0, 1, 1), "bob"),
+                                                ((0, 1), (0, 2), "bob"), ((1.0, 0), (0, 1), "alice"),
+                                                ((0, 1), (True, 0), "bob")])
+    def test_a_bad_answer_table_is_refused_by_name_when_built(self, alice, bob, name):
+        # not later, inside wins(), as an IndexError or TypeError
+        with pytest.raises(ValueError, match=f"^{name}'s answer"):
+            DeterministicStrategy(alice, bob)
+
     def test_uniform_mixture_of_maximizers_hits_three_quarters(self):
         _, maximizers = enumerate_classical()
         assert expected_win_rate(maximizers) == Fraction(3, 4)

@@ -173,6 +173,10 @@ def test_sweep_needs_one_shared_variant():
         run_bells([BellConfig(0.0, 0.5), BellConfig(0.0, 0.5, Chained(1, 1))])
     with pytest.raises(ValueError, match="share their variant"):
         run_bells([BellConfig(0.0, 0.5, Decohered(1)), BellConfig(0.0, 0.5, Decohered(2))])
+    # anything but a configuration is refused, not read for a variant it lacks
+    for cfgs in ([None], [BellConfig(0.3, 0.2), (0.3, 0.2)]):
+        with pytest.raises(ValueError, match="configurations that share their variant"):
+            run_bells(cfgs)
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
@@ -202,6 +206,11 @@ def test_win_rate_refuses_a_short_angle_table():
         chsh_win_rate((0,), (0, 0))
     with pytest.raises(ValueError, match=r"bob_angles"):
         chsh_win_rate((0, 1), (0.5, 0.5, 0.5))
+    # a table without a length is refused by name, not by len()'s TypeError
+    with pytest.raises(ValueError, match="^alice_angles None needs one angle per input bit$"):
+        chsh_win_rate(None, BOB_ANGLES)
+    with pytest.raises(ValueError, match="^bob_angles 0.5 needs one angle per input bit$"):
+        chsh_win_rate(ALICE_ANGLES, 0.5)
 
 
 def test_bell_config_stores_its_angles_as_floats():
